@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -179,13 +179,6 @@ def _realization_report(rt: cfgmod.Runtime, prep: Prepared, seed: int) -> dict:
     }
 
 
-def _ensemble_chunk(raw: dict, base_dir: str, seeds: tuple[int, ...]) -> np.ndarray:
-    rt = cfgmod.build_runtime(raw, base_dir)
-    prep = _prepare(rt)
-    return rz.simulate_ensemble(prep.real, prep.psi, prep.v0, rt.driver,
-                                list(seeds), scheme=rt.scheme)
-
-
 def _write_ensemble_stats(path: str, t_grid: np.ndarray, coords: np.ndarray) -> None:
     mean = coords.mean(axis=0)
     var = coords.var(axis=0, ddof=1)
@@ -201,12 +194,12 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, coords: np.ndarray) -> 
 
 
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
-                 paths: int = 1, jobs: int = 1) -> int:
+                 paths: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     seed = rt.seed if seed is None else seed
     prep = _prepare(rt)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-    path = rz.simulate_coordinates(prep.real, prep.psi, prep.v0, inc,
+    path = rz.simulate_coordinates(prep.real, prep.t_grid, prep.v0, inc,
                                    scheme=rt.scheme)
     rec = rz.reconstruct(prep.psi, path, prep.real.V)
     axis = rt.space.axis()
@@ -222,21 +215,8 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
     if paths > 1:
         seeds = [seed + i for i in range(paths)]
-        if jobs > 1:
-            chunks = [tuple(seeds[i::jobs]) for i in range(jobs)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_ensemble_chunk,
-                                      [rt.raw] * len(chunks),
-                                      ["."] * len(chunks), chunks))
-            by_seed: dict[int, np.ndarray] = {}
-            for chunk, arr in zip(chunks, parts):
-                for j, s in enumerate(chunk):
-                    by_seed[s] = arr[j]
-            coords = np.stack([by_seed[s] for s in seeds])
-        else:
-            coords = rz.simulate_ensemble(prep.real, prep.psi, prep.v0,
-                                          rt.driver, seeds, scheme=rt.scheme)
+        coords = rz.simulate_ensemble(prep.real, prep.t_grid, prep.v0,
+                                      rt.driver, seeds, scheme=rt.scheme)
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),
                               prep.t_grid, coords)
 
@@ -321,13 +301,14 @@ def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
     raise UnstableConfig("modal oracle needs symbolic data")
 
 
-def _oracle_path(rt: cfgmod.Runtime, real: rz.Realization,
-                 inc: levy.IncrementMatrix) -> rz.GridPath:
+def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
+                 inc: levy.IncrementMatrix) -> Iterator[np.ndarray]:
+    """The reference solution one time at a time, on the space axis."""
     kind = rt.verify.oracle
     if kind == "grid":
         if not isinstance(rt.space, rz.GridSpace):
             raise MethodUnsupported("grid oracle needs a grid space")
-        return oracle.solve_spde_grid(
+        return oracle.spde_grid_rows(
             rt.op, rt.space.grid, _drift_for_oracle(rt, real),
             _sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc,
             theta=rt.verify.theta)
@@ -367,36 +348,34 @@ def _oracle_path(rt: cfgmod.Runtime, real: rz.Realization,
         if isinstance(rt.space, rz.ModalSpace):
             pos = {idx: i for i, idx in enumerate(indices)}
             cols = [pos[idx] for idx in rt.space.indices]
-            t_grid = np.arange(inc.n_steps + 1) * inc.dt
-            return rz.GridPath(t_grid, rt.space.axis(), amps[:, cols], inc.seed)
-        return oracle.modal_path_to_grid(rt.op, indices, amps, inc.dt,
-                                         rt.space.grid, inc.seed)
+            return (a[cols] for a in amps)
+        return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
     if kind == "ray_grid":
         if not isinstance(rt.space, rz.ProfileRaySpace):
             raise MethodUnsupported("ray oracle needs a profile x ray space")
-        ray_grid = rt.space.ray.grid
-        n = ray_grid.n
-        h0_vec = rt.space.sample(rt.h0)
+        n_prof = len(rt.space.profiles)
+
+        def by_ray(vec):
+            # profile-major blocks -> one column per profile
+            return vec.reshape(n_prof, rt.space.ray.size).T
+
         alpha_vec = _drift_for_oracle(rt, real)
         sig_vecs = _sigma_for_oracle(rt, real)
         if any(callable(s) for s in sig_vecs):
             raise MethodUnsupported("ray oracle needs additive volatility")
-        blocks = []
-        for i in range(len(rt.space.profiles)):
-            sl = slice(i * n, (i + 1) * n)
-            part = oracle.solve_spde_grid(
-                operators.Translation(), ray_grid,
-                None if alpha_vec is None else alpha_vec[sl],
-                [s[sl] for s in sig_vecs], h0_vec[sl], inc,
-                theta=rt.verify.theta)
-            blocks.append(part.values)
-        t_grid = np.arange(inc.n_steps + 1) * inc.dt
-        return rz.GridPath(t_grid, rt.space.axis(), np.hstack(blocks), inc.seed)
+        rows = oracle.spde_grid_rows(
+            operators.Translation(), rt.space.ray.grid,
+            None if alpha_vec is None else by_ray(alpha_vec),
+            [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
+            inc, theta=rt.verify.theta)
+        return (r.T.ravel() for r in rows)
     raise MethodUnsupported(f"no oracle of kind {kind!r}")
 
 
 def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                refine: int = 1, mutate=None) -> int:
+    """Step the reduced model and the reference solver together at each
+    refinement level, comparing them one time at a time (O(n_x) memory)."""
     os.makedirs(out_dir, exist_ok=True)
     if rt.verify.oracle == "none":
         raise MethodUnsupported(f"scenario {rt.name} declares no oracle")
@@ -417,16 +396,21 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         real = cfgmod.build_scenario_realization(rt_l)
         if mutate is not None:
             real = mutate(real)
-        prep = _prepare(rt_l, real)
-        path = rz.simulate_coordinates(real, prep.psi, prep.v0, chain[lvl],
-                                       scheme=rt_l.scheme)
-        rec = rz.reconstruct(prep.psi, path, real.V)
-        orc = _oracle_path(rt_l, real, chain[lvl])
-        metrics = oracle.compare_paths(rec, orc, rt_l.space.weights())
+        t_grid = rt_l.t_grid()
+        psi, _meta = rz.psi_rows(real, rt_l.h0, t_grid)
+        _u0, v0 = rz.split_initial(real, rt_l.h0)
+        coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl],
+                                    scheme=rt_l.scheme)
+        reference = _oracle_rows(rt_l, real, chain[lvl])
+        basis = real.V.samples
+        # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n)
+        steps = ((p + y @ basis, o, p)
+                 for p, y, o in zip(psi, coords, reference, strict=True))
+        metrics = oracle.compare_streams(steps, rt_l.space.weights(),
+                                         leaf=real.V if lvl == 0 else None)
         if lvl == 0:
             h0_norm = rz.space_norm(rt_l.space, rt_l.space.sample(rt_l.h0))
-            fol = oracle.foliation_distance(orc, prep.psi, real.V)
-            fol_max = float(fol.max())
+            fol_max = float(metrics.foliation.max())
         levels.append({
             "level": lvl,
             "n_t": rt_l.n_t,
@@ -457,6 +441,7 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         "h0_norm": h0_norm,
         "levels": levels,
         "foliation_distance_max": fol_max,
+        "refinement_checked": refine > 0,
         "passed": not failures,
         "failures": failures,
     }
@@ -464,6 +449,10 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     if failures:
         print(f"{rt.name}: VERIFY FAILED - " + "; ".join(failures))
         return 5
+    if refine == 0:
+        print(f"{rt.name}: VERIFIED sup error {sup0:.3e} <= {bound:.3e}; "
+              f"bound only, --refine 0 gives no refinement evidence")
+        return 0
     print(f"{rt.name}: VERIFIED sup error {sup0:.3e} <= {bound:.3e}, "
           f"{refine} refinement level(s) pass")
     return 0
@@ -536,6 +525,22 @@ def run_eigen(args, out_dir: str) -> int:
 # argument parsing
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinespde",
@@ -552,15 +557,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=None)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--paths", type=int, default=1)
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--paths", type=_at_least(1), default=1)
+    ps.add_argument("--jobs", type=_at_least(1), default=1,
+                    help="accepted for compatibility and ignored: the "
+                         "ensemble is one vectorized computation")
 
     pv = sub.add_parser("verify", help="compare against the independent solver")
     pv.add_argument("--config", required=True)
     pv.add_argument("--out", default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--refine", type=int, default=1,
-                    help="number of simultaneous halvings (default 1)")
+    pv.add_argument("--refine", type=_at_least(0), default=1,
+                    help="number of simultaneous halvings (default 1; 0 "
+                         "checks the absolute bound only)")
 
     pe = sub.add_parser("eigen", help="write an eigenvalue/eigenfunction catalog")
     pe.add_argument("--operator", required=True,
@@ -589,8 +597,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return run_analyze(rt, out)
         if args.command == "simulate":
-            return run_simulate(rt, out, seed=args.seed, paths=args.paths,
-                                jobs=args.jobs)
+            return run_simulate(rt, out, seed=args.seed, paths=args.paths)
         return run_verify(rt, out, seed=args.seed, refine=args.refine)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -26,7 +26,8 @@ from .realization import Curve, GridPath, Subspace, space_norm
 
 
 def _normalize_field(f, grid: Grid1D):
-    """Drift/volatility input -> vector on the grid or callable on vectors."""
+    """Drift/volatility input -> vector on the grid (or (n, k) block of k
+    columns) or callable on vectors."""
     if f is None:
         return np.zeros(grid.n)
     if isinstance(f, QExpFunction):
@@ -34,7 +35,7 @@ def _normalize_field(f, grid: Grid1D):
     if callable(f):
         return f
     arr = np.asarray(f, dtype=float)
-    if arr.shape != (grid.n,):
+    if arr.ndim not in (1, 2) or arr.shape[0] != grid.n:
         raise GridMismatch(f"field of shape {arr.shape} on a {grid.n}-point grid")
     return arr
 
@@ -81,18 +82,21 @@ def _check_stability(op: OperatorSpec, grid: Grid1D, dt: float, theta: float):
                 f"step bound dt <= dx / {1 - 2 * theta:.3g}")
 
 
-def solve_spde_grid(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
-                    h0, increments: levy.IncrementMatrix,
-                    theta: float | None = None) -> GridPath:
+def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
+                   h0, increments: levy.IncrementMatrix,
+                   theta: float | None = None) -> Iterator[np.ndarray]:
     """Theta-scheme reference solution of dr = (A r + alpha(r)) dt
-    + sum_k sigma^k(r) dX^k on the sampled grid:
+    + sum_k sigma^k(r) dX^k on the sampled grid, yielded one state per time:
 
         (I - theta dt A) r_{n+1}
             = (I + (1-theta) dt A) r_n + dt alpha(r_n) + sum_k sigma^k(r_n) dXk
 
     with Dirichlet/far-field rows re-pinned to the initial samples after
     every step.  Noise and drift enter at the left endpoint, matching the
-    left-limit convention of the jump integral."""
+    left-limit convention of the jump integral.  An (n, k) initial block
+    (with (n, k) or absent drift and volatility blocks) steps k independent
+    states through one factorization, one multi-column solve per step.
+    Set-up checks and the factorization happen here, before the first row."""
     if theta is None:
         theta = _default_theta(op)
     if not 0.0 <= theta <= 1.0:
@@ -104,7 +108,8 @@ def solve_spde_grid(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     h0_vec = _normalize_field(h0, grid)
     if callable(h0_vec):
         raise GridMismatch("initial curve must be a function or vector")
-    alpha_f = _normalize_field(alpha, grid)
+    alpha_f = (np.zeros(h0_vec.shape) if alpha is None
+               else _normalize_field(alpha, grid))
     sigma_f = [_normalize_field(s, grid) for s in sigma]
     if len(sigma_f) != increments.m:
         raise GridMismatch(f"{len(sigma_f)} volatility components vs "
@@ -119,21 +124,32 @@ def solve_spde_grid(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
             solver = scipy.sparse.linalg.splu(eye - theta * dt * a_mat)
         except RuntimeError as exc:
             raise LinearSolveFailure(f"theta-scheme factorization failed: {exc}") from exc
-
-    n_steps = increments.n_steps
-    values = np.zeros((n_steps + 1, grid.n))
-    r = h0_vec.copy()
-    values[0] = r
     pins_arr = np.array(pins, dtype=int)
-    pin_vals = h0_vec[pins_arr]
-    for n in range(n_steps):
-        rhs = rhs_mat @ r + dt * _field_at(alpha_f, r)
-        for k, s in enumerate(sigma_f):
-            rhs = rhs + _field_at(s, r) * increments.values[n, k]
-        r = solver.solve(rhs) if solver is not None else rhs
-        r[pins_arr] = pin_vals
-        values[n + 1] = r
-    t_grid = np.arange(n_steps + 1) * dt
+
+    def rows():
+        r = h0_vec.copy()
+        pin_vals = h0_vec[pins_arr]
+        yield r
+        for n in range(increments.n_steps):
+            rhs = rhs_mat @ r + dt * _field_at(alpha_f, r)
+            for k, s in enumerate(sigma_f):
+                rhs = rhs + _field_at(s, r) * increments.values[n, k]
+            r = solver.solve(rhs) if solver is not None else rhs
+            r[pins_arr] = pin_vals
+            yield r
+
+    return rows()
+
+
+def solve_spde_grid(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
+                    h0, increments: levy.IncrementMatrix,
+                    theta: float | None = None) -> GridPath:
+    """The rows of spde_grid_rows, collected into one path."""
+    rows = spde_grid_rows(op, grid, alpha, sigma, h0, increments, theta)
+    values = np.zeros((increments.n_steps + 1, grid.n))
+    for n, r in enumerate(rows):
+        values[n] = r
+    t_grid = np.arange(increments.n_steps + 1) * increments.dt
     return GridPath(t_grid, grid.points(), values, increments.seed)
 
 
@@ -173,13 +189,23 @@ def solve_spde_modal(op: OperatorSpec, indices: Sequence, alpha, sigma: Sequence
     return amps
 
 
-def modal_path_to_grid(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
-                       dt: float, grid: Grid1D, seed: int = 0) -> GridPath:
-    """Map amplitude rows onto grid samples of the eigenfunctions."""
+def modal_rows(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
+               grid: Grid1D) -> Iterator[np.ndarray]:
+    """Amplitude rows mapped onto grid samples of the eigenfunctions, one
+    time at a time."""
     phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(op, i),
                                      grid.points()) for i in indices])
+    return (a @ phi for a in amps)
+
+
+def modal_path_to_grid(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
+                       dt: float, grid: Grid1D, seed: int = 0) -> GridPath:
+    """The rows of modal_rows, collected into one path."""
+    values = np.zeros((amps.shape[0], grid.n))
+    for n, row in enumerate(modal_rows(op, indices, amps, grid)):
+        values[n] = row
     t_grid = np.arange(amps.shape[0]) * dt
-    return GridPath(t_grid, grid.points(), amps @ phi, seed)
+    return GridPath(t_grid, grid.points(), values, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +218,7 @@ class PathMetrics:
     relative: float
     per_time: np.ndarray
     scale: float
+    foliation: np.ndarray | None = None  # per-time leaf distance, if asked
 
 
 def _check_same_grids(a: GridPath, b: GridPath):
@@ -203,23 +230,51 @@ def _check_same_grids(a: GridPath, b: GridPath):
         raise GridMismatch("paths sampled on different spatial grids")
 
 
+def _leaf_distance(V: Subspace, state: np.ndarray, base: np.ndarray) -> float:
+    """Distance of state from the affine leaf base + V: the norm of the
+    component of state - base orthogonal to V in the working product."""
+    return space_norm(V.space, V.complement_residual(state - base))
+
+
+def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
+                    leaf: Subspace | None = None) -> PathMetrics:
+    """compare_paths over two paths given one time at a time: steps yields
+    (a_n, b_n) pairs, or (a_n, b_n, base_n) triples when leaf is given, and
+    then the per-time distance of b_n from the leaf base_n + leaf is
+    recorded as .foliation.  Only O(n_x + n_t) memory is held."""
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    per_time, mag_a, mag_b, fol = [], [], [], []
+    for step in steps:
+        a, b = step[0], step[1]
+        if a.shape != b.shape:
+            raise GridMismatch(f"states of shape {a.shape} vs {b.shape}")
+        if w is None:
+            w = np.ones(a.shape[0])
+        if w.shape != a.shape:
+            raise GridMismatch(f"weight vector shape {w.shape} for "
+                               f"{a.shape[0]} spatial nodes")
+        diff = a - b
+        per_time.append((diff * diff * w).sum())
+        mag_a.append((a ** 2 * w).sum())
+        mag_b.append((b ** 2 * w).sum())
+        if leaf is not None:
+            fol.append(_leaf_distance(leaf, b, step[2]))
+    per_time = np.sqrt(np.maximum(np.array(per_time), 0.0))
+    mag = np.sqrt(np.maximum(np.array(mag_a), 0.0))
+    mag_b = np.sqrt(np.maximum(np.array(mag_b), 0.0))
+    scale = max(float(mag.max(initial=0.0)), float(mag_b.max(initial=0.0)))
+    sup = float(per_time.max(initial=0.0))
+    return PathMetrics(sup, sup / max(scale, 1e-300), per_time, scale,
+                       np.array(fol) if leaf is not None else None)
+
+
 def compare_paths(a: GridPath, b: GridPath,
                   weights: np.ndarray | None = None) -> PathMetrics:
     """Sup over time of the weighted-L2 spatial distance, its relative
     version (normalized by the larger path magnitude, hence symmetric), and
     the full per-time series."""
     _check_same_grids(a, b)
-    w = np.ones(a.values.shape[1]) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (a.values.shape[1],):
-        raise GridMismatch(f"weight vector shape {w.shape} for "
-                           f"{a.values.shape[1]} spatial nodes")
-    diff = a.values - b.values
-    per_time = np.sqrt(np.maximum((diff * diff * w).sum(axis=1), 0.0))
-    mag = np.sqrt(np.maximum((a.values ** 2 * w).sum(axis=1), 0.0))
-    mag_b = np.sqrt(np.maximum((b.values ** 2 * w).sum(axis=1), 0.0))
-    scale = max(float(mag.max(initial=0.0)), float(mag_b.max(initial=0.0)))
-    sup = float(per_time.max(initial=0.0))
-    return PathMetrics(sup, sup / max(scale, 1e-300), per_time, scale)
+    return compare_streams(zip(a.values, b.values), weights)
 
 
 def foliation_distance(path: GridPath, psi: Curve, V: Subspace) -> np.ndarray:
@@ -231,9 +286,8 @@ def foliation_distance(path: GridPath, psi: Curve, V: Subspace) -> np.ndarray:
     if not np.allclose(path.t_grid, psi.t_grid, rtol=1e-9, atol=1e-12):
         raise GridMismatch("path and curve time grids differ")
     out = np.zeros(len(path.t_grid))
-    for n in range(len(path.t_grid)):
-        resid = V.complement_residual(path.values[n] - psi.values[n])
-        out[n] = space_norm(V.space, resid)
+    for n, (state, base) in enumerate(zip(path.values, psi.values)):
+        out[n] = _leaf_distance(V, state, base)
     return out
 
 

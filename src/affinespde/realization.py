@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -749,157 +749,183 @@ def _phi1(g: float, t) -> np.ndarray:
     return (np.exp(g * t) - 1.0) / g
 
 
-def solve_psi(real: Realization, h0, t_grid: np.ndarray) -> Curve:
-    """Deterministic curve through the foliation: dpsi/dt = A psi + P_U alpha
-    with psi(0) = u0, the complement component of the initial curve."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _uniform_dt(t_grid)
+def _mode_amplitudes(op: OperatorSpec, indices, t_grid: np.ndarray,
+                     a0: np.ndarray, drift_coefs: np.ndarray) -> np.ndarray:
+    """Exact flow of the eigen-amplitudes under a constant drift:
+    a_i(t) = e^{g_i t} a0_i + (e^{g_i t} - 1)/g_i c_i, one row per time."""
+    gvals = np.array([operators.generator_eigenvalue(op, i) for i in indices])
+    return (np.exp(np.outer(t_grid, gvals)) * a0[None, :]
+            + np.vstack([_phi1(g, t_grid) for g in gvals]).T * drift_coefs[None, :])
+
+
+def _shifted(f, t: float):
+    return f.shift_rays(t) if isinstance(f, RayBundle) else funalg.shift(f, t)
+
+
+def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
+    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds in closed form."""
+    if not isinstance(real.op, (operators.Translation, operators.Transport)):
+        raise MethodUnsupported("shift_exact needs a transport generator")
+    if not isinstance(u0, (QExpFunction, RayBundle)):
+        raise MethodUnsupported(
+            "shift_exact needs a symbolic initial curve; use grid_implicit")
     space = real.V.space
-    u0, _v0 = split_initial(real, h0)
-    method = real.psi_method
-
-    if real.drift.kind == "state" and real.drift.v_coords is None:
-        raise MethodUnsupported("callable drift cannot drive the reduced solver")
-
-    if method == "shift_exact":
-        if not isinstance(real.op, (operators.Translation, operators.Transport)):
-            raise MethodUnsupported("shift_exact needs a transport generator")
-        values = np.zeros((len(t_grid), space.size))
-        if isinstance(u0, QExpFunction):
-            for i, t in enumerate(t_grid):
-                values[i] = space.sample(funalg.shift(u0, float(t)))
-        elif isinstance(u0, RayBundle):
-            for i, t in enumerate(t_grid):
-                values[i] = space.sample(u0.shift_rays(float(t)))
+    u_sym, u_vec = real.drift.u_symbolic, real.drift.u_vector
+    big_g = None
+    if u_sym is not None:
+        # int_0^t S_{t-s} a ds = G(. + t) - G with G the running integral
+        if isinstance(u_sym, QExpFunction):
+            big_g = funalg.integrate_from_zero(u_sym)
+        elif isinstance(u_sym, RayBundle):
+            big_g = RayBundle.make(
+                (lbl, funalg.integrate_from_zero(fn)) for lbl, fn in u_sym.parts)
         else:
-            raise MethodUnsupported(
-                "shift_exact needs a symbolic initial curve; use grid_implicit")
-        u_sym, u_vec = real.drift.u_symbolic, real.drift.u_vector
-        if u_sym is not None:
-            # int_0^t S_{t-s} a ds = G(. + t) - G with G the running integral
-            if isinstance(u_sym, QExpFunction):
-                big_g = funalg.integrate_from_zero(u_sym)
-                g0 = space.sample(big_g)
-                for i, t in enumerate(t_grid):
-                    values[i] += space.sample(funalg.shift(big_g, float(t))) - g0
-            elif isinstance(u_sym, RayBundle):
-                big_g = RayBundle.make(
-                    (lbl, funalg.integrate_from_zero(fn)) for lbl, fn in u_sym.parts)
-                g0 = space.sample(big_g)
-                for i, t in enumerate(t_grid):
-                    values[i] += space.sample(big_g.shift_rays(float(t))) - g0
-            else:
-                raise MethodUnsupported("symbolic drift remainder expected")
-        elif u_vec is not None:
-            if not isinstance(space, GridSpace):
-                raise MethodUnsupported("sampled drift accumulation needs a grid space")
-            x = space.grid.points()
-            acc = np.zeros(space.size)
-            a_prev = u_vec.copy()
-            for i, t in enumerate(t_grid):
+            raise MethodUnsupported("symbolic drift remainder expected")
+        g0 = space.sample(big_g)
+    elif u_vec is not None and not isinstance(space, GridSpace):
+        raise MethodUnsupported("sampled drift accumulation needs a grid space")
+
+    def rows():
+        acc = np.zeros(space.size)
+        a_prev = None if u_vec is None else u_vec.copy()
+        for i, t in enumerate(t_grid):
+            row = space.sample(_shifted(u0, float(t)))
+            if big_g is not None:
+                row += space.sample(_shifted(big_g, float(t))) - g0
+            elif u_vec is not None:
+                # trapezoid accumulation of the sampled remainder
                 if i:
-                    a_cur = _shift_interp(u_vec, x, float(t))
+                    a_cur = _shift_interp(u_vec, space.grid.points(), float(t))
                     acc = acc + 0.5 * dt * (a_prev + a_cur)
                     a_prev = a_cur
-                values[i] += acc
-        return Curve(t_grid, values, space)
+                row += acc
+            yield row
 
-    if method == "spectral_truncation":
-        if isinstance(space, ModalSpace):
-            indices = space.indices
-            a0 = space.sample(u0) if not isinstance(u0, np.ndarray) else u0
-            tail = 0.0
-            drift_coefs = np.zeros(len(indices))
-            if real.drift.kind == "constant":
-                if real.drift.u_symbolic is not None or real.drift.u_vector is not None:
-                    u_rep = (real.drift.u_symbolic
-                             if real.drift.u_symbolic is not None else real.drift.u_vector)
-                    drift_coefs = space.sample(u_rep) if not isinstance(u_rep, np.ndarray) else u_rep
-            gvals = np.array([operators.generator_eigenvalue(real.op, i) for i in indices])
-            amps = (np.exp(np.outer(t_grid, gvals)) * a0[None, :]
-                    + np.vstack([_phi1(g, t_grid) for g in gvals]).T * drift_coefs[None, :])
-            return Curve(t_grid, amps, space)
-        if not isinstance(space, GridSpace):
-            raise MethodUnsupported("spectral truncation needs a grid or modal space")
-        if real.mode_indices is None:
-            raise MethodUnsupported("spectral truncation needs mode_indices")
-        indices = list(real.mode_indices)
-        grid = space.grid
-        scale = max(space_norm(space, space.sample(h0)), 1e-300)
+    return rows()
 
-        def expand(rep):
-            if isinstance(rep, QExpFunction):
-                coefs, left = _modal_split_symbolic(real.op, rep, indices)
-                if not left.is_zero:
-                    extra = _modal_project_numeric(real.op, space.sample(left), grid, indices)
-                    for n in indices:
-                        coefs[n] += extra[n]
-                    recon = np.zeros(grid.n)
-                    for n in indices:
-                        recon += extra[n] * funalg.evaluate(
-                            operators.eigenfunction_qexp(real.op, n), grid.points())
-                    tail = space_norm(space, space.sample(left) - recon)
-                else:
-                    tail = 0.0
-            else:
-                vec = np.asarray(rep, dtype=float)
-                coefs = _modal_project_numeric(real.op, vec, grid, indices)
-                recon = np.zeros(grid.n)
-                for n in indices:
-                    recon += coefs[n] * funalg.evaluate(
-                        operators.eigenfunction_qexp(real.op, n), grid.points())
-                tail = space_norm(space, vec - recon)
-            return np.array([coefs[n] for n in indices]), tail
 
-        a0, tail = expand(u0)
-        if tail > real.truncation_bound * scale:
-            raise TruncationTailTooLarge(
-                f"initial curve tail {tail:.3e} above bound "
-                f"{real.truncation_bound:.1e} * {scale:.3e}")
+def _spectral_rows(real: Realization, h0, u0, t_grid: np.ndarray):
+    """spectral_truncation: exact eigen-amplitude flow, mapped to the grid
+    one row at a time on a grid space."""
+    space = real.V.space
+    u_rep = None  # complement part of a constant drift, symbolic if known
+    if real.drift.kind == "constant":
+        u_rep = (real.drift.u_symbolic
+                 if real.drift.u_symbolic is not None else real.drift.u_vector)
+    if isinstance(space, ModalSpace):
+        indices = space.indices
+        a0 = space.sample(u0) if not isinstance(u0, np.ndarray) else u0
         drift_coefs = np.zeros(len(indices))
-        if real.drift.kind == "constant" and (
-                real.drift.u_symbolic is not None or real.drift.u_vector is not None):
-            u_rep = (real.drift.u_symbolic
-                     if real.drift.u_symbolic is not None else real.drift.u_vector)
-            drift_coefs, dtail = expand(u_rep)
-            if dtail > real.truncation_bound * max(1.0, scale):
-                raise TruncationTailTooLarge(
-                    f"drift remainder tail {dtail:.3e} above bound")
-        gvals = np.array([operators.generator_eigenvalue(real.op, i) for i in indices])
-        amps = (np.exp(np.outer(t_grid, gvals)) * a0[None, :]
-                + np.vstack([_phi1(g, t_grid) for g in gvals]).T * drift_coefs[None, :])
-        phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(real.op, n),
-                                         grid.points()) for n in indices])
-        return Curve(t_grid, amps @ phi, space,
-                     meta={"truncation_tail": float(tail), "modes": len(indices)})
+        if u_rep is not None:
+            drift_coefs = (u_rep if isinstance(u_rep, np.ndarray)
+                           else space.sample(u_rep))
+        return iter(_mode_amplitudes(real.op, indices, t_grid, a0, drift_coefs)), {}
+    if not isinstance(space, GridSpace):
+        raise MethodUnsupported("spectral truncation needs a grid or modal space")
+    if real.mode_indices is None:
+        raise MethodUnsupported("spectral truncation needs mode_indices")
+    indices = list(real.mode_indices)
+    grid = space.grid
+    scale = max(space_norm(space, space.sample(h0)), 1e-300)
+    phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(real.op, n),
+                                     grid.points()) for n in indices])
 
-    if method == "grid_implicit":
-        if not isinstance(space, GridSpace):
-            raise MethodUnsupported("grid_implicit needs a grid space")
-        import scipy.sparse
-        import scipy.sparse.linalg
-        mat = operators.operator_matrix(real.op, space.grid, boundary="pinned")
-        n = space.size
-        lhs = (scipy.sparse.identity(n, format="csc") - dt * mat.tocsc())
-        try:
-            solver = scipy.sparse.linalg.splu(lhs)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(f"implicit factorization failed: {exc}") from exc
-        u_vec = np.zeros(n)
-        if real.drift.kind == "constant":
-            if real.drift.u_vector is not None:
-                u_vec = real.drift.u_vector
-            elif real.drift.u_symbolic is not None:
-                u_vec = space.sample(real.drift.u_symbolic)
-        cur = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
-        values = np.zeros((len(t_grid), n))
-        values[0] = cur
-        for i in range(1, len(t_grid)):
+    def expand(rep):
+        if isinstance(rep, QExpFunction):
+            coefs, left = _modal_split_symbolic(real.op, rep, indices)
+            if left.is_zero:
+                return np.array([coefs[n] for n in indices]), 0.0
+            vec = space.sample(left)
+            extra = _modal_project_numeric(real.op, vec, grid, indices)
+            for n in indices:
+                coefs[n] += extra[n]
+        else:
+            vec = np.asarray(rep, dtype=float)
+            coefs = extra = _modal_project_numeric(real.op, vec, grid, indices)
+        recon = np.zeros(grid.n)
+        for i, n in enumerate(indices):
+            recon += extra[n] * phi[i]
+        return np.array([coefs[n] for n in indices]), space_norm(space, vec - recon)
+
+    a0, tail = expand(u0)
+    if tail > real.truncation_bound * scale:
+        raise TruncationTailTooLarge(
+            f"initial curve tail {tail:.3e} above bound "
+            f"{real.truncation_bound:.1e} * {scale:.3e}")
+    drift_coefs = np.zeros(len(indices))
+    if u_rep is not None:
+        drift_coefs, dtail = expand(u_rep)
+        if dtail > real.truncation_bound * max(1.0, scale):
+            raise TruncationTailTooLarge(
+                f"drift remainder tail {dtail:.3e} above bound")
+    amps = _mode_amplitudes(real.op, indices, t_grid, a0, drift_coefs)
+    return ((a @ phi for a in amps),
+            {"truncation_tail": float(tail), "modes": len(indices)})
+
+
+def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
+    """grid_implicit: backward Euler on the pinned grid stencil."""
+    space = real.V.space
+    if not isinstance(space, GridSpace):
+        raise MethodUnsupported("grid_implicit needs a grid space")
+    import scipy.sparse
+    import scipy.sparse.linalg
+    mat = operators.operator_matrix(real.op, space.grid, boundary="pinned")
+    n = space.size
+    lhs = (scipy.sparse.identity(n, format="csc") - dt * mat.tocsc())
+    try:
+        solver = scipy.sparse.linalg.splu(lhs)
+    except RuntimeError as exc:
+        raise LinearSolveFailure(f"implicit factorization failed: {exc}") from exc
+    u_vec = np.zeros(n)
+    if real.drift.kind == "constant":
+        if real.drift.u_vector is not None:
+            u_vec = real.drift.u_vector
+        elif real.drift.u_symbolic is not None:
+            u_vec = space.sample(real.drift.u_symbolic)
+    start = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
+
+    def rows():
+        cur = start
+        yield cur
+        for _ in range(1, len(t_grid)):
             cur = solver.solve(cur + dt * u_vec)
-            values[i] = cur
-        return Curve(t_grid, values, space)
+            yield cur
 
+    return rows()
+
+
+def psi_rows(real: Realization, h0,
+             t_grid: np.ndarray) -> tuple[Iterator[np.ndarray], dict]:
+    """The carrier curve one time at a time: returns (rows, meta), where rows
+    yields psi(t_n) for every t_n of the uniform grid as a (space.size,)
+    vector and meta is the curve metadata.  Set-up checks raise here, before
+    the first row; stepping holds O(space.size) memory."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = _uniform_dt(t_grid)
+    u0, _v0 = split_initial(real, h0)
+    if real.drift.kind == "state" and real.drift.v_coords is None:
+        raise MethodUnsupported("callable drift cannot drive the reduced solver")
+    method = real.psi_method
+    if method == "shift_exact":
+        return _shift_rows(real, u0, t_grid, dt), {}
+    if method == "spectral_truncation":
+        return _spectral_rows(real, h0, u0, t_grid)
+    if method == "grid_implicit":
+        return _implicit_rows(real, u0, t_grid, dt), {}
     raise MethodUnsupported(f"unknown curve method {method!r}")
+
+
+def solve_psi(real: Realization, h0, t_grid: np.ndarray) -> Curve:
+    """Deterministic curve through the foliation: dpsi/dt = A psi + P_U alpha
+    with psi(0) = u0, the complement component of the initial curve.  The
+    rows of psi_rows, collected."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    rows, meta = psi_rows(real, h0, t_grid)
+    values = np.empty((len(t_grid), real.V.space.size))
+    for i, row in enumerate(rows):
+        values[i] = row
+    return Curve(t_grid, values, real.V.space, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -925,16 +951,17 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     return full[:d, :d], full[:d, d:]
 
 
-def simulate_coordinates(real: Realization, psi: Curve, v0: np.ndarray,
-                         increments: levy.IncrementMatrix,
-                         scheme: str = "euler") -> CoordinatePath:
+def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
+                    increments: levy.IncrementMatrix,
+                    scheme: str = "euler") -> Iterator[np.ndarray]:
     """Integrate dY = (B Y + alpha_V(t, Y)) dt + sum_k sigma_V^k(Y_-) dX^k
-    against the provided increments (noise enters at the left endpoint).
+    against the provided increments (noise enters at the left endpoint),
+    yielding Y at every time of the uniform grid.  Set-up checks raise here.
 
     euler: explicit first-order stepping, allows state-dependent
     coefficients.  exp_exact: exponential integrator with the exact affine
     update for constant coefficients; additive noise only."""
-    t_grid = psi.t_grid
+    t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:
         raise GridMismatch(
@@ -946,22 +973,23 @@ def simulate_coordinates(real: Realization, psi: Curve, v0: np.ndarray,
             f"{len(real.vols)} volatility components vs {increments.m} driver columns")
     d = real.dim
     v0 = np.asarray(v0, dtype=float).reshape(d)
-    coords = np.zeros((len(t_grid), d))
-    coords[0] = v0
     if real.drift.kind == "state" and real.drift.v_coords is None:
         raise MethodUnsupported("callable drift cannot drive the reduced simulation")
 
     if scheme == "euler":
-        y = v0.copy()
-        for n in range(increments.n_steps):
-            t = float(t_grid[n])
-            a = real.B @ y + real.drift.coords_at(t, y)
-            noise = np.zeros(d)
-            for k, vol in enumerate(real.vols):
-                noise += vol.at(y) * increments.values[n, k]
-            y = y + dt * a + noise
-            coords[n + 1] = y
-        return CoordinatePath(t_grid, coords, increments.seed)
+        def rows():
+            y = v0.copy()
+            yield y
+            for n in range(increments.n_steps):
+                t = float(t_grid[n])
+                a = real.B @ y + real.drift.coords_at(t, y)
+                noise = np.zeros(d)
+                for k, vol in enumerate(real.vols):
+                    noise += vol.at(y) * increments.values[n, k]
+                y = y + dt * a + noise
+                yield y
+
+        return rows()
 
     if scheme == "exp_exact":
         if real.drift.kind == "state":
@@ -973,16 +1001,32 @@ def simulate_coordinates(real: Realization, psi: Curve, v0: np.ndarray,
         drift_term = j_mat @ a_v if d else np.zeros(0)
         sig = (np.vstack([v.coords for v in real.vols])
                if real.vols else np.zeros((0, d)))
-        y = v0.copy()
-        for n in range(increments.n_steps):
-            y = e_mat @ y + drift_term + increments.values[n] @ sig
-            coords[n + 1] = y
-        return CoordinatePath(t_grid, coords, increments.seed)
+
+        def rows():
+            y = v0.copy()
+            yield y
+            for n in range(increments.n_steps):
+                y = e_mat @ y + drift_term + increments.values[n] @ sig
+                yield y
+
+        return rows()
 
     raise SchemeUnsupported(f"unknown scheme {scheme!r}")
 
 
-def simulate_ensemble(real: Realization, psi: Curve, v0: np.ndarray,
+def simulate_coordinates(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
+                         increments: levy.IncrementMatrix,
+                         scheme: str = "euler") -> CoordinatePath:
+    """The rows of coordinate_rows, collected into one path."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    rows = coordinate_rows(real, t_grid, v0, increments, scheme)
+    coords = np.zeros((len(t_grid), real.dim))
+    for n, y in enumerate(rows):
+        coords[n] = y
+    return CoordinatePath(t_grid, coords, increments.seed)
+
+
+def simulate_ensemble(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
                       spec: levy.LevySpec, seeds: Sequence[int],
                       scheme: str = "euler") -> np.ndarray:
     """Vectorized Monte Carlo over per-seed driver streams; constant
@@ -990,7 +1034,6 @@ def simulate_ensemble(real: Realization, psi: Curve, v0: np.ndarray,
     Path p is driven by the same increments as seed seeds[p]."""
     if real.drift.kind == "state" or any(v.scale_fn is not None for v in real.vols):
         raise SchemeUnsupported("ensemble stepping needs constant coefficients")
-    t_grid = psi.t_grid
     dt = _uniform_dt(t_grid)
     n_steps = len(t_grid) - 1
     d = real.dim

@@ -204,7 +204,7 @@ def test_criterion_5_reconstruction_ignores_complement_choice():
                                     mode_indices=rt.modes or None)
         psi = rz.solve_psi(real, rt.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt.h0)
-        path = rz.simulate_coordinates(real, psi, v0, inc, rt.scheme)
+        path = rz.simulate_coordinates(real, psi.t_grid, v0, inc, rt.scheme)
         results.append(rz.reconstruct(psi, path, V).values)
         v0s.append(v0)
 
@@ -276,7 +276,7 @@ def test_criterion_8_reduced_model_moments():
     t_grid = np.linspace(0.0, 1.0, n_t + 1)
     psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
-    ens = rz.simulate_ensemble(real, psi, np.zeros(1), spec,
+    ens = rz.simulate_ensemble(real, psi.t_grid, np.zeros(1), spec,
                                list(range(n_paths)), scheme="exp_exact")
     for t in (0.5, 1.0):
         idx = int(round(t / dt))

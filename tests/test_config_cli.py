@@ -196,3 +196,64 @@ def test_cli_eigen_outputs_reparse(tmp_path):
     assert header.startswith("index,eigenvalue,generator_eigenvalue")
     eigs = [float(r.split(",")[1]) for r in body]
     assert eigs == [1.0, 4.0, 9.0, 16.0, 25.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "cable", "--refine", "-1"],
+    ["simulate", "--config", "cable", "--paths", "-3"],
+    ["simulate", "--config", "cable", "--paths", "0"],
+    ["simulate", "--config", "cable", "--jobs", "0"],
+])
+def test_cli_rejects_bad_counts_with_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_verify_refine_0_checks_the_bound_only(tmp_path, capsys):
+    cfg = _fast_cable(tmp_path)
+    out = tmp_path / "v0"
+    assert cli.main(["verify", "--config", cfg, "--refine", "0",
+                     "--out", str(out)]) == 0
+    assert "bound only" in capsys.readouterr().out
+    report = json.loads((out / "verify.json").read_text())
+    assert report["refinement_checked"] is False
+    assert len(report["levels"]) == 1
+
+
+def test_cli_jobs_is_ignored_and_cwd_independent(tmp_path, monkeypatch):
+    # a relative initial_curve.csv resolves against the scenario file for
+    # any --jobs, whatever the working directory
+    with open(_fast_cable(tmp_path)) as fh:
+        raw = json.load(fh)
+    raw["psi_method"] = "grid_implicit"
+    raw["initial_curve"] = {"csv": "h0.csv"}
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    x = np.linspace(0.0, np.pi, raw["space"]["n_x"])
+    np.savetxt(scen / "h0.csv", np.column_stack([x, 0.6 * np.sin(x)]),
+               delimiter=",")
+    cfg = scen / "cable-csv.json"
+    cfg.write_text(json.dumps(raw))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    stats = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["simulate", "--config", str(cfg), "--paths", "4",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        stats.append((out / "ensemble_stats.csv").read_bytes())
+    assert stats[0] == stats[1]
+
+
+def test_volatility_csv_is_a_config_error(tmp_path, capsys):
+    raw = copy.deepcopy(_load("cable"))
+    raw["volatility"] = [{"csv": "sigma.csv"}]
+    cfg = tmp_path / "vol-csv.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 2
+    assert "volatility" in capsys.readouterr().err

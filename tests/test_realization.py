@@ -223,7 +223,7 @@ def test_exp_exact_matches_affine_closed_form():
     psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     dt = t_grid[1] - t_grid[0]
     zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)), seed=0)
-    path = rz.simulate_coordinates(real, psi, np.array([1.0]), zeros,
+    path = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros,
                                    scheme="exp_exact")
     a = 0.3
     exact = np.exp(-t_grid) * 1.0 + a * (1.0 - np.exp(-t_grid))
@@ -238,8 +238,8 @@ def test_euler_first_order_toward_exact_update():
         psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
         dt = t_grid[1] - t_grid[0]
         zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)), seed=0)
-        eu = rz.simulate_coordinates(real, psi, np.array([1.0]), zeros, "euler")
-        ex = rz.simulate_coordinates(real, psi, np.array([1.0]), zeros,
+        eu = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros, "euler")
+        ex = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros,
                                      "exp_exact")
         errs.append(np.max(np.abs(eu.coords - ex.coords)))
     assert errs[1] < 0.6 * errs[0]
@@ -250,13 +250,13 @@ def test_simulate_coordinates_grid_mismatches():
     t_grid = np.linspace(0.0, 1.0, 11)
     psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi, np.array([0.0]),
+        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
                                 levy.IncrementMatrix(0.1, np.zeros((7, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi, np.array([0.0]),
+        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
                                 levy.IncrementMatrix(0.2, np.zeros((10, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi, np.array([0.0]),
+        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
                                 levy.IncrementMatrix(0.1, np.zeros((10, 2)), 0))
 
 
@@ -268,11 +268,11 @@ def test_ensemble_matches_per_seed_paths():
     spec = levy.make_levy_spec([{"brownian_vol": 0.4}])
     seeds = [5, 6, 7]
     for scheme in ("euler", "exp_exact"):
-        ens = rz.simulate_ensemble(real, psi, np.array([1.0]), spec, seeds,
+        ens = rz.simulate_ensemble(real, psi.t_grid, np.array([1.0]), spec, seeds,
                                    scheme=scheme)
         for p, seed in enumerate(seeds):
             inc = levy.sample_increments(spec, dt, 25, seed)
-            one = rz.simulate_coordinates(real, psi, np.array([1.0]), inc,
+            one = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), inc,
                                           scheme=scheme)
             assert np.array_equal(ens[p], one.coords)
 
@@ -286,10 +286,10 @@ def test_state_vol_needs_euler():
     psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     inc = levy.sample_increments(levy.make_levy_spec([{"brownian_vol": 1.0}]),
                                  t_grid[1] - t_grid[0], 20, 9)
-    path = rz.simulate_coordinates(real, psi, np.array([0.5]), inc, "euler")
+    path = rz.simulate_coordinates(real, psi.t_grid, np.array([0.5]), inc, "euler")
     assert path.coords.shape == (21, 1)
     with pytest.raises(SchemeUnsupported):
-        rz.simulate_coordinates(real, psi, np.array([0.5]), inc, "exp_exact")
+        rz.simulate_coordinates(real, psi.t_grid, np.array([0.5]), inc, "exp_exact")
 
 
 def test_reconstruct_assembles_curve_plus_coordinates():
@@ -300,7 +300,7 @@ def test_reconstruct_assembles_curve_plus_coordinates():
     inc = levy.sample_increments(levy.make_levy_spec([{"brownian_vol": 0.2}]),
                                  t_grid[1] - t_grid[0], 15, 13)
     real_vol, _ = _cable_realization(vols=[funalg.parse_qexp("0.2*sin(2*x)")])
-    path = rz.simulate_coordinates(real_vol, psi, v0, inc, "exp_exact")
+    path = rz.simulate_coordinates(real_vol, psi.t_grid, v0, inc, "exp_exact")
     out = rz.reconstruct(psi, path, real.V)
     assert np.allclose(out.values, psi.values + path.coords @ real.V.samples)
 
