@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import config as cfgmod
-from . import funalg, hjmm, levy, operators, oracle, realization as rz
+from . import csvio, funalg, hjmm, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
@@ -183,14 +183,9 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, coords: np.ndarray) -> 
     mean = coords.mean(axis=0)
     var = coords.var(axis=0, ddof=1)
     d = coords.shape[2]
-    with open(path, "w") as fh:
-        head = ["t"] + [f"mean_{i + 1}" for i in range(d)] + \
-            [f"var_{i + 1}" for i in range(d)]
-        fh.write(",".join(head) + "\n")
-        for n, t in enumerate(t_grid):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in mean[n]] + \
-                [f"{v:.17g}" for v in var[n]]
-            fh.write(",".join(row) + "\n")
+    head = ["t"] + [f"mean_{i + 1}" for i in range(d)] + \
+        [f"var_{i + 1}" for i in range(d)]
+    csvio.write_rows(path, ",".join(head), t_grid, np.hstack([mean, var]))
 
 
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,

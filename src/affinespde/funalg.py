@@ -362,17 +362,6 @@ def rank_and_pivots(mat: np.ndarray, tol_rank: float = TOL_RANK):
     return rank, sorted(int(i) for i in piv[:rank])
 
 
-def span_dimension(funcs: Sequence[QExpFunction],
-                   tol_rank: float = TOL_RANK) -> SpanBasis:
-    """Dimension of span(funcs) plus a reduced basis picked from the inputs."""
-    funcs = list(funcs)
-    if not funcs:
-        return SpanBasis((), 0, np.zeros((0, 0)))
-    mat, keys = coefficient_matrix(funcs)
-    rank, piv = rank_and_pivots(mat, tol_rank)
-    return SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv], keys)
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 #

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import csvio
 from .errors import (
     BadProbabilities,
     ConfigError,
@@ -296,14 +297,12 @@ def aggregate_increments(inc: IncrementMatrix, factor: int) -> IncrementMatrix:
 
 
 def write_increments_csv(inc: IncrementMatrix, path) -> None:
-    header = "t," + ",".join(f"dX{k + 1}" for k in range(inc.m))
+    header = ",".join(["t"] + [f"dX{k + 1}" for k in range(inc.m)])
     t = (np.arange(inc.n_steps) + 1) * inc.dt
-    data = np.column_stack([t, inc.values])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    csvio.write_rows(path, header, t, inc.values)
 
 
 def read_increments_csv(path, seed: int = 0) -> IncrementMatrix:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    t = data[:, 0]
+    _names, t, values = csvio.read_rows(path, "t")
     dt = t[0] if len(t) == 1 else float(t[1] - t[0])
-    return IncrementMatrix(dt=dt, values=data[:, 1:], seed=seed)
+    return IncrementMatrix(dt=dt, values=values, seed=seed)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import funalg, levy, operators
+from . import csvio, funalg, levy, operators
 from .errors import GridMismatch, LinearSolveFailure, UnstableConfig
 from .funalg import QExpFunction
 from .grids import Grid1D
@@ -325,79 +325,23 @@ def tangency_residual(op: OperatorSpec, alpha, psi: Curve, V: Subspace,
 
 def write_grid_path(path: GridPath, file) -> None:
     """First row carries the spatial axis, each later row `t,value_1..`."""
-    close = False
-    if isinstance(file, str):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write("x," + ",".join(f"{v:.17g}" for v in path.x_grid) + "\n")
-        for t, row in zip(path.t_grid, path.values):
-            file.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            file.close()
+    header = ("x" + ",%.17g" * len(path.x_grid)) % tuple(path.x_grid.tolist())
+    csvio.write_rows(file, header, path.t_grid, path.values)
 
 
 def read_grid_path(file, seed: int = 0) -> GridPath:
-    close = False
-    if isinstance(file, str):
-        file = open(file)
-        close = True
+    axis, t_grid, values = csvio.read_rows(file, "x")
     try:
-        header = file.readline().strip().split(",")
-        if header[0] != "x":
-            raise GridMismatch("grid path file must start with the x row")
-        x_grid = np.array([float(v) for v in header[1:]])
-        t_list, rows = [], []
-        for line in file:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            t_list.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-        values = np.array(rows)
-        if values.shape[1] != len(x_grid):
-            raise GridMismatch("row length does not match the x row")
-        return GridPath(np.array(t_list), x_grid, values, seed)
-    finally:
-        if close:
-            file.close()
+        x_grid = np.array([float(v) for v in axis])
+    except ValueError as exc:
+        raise GridMismatch(f"x row: {exc}") from None
+    return GridPath(t_grid, x_grid, values, seed)
 
 
 def write_coordinate_csv(t_grid: np.ndarray, coords: np.ndarray, file) -> None:
-    close = False
-    if isinstance(file, str):
-        file = open(file, "w")
-        close = True
-    try:
-        d = coords.shape[1]
-        file.write("t," + ",".join(f"Y_{i + 1}" for i in range(d)) + "\n")
-        for t, row in zip(t_grid, coords):
-            file.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            file.close()
+    header = ",".join(["t"] + [f"Y_{i + 1}" for i in range(coords.shape[1])])
+    csvio.write_rows(file, header, t_grid, coords)
 
 
 def read_coordinate_csv(file) -> tuple[np.ndarray, np.ndarray]:
-    close = False
-    if isinstance(file, str):
-        file = open(file)
-        close = True
-    try:
-        header = file.readline().strip().split(",")
-        if header[0] != "t":
-            raise GridMismatch("coordinate file must start with a t header")
-        t_list, rows = [], []
-        for line in file:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            t_list.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-        return np.array(t_list), np.array(rows)
-    finally:
-        if close:
-            file.close()
+    return csvio.read_rows(file, "t")[1:]

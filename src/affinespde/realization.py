@@ -47,12 +47,11 @@ from .errors import (
     SigmaEscapesV,
     TruncationTailTooLarge,
 )
-from .funalg import QExpFunction, SpanBasis
+from .funalg import TOL_RANK, QExpFunction, SpanBasis
 from .grids import Grid1D, trapezoid_weights
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
 DIM_CAP = 50
-TOL_RANK = 1e-9
 TOL_PROJECT = 1e-10
 
 
@@ -281,7 +280,8 @@ def _coeff_matrix_generic(funcs: Sequence):
 
 
 def span_basis(funcs: Sequence, tol_rank: float = TOL_RANK) -> SpanBasis:
-    """span_dimension generalized to eigen-expansions and ray bundles."""
+    """Dimension of span(funcs) plus a reduced basis picked from the inputs.
+    The functions are quasi-exponentials, eigen-expansions or ray bundles."""
     funcs = list(funcs)
     if not funcs:
         return SpanBasis((), 0, np.zeros((0, 0)))
@@ -1077,9 +1077,8 @@ class GridPath:
 
 def reconstruct(psi: Curve, path: CoordinatePath, V: Subspace) -> GridPath:
     """r(t) = psi(t) + sum_i Y_i(t) v_i on the space axis."""
-    if psi.values.shape[1] != V.space.size or V.space is not psi.space:
-        if psi.values.shape[1] != V.space.size:
-            raise GridMismatch("curve and subspace live on different spaces")
+    if psi.values.shape[1] != V.space.size:
+        raise GridMismatch("curve and subspace live on different spaces")
     if len(psi.t_grid) != len(path.t_grid) or not np.allclose(
             psi.t_grid, path.t_grid, rtol=1e-12, atol=1e-12):
         raise GridMismatch("curve and coordinate path time grids differ")

@@ -9,6 +9,7 @@ import pytest
 from affinespde import funalg
 from affinespde.errors import ConfigError
 from affinespde.funalg import QExpFunction as Q
+from affinespde.realization import span_basis
 
 
 def random_qexp(rng, max_terms=4):
@@ -126,17 +127,17 @@ def test_canonicalization_merges_close_keys():
 
 def test_span_dimension_counts_independent_directions():
     e1, e2 = Q.exponential(-1.0), Q.exponential(-2.0)
-    span = funalg.span_dimension([e1, e2, e1 + e2])
+    span = span_basis([e1, e2, e1 + e2])
     assert span.dim == 2
     assert len(span.functions) == 2
 
 
 def test_span_rank_not_masked_by_huge_rows():
     # scale invariance: a 1e10 coefficient must not hide the second direction
-    span = funalg.span_dimension([Q.exponential(-1.0, 1e10), Q.exponential(-2.0)])
+    span = span_basis([Q.exponential(-1.0, 1e10), Q.exponential(-2.0)])
     assert span.dim == 2
 
 
 def test_span_of_empty_and_zero():
-    assert funalg.span_dimension([]).dim == 0
-    assert funalg.span_dimension([Q()]).dim == 0
+    assert span_basis([]).dim == 0
+    assert span_basis([Q()]).dim == 0

@@ -148,3 +148,10 @@ def test_increment_csv_round_trip(tmp_path):
     back = levy.read_increments_csv(path, seed=inc.seed)
     assert math.isclose(back.dt, inc.dt, rel_tol=1e-15)
     assert np.array_equal(back.values, inc.values)
+
+
+def test_malformed_increment_csv_raises_grid_mismatch(tmp_path):
+    path = tmp_path / "inc.csv"
+    path.write_text("t,dX1\n0.25,1.0,2.0\n")
+    with pytest.raises(GridMismatch):
+        levy.read_increments_csv(str(path))

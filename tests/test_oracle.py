@@ -222,3 +222,37 @@ def test_coordinate_csv_round_trip():
     t2, c2 = oracle.read_coordinate_csv(buf)
     assert np.array_equal(t2, t)
     assert np.array_equal(c2, coords)
+
+
+def test_header_only_path_files_read_as_empty_paths():
+    path = oracle.read_grid_path(io.StringIO("x,0,1\n"))
+    assert path.t_grid.shape == (0,)
+    assert path.values.shape == (0, 2)
+    assert np.array_equal(path.x_grid, [0.0, 1.0])
+    t, coords = oracle.read_coordinate_csv(io.StringIO("t,Y_1\n"))
+    assert t.shape == (0,)
+    assert coords.shape == (0, 1)
+
+
+def test_malformed_path_files_raise_grid_mismatch():
+    bad_grid = ["x,0,1\n0,1,2\n0.5,1\n",      # ragged row
+                "x,0,1\n0,1,oops\n",          # not a number
+                "x,0,zero\n0,1,2\n",          # axis not a number
+                "t,0,1\n0,1,2\n",             # wrong first row
+                ""]                           # empty file
+    for text in bad_grid:
+        with pytest.raises(GridMismatch):
+            oracle.read_grid_path(io.StringIO(text))
+    for text in ["t,Y_1,Y_2\n0,1\n", "t,Y_1\n0,1,2\n", "x,Y_1\n0,1\n", ""]:
+        with pytest.raises(GridMismatch):
+            oracle.read_coordinate_csv(io.StringIO(text))
+
+
+def test_zero_column_coordinate_csv_round_trip():
+    buf = io.StringIO()
+    oracle.write_coordinate_csv(np.array([0.0, 0.5]), np.zeros((2, 0)), buf)
+    assert buf.getvalue() == "t\n0\n0.5\n"
+    buf.seek(0)
+    t, coords = oracle.read_coordinate_csv(buf)
+    assert np.array_equal(t, [0.0, 0.5])
+    assert coords.shape == (2, 0)

@@ -307,3 +307,6 @@ def test_reconstruct_assembles_curve_plus_coordinates():
     other = rz.CoordinatePath(np.linspace(0.0, 0.4, 16), path.coords, 13)
     with pytest.raises(GridMismatch):
         rz.reconstruct(psi, other, real.V)
+    narrow = rz.Curve(psi.t_grid, psi.values[:, :-1], psi.space, psi.meta)
+    with pytest.raises(GridMismatch, match="different spaces"):
+        rz.reconstruct(narrow, path, real.V)
