@@ -150,13 +150,8 @@ def _prepare(rt: cfgmod.Runtime, real: rz.Realization | None = None) -> Prepared
 def _realization_report(rt: cfgmod.Runtime, prep: Prepared, seed: int) -> dict:
     real = prep.real
     drift = real.drift
-    u_norm = 0.0
-    if drift.kind == "constant":
-        if drift.u_vector is not None:
-            u_norm = rz.space_norm(real.V.space, drift.u_vector)
-        elif drift.u_symbolic is not None:
-            u_norm = rz.space_norm(real.V.space,
-                                   real.V.space.sample(drift.u_symbolic))
+    u_vec = drift.remainder_vector(real.V.space)
+    u_norm = 0.0 if u_vec is None else rz.space_norm(real.V.space, u_vec)
     return {
         "scenario": rt.name,
         "operator": type(rt.op).__name__,
@@ -247,11 +242,8 @@ def _drift_for_oracle(rt: cfgmod.Runtime, real: rz.Realization):
         return None
     if drift.kind == "constant":
         vec = real.V.from_coords(drift.v_coords)
-        if drift.u_vector is not None:
-            vec = vec + drift.u_vector
-        elif drift.u_symbolic is not None:
-            vec = vec + real.V.space.sample(drift.u_symbolic)
-        return vec
+        u_vec = drift.remainder_vector(real.V.space)
+        return vec if u_vec is None else vec + u_vec
     raise MethodUnsupported("grid oracle supports zero or constant drift only")
 
 

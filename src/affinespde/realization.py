@@ -508,6 +508,15 @@ class DriftSplit:
     u_symbolic: object = None
     u_vector: np.ndarray | None = None
 
+    def remainder_vector(self, space: SpaceSpec) -> np.ndarray | None:
+        """The complement part u of the drift as a vector on space: u_vector
+        when stored, else the sampled u_symbolic, else None (no remainder)."""
+        if self.u_vector is not None:
+            return self.u_vector
+        if self.u_symbolic is not None:
+            return space.sample(self.u_symbolic)
+        return None
+
     def coords_at(self, t: float, y: np.ndarray) -> np.ndarray:
         if self.kind == "state":
             return np.asarray(self.v_coords(t, y), dtype=float)
@@ -585,7 +594,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
         bt, *_ = np.linalg.lstsq(b_mat.T, i_mat.T, rcond=None)
         rel = np.linalg.norm(b_mat.T @ bt - i_mat.T) / max(
             np.linalg.norm(i_mat), 1e-300)
-        if rel > 1e-8:
+        if rel > tol_project:
             raise NotInvariant(f"coordinate matrix residual {rel:.3e}")
         B = bt  # column i holds coordinates of A v_i
         clauses["invariant"] = {"ok": True, "dim": V.dim, "residual": float(rel)}
@@ -758,12 +767,15 @@ def _mode_amplitudes(op: OperatorSpec, indices, t_grid: np.ndarray,
             + np.vstack([_phi1(g, t_grid) for g in gvals]).T * drift_coefs[None, :])
 
 
-def _shifted(f, t: float):
-    return f.shift_rays(t) if isinstance(f, RayBundle) else funalg.shift(f, t)
-
-
 def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
-    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds in closed form."""
+    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds in closed form.
+
+    The drift remainder a is read symbolic first, since only the closed form
+    has a finite d/dx-closure: with G its running integral, psi(t) =
+    (u0 + G)(. + t) - G, so each row is coefs[n] @ phi - G from
+    funalg.shift_family (per RayBundle part on a profile x ray space).  A
+    remainder known only as samples (grid spaces) is accumulated by the
+    trapezoid rule."""
     if not isinstance(real.op, (operators.Translation, operators.Transport)):
         raise MethodUnsupported("shift_exact needs a transport generator")
     if not isinstance(u0, (QExpFunction, RayBundle)):
@@ -771,7 +783,7 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
             "shift_exact needs a symbolic initial curve; use grid_implicit")
     space = real.V.space
     u_sym, u_vec = real.drift.u_symbolic, real.drift.u_vector
-    big_g = None
+    family, g0 = u0, None
     if u_sym is not None:
         # int_0^t S_{t-s} a ds = G(. + t) - G with G the running integral
         if isinstance(u_sym, QExpFunction):
@@ -782,16 +794,29 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
         else:
             raise MethodUnsupported("symbolic drift remainder expected")
         g0 = space.sample(big_g)
+        family = u0 + big_g
     elif u_vec is not None and not isinstance(space, GridSpace):
         raise MethodUnsupported("sampled drift accumulation needs a grid space")
+    # u0 and G were sampled on this space already, so a bundle's labels are
+    # profiles of a ProfileRaySpace and a plain function sits on a GridSpace
+    if isinstance(family, RayBundle):
+        n = space.ray.size
+        pos = {lbl: i for i, lbl in enumerate(space.profiles)}
+        blocks = [(slice(pos[lbl] * n, (pos[lbl] + 1) * n),
+                   *funalg.shift_family(fn, space.ray.axis(), t_grid))
+                  for lbl, fn in family.parts]
+    else:
+        blocks = [(slice(None), *funalg.shift_family(family, space.axis(), t_grid))]
 
     def rows():
         acc = np.zeros(space.size)
         a_prev = None if u_vec is None else u_vec.copy()
         for i, t in enumerate(t_grid):
-            row = space.sample(_shifted(u0, float(t)))
-            if big_g is not None:
-                row += space.sample(_shifted(big_g, float(t))) - g0
+            row = np.zeros(space.size)
+            for part, coefs, phi in blocks:
+                row[part] = coefs[i] @ phi
+            if g0 is not None:
+                row -= g0
             elif u_vec is not None:
                 # trapezoid accumulation of the sampled remainder
                 if i:
@@ -806,7 +831,9 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
 
 def _spectral_rows(real: Realization, h0, u0, t_grid: np.ndarray):
     """spectral_truncation: exact eigen-amplitude flow, mapped to the grid
-    one row at a time on a grid space."""
+    one row at a time on a grid space.  The drift remainder is read symbolic
+    first (unlike DriftSplit.remainder_vector), because its resolvable terms
+    have exact eigen-coefficients."""
     space = real.V.space
     u_rep = None  # complement part of a constant drift, symbolic if known
     if real.drift.kind == "constant":
@@ -877,12 +904,9 @@ def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
         solver = scipy.sparse.linalg.splu(lhs)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"implicit factorization failed: {exc}") from exc
-    u_vec = np.zeros(n)
-    if real.drift.kind == "constant":
-        if real.drift.u_vector is not None:
-            u_vec = real.drift.u_vector
-        elif real.drift.u_symbolic is not None:
-            u_vec = space.sample(real.drift.u_symbolic)
+    u_vec = real.drift.remainder_vector(space)
+    if u_vec is None:
+        u_vec = np.zeros(n)
     start = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
 
     def rows():

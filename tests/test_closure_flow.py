@@ -1,0 +1,160 @@
+"""shift_exact through the finite d/dx-closure: funalg.shift_family against
+the symbolic shift, psi rows against a per-time shift + evaluate reference,
+and no symbolic shift left in the verify loop."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from affinespde import cli, funalg
+from affinespde import realization as rz
+from affinespde.errors import NotInvariant
+from affinespde.funalg import QExpFunction as Q
+from affinespde.grids import Grid1D
+from affinespde.operators import RayBundle, Translation, Transport
+
+XS = np.linspace(0.0, 3.0, 41)
+
+TERMS = st.tuples(
+    st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3),  # coef
+    st.integers(0, 3),                                      # power
+    st.floats(-1.5, 1.5),                                   # rate
+    st.one_of(st.just(0.0), st.floats(0.1, 3.0)),           # freq
+    st.sampled_from(["cos", "sin"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TERMS, min_size=1, max_size=4), st.floats(0.0, 2.0))
+@example([(1.5, 3, -0.7, 0.0, "cos"), (-0.4, 2, 0.6, 1.3, "sin"),
+          (0.9, 1, -1.1, 2.0, "cos"), (0.3, 0, 0.0, 0.0, "cos")], 1.25)
+@example([(1.0, 0, -1.0, 0.0, "cos")], 0.0)
+def test_shift_family_rows_equal_symbolic_shift(terms, t_max):
+    f = Q.from_terms(terms)
+    t_grid = np.linspace(0.0, t_max, 7)  # always contains t = 0
+    coefs, phi = funalg.shift_family(f, XS, t_grid)
+    assert coefs.shape == (len(t_grid), phi.shape[0])
+    assert phi.shape == (coefs.shape[1], len(XS))
+    for n, t in enumerate(t_grid):
+        got = coefs[n] @ phi
+        ref = funalg.evaluate(funalg.shift(f, float(t)), XS)
+        # rounding scale: the sum of the term magnitudes at each point
+        scale = max(float(np.max(np.abs(coefs[n]) @ np.abs(phi))), 1e-300)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_shift_family_of_zero_is_empty():
+    coefs, phi = funalg.shift_family(Q(), XS, np.linspace(0.0, 1.0, 5))
+    assert coefs.shape == (5, 0) and phi.shape == (0, len(XS))
+    assert np.array_equal(coefs[3] @ phi, np.zeros(len(XS)))
+
+
+def _assert_rows_match(real, h0, t_grid, reference):
+    rows, _meta = rz.psi_rows(real, h0, t_grid)
+    count = 0
+    for n, (row, ref) in enumerate(zip(rows, reference, strict=True)):
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(row - ref)) <= 1e-12 * scale, n
+        count += 1
+    assert count == len(t_grid)
+
+
+def test_psi_rows_match_per_time_shift_on_ray_bundles():
+    ray = rz.GridSpace(Grid1D.from_interval(0.0, 12.0, 241),
+                       weight=funalg.parse_qexp("exp(-0.1*x)"))
+    space = rz.ProfileRaySpace(("base", "trend"), ray)
+    V = rz.Subspace.build(
+        [RayBundle.make([("base", Q.exponential(-0.5))]),
+         RayBundle.make([("trend", Q.exponential(-0.4))])], space)
+    drift = RayBundle.make([
+        ("base", funalg.parse_qexp("0.2*x*exp(-1*x) + 0.1*exp(-0.5*x)")),
+        ("trend", funalg.parse_qexp("0.1*exp(-0.3*x)*cos(2*x)"))])
+    real = rz.build_realization(Transport("mortality_wedge"),
+                                rz.ConstantDrift(drift), [], V,
+                                psi_method="shift_exact")
+    assert isinstance(real.drift.u_symbolic, RayBundle)
+    h0 = RayBundle.make([
+        ("base", funalg.parse_qexp("0.7*exp(-0.3*x) + 0.3*x^2*exp(-0.8*x)")),
+        ("trend", funalg.parse_qexp("0.4*exp(-0.6*x) + 0.2*exp(-0.5*x)*sin(1.5*x)"))])
+    t_grid = np.linspace(0.0, 0.9, 31)
+
+    u0, _v0 = rz.split_initial(real, h0)
+    big_g = RayBundle.make((lbl, funalg.integrate_from_zero(fn))
+                           for lbl, fn in real.drift.u_symbolic.parts)
+    g0 = space.sample(big_g)
+    reference = (space.sample(u0.shift_rays(float(t)))
+                 + space.sample(big_g.shift_rays(float(t))) - g0
+                 for t in t_grid)
+    _assert_rows_match(real, h0, t_grid, reference)
+
+
+def test_psi_rows_match_per_time_shift_with_sampled_remainder():
+    space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 401),
+                         weight=funalg.parse_qexp("exp(-0.1*x)"))
+    V = rz.Subspace.build([Q.exponential(-1.0)], space)
+    a = space.sample(funalg.parse_qexp("0.2*exp(-2*x) + 0.1*x*exp(-0.5*x)"))
+    real = rz.build_realization(Translation(), rz.ConstantDrift(a), [], V,
+                                psi_method="shift_exact")
+    assert real.drift.u_symbolic is None and real.drift.u_vector is not None
+    h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x) + 0.1*x^3*exp(-2*x)")
+    t_grid = np.linspace(0.0, 0.8, 41)
+    dt = float(t_grid[1] - t_grid[0])
+    x = space.axis()
+    u0, _v0 = rz.split_initial(real, h0)
+    u_vec = real.drift.u_vector
+
+    def reference():
+        acc = np.zeros(space.size)
+        a_prev = u_vec
+        for n, t in enumerate(t_grid):
+            if n:
+                a_cur = np.interp(x + t, x, u_vec, right=0.0)
+                acc = acc + 0.5 * dt * (a_prev + a_cur)
+                a_prev = a_cur
+            yield space.sample(funalg.shift(u0, float(t))) + acc
+
+    _assert_rows_match(real, h0, t_grid, reference())
+
+
+def test_verify_makes_no_symbolic_shift_calls(tmp_path, monkeypatch):
+    calls = []
+    shift = funalg.shift
+
+    def counted(f, t):
+        calls.append(t)
+        return shift(f, t)
+
+    monkeypatch.setattr(funalg, "shift", counted)
+    rt = cli._load_runtime("transport-1d")
+    assert rt.psi_method == "shift_exact"
+    assert cli.run_verify(rt, str(tmp_path), refine=1) == 0
+    assert calls == []
+
+
+def test_remainder_vector_prefers_the_stored_vector():
+    space = rz.GridSpace(Grid1D.from_interval(0.0, 5.0, 11))
+    sym = Q.exponential(-1.0)
+    vec = np.arange(11.0)
+    assert rz.DriftSplit("zero").remainder_vector(space) is None
+    assert np.array_equal(
+        rz.DriftSplit("constant", u_symbolic=sym).remainder_vector(space),
+        space.sample(sym))
+    assert rz.DriftSplit("constant", u_symbolic=sym,
+                         u_vector=vec).remainder_vector(space) is vec
+
+
+@pytest.mark.parametrize("tol_project, raises", [(1e-20, True), (1e-10, False)])
+def test_coordinate_matrix_residual_uses_tol_project(tol_project, raises):
+    # the hjmm-linear basis: its least-squares residual is rounding, ~2e-16
+    space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201))
+    V = rz.Subspace.build([funalg.parse_qexp("exp(-1*x)"),
+                           funalg.parse_qexp("exp(-1*x) - exp(-2*x)")], space)
+    if raises:
+        with pytest.raises(NotInvariant, match="coordinate matrix residual"):
+            rz.build_realization(Translation(), rz.ConstantDrift(None), [], V,
+                                 tol_project=tol_project)
+    else:
+        real = rz.build_realization(Translation(), rz.ConstantDrift(None), [],
+                                    V, tol_project=tol_project)
+        assert real.clauses["invariant"]["residual"] <= tol_project
