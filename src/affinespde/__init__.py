@@ -13,12 +13,11 @@ from .realization import (
     Subspace,
     build_realization,
     check_invariant,
+    coordinate_rows,
+    ensemble_rows,
     invariant_span,
-    reconstruct,
+    psi_rows,
     semiinvariant_correction,
-    simulate_coordinates,
-    simulate_ensemble,
-    solve_psi,
     split_initial,
 )
 
@@ -41,12 +40,11 @@ __all__ = [
     "Subspace",
     "build_realization",
     "check_invariant",
+    "coordinate_rows",
+    "ensemble_rows",
     "invariant_span",
-    "reconstruct",
+    "psi_rows",
     "semiinvariant_correction",
-    "simulate_coordinates",
-    "simulate_ensemble",
-    "solve_psi",
     "split_initial",
     "__version__",
 ]

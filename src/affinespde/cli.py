@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -130,25 +130,8 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
 # simulate
 
 
-@dataclass
-class Prepared:
-    real: rz.Realization
-    psi: rz.Curve
-    v0: np.ndarray
-    t_grid: np.ndarray
-
-
-def _prepare(rt: cfgmod.Runtime, real: rz.Realization | None = None) -> Prepared:
-    if real is None:
-        real = cfgmod.build_scenario_realization(rt)
-    t_grid = rt.t_grid()
-    psi = rz.solve_psi(real, rt.h0, t_grid)
-    _u0, v0 = rz.split_initial(real, rt.h0)
-    return Prepared(real, psi, v0, t_grid)
-
-
-def _realization_report(rt: cfgmod.Runtime, prep: Prepared, seed: int) -> dict:
-    real = prep.real
+def _realization_report(rt: cfgmod.Runtime, real: rz.Realization,
+                        v0: np.ndarray, curve_meta: dict, seed: int) -> dict:
     drift = real.drift
     u_vec = drift.remainder_vector(real.V.space)
     u_norm = 0.0 if u_vec is None else rz.space_norm(real.V.space, u_vec)
@@ -164,51 +147,67 @@ def _realization_report(rt: cfgmod.Runtime, prep: Prepared, seed: int) -> dict:
                   "v_coords": (drift.v_coords.tolist()
                                if isinstance(drift.v_coords, np.ndarray) else None),
                   "complement_norm": u_norm},
-        "v0": prep.v0.tolist(),
+        "v0": v0.tolist(),
         "seed": seed,
         "scheme": rt.scheme,
         "psi_method": real.psi_method,
         "correction_norm": real.correction_norm,
         "clauses": real.clauses,
-        "curve_meta": prep.psi.meta,
+        "curve_meta": curve_meta,
     }
 
 
-def _write_ensemble_stats(path: str, t_grid: np.ndarray, coords: np.ndarray) -> None:
-    mean = coords.mean(axis=0)
-    var = coords.var(axis=0, ddof=1)
-    d = coords.shape[2]
+def _write_ensemble_stats(path: str, t_grid: np.ndarray, d: int,
+                          blocks: Iterator[np.ndarray]) -> None:
+    """One `t,mean_1..,var_1..` row per (paths, d) block of coordinates.
+    Eight blocks are stacked per reduction: numpy reduces over paths one
+    path at a time, so a (paths, 8, d) stack gives the same bits as the
+    whole (paths, n_t+1, d) array at about its speed, where a single thin
+    block costs about four times as much."""
     head = ["t"] + [f"mean_{i + 1}" for i in range(d)] + \
         [f"var_{i + 1}" for i in range(d)]
-    csvio.write_rows(path, ",".join(head), t_grid, np.hstack([mean, var]))
+
+    def rows():
+        while chunk := list(itertools.islice(blocks, 8)):
+            ys = np.stack(chunk, axis=1)
+            yield from np.hstack([ys.mean(axis=0), ys.var(axis=0, ddof=1)])
+
+    csvio.write_rows(path, ",".join(head), t_grid, rows())
 
 
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                  paths: int = 1) -> int:
+    """Stream psi, Y and r = psi + Y . V into their files one time at a
+    time; only Y (n_t+1 x d) is held whole."""
     os.makedirs(out_dir, exist_ok=True)
     seed = rt.seed if seed is None else seed
-    prep = _prepare(rt)
+    real = cfgmod.build_scenario_realization(rt)
+    t_grid = rt.t_grid()
+    psi, curve_meta = rz.psi_rows(real, rt.h0, t_grid)
+    _u0, v0 = rz.split_initial(real, rt.h0)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-    path = rz.simulate_coordinates(prep.real, prep.t_grid, prep.v0, inc,
-                                   scheme=rt.scheme)
-    rec = rz.reconstruct(prep.psi, path, prep.real.V)
+    coords = np.array(list(rz.coordinate_rows(real, t_grid, v0, inc,
+                                              scheme=rt.scheme)))
     axis = rt.space.axis()
 
-    oracle.write_grid_path(rz.GridPath(prep.t_grid, axis, prep.psi.values, seed),
-                           os.path.join(out_dir, "psi.csv"))
-    oracle.write_coordinate_csv(prep.t_grid, path.coords,
-                                os.path.join(out_dir, "Y.csv"))
-    oracle.write_grid_path(rec, os.path.join(out_dir, "r.csv"))
+    oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
+    oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
+    # psi again for r: a few ms per scenario, simpler than one writer
+    # filling two files
+    psi, _meta = rz.psi_rows(real, rt.h0, t_grid)
+    basis = real.V.samples
+    r_rows = (p + y @ basis for p, y in zip(psi, coords, strict=True))
+    oracle.write_grid_path(r_rows, os.path.join(out_dir, "r.csv"), t_grid, axis)
     levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
     _write_json(os.path.join(out_dir, "realization.json"),
-                _realization_report(rt, prep, seed))
+                _realization_report(rt, real, v0, curve_meta, seed))
 
     if paths > 1:
         seeds = [seed + i for i in range(paths)]
-        coords = rz.simulate_ensemble(prep.real, prep.t_grid, prep.v0,
-                                      rt.driver, seeds, scheme=rt.scheme)
+        blocks = rz.ensemble_rows(real, t_grid, v0, rt.driver, seeds,
+                                  scheme=rt.scheme)
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),
-                              prep.t_grid, coords)
+                              t_grid, real.dim, blocks)
 
     print(f"{rt.name}: wrote psi.csv, Y.csv, r.csv, increments.csv, "
           f"realization.json to {out_dir}" +

@@ -2,7 +2,7 @@
 `t,v_1,..,v_k` row per time.  Numbers are written as `%.17g`, which
 round-trips every float64 and, being CPython's float formatting, gives
 stable bytes.  Rows are formatted one at a time from one format string, so
-writing holds one row in memory however large the table."""
+writing a stream of rows holds one row in memory however long the table."""
 
 from __future__ import annotations
 
@@ -24,14 +24,18 @@ def _opened(file, mode: str):
         yield file
 
 
-def write_rows(file, header: str, t_grid, values) -> None:
-    """Write `header`, then `t_grid[n],values[n, 0],..` for each row n."""
-    values = np.asarray(values)
-    fmt = "%.17g" + ",%.17g" * values.shape[1] + "\n"
+def write_rows(file, header: str, t_grid, rows) -> None:
+    """Write `header`, then `t_grid[n],rows[n][0],..` for each row n.  rows is
+    any iterable of 1-D rows (a 2-D array, or a generator formatted as it
+    yields); the table is as wide as its first row."""
+    fmt = None
     with _opened(file, "w") as fh:
         fh.write(header + "\n")
-        for t, row in zip(t_grid, values):
-            fh.write(fmt % (t, *row.tolist()))
+        for t, row in zip(t_grid, rows):
+            values = np.asarray(row).tolist()
+            if fmt is None:
+                fmt = "%.17g" + ",%.17g" * len(values) + "\n"
+            fh.write(fmt % (t, *values))
 
 
 def read_rows(file, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:

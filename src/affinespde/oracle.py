@@ -22,7 +22,7 @@ from .errors import GridMismatch, LinearSolveFailure, UnstableConfig
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
-from .realization import Curve, GridPath, Subspace, space_norm
+from .realization import GridPath, Subspace, space_norm
 
 
 def _normalize_field(f, grid: Grid1D):
@@ -141,18 +141,6 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     return rows()
 
 
-def solve_spde_grid(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
-                    h0, increments: levy.IncrementMatrix,
-                    theta: float | None = None) -> GridPath:
-    """The rows of spde_grid_rows, collected into one path."""
-    rows = spde_grid_rows(op, grid, alpha, sigma, h0, increments, theta)
-    values = np.zeros((increments.n_steps + 1, grid.n))
-    for n, r in enumerate(rows):
-        values[n] = r
-    t_grid = np.arange(increments.n_steps + 1) * increments.dt
-    return GridPath(t_grid, grid.points(), values, increments.seed)
-
-
 def solve_spde_modal(op: OperatorSpec, indices: Sequence, alpha, sigma: Sequence,
                      a0: np.ndarray, increments: levy.IncrementMatrix) -> np.ndarray:
     """Eigen-amplitude reference solution: every retained mode steps with the
@@ -196,16 +184,6 @@ def modal_rows(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
     phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(op, i),
                                      grid.points()) for i in indices])
     return (a @ phi for a in amps)
-
-
-def modal_path_to_grid(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
-                       dt: float, grid: Grid1D, seed: int = 0) -> GridPath:
-    """The rows of modal_rows, collected into one path."""
-    values = np.zeros((amps.shape[0], grid.n))
-    for n, row in enumerate(modal_rows(op, indices, amps, grid)):
-        values[n] = row
-    t_grid = np.arange(amps.shape[0]) * dt
-    return GridPath(t_grid, grid.points(), values, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +255,7 @@ def compare_paths(a: GridPath, b: GridPath,
     return compare_streams(zip(a.values, b.values), weights)
 
 
-def foliation_distance(path: GridPath, psi: Curve, V: Subspace) -> np.ndarray:
-    """Per-time distance of the path from the moving affine leaf: the
-    component of path(t) - psi(t) orthogonal to V in the working product."""
-    if path.values.shape != psi.values.shape:
-        raise GridMismatch(f"path shape {path.values.shape} vs curve "
-                           f"shape {psi.values.shape}")
-    if not np.allclose(path.t_grid, psi.t_grid, rtol=1e-9, atol=1e-12):
-        raise GridMismatch("path and curve time grids differ")
-    out = np.zeros(len(path.t_grid))
-    for n, (state, base) in enumerate(zip(path.values, psi.values)):
-        out[n] = _leaf_distance(V, state, base)
-    return out
-
-
-def tangency_residual(op: OperatorSpec, alpha, psi: Curve, V: Subspace,
+def tangency_residual(op: OperatorSpec, alpha, psi: GridPath, V: Subspace,
                       t_samples: Sequence[int], h_samples: Sequence[np.ndarray],
                       grid: Grid1D | None = None) -> float:
     """Max over sampled interior times and states of the component of
@@ -323,10 +287,12 @@ def tangency_residual(op: OperatorSpec, alpha, psi: Curve, V: Subspace,
 # path CSV formats
 
 
-def write_grid_path(path: GridPath, file) -> None:
-    """First row carries the spatial axis, each later row `t,value_1..`."""
-    header = ("x" + ",%.17g" * len(path.x_grid)) % tuple(path.x_grid.tolist())
-    csvio.write_rows(file, header, path.t_grid, path.values)
+def write_grid_path(rows: Iterable[np.ndarray], file, t_grid: np.ndarray,
+                    x_grid: np.ndarray) -> None:
+    """First row carries the spatial axis x_grid, each later row
+    `t,value_1..` for one state of rows, written as it is produced."""
+    header = ("x" + ",%.17g" * len(x_grid)) % tuple(np.asarray(x_grid).tolist())
+    csvio.write_rows(file, header, t_grid, rows)
 
 
 def read_grid_path(file, seed: int = 0) -> GridPath:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -680,14 +680,6 @@ def split_initial(real: Realization, h0) -> tuple[object, np.ndarray]:
 # the deterministic carrier curve psi
 
 
-@dataclass(frozen=True)
-class Curve:
-    t_grid: np.ndarray
-    values: np.ndarray  # (len(t_grid), space.size)
-    space: SpaceSpec
-    meta: dict = field(default_factory=dict)
-
-
 def _uniform_dt(t_grid: np.ndarray) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -811,6 +803,7 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
     def rows():
         acc = np.zeros(space.size)
         a_prev = None if u_vec is None else u_vec.copy()
+        x = space.grid.points() if g0 is None and u_vec is not None else None
         for i, t in enumerate(t_grid):
             row = np.zeros(space.size)
             for part, coefs, phi in blocks:
@@ -820,7 +813,7 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
             elif u_vec is not None:
                 # trapezoid accumulation of the sampled remainder
                 if i:
-                    a_cur = _shift_interp(u_vec, space.grid.points(), float(t))
+                    a_cur = _shift_interp(u_vec, x, float(t))
                     acc = acc + 0.5 * dt * (a_prev + a_cur)
                     a_prev = a_cur
                 row += acc
@@ -940,27 +933,8 @@ def psi_rows(real: Realization, h0,
     raise MethodUnsupported(f"unknown curve method {method!r}")
 
 
-def solve_psi(real: Realization, h0, t_grid: np.ndarray) -> Curve:
-    """Deterministic curve through the foliation: dpsi/dt = A psi + P_U alpha
-    with psi(0) = u0, the complement component of the initial curve.  The
-    rows of psi_rows, collected."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    rows, meta = psi_rows(real, h0, t_grid)
-    values = np.empty((len(t_grid), real.V.space.size))
-    for i, row in enumerate(rows):
-        values[i] = row
-    return Curve(t_grid, values, real.V.space, meta)
-
-
 # ---------------------------------------------------------------------------
 # the V-coordinate process Y
-
-
-@dataclass(frozen=True)
-class CoordinatePath:
-    t_grid: np.ndarray
-    coords: np.ndarray  # (len(t_grid), dim)
-    seed: int = 0
 
 
 def _expm_with_integral(B: np.ndarray, dt: float):
@@ -975,6 +949,48 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     return full[:d, :d], full[:d, d:]
 
 
+def _constant_coefficients(real: Realization) -> bool:
+    return (real.drift.kind != "state"
+            and all(v.scale_fn is None for v in real.vols))
+
+
+def _constant_step(real: Realization, dt: float, scheme: str):
+    """(E, c, S) of the constant-coefficient step y -> y @ E.T + c + dX @ S:
+    euler has E = I + dt B and c = dt a, exp_exact the exact affine update
+    E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
+    if scheme not in ("euler", "exp_exact"):
+        raise SchemeUnsupported(f"unknown scheme {scheme!r}")
+    if not _constant_coefficients(real):
+        raise SchemeUnsupported(
+            "ensemble stepping and exp_exact need constant drift coordinates "
+            "and additive noise; only single-path euler takes state-dependent "
+            "coefficients")
+    d = real.dim
+    a_v = real.drift.coords_at(0.0, np.zeros(d))
+    sig = (np.vstack([v.coords for v in real.vols])
+           if real.vols else np.zeros((0, d)))
+    if scheme == "euler":
+        return np.eye(d) + dt * real.B, dt * a_v, sig
+    e_mat, j_mat = _expm_with_integral(real.B, dt)
+    return e_mat, j_mat @ a_v, sig
+
+
+def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray]):
+    """The one stepping kernel: y is a (d,) state or a (P, d) block of
+    states, each increment a (m,) row or a (P, m) block."""
+    e_mat, drift_term, sig = step
+    yield y
+    for dx in increments:
+        y = y @ e_mat.T + drift_term + dx @ sig
+        yield y
+
+
+def _check_driver(real: Realization, m: int) -> None:
+    if len(real.vols) != m:
+        raise GridMismatch(
+            f"{len(real.vols)} volatility components vs {m} driver columns")
+
+
 def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
                     increments: levy.IncrementMatrix,
                     scheme: str = "euler") -> Iterator[np.ndarray]:
@@ -984,7 +1000,8 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
 
     euler: explicit first-order stepping, allows state-dependent
     coefficients.  exp_exact: exponential integrator with the exact affine
-    update for constant coefficients; additive noise only."""
+    update for constant coefficients; additive noise only.  Constant
+    coefficients step through the same kernel as ensemble_rows."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:
@@ -992,99 +1009,48 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
             f"{increments.n_steps} increments for {len(t_grid) - 1} time steps")
     if not math.isclose(increments.dt, dt, rel_tol=1e-9, abs_tol=1e-14):
         raise GridMismatch(f"increment dt {increments.dt} vs time grid dt {dt}")
-    if len(real.vols) != increments.m:
-        raise GridMismatch(
-            f"{len(real.vols)} volatility components vs {increments.m} driver columns")
+    _check_driver(real, increments.m)
     d = real.dim
     v0 = np.asarray(v0, dtype=float).reshape(d)
     if real.drift.kind == "state" and real.drift.v_coords is None:
         raise MethodUnsupported("callable drift cannot drive the reduced simulation")
+    if scheme != "euler" or _constant_coefficients(real):
+        return _affine_rows(v0.copy(), _constant_step(real, dt, scheme),
+                            increments.values)
 
-    if scheme == "euler":
-        def rows():
-            y = v0.copy()
+    def rows():
+        y = v0.copy()
+        yield y
+        for n in range(increments.n_steps):
+            t = float(t_grid[n])
+            a = real.B @ y + real.drift.coords_at(t, y)
+            noise = np.zeros(d)
+            for k, vol in enumerate(real.vols):
+                noise += vol.at(y) * increments.values[n, k]
+            y = y + dt * a + noise
             yield y
-            for n in range(increments.n_steps):
-                t = float(t_grid[n])
-                a = real.B @ y + real.drift.coords_at(t, y)
-                noise = np.zeros(d)
-                for k, vol in enumerate(real.vols):
-                    noise += vol.at(y) * increments.values[n, k]
-                y = y + dt * a + noise
-                yield y
 
-        return rows()
-
-    if scheme == "exp_exact":
-        if real.drift.kind == "state":
-            raise SchemeUnsupported("exp_exact needs constant drift coordinates")
-        if any(v.scale_fn is not None for v in real.vols):
-            raise SchemeUnsupported("exp_exact needs additive noise")
-        e_mat, j_mat = _expm_with_integral(real.B, dt)
-        a_v = real.drift.coords_at(0.0, v0)
-        drift_term = j_mat @ a_v if d else np.zeros(0)
-        sig = (np.vstack([v.coords for v in real.vols])
-               if real.vols else np.zeros((0, d)))
-
-        def rows():
-            y = v0.copy()
-            yield y
-            for n in range(increments.n_steps):
-                y = e_mat @ y + drift_term + increments.values[n] @ sig
-                yield y
-
-        return rows()
-
-    raise SchemeUnsupported(f"unknown scheme {scheme!r}")
+    return rows()
 
 
-def simulate_coordinates(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                         increments: levy.IncrementMatrix,
-                         scheme: str = "euler") -> CoordinatePath:
-    """The rows of coordinate_rows, collected into one path."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    rows = coordinate_rows(real, t_grid, v0, increments, scheme)
-    coords = np.zeros((len(t_grid), real.dim))
-    for n, y in enumerate(rows):
-        coords[n] = y
-    return CoordinatePath(t_grid, coords, increments.seed)
-
-
-def simulate_ensemble(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                      spec: levy.LevySpec, seeds: Sequence[int],
-                      scheme: str = "euler") -> np.ndarray:
-    """Vectorized Monte Carlo over per-seed driver streams; constant
-    coefficients only.  Returns coords of shape (n_paths, len(t_grid), dim).
-    Path p is driven by the same increments as seed seeds[p]."""
-    if real.drift.kind == "state" or any(v.scale_fn is not None for v in real.vols):
-        raise SchemeUnsupported("ensemble stepping needs constant coefficients")
+def ensemble_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
+                  spec: levy.LevySpec, seeds: Sequence[int],
+                  scheme: str = "euler") -> Iterator[np.ndarray]:
+    """Monte Carlo over per-seed driver streams, constant coefficients only:
+    yields the (len(seeds), dim) block of coordinates at every time of the
+    uniform grid.  Path p is driven by the same increments as seed seeds[p].
+    Set-up checks and the increment sampling happen here."""
     dt = _uniform_dt(t_grid)
-    n_steps = len(t_grid) - 1
-    d = real.dim
-    inc = levy.sample_increment_ensemble(spec, dt, n_steps, seeds)
-    sig = (np.vstack([v.coords for v in real.vols])
-           if real.vols else np.zeros((0, d)))
-    a_v = real.drift.coords_at(0.0, np.zeros(d))
-    out = np.zeros((len(seeds), len(t_grid), d))
-    y = np.tile(np.asarray(v0, dtype=float).reshape(1, d), (len(seeds), 1))
-    out[:, 0, :] = y
-    if scheme == "euler":
-        for n in range(n_steps):
-            y = y + dt * (y @ real.B.T + a_v) + inc[:, n, :] @ sig
-            out[:, n + 1, :] = y
-    elif scheme == "exp_exact":
-        e_mat, j_mat = _expm_with_integral(real.B, dt)
-        drift_term = j_mat @ a_v if d else np.zeros(0)
-        for n in range(n_steps):
-            y = y @ e_mat.T + drift_term + inc[:, n, :] @ sig
-            out[:, n + 1, :] = y
-    else:
-        raise SchemeUnsupported(f"unknown scheme {scheme!r}")
-    return out
+    _check_driver(real, spec.m)
+    step = _constant_step(real, dt, scheme)
+    inc = levy.sample_increment_ensemble(spec, dt, len(t_grid) - 1, seeds)
+    y = np.tile(np.asarray(v0, dtype=float).reshape(1, real.dim),
+                (len(seeds), 1))
+    return _affine_rows(y, step, inc.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
-# reconstruction
+# sampled paths
 
 
 @dataclass(frozen=True)
@@ -1097,14 +1063,3 @@ class GridPath:
     x_grid: np.ndarray
     values: np.ndarray
     seed: int = 0
-
-
-def reconstruct(psi: Curve, path: CoordinatePath, V: Subspace) -> GridPath:
-    """r(t) = psi(t) + sum_i Y_i(t) v_i on the space axis."""
-    if psi.values.shape[1] != V.space.size:
-        raise GridMismatch("curve and subspace live on different spaces")
-    if len(psi.t_grid) != len(path.t_grid) or not np.allclose(
-            psi.t_grid, path.t_grid, rtol=1e-12, atol=1e-12):
-        raise GridMismatch("curve and coordinate path time grids differ")
-    values = psi.values + path.coords @ V.samples
-    return GridPath(psi.t_grid, V.space.axis(), values, path.seed)

@@ -202,10 +202,11 @@ def test_criterion_5_reconstruction_ignores_complement_choice():
         real = rz.build_realization(rt.op, drift, list(rt.sigma), V,
                                     psi_method=rt.psi_method,
                                     mode_indices=rt.modes or None)
-        psi = rz.solve_psi(real, rt.h0, t_grid)
+        psi, _meta = rz.psi_rows(real, rt.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt.h0)
-        path = rz.simulate_coordinates(real, psi.t_grid, v0, inc, rt.scheme)
-        results.append(rz.reconstruct(psi, path, V).values)
+        coords = rz.coordinate_rows(real, t_grid, v0, inc, rt.scheme)
+        results.append(np.array([p + y @ V.samples
+                                 for p, y in zip(psi, coords, strict=True)]))
         v0s.append(v0)
 
     # the two weights genuinely split the state differently ...
@@ -274,13 +275,12 @@ def test_criterion_8_reduced_model_moments():
 
     n_t, dt, n_paths = 1000, 1e-3, 10_000
     t_grid = np.linspace(0.0, 1.0, n_t + 1)
-    psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
-    ens = rz.simulate_ensemble(real, psi.t_grid, np.zeros(1), spec,
-                               list(range(n_paths)), scheme="exp_exact")
+    ens = list(rz.ensemble_rows(real, t_grid, np.zeros(1), spec,
+                                list(range(n_paths)), scheme="exp_exact"))
     for t in (0.5, 1.0):
         idx = int(round(t / dt))
-        samples = ens[:, idx, 0]
+        samples = ens[idx][:, 0]
         var = samples.var(ddof=1)
         target = (1.0 - math.exp(-2.0 * t)) / 2.0
         se = var * math.sqrt(2.0 / (n_paths - 1))

@@ -64,10 +64,10 @@ def test_encoder_edge_values_and_round_trip(tmp_path):
 # golden artifacts: the writers as they were before the shared encoder
 
 
-def _old_write_grid_path(path, file):
+def _old_write_grid_path(rows, file, t_grid, x_grid):
     with open(file, "w") as fh:
-        fh.write("x," + ",".join(f"{v:.17g}" for v in path.x_grid) + "\n")
-        for t, row in zip(path.t_grid, path.values):
+        fh.write("x," + ",".join(f"{v:.17g}" for v in x_grid) + "\n")
+        for t, row in zip(t_grid, rows):
             fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -86,7 +86,8 @@ def _old_write_increments_csv(inc, path):
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _old_write_ensemble_stats(path, t_grid, coords):
+def _old_write_ensemble_stats(path, t_grid, d, blocks):
+    coords = np.stack(list(blocks), axis=1)  # (paths, times, d)
     mean = coords.mean(axis=0)
     var = coords.var(axis=0, ddof=1)
     d = coords.shape[2]

@@ -18,6 +18,19 @@ def _zero_driver(dt, n_steps):
     return levy.IncrementMatrix(dt, np.zeros((n_steps, 0)), seed=0)
 
 
+def _grid_solution(op, grid, alpha, sigma, h0, inc, theta=None):
+    """The rows of spde_grid_rows as one path."""
+    rows = oracle.spde_grid_rows(op, grid, alpha, sigma, h0, inc, theta)
+    t_grid = np.arange(inc.n_steps + 1) * inc.dt
+    return GridPath(t_grid, grid.points(), np.array(list(rows)))
+
+
+def _foliation(path, psi, V):
+    """Per-time distance of path from the leaf psi + V."""
+    return oracle.compare_streams(zip(path.values, path.values, psi.values),
+                                  leaf=V).foliation
+
+
 def test_grid_solver_cable_second_order_decay():
     # Crank-Nicolson against the exact decaying eigenmode; halving dx and dt
     # together should cut the error by about four
@@ -26,9 +39,9 @@ def test_grid_solver_cable_second_order_decay():
     for n_x, n_t in ((101, 50), (201, 100)):
         grid = Grid1D.from_interval(0.0, math.pi, n_x)
         dt = 0.5 / n_t
-        path = oracle.solve_spde_grid(operators.Cable(), grid, None, [],
-                                      funalg.parse_qexp("sin(2*x)"),
-                                      _zero_driver(dt, n_t), theta=0.5)
+        path = _grid_solution(operators.Cable(), grid, None, [],
+                              funalg.parse_qexp("sin(2*x)"),
+                              _zero_driver(dt, n_t), theta=0.5)
         exact = np.exp(g2 * path.t_grid)[:, None] * np.sin(2 * grid.points())
         ref = GridPath(path.t_grid, grid.points(), exact)
         errs.append(oracle.compare_paths(path, ref).sup_error)
@@ -41,8 +54,8 @@ def test_grid_solver_translation_first_order_shift():
     for n_x, n_t in ((201, 100), (401, 200)):
         grid = Grid1D.from_interval(0.0, 20.0, n_x)
         dt = 1.0 / n_t
-        path = oracle.solve_spde_grid(operators.Translation(), grid, None, [],
-                                      Q.exponential(-1.0), _zero_driver(dt, n_t))
+        path = _grid_solution(operators.Translation(), grid, None, [],
+                              Q.exponential(-1.0), _zero_driver(dt, n_t))
         x = grid.points()
         exact = np.exp(-(x[None, :] + path.t_grid[:, None]))
         ref = GridPath(path.t_grid, x, exact)
@@ -55,23 +68,22 @@ def test_stability_guards():
     cable_grid = Grid1D.from_interval(0.0, math.pi, 101)
     # explicit stepping with dt far beyond the diffusive limit
     with pytest.raises(UnstableConfig):
-        oracle.solve_spde_grid(operators.Cable(), cable_grid, None, [], h0,
-                               _zero_driver(0.01, 10), theta=0.0)
+        _grid_solution(operators.Cable(), cable_grid, None, [], h0,
+                       _zero_driver(0.01, 10), theta=0.0)
     # explicit transport past the step bound dt <= dx
     trans_grid = Grid1D.from_interval(0.0, 10.0, 101)
     with pytest.raises(UnstableConfig):
-        oracle.solve_spde_grid(operators.Translation(), trans_grid, None, [],
-                               Q.exponential(-1.0), _zero_driver(0.2, 5),
-                               theta=0.0)
+        _grid_solution(operators.Translation(), trans_grid, None, [],
+                       Q.exponential(-1.0), _zero_driver(0.2, 5), theta=0.0)
     with pytest.raises(UnstableConfig):
-        oracle.solve_spde_grid(operators.Cable(), cable_grid, None, [], h0,
-                               _zero_driver(0.001, 10), theta=1.5)
+        _grid_solution(operators.Cable(), cable_grid, None, [], h0,
+                       _zero_driver(0.001, 10), theta=1.5)
     # the growing short-rate generator has no stable grid stepping here
     ts_grid = Grid1D.from_interval(0.0, 1.0, 101)
     with pytest.raises(UnstableConfig):
-        oracle.solve_spde_grid(operators.TermStructure2(1.0), ts_grid, None, [],
-                               funalg.parse_qexp("exp(-1*x)*sin(3.14159*x)"),
-                               _zero_driver(0.001, 10))
+        _grid_solution(operators.TermStructure2(1.0), ts_grid, None, [],
+                       funalg.parse_qexp("exp(-1*x)*sin(3.14159*x)"),
+                       _zero_driver(0.001, 10))
 
 
 def test_modal_solver_exact_for_linear_ode():
@@ -117,12 +129,11 @@ def test_modal_path_to_grid_expands_eigenfunctions():
     op = operators.Cable()
     grid = Grid1D.from_interval(0.0, math.pi, 41)
     amps = np.array([[0.5, 0.0], [0.25, -1.0]])
-    path = oracle.modal_path_to_grid(op, [1, 2], amps, 0.1, grid)
+    values = np.array(list(oracle.modal_rows(op, [1, 2], amps, grid)))
     x = grid.points()
     expect = np.vstack([0.5 * np.sin(x),
                         0.25 * np.sin(x) - 1.0 * np.sin(2 * x)])
-    assert np.allclose(path.values, expect, atol=1e-14)
-    assert np.allclose(path.t_grid, [0.0, 0.1])
+    assert np.allclose(values, expect, atol=1e-14)
 
 
 def test_compare_paths_metric_properties():
@@ -156,7 +167,8 @@ def _cable_setup():
         [], V, psi_method="spectral_truncation", mode_indices=(1, 2, 3))
     h0 = funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(3*x)")
     t_grid = np.linspace(0.0, 0.5, 51)
-    psi = rz.solve_psi(real, h0, t_grid)
+    rows, _meta = rz.psi_rows(real, h0, t_grid)
+    psi = GridPath(t_grid, space.axis(), np.array(list(rows)))
     return space, V, real, psi
 
 
@@ -165,12 +177,12 @@ def test_foliation_distance_separates_on_and_off_leaf():
     coords = np.outer(np.linspace(1.0, 0.2, 51), np.array([0.6, -0.1]))
     on_leaf = GridPath(psi.t_grid, space.axis(),
                        psi.values + coords @ V.samples)
-    dist = oracle.foliation_distance(on_leaf, psi, V)
+    dist = _foliation(on_leaf, psi, V)
     assert np.max(dist) < 1e-10
 
     off = GridPath(psi.t_grid, space.axis(),
                    on_leaf.values + 0.1 * np.sin(3 * space.grid.points()))
-    dist_off = oracle.foliation_distance(off, psi, V)
+    dist_off = _foliation(off, psi, V)
     assert np.min(dist_off) > 0.05
 
 
@@ -204,7 +216,7 @@ def test_grid_path_csv_round_trip():
     rng = np.random.default_rng(31)
     path = GridPath(t, x, rng.standard_normal((7, 5)) * 1e-7, seed=31)
     buf = io.StringIO()
-    oracle.write_grid_path(path, buf)
+    oracle.write_grid_path(path.values, buf, path.t_grid, path.x_grid)
     buf.seek(0)
     back = oracle.read_grid_path(buf, seed=31)
     assert np.array_equal(back.t_grid, path.t_grid)

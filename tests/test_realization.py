@@ -20,6 +20,17 @@ HALF_LINE = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 801),
 CABLE_SPACE = rz.GridSpace(Grid1D.from_interval(0.0, math.pi, 315))
 
 
+def _psi(real, h0, t_grid):
+    """The rows of psi_rows, one per time."""
+    rows, _meta = rz.psi_rows(real, h0, t_grid)
+    return np.array(list(rows))
+
+
+def _coords(real, t_grid, v0, inc, scheme="euler"):
+    """The rows of coordinate_rows, one per time."""
+    return np.array(list(rz.coordinate_rows(real, t_grid, v0, inc, scheme)))
+
+
 def test_invariant_span_dimensions():
     one = rz.invariant_span(Translation(), [Q.exponential(-1.0)])
     assert one.status == "quasi_exponential" and one.basis.dim == 1
@@ -170,18 +181,18 @@ def test_split_initial_symbolic():
 def test_solve_psi_spectral_closed_form():
     real, h0 = _cable_realization()
     t_grid = np.linspace(0.0, 1.0, 51)
-    psi = rz.solve_psi(real, h0, t_grid)
+    psi = _psi(real, h0, t_grid)
     x = CABLE_SPACE.grid.points()
     g3 = operators.generator_eigenvalue(Cable(), 3)
     exact = 0.25 * np.exp(g3 * t_grid)[:, None] * np.sin(3 * x)[None, :]
-    assert np.max(np.abs(psi.values - exact)) < 1e-10
+    assert np.max(np.abs(psi - exact)) < 1e-10
 
 
 def test_solve_psi_truncation_guard():
     real, _ = _cable_realization()
     h0 = funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(9*x)")
     with pytest.raises(TruncationTailTooLarge):
-        rz.solve_psi(real, h0, np.linspace(0.0, 1.0, 11))
+        _psi(real, h0, np.linspace(0.0, 1.0, 11))
 
 
 def test_solve_psi_shift_exact_against_direct_evaluation():
@@ -191,7 +202,7 @@ def test_solve_psi_shift_exact_against_direct_evaluation():
                                 psi_method="shift_exact")
     h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x)")
     t_grid = np.linspace(0.0, 0.8, 33)
-    psi = rz.solve_psi(real, h0, t_grid)
+    psi = _psi(real, h0, t_grid)
 
     x = HALF_LINE.grid.points()
     c0 = float(V.coords(HALF_LINE.sample(h0))[0])
@@ -207,7 +218,7 @@ def test_solve_psi_shift_exact_against_direct_evaluation():
 
     for i, t in enumerate(t_grid):
         expect = u0_at(x + t) + drift_integral(x, float(t))
-        assert np.max(np.abs(psi.values[i] - expect)) < 1e-11
+        assert np.max(np.abs(psi[i] - expect)) < 1e-11
 
 
 def _ou_realization():
@@ -220,14 +231,12 @@ def _ou_realization():
 def test_exp_exact_matches_affine_closed_form():
     real = _ou_realization()
     t_grid = np.linspace(0.0, 2.0, 201)
-    psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     dt = t_grid[1] - t_grid[0]
     zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)), seed=0)
-    path = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros,
-                                   scheme="exp_exact")
+    coords = _coords(real, t_grid, np.array([1.0]), zeros, scheme="exp_exact")
     a = 0.3
     exact = np.exp(-t_grid) * 1.0 + a * (1.0 - np.exp(-t_grid))
-    assert np.max(np.abs(path.coords[:, 0] - exact)) < 1e-12
+    assert np.max(np.abs(coords[:, 0] - exact)) < 1e-12
 
 
 def test_euler_first_order_toward_exact_update():
@@ -235,46 +244,43 @@ def test_euler_first_order_toward_exact_update():
     errs = []
     for n_t in (100, 200):
         t_grid = np.linspace(0.0, 1.0, n_t + 1)
-        psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
         dt = t_grid[1] - t_grid[0]
         zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)), seed=0)
-        eu = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros, "euler")
-        ex = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), zeros,
-                                     "exp_exact")
-        errs.append(np.max(np.abs(eu.coords - ex.coords)))
+        eu = _coords(real, t_grid, np.array([1.0]), zeros, "euler")
+        ex = _coords(real, t_grid, np.array([1.0]), zeros, "exp_exact")
+        errs.append(np.max(np.abs(eu - ex)))
     assert errs[1] < 0.6 * errs[0]
 
 
 def test_simulate_coordinates_grid_mismatches():
     real = _ou_realization()
     t_grid = np.linspace(0.0, 1.0, 11)
-    psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
-                                levy.IncrementMatrix(0.1, np.zeros((7, 1)), 0))
+        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+                           levy.IncrementMatrix(0.1, np.zeros((7, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
-                                levy.IncrementMatrix(0.2, np.zeros((10, 1)), 0))
+        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+                           levy.IncrementMatrix(0.2, np.zeros((10, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.simulate_coordinates(real, psi.t_grid, np.array([0.0]),
-                                levy.IncrementMatrix(0.1, np.zeros((10, 2)), 0))
+        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+                           levy.IncrementMatrix(0.1, np.zeros((10, 2)), 0))
 
 
 def test_ensemble_matches_per_seed_paths():
     real = _ou_realization()
     t_grid = np.linspace(0.0, 0.5, 26)
-    psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     dt = t_grid[1] - t_grid[0]
     spec = levy.make_levy_spec([{"brownian_vol": 0.4}])
     seeds = [5, 6, 7]
     for scheme in ("euler", "exp_exact"):
-        ens = rz.simulate_ensemble(real, psi.t_grid, np.array([1.0]), spec, seeds,
-                                   scheme=scheme)
+        # (paths, times, d) from the per-time (paths, d) blocks
+        ens = np.stack(list(rz.ensemble_rows(real, t_grid, np.array([1.0]),
+                                             spec, seeds, scheme=scheme)),
+                       axis=1)
         for p, seed in enumerate(seeds):
             inc = levy.sample_increments(spec, dt, 25, seed)
-            one = rz.simulate_coordinates(real, psi.t_grid, np.array([1.0]), inc,
-                                          scheme=scheme)
-            assert np.array_equal(ens[p], one.coords)
+            one = _coords(real, t_grid, np.array([1.0]), inc, scheme=scheme)
+            assert np.array_equal(ens[p], one)
 
 
 def test_state_vol_needs_euler():
@@ -283,30 +289,9 @@ def test_state_vol_needs_euler():
     real = rz.build_realization(Translation(), rz.ConstantDrift(None), [vol], V,
                                 psi_method="shift_exact")
     t_grid = np.linspace(0.0, 0.2, 21)
-    psi = rz.solve_psi(real, Q.exponential(-1.0), t_grid)
     inc = levy.sample_increments(levy.make_levy_spec([{"brownian_vol": 1.0}]),
                                  t_grid[1] - t_grid[0], 20, 9)
-    path = rz.simulate_coordinates(real, psi.t_grid, np.array([0.5]), inc, "euler")
-    assert path.coords.shape == (21, 1)
+    coords = _coords(real, t_grid, np.array([0.5]), inc, "euler")
+    assert coords.shape == (21, 1)
     with pytest.raises(SchemeUnsupported):
-        rz.simulate_coordinates(real, psi.t_grid, np.array([0.5]), inc, "exp_exact")
-
-
-def test_reconstruct_assembles_curve_plus_coordinates():
-    real, h0 = _cable_realization()
-    t_grid = np.linspace(0.0, 0.3, 16)
-    psi = rz.solve_psi(real, h0, t_grid)
-    _u0, v0 = rz.split_initial(real, h0)
-    inc = levy.sample_increments(levy.make_levy_spec([{"brownian_vol": 0.2}]),
-                                 t_grid[1] - t_grid[0], 15, 13)
-    real_vol, _ = _cable_realization(vols=[funalg.parse_qexp("0.2*sin(2*x)")])
-    path = rz.simulate_coordinates(real_vol, psi.t_grid, v0, inc, "exp_exact")
-    out = rz.reconstruct(psi, path, real.V)
-    assert np.allclose(out.values, psi.values + path.coords @ real.V.samples)
-
-    other = rz.CoordinatePath(np.linspace(0.0, 0.4, 16), path.coords, 13)
-    with pytest.raises(GridMismatch):
-        rz.reconstruct(psi, other, real.V)
-    narrow = rz.Curve(psi.t_grid, psi.values[:, :-1], psi.space, psi.meta)
-    with pytest.raises(GridMismatch, match="different spaces"):
-        rz.reconstruct(narrow, path, real.V)
+        rz.coordinate_rows(real, t_grid, np.array([0.5]), inc, "exp_exact")

@@ -26,15 +26,26 @@ def _small_runtime(name, n_t, n_x=None):
     return cfgmod.build_runtime(raw, os.path.dirname(path))
 
 
+def _collect(rows):
+    return np.array(list(rows))
+
+
+def _leaf_distances(states, bases, V):
+    """Per-time distance of each state from the leaf base + V: the norm of
+    the component of state - base orthogonal to V."""
+    return np.array([rz.space_norm(V.space, V.complement_residual(s - b))
+                     for s, b in zip(states, bases)])
+
+
 def _materialised_oracle(rt, real, inc):
     """The reference path built whole, one public solver call per profile."""
     t_grid = np.arange(inc.n_steps + 1) * inc.dt
     kind = rt.verify.oracle
     if kind == "grid":
-        return oracle.solve_spde_grid(
+        return GridPath(t_grid, rt.space.axis(), _collect(oracle.spde_grid_rows(
             rt.op, rt.space.grid, cli._drift_for_oracle(rt, real),
             cli._sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc,
-            theta=rt.verify.theta)
+            theta=rt.verify.theta)), inc.seed)
     if kind == "ray_grid":
         n = rt.space.ray.size
         alpha = cli._drift_for_oracle(rt, real)
@@ -43,10 +54,10 @@ def _materialised_oracle(rt, real, inc):
         blocks = []
         for i in range(len(rt.space.profiles)):
             sl = slice(i * n, (i + 1) * n)
-            blocks.append(oracle.solve_spde_grid(
+            blocks.append(_collect(oracle.spde_grid_rows(
                 operators.Translation(), rt.space.ray.grid,
                 None if alpha is None else alpha[sl], [s[sl] for s in sigma],
-                h0[sl], inc, theta=rt.verify.theta).values)
+                h0[sl], inc, theta=rt.verify.theta)))
         return GridPath(t_grid, rt.space.axis(), np.hstack(blocks), inc.seed)
     assert kind == "modal"
     indices = list(rt.verify.oracle_modes) or list(rt.space.indices)
@@ -60,8 +71,9 @@ def _materialised_oracle(rt, real, inc):
     if isinstance(rt.space, rz.ModalSpace):
         cols = [indices.index(idx) for idx in rt.space.indices]
         return GridPath(t_grid, rt.space.axis(), amps[:, cols], inc.seed)
-    return oracle.modal_path_to_grid(rt.op, indices, amps, inc.dt,
-                                     rt.space.grid, inc.seed)
+    return GridPath(t_grid, rt.space.axis(),
+                    _collect(oracle.modal_rows(rt.op, indices, amps,
+                                               rt.space.grid)), inc.seed)
 
 
 @pytest.mark.parametrize("name, n_t, n_x", [
@@ -80,13 +92,13 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x):
     real = cfgmod.build_scenario_realization(rt)
     inc = levy.sample_increments(rt.driver, rt.horizon / rt.n_t, rt.n_t, seed)
     t_grid = rt.t_grid()
-    psi = rz.solve_psi(real, rt.h0, t_grid)
+    psi = _collect(rz.psi_rows(real, rt.h0, t_grid)[0])
     _u0, v0 = rz.split_initial(real, rt.h0)
-    coords = rz.simulate_coordinates(real, t_grid, v0, inc, rt.scheme)
-    rec = rz.reconstruct(psi, coords, real.V)
+    coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc, rt.scheme))
+    rec = GridPath(t_grid, rt.space.axis(), psi + coords @ real.V.samples)
     ref = _materialised_oracle(rt, real, inc)
     whole = oracle.compare_paths(rec, ref, rt.space.weights())
-    fol = oracle.foliation_distance(ref, psi, real.V)
+    fol = _leaf_distances(ref.values, psi, real.V)
 
     # within 1e-12 of the path magnitude: the modal oracles are exact, so
     # their sup errors are themselves rounding noise of that magnitude
@@ -113,9 +125,8 @@ def test_compare_streams_equals_compare_paths_and_foliation():
     assert streamed.scale == whole.scale
     assert np.array_equal(streamed.per_time, whole.per_time)
     assert whole.foliation is None
-    curve = rz.Curve(t, base, space)
     assert np.array_equal(streamed.foliation,
-                          oracle.foliation_distance(b, curve, V))
+                          _leaf_distances(b.values, base, V))
 
 
 def test_verify_refine2_holds_no_full_path(tmp_path):
