@@ -84,21 +84,22 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
     report: dict = {"scenario": rt.name,
                     "operator": type(rt.op).__name__,
                     "subspace_mode": rt.subspace_mode}
-    bases = cfgmod._sigma_bases(rt)
-    if bases and all(not isinstance(b, np.ndarray) for b in bases):
+    closure = None
+    if rt.sigma:
         try:
-            closure = rz.invariant_span(rt.op, bases, dim_cap=rt.tol.dim_cap,
-                                        tol_rank=rt.tol.tol_rank)
+            closure = cfgmod.volatility_closure(rt)
             report["volatility_span"] = {
                 "status": closure.status,
                 "dims_per_iteration": list(closure.dims),
                 "dim": closure.basis.dim,
             }
         except AffineSpdeError as exc:
+            # the build below raises it again unless the basis is explicit
             report["volatility_span"] = {"status": "error", "reason": str(exc)}
 
     try:
-        real = cfgmod.build_scenario_realization(rt)
+        real = cfgmod.build_scenario_realization(
+            rt, cfgmod.assemble_basis(rt, closure))
     except _CLAUSE_ERRORS as exc:
         reason = type(exc).__name__
         report.update(status="negative", reason=reason, detail=str(exc),
@@ -188,6 +189,11 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
     coords = np.array(list(rz.coordinate_rows(real, t_grid, v0, inc,
                                               scheme=rt.scheme)))
+    blocks = None
+    if paths > 1:  # its set-up checks raise before the first write
+        blocks = rz.ensemble_rows(real, t_grid, v0, rt.driver,
+                                  [seed + i for i in range(paths)],
+                                  scheme=rt.scheme)
     axis = rt.space.axis()
 
     oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
@@ -202,10 +208,7 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     _write_json(os.path.join(out_dir, "realization.json"),
                 _realization_report(rt, real, v0, curve_meta, seed))
 
-    if paths > 1:
-        seeds = [seed + i for i in range(paths)]
-        blocks = rz.ensemble_rows(real, t_grid, v0, rt.driver, seeds,
-                                  scheme=rt.scheme)
+    if blocks is not None:
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),
                               t_grid, real.dim, blocks)
 
@@ -221,17 +224,13 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
 def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
     space = rt.space
-    if isinstance(space, rz.GridSpace) and factor > 1:
-        g = space.grid
-        fine = Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
-                                    (g.n - 1) * factor + 1)
-        space = rz.GridSpace(fine, space.weight, space.label)
-    elif isinstance(space, rz.ProfileRaySpace) and factor > 1:
-        g = space.ray.grid
-        fine = Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
-                                    (g.n - 1) * factor + 1)
-        space = rz.ProfileRaySpace(space.profiles,
-                                   rz.GridSpace(fine, space.ray.weight))
+    axis = space.ray if isinstance(space, rz.ProfileRaySpace) else space
+    if isinstance(axis, rz.GridSpace) and factor > 1:
+        g = axis.grid
+        fine = rz.GridSpace(Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
+                                                 (g.n - 1) * factor + 1),
+                            axis.weight, axis.label)
+        space = fine if axis is space else rz.ProfileRaySpace(space.profiles, fine)
     return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor)
 
 
@@ -374,12 +373,13 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         chain.append(levy.aggregate_increments(chain[-1], 2))
     chain.reverse()  # chain[l] matches refinement level l
 
+    v_basis = cfgmod.assemble_basis(rt)  # symbolic: one sweep for all levels
     levels = []
     h0_norm = None
     fol_max = None
     for lvl in range(refine + 1):
         rt_l = _refine_runtime(rt, 2 ** lvl)
-        real = cfgmod.build_scenario_realization(rt_l)
+        real = cfgmod.build_scenario_realization(rt_l, v_basis)
         if mutate is not None:
             real = mutate(real)
         t_grid = rt_l.t_grid()

@@ -9,6 +9,7 @@ ConfigError with the offending field.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,14 +17,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
+import jsonschema
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
-from . import funalg, hjmm, levy, operators, realization as rz
+from . import hjmm, levy, operators, realization as rz
 from .errors import ConfigError, NotQuasiExponential
 from .funalg import QExpFunction, parse_qexp
 from .grids import Grid1D
@@ -33,32 +30,35 @@ _OPERATOR_KINDS = ("translation", "transport", "cable", "heat_disk",
                    "hermite", "laguerre", "term_structure_2")
 
 
-def _schema() -> dict:
-    text = resources.files("affinespde").joinpath(
-        "schema/scenario.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _validator() -> jsonschema.protocols.Validator:
+    """The validator of the shipped schema, built once per process after
+    the schema passes its metaschema check."""
+    schema = json.loads(resources.files("affinespde").joinpath(
+        "schema/scenario.schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(path: str) -> dict:
+    """The scenario's JSON object, unvalidated: `build_runtime` validates."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validate_config(raw)
-    return raw
 
 
 def validate_config(raw: dict) -> None:
-    if jsonschema is None:
-        raise ConfigError("jsonschema is required to validate scenario files")
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+    """Raise ConfigError with the best-matching schema violation."""
+    error = jsonschema.exceptions.best_match(
+        _validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {path}: {error.message}") from error
 
 
 def scenario_dir():
@@ -266,7 +266,7 @@ def _parse_h0(d: dict, op: OperatorSpec, base_dir: str):
         path = os.path.join(base_dir, d["csv"])
         try:
             data = np.loadtxt(path, delimiter=",")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"initial curve file {path}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError(f"initial curve file {path} must have x,value rows")
@@ -360,25 +360,37 @@ def _sigma_bases(rt: Runtime) -> list:
     return out
 
 
-def assemble_basis(rt: Runtime) -> tuple:
-    """Subspace basis per the scenario plan.  Raises NotQuasiExponential when
-    span detection hits the dimension cap."""
-    if rt.subspace_mode == "explicit":
-        return rt.subspace_basis
+def volatility_closure(rt: Runtime) -> rz.ClosureResult:
+    """The one closure sweep of a command: the smallest invariant span of
+    the volatilities under the generator the build uses, d/dx for
+    hjm_product_closure and the scenario's operator otherwise.  The span is
+    symbolic, so every refinement level of a command can share it."""
     bases = _sigma_bases(rt)
     if not bases:
         raise ConfigError("subspace detection needs at least one volatility entry")
+    op = rt.op
     if rt.subspace_mode == "hjm_product_closure":
         if not all(isinstance(b, QExpFunction) for b in bases):
             raise ConfigError("product closure needs quasi-exponential volatility")
-        return hjmm.hjmm_realization_subspace(
-            bases, dim_cap=rt.tol.dim_cap, tol_rank=rt.tol.tol_rank).functions
-    closure = rz.invariant_span(rt.op, bases, dim_cap=rt.tol.dim_cap,
-                                tol_rank=rt.tol.tol_rank)
+        op = operators.Translation()
+    return rz.invariant_span(op, bases, dim_cap=rt.tol.dim_cap,
+                             tol_rank=rt.tol.tol_rank)
+
+
+def assemble_basis(rt: Runtime, closure: rz.ClosureResult | None = None) -> tuple:
+    """Subspace basis per the scenario plan, from `closure` when the caller
+    has swept already.  Raises NotQuasiExponential when span detection hits
+    the dimension cap."""
+    if rt.subspace_mode == "explicit":
+        return rt.subspace_basis
+    if closure is None:
+        closure = volatility_closure(rt)
     if closure.status != "quasi_exponential":
         raise NotQuasiExponential(
             f"volatility span not detected as finite dimensional below "
             f"cap {rt.tol.dim_cap} (dims {closure.dims})")
+    if rt.subspace_mode == "hjm_product_closure":
+        return hjmm.product_closure(closure.basis, rt.tol.tol_rank).functions
     return closure.basis.functions
 
 
@@ -395,8 +407,12 @@ def assemble_drift(rt: Runtime) -> rz.DriftSpec:
         rt.driver, _sigma_bases(rt), rt.space.grid))
 
 
-def build_scenario_realization(rt: Runtime) -> rz.Realization:
-    basis = assemble_basis(rt)
+def build_scenario_realization(rt: Runtime, basis: tuple | None = None
+                               ) -> rz.Realization:
+    """The realization on the scenario's space, over `basis` when the caller
+    has assembled it already (it does not depend on the grid)."""
+    if basis is None:
+        basis = assemble_basis(rt)
     V = rz.Subspace.build(basis, rt.space, tol_rank=rt.tol.tol_rank)
     drift = assemble_drift(rt)
     return rz.build_realization(

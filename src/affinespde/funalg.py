@@ -109,10 +109,6 @@ class QExpFunction:
         return cls.from_terms([(float(c), 0, 0.0, 0.0, "cos")])
 
     @classmethod
-    def monomial(cls, power: int, coef: float = 1.0) -> "QExpFunction":
-        return cls.from_terms([(float(coef), int(power), 0.0, 0.0, "cos")])
-
-    @classmethod
     def exponential(cls, rate: float, coef: float = 1.0) -> "QExpFunction":
         return cls.from_terms([(float(coef), 0, float(rate), 0.0, "cos")])
 
@@ -169,11 +165,6 @@ class QExpFunction:
 ZERO = QExpFunction()
 
 
-def terms_map(f: QExpFunction) -> dict[tuple, float]:
-    """Canonical key -> coefficient dictionary."""
-    return {(t.power, t.rate, t.freq, t.kind): t.coef for t in f.terms}
-
-
 def allclose(f: QExpFunction, g: QExpFunction, tol: float = 1e-12) -> bool:
     """Coefficient-level agreement after canonical key merge, relative to the
     largest coefficient in either function."""
@@ -198,14 +189,6 @@ def evaluate(f: QExpFunction, x) -> np.ndarray:
             term = term * (np.cos(nu * x) if kind == "cos" else np.sin(nu * x))
         out = out + term
     return out
-
-
-def value_at_zero(f: QExpFunction) -> float:
-    total = 0.0
-    for c, j, _mu, _nu, kind in f.terms:
-        if j == 0 and kind == "cos":
-            total += c
-    return total
 
 
 def differentiate(f: QExpFunction) -> QExpFunction:

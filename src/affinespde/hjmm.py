@@ -11,9 +11,10 @@ to the classical sum of sigma^k times its running integral, which stays
 inside the quasi-exponential algebra; general jump drivers leave the algebra
 and the drift is produced as grid samples instead.
 
-The subspace that carries the realization is the invariant span of the
-volatilities enlarged by the pairwise products with their running integrals;
-its dimension is at most dim V + (dim V)^2.
+The subspace that carries the realization is the d/dx-invariant span of the
+volatilities (`config.volatility_closure`) enlarged by the pairwise products
+with their running integrals (`product_closure`); its dimension is at most
+dim V + (dim V)^2.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import funalg, levy, operators, realization
-from .errors import DomainError, MomentExplosion, NotQuasiExponential
+from . import funalg, levy, realization
+from .errors import DomainError, MomentExplosion
 from .funalg import QExpFunction, SpanBasis
 from .grids import Grid1D
 
@@ -82,18 +83,3 @@ def product_closure(V: SpanBasis, tol_rank: float = realization.TOL_RANK) -> Spa
     prods = [funalg.multiply(vi, funalg.integrate_from_zero(vj))
              for vi in base for vj in base]
     return realization.span_basis(base + prods, tol_rank)
-
-
-def hjmm_realization_subspace(sigma: Sequence[QExpFunction],
-                              dim_cap: int = realization.DIM_CAP,
-                              tol_rank: float = realization.TOL_RANK) -> SpanBasis:
-    """Symbolic subspace guaranteed to carry the Wiener forward-curve
-    realization: the d/dx-invariant span of the volatilities, closed under
-    products with running integrals.  Contains every sigma^k and the
-    closed-form drift; the realization builder then verifies the clauses."""
-    closure = realization.invariant_span(operators.Translation(), sigma,
-                                         dim_cap=dim_cap, tol_rank=tol_rank)
-    if closure.status != "quasi_exponential":
-        raise NotQuasiExponential(
-            f"volatility span did not stabilize below dimension cap {dim_cap}")
-    return product_closure(closure.basis, tol_rank)

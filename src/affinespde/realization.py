@@ -1039,14 +1039,21 @@ def ensemble_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     """Monte Carlo over per-seed driver streams, constant coefficients only:
     yields the (len(seeds), dim) block of coordinates at every time of the
     uniform grid.  Path p is driven by the same increments as seed seeds[p].
-    Set-up checks and the increment sampling happen here."""
+    Set-up checks raise here; the increments are sampled at the first block,
+    so a caller can check before it writes anything."""
     dt = _uniform_dt(t_grid)
     _check_driver(real, spec.m)
     step = _constant_step(real, dt, scheme)
-    inc = levy.sample_increment_ensemble(spec, dt, len(t_grid) - 1, seeds)
-    y = np.tile(np.asarray(v0, dtype=float).reshape(1, real.dim),
-                (len(seeds), 1))
-    return _affine_rows(y, step, inc.transpose(1, 0, 2))
+
+    def rows():
+        inc = levy.sample_increment_ensemble(spec, dt, len(t_grid) - 1, seeds)
+        # no local name for the first block, so it is freed after one step
+        yield from _affine_rows(
+            np.tile(np.asarray(v0, dtype=float).reshape(1, real.dim),
+                    (len(seeds), 1)),
+            step, inc.transpose(1, 0, 2))
+
+    return rows()
 
 
 # ---------------------------------------------------------------------------

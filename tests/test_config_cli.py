@@ -257,3 +257,71 @@ def test_volatility_csv_is_a_config_error(tmp_path, capsys):
     assert cli.main(["analyze", "--config", str(cfg),
                      "--out", str(tmp_path / "a")]) == 2
     assert "volatility" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first_row", ["x,value", "0.0,abc"])
+def test_initial_curve_csv_with_a_text_field_is_a_config_error(
+        tmp_path, capsys, first_row):
+    with open(_fast_cable(tmp_path)) as fh:
+        raw = json.load(fh)
+    raw["initial_curve"] = {"csv": "h0.csv"}
+    x = np.linspace(0.0, np.pi, raw["space"]["n_x"])
+    body = "\n".join(f"{a!r},{b!r}" for a, b in zip(x, 0.6 * np.sin(x)))
+    (tmp_path / "h0.csv").write_text(first_row + "\n" + body + "\n")
+    cfg = tmp_path / "cable-h0.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as err:
+        cfgmod.build_runtime(raw, str(tmp_path))
+    assert "h0.csv" in str(err.value)
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 2
+    assert "initial curve file" in capsys.readouterr().err
+
+
+def test_ensemble_check_precedes_every_write(tmp_path, capsys):
+    # euler steps a state-dependent volatility on one path, but the ensemble
+    # kernel needs constant coefficients: --paths 2 must fail before any
+    # artifact is written
+    with open(_fast_cable(tmp_path)) as fh:
+        raw = json.load(fh)
+    raw["scheme"] = "euler"
+    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
+                                           "coeffs": [0.1]}
+    cfg = tmp_path / "cable-state.json"
+    cfg.write_text(json.dumps(raw))
+    one = tmp_path / "one"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(one)]) == 0
+    assert (one / "psi.csv").exists()
+    ens = tmp_path / "ens"
+    assert cli.main(["simulate", "--config", str(cfg), "--paths", "2",
+                     "--out", str(ens)]) == 4
+    assert "SchemeUnsupported" in capsys.readouterr().err
+    assert os.listdir(ens) == []
+
+
+def _readme_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| name | operator | driver | subspace mode |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_scenario_table_matches_the_files():
+    rows = _readme_table()
+    assert sorted(r[0].strip("`") for r in rows) == BUNDLED
+    for name, operator, driver, mode in rows:
+        raw = _load(name.strip("`"))
+        assert operator.split("`")[1] == raw["operator"]["kind"], name
+        assert mode.split("`")[1] == raw["subspace"]["mode"], name
+        comps = raw["driver"]["components"]
+        jumps = [c for c in comps if c.get("jump_intensity")]
+        assert ("jumps" in driver) == bool(jumps), name
+        assert ("atom" in driver) == any("atoms" in c for c in jumps), name
+        assert ("two-sided exp" in driver) == \
+            any("two_sided_exp" in c for c in jumps), name

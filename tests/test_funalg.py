@@ -81,7 +81,7 @@ def test_integral_is_antiderivative_with_zero_at_origin():
     for _ in range(25):
         f = random_qexp(rng)
         big_f = funalg.integrate_from_zero(f)
-        assert abs(funalg.value_at_zero(big_f)) < 1e-12
+        assert abs(funalg.evaluate(big_f, 0.0)) < 1e-12
         assert funalg.allclose(funalg.differentiate(big_f), f, tol=1e-10)
         # numeric cross-check of one endpoint via fine trapezoid; the
         # quadrature itself is only O(h^2) accurate, so scale the tolerance

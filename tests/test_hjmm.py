@@ -99,7 +99,8 @@ def test_product_closure_of_constants_adds_the_ramp():
 def test_realization_subspace_contains_sigma_and_drift():
     sigma = [funalg.parse_qexp("exp(-1*x)"),
              funalg.parse_qexp("0.5*exp(-0.5*x)*cos(1*x)")]
-    sub = hjmm.hjmm_realization_subspace(sigma)
+    sub = hjmm.product_closure(
+        rz.invariant_span(operators.Translation(), sigma).basis)
     drift = hjmm.hjm_drift_wiener(sigma)
     for member in list(sigma) + [drift]:
         joint = rz.span_basis(list(sub.functions) + [member])
