@@ -187,13 +187,11 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     psi, curve_meta = rz.psi_rows(real, rt.h0, t_grid)
     _u0, v0 = rz.split_initial(real, rt.h0)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-    coords = np.array(list(rz.coordinate_rows(real, t_grid, v0, inc,
-                                              scheme=rt.scheme)))
+    coords = np.array(list(rz.coordinate_rows(real, t_grid, v0, inc)))
     blocks = None
     if paths > 1:  # its set-up checks raise before the first write
         blocks = rz.ensemble_rows(real, t_grid, v0, rt.driver,
-                                  [seed + i for i in range(paths)],
-                                  scheme=rt.scheme)
+                                  [seed + i for i in range(paths)])
     axis = rt.space.axis()
 
     oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
@@ -295,14 +293,12 @@ def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
             raise MethodUnsupported("grid oracle needs a grid space")
         return oracle.spde_grid_rows(
             rt.op, rt.space.grid, _drift_for_oracle(rt, real),
-            _sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc,
-            theta=rt.verify.theta)
+            _sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc)
     if kind == "modal":
-        indices = list(rt.verify.oracle_modes) or (
-            list(rt.space.indices) if isinstance(rt.space, rz.ModalSpace)
-            else list(rt.modes))
+        indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
+                       else rt.modes)
         if not indices:
-            raise ConfigError("modal oracle needs oracle_modes")
+            raise ConfigError("modal oracle needs modes")
         gmax = max(abs(operators.generator_eigenvalue(rt.op, i)) for i in indices)
         if gmax * rt.horizon > 700.0:
             raise UnstableConfig(
@@ -352,7 +348,7 @@ def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
             operators.Translation(), rt.space.ray.grid,
             None if alpha_vec is None else by_ray(alpha_vec),
             [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
-            inc, theta=rt.verify.theta)
+            inc)
         return (r.T.ravel() for r in rows)
     raise MethodUnsupported(f"no oracle of kind {kind!r}")
 
@@ -385,8 +381,7 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         t_grid = rt_l.t_grid()
         psi, _meta = rz.psi_rows(real, rt_l.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt_l.h0)
-        coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl],
-                                    scheme=rt_l.scheme)
+        coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
         reference = _oracle_rows(rt_l, real, chain[lvl])
         basis = real.V.samples
         # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n)
@@ -544,9 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--paths", type=_at_least(1), default=1)
-    ps.add_argument("--jobs", type=_at_least(1), default=1,
-                    help="accepted for compatibility and ignored: the "
-                         "ensemble is one vectorized computation")
 
     pv = sub.add_parser("verify", help="compare against the independent solver")
     pv.add_argument("--config", required=True)
@@ -560,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--operator", required=True,
                     choices=["cable", "heat_disk", "hermite", "laguerre",
                              "term_structure_2"])
-    pe.add_argument("--count", type=int, default=5)
+    pe.add_argument("--count", type=_at_least(1), default=5)
     pe.add_argument("--tau", type=float, default=1.0)
     pe.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.0)
     pe.add_argument("--kappa", type=float, default=1.0)

@@ -2,7 +2,8 @@
 
 A scenario file fixes the generator, the driving noise, volatility and drift
 structure, the initial curve, the state-space discretization, the subspace
-plan, and the solver/verification settings.  Parsing is strict: anything
+plan, and the verification settings; the numerical methods follow from
+these.  Parsing is strict: anything
 outside the shipped schema or the per-operator index conventions raises
 ConfigError with the offending field.
 """
@@ -215,17 +216,6 @@ class VerifySettings:
     bound_rel_h0: float = 0.02
     ratio_bound: float = 0.7
     floor_rel: float = 1e-9
-    theta: float | None = None
-    oracle_modes: tuple = ()
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_rank: float = rz.TOL_RANK
-    tol_project: float = rz.TOL_PROJECT
-    drift_tol: float = 1e-8
-    truncation_bound: float = 1e-6
-    dim_cap: int = rz.DIM_CAP
 
 
 @dataclass(frozen=True)
@@ -245,12 +235,16 @@ class Runtime:
     seed: int
     subspace_mode: str            # explicit | volatility_invariant_span | hjm_product_closure
     subspace_basis: tuple
-    psi_method: str
-    scheme: str
     modes: tuple
-    tol: Tolerances
     verify: VerifySettings
     raw: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def scheme(self) -> str:
+        """The coordinate scheme the reduced model runs: euler exactly when
+        some volatility scales with the state, else the exact affine step."""
+        return ("euler" if any(isinstance(s, rz.StateVol) for s in self.sigma)
+                else "exp_exact")
 
     @property
     def dt(self) -> float:
@@ -320,22 +314,12 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         raise ConfigError(f"unknown subspace mode {sub_mode!r}")
 
     time_raw = raw["time"]
-    tol_raw = raw.get("tolerances", {})
-    tol = Tolerances(
-        tol_rank=float(tol_raw.get("tol_rank", rz.TOL_RANK)),
-        tol_project=float(tol_raw.get("tol_project", rz.TOL_PROJECT)),
-        drift_tol=float(tol_raw.get("drift_tol", 1e-8)),
-        truncation_bound=float(tol_raw.get("truncation_bound", 1e-6)),
-        dim_cap=int(tol_raw.get("dim_cap", rz.DIM_CAP)))
     ver_raw = raw.get("verify", {})
     verify = VerifySettings(
         oracle=ver_raw.get("oracle", "grid"),
         bound_rel_h0=float(ver_raw.get("bound_rel_h0", 0.02)),
         ratio_bound=float(ver_raw.get("ratio_bound", 0.7)),
-        floor_rel=float(ver_raw.get("floor_rel", 1e-9)),
-        theta=ver_raw.get("theta"),
-        oracle_modes=tuple(_parse_index(op, i)
-                           for i in ver_raw.get("oracle_modes", [])))
+        floor_rel=float(ver_raw.get("floor_rel", 1e-9)))
 
     modes = tuple(_parse_index(op, i) for i in raw.get("modes", []))
     return Runtime(
@@ -344,9 +328,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         space=space, horizon=float(time_raw["horizon"]),
         n_t=int(time_raw["n_t"]), seed=int(raw.get("seed", 0)),
         subspace_mode=sub_mode, subspace_basis=sub_basis,
-        psi_method=raw.get("psi_method", "spectral_truncation").lower(),
-        scheme=raw.get("scheme", "euler").lower(),
-        modes=modes, tol=tol, verify=verify, raw=raw)
+        modes=modes, verify=verify, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +355,7 @@ def volatility_closure(rt: Runtime) -> rz.ClosureResult:
         if not all(isinstance(b, QExpFunction) for b in bases):
             raise ConfigError("product closure needs quasi-exponential volatility")
         op = operators.Translation()
-    return rz.invariant_span(op, bases, dim_cap=rt.tol.dim_cap,
-                             tol_rank=rt.tol.tol_rank)
+    return rz.invariant_span(op, bases)
 
 
 def assemble_basis(rt: Runtime, closure: rz.ClosureResult | None = None) -> tuple:
@@ -388,9 +369,9 @@ def assemble_basis(rt: Runtime, closure: rz.ClosureResult | None = None) -> tupl
     if closure.status != "quasi_exponential":
         raise NotQuasiExponential(
             f"volatility span not detected as finite dimensional below "
-            f"cap {rt.tol.dim_cap} (dims {closure.dims})")
+            f"cap {rz.DIM_CAP} (dims {closure.dims})")
     if rt.subspace_mode == "hjm_product_closure":
-        return hjmm.product_closure(closure.basis, rt.tol.tol_rank).functions
+        return hjmm.product_closure(closure.basis).functions
     return closure.basis.functions
 
 
@@ -413,11 +394,6 @@ def build_scenario_realization(rt: Runtime, basis: tuple | None = None
     has assembled it already (it does not depend on the grid)."""
     if basis is None:
         basis = assemble_basis(rt)
-    V = rz.Subspace.build(basis, rt.space, tol_rank=rt.tol.tol_rank)
-    drift = assemble_drift(rt)
-    return rz.build_realization(
-        rt.op, drift, rt.sigma, V,
-        tol_project=rt.tol.tol_project, tol_rank=rt.tol.tol_rank,
-        drift_tol=rt.tol.drift_tol, psi_method=rt.psi_method,
-        mode_indices=rt.modes or None,
-        truncation_bound=rt.tol.truncation_bound)
+    V = rz.Subspace.build(basis, rt.space)
+    return rz.build_realization(rt.op, assemble_drift(rt), rt.sigma, V,
+                                mode_indices=rt.modes or None)

@@ -304,5 +304,7 @@ def write_increments_csv(inc: IncrementMatrix, path) -> None:
 
 def read_increments_csv(path, seed: int = 0) -> IncrementMatrix:
     _names, t, values = csvio.read_rows(path, "t")
+    if not len(t):
+        raise GridMismatch("no increment rows, dt undefined")
     dt = t[0] if len(t) == 1 else float(t[1] - t[0])
     return IncrementMatrix(dt=dt, values=values, seed=seed)

@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 import scipy.sparse
@@ -66,10 +66,6 @@ class Transport:
     def __post_init__(self):
         if self.geometry not in ("half_line", "mortality_wedge"):
             raise UnsupportedOperator(f"unknown transport geometry {self.geometry!r}")
-
-    @property
-    def velocity(self) -> tuple[float, ...]:
-        return (1.0,) if self.geometry == "half_line" else (1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -444,18 +440,24 @@ class EigenPair:
     eigenfunction: QExpFunction | SpectralFn
 
 
+def _multi_indices(level: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The d-tuples of non-negative integers summing to level, in decreasing
+    lexicographic order, generated one at a time."""
+    if d == 1:
+        yield (level,)
+        return
+    for first in range(level, -1, -1):
+        for rest in _multi_indices(level - first, d - 1):
+            yield (first, *rest)
+
+
 def _enumerate_indices(op: OperatorSpec, count: int) -> list:
     if isinstance(op, (Cable, TermStructure2)):
         return list(range(1, count + 1))
     if isinstance(op, (Hermite, Laguerre)):
-        out = []
-        level = 0
-        while len(out) < count:
-            combos = [beta for beta in itertools.product(range(level + 1), repeat=op.d)
-                      if sum(beta) == level]
-            out.extend(sorted(combos, reverse=True))
-            level += 1
-        return out[:count]
+        by_degree = itertools.chain.from_iterable(
+            _multi_indices(level, op.d) for level in itertools.count())
+        return list(itertools.islice(by_degree, count))
     if isinstance(op, HeatDisk):
         cap = count + 2
         ranked = sorted(
@@ -577,9 +579,3 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D,
     raise UnsupportedOperator(
         f"no 1-D grid stencil for {type(op).__name__}; use the spectral route")
 
-
-def apply_grid(op: OperatorSpec, values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise GridMismatch(f"values have shape {values.shape}, grid has {grid.n} points")
-    return operator_matrix(op, grid) @ values

@@ -9,7 +9,6 @@ evidence that the reduced model reproduces the weak solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -199,15 +198,6 @@ class PathMetrics:
     foliation: np.ndarray | None = None  # per-time leaf distance, if asked
 
 
-def _check_same_grids(a: GridPath, b: GridPath):
-    if a.values.shape != b.values.shape:
-        raise GridMismatch(f"paths of shape {a.values.shape} vs {b.values.shape}")
-    if not np.allclose(a.t_grid, b.t_grid, rtol=1e-9, atol=1e-12):
-        raise GridMismatch("paths sampled on different time grids")
-    if not np.allclose(a.x_grid, b.x_grid, rtol=1e-9, atol=1e-12):
-        raise GridMismatch("paths sampled on different spatial grids")
-
-
 def _leaf_distance(V: Subspace, state: np.ndarray, base: np.ndarray) -> float:
     """Distance of state from the affine leaf base + V: the norm of the
     component of state - base orthogonal to V in the working product."""
@@ -216,7 +206,9 @@ def _leaf_distance(V: Subspace, state: np.ndarray, base: np.ndarray) -> float:
 
 def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
                     leaf: Subspace | None = None) -> PathMetrics:
-    """compare_paths over two paths given one time at a time: steps yields
+    """Sup over time of the weighted-L2 spatial distance of two paths given
+    one time at a time, its relative version (normalized by the larger path
+    magnitude, hence symmetric), and the full per-time series.  steps yields
     (a_n, b_n) pairs, or (a_n, b_n, base_n) triples when leaf is given, and
     then the per-time distance of b_n from the leaf base_n + leaf is
     recorded as .foliation.  Only O(n_x + n_t) memory is held."""
@@ -244,43 +236,6 @@ def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
     sup = float(per_time.max(initial=0.0))
     return PathMetrics(sup, sup / max(scale, 1e-300), per_time, scale,
                        np.array(fol) if leaf is not None else None)
-
-
-def compare_paths(a: GridPath, b: GridPath,
-                  weights: np.ndarray | None = None) -> PathMetrics:
-    """Sup over time of the weighted-L2 spatial distance, its relative
-    version (normalized by the larger path magnitude, hence symmetric), and
-    the full per-time series."""
-    _check_same_grids(a, b)
-    return compare_streams(zip(a.values, b.values), weights)
-
-
-def tangency_residual(op: OperatorSpec, alpha, psi: GridPath, V: Subspace,
-                      t_samples: Sequence[int], h_samples: Sequence[np.ndarray],
-                      grid: Grid1D | None = None) -> float:
-    """Max over sampled interior times and states of the component of
-    A h + alpha(h) - dpsi/dt orthogonal to V: the leaf-tangency defect of the
-    drift field.  Time derivative by central differences, A by the natural
-    grid stencil (volatility plays no role here)."""
-    from .realization import GridSpace
-    if grid is None:
-        if not isinstance(V.space, GridSpace):
-            raise GridMismatch("tangency residual needs a grid space")
-        grid = V.space.grid
-    dt = float(psi.t_grid[1] - psi.t_grid[0])
-    alpha_f = _normalize_field(alpha, grid)
-    worst = 0.0
-    for ti in t_samples:
-        ti = int(ti)
-        if not 0 < ti < len(psi.t_grid) - 1:
-            raise GridMismatch(f"time index {ti} not interior")
-        dpsi = (psi.values[ti + 1] - psi.values[ti - 1]) / (2.0 * dt)
-        for h in h_samples:
-            h = np.asarray(h, dtype=float)
-            vec = operators.apply_grid(op, h, grid) + _field_at(alpha_f, h) - dpsi
-            resid = V.complement_residual(vec)
-            worst = max(worst, space_norm(V.space, resid))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .errors import (
     LinearSolveFailure,
     MethodUnsupported,
     NotInvariant,
-    NotQuasiExponential,
     SchemeUnsupported,
     SigmaEscapesV,
     TruncationTailTooLarge,
@@ -570,13 +569,15 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
                       V: Subspace, tol_project: float = TOL_PROJECT,
                       tol_rank: float = TOL_RANK, drift_tol: float = 1e-8,
                       probes: Sequence = (), directions: Sequence = (),
-                      psi_method: str = "spectral_truncation",
                       mode_indices: Sequence | None = None,
                       truncation_bound: float = 1e-6) -> Realization:
     """Run the three realization checks and assemble the reduced model.
 
     Raises NotInvariant / DriftConditionFails / SigmaEscapesV when the
-    corresponding clause fails; the clause report lands in .clauses."""
+    corresponding clause fails; the clause report lands in .clauses.  The
+    curve method follows from the generator and the space: shift_exact for
+    a transport generator, grid_implicit on a grid space without
+    mode_indices, spectral_truncation otherwise."""
     if V.dim and not all(_is_symbolic(b) for b in V.basis):
         raise DomainError("realization construction needs a symbolic basis")
 
@@ -655,6 +656,13 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
     correction_norm = 0.0
     if V.dim:
         correction_norm = semiinvariant_correction(op, V).operator_norm()
+
+    if isinstance(op, (operators.Translation, operators.Transport)):
+        psi_method = "shift_exact"
+    elif isinstance(V.space, GridSpace) and not mode_indices:
+        psi_method = "grid_implicit"
+    else:
+        psi_method = "spectral_truncation"
 
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
                        vols=tuple(vol_coords), drift=drift,
@@ -760,22 +768,21 @@ def _mode_amplitudes(op: OperatorSpec, indices, t_grid: np.ndarray,
 
 
 def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
-    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds in closed form.
+    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds.
 
-    The drift remainder a is read symbolic first, since only the closed form
-    has a finite d/dx-closure: with G its running integral, psi(t) =
-    (u0 + G)(. + t) - G, so each row is coefs[n] @ phi - G from
-    funalg.shift_family (per RayBundle part on a profile x ray space).  A
-    remainder known only as samples (grid spaces) is accumulated by the
-    trapezoid rule."""
+    Symbolic data shift in closed form.  The drift remainder a is read
+    symbolic first, since only the closed form has a finite d/dx-closure:
+    with G its running integral, psi(t) = (u0 + G)(. + t) - G, so each row
+    is coefs[n] @ phi - G from funalg.shift_family (per RayBundle part on a
+    profile x ray space).  Data known only as samples (grid spaces) shift by
+    _shift_interp: a sampled u0 row by row, a sampled remainder accumulated
+    by the trapezoid rule."""
     if not isinstance(real.op, (operators.Translation, operators.Transport)):
         raise MethodUnsupported("shift_exact needs a transport generator")
-    if not isinstance(u0, (QExpFunction, RayBundle)):
-        raise MethodUnsupported(
-            "shift_exact needs a symbolic initial curve; use grid_implicit")
     space = real.V.space
     u_sym, u_vec = real.drift.u_symbolic, real.drift.u_vector
-    family, g0 = u0, None
+    family, u0_vec = (u0, None) if _is_symbolic(u0) else (None, u0)
+    g0 = None
     if u_sym is not None:
         # int_0^t S_{t-s} a ds = G(. + t) - G with G the running integral
         if isinstance(u_sym, QExpFunction):
@@ -786,12 +793,15 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
         else:
             raise MethodUnsupported("symbolic drift remainder expected")
         g0 = space.sample(big_g)
-        family = u0 + big_g
-    elif u_vec is not None and not isinstance(space, GridSpace):
-        raise MethodUnsupported("sampled drift accumulation needs a grid space")
+        family = big_g if family is None else family + big_g
+    if ((u0_vec is not None or (g0 is None and u_vec is not None))
+            and not isinstance(space, GridSpace)):
+        raise MethodUnsupported("shifting sampled data needs a grid space")
     # u0 and G were sampled on this space already, so a bundle's labels are
     # profiles of a ProfileRaySpace and a plain function sits on a GridSpace
-    if isinstance(family, RayBundle):
+    if family is None:
+        blocks = []
+    elif isinstance(family, RayBundle):
         n = space.ray.size
         pos = {lbl: i for i, lbl in enumerate(space.profiles)}
         blocks = [(slice(pos[lbl] * n, (pos[lbl] + 1) * n),
@@ -803,11 +813,13 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
     def rows():
         acc = np.zeros(space.size)
         a_prev = None if u_vec is None else u_vec.copy()
-        x = space.grid.points() if g0 is None and u_vec is not None else None
+        x = space.grid.points() if isinstance(space, GridSpace) else None
         for i, t in enumerate(t_grid):
             row = np.zeros(space.size)
             for part, coefs, phi in blocks:
                 row[part] = coefs[i] @ phi
+            if u0_vec is not None:
+                row += _shift_interp(u0_vec, x, float(t))
             if g0 is not None:
                 row -= g0
             elif u_vec is not None:
@@ -954,23 +966,18 @@ def _constant_coefficients(real: Realization) -> bool:
             and all(v.scale_fn is None for v in real.vols))
 
 
-def _constant_step(real: Realization, dt: float, scheme: str):
-    """(E, c, S) of the constant-coefficient step y -> y @ E.T + c + dX @ S:
-    euler has E = I + dt B and c = dt a, exp_exact the exact affine update
-    E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
-    if scheme not in ("euler", "exp_exact"):
-        raise SchemeUnsupported(f"unknown scheme {scheme!r}")
+def _constant_step(real: Realization, dt: float):
+    """(E, c, S) of the exact affine step y -> y @ E.T + c + dX @ S for
+    constant coefficients: E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
     if not _constant_coefficients(real):
         raise SchemeUnsupported(
-            "ensemble stepping and exp_exact need constant drift coordinates "
-            "and additive noise; only single-path euler takes state-dependent "
+            "ensemble stepping needs constant drift coordinates and additive "
+            "noise; only a single euler path takes state-dependent "
             "coefficients")
     d = real.dim
     a_v = real.drift.coords_at(0.0, np.zeros(d))
     sig = (np.vstack([v.coords for v in real.vols])
            if real.vols else np.zeros((0, d)))
-    if scheme == "euler":
-        return np.eye(d) + dt * real.B, dt * a_v, sig
     e_mat, j_mat = _expm_with_integral(real.B, dt)
     return e_mat, j_mat @ a_v, sig
 
@@ -992,16 +999,14 @@ def _check_driver(real: Realization, m: int) -> None:
 
 
 def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                    increments: levy.IncrementMatrix,
-                    scheme: str = "euler") -> Iterator[np.ndarray]:
+                    increments: levy.IncrementMatrix) -> Iterator[np.ndarray]:
     """Integrate dY = (B Y + alpha_V(t, Y)) dt + sum_k sigma_V^k(Y_-) dX^k
     against the provided increments (noise enters at the left endpoint),
     yielding Y at every time of the uniform grid.  Set-up checks raise here.
 
-    euler: explicit first-order stepping, allows state-dependent
-    coefficients.  exp_exact: exponential integrator with the exact affine
-    update for constant coefficients; additive noise only.  Constant
-    coefficients step through the same kernel as ensemble_rows."""
+    Constant coefficients take the exact affine update through the same
+    kernel as ensemble_rows; state-dependent ones take explicit
+    first-order euler steps."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:
@@ -1014,8 +1019,8 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     v0 = np.asarray(v0, dtype=float).reshape(d)
     if real.drift.kind == "state" and real.drift.v_coords is None:
         raise MethodUnsupported("callable drift cannot drive the reduced simulation")
-    if scheme != "euler" or _constant_coefficients(real):
-        return _affine_rows(v0.copy(), _constant_step(real, dt, scheme),
+    if _constant_coefficients(real):
+        return _affine_rows(v0.copy(), _constant_step(real, dt),
                             increments.values)
 
     def rows():
@@ -1034,8 +1039,8 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
 
 
 def ensemble_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                  spec: levy.LevySpec, seeds: Sequence[int],
-                  scheme: str = "euler") -> Iterator[np.ndarray]:
+                  spec: levy.LevySpec, seeds: Sequence[int]
+                  ) -> Iterator[np.ndarray]:
     """Monte Carlo over per-seed driver streams, constant coefficients only:
     yields the (len(seeds), dim) block of coordinates at every time of the
     uniform grid.  Path p is driven by the same increments as seed seeds[p].
@@ -1043,7 +1048,7 @@ def ensemble_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     so a caller can check before it writes anything."""
     dt = _uniform_dt(t_grid)
     _check_driver(real, spec.m)
-    step = _constant_step(real, dt, scheme)
+    step = _constant_step(real, dt)
 
     def rows():
         inc = levy.sample_increment_ensemble(spec, dt, len(t_grid) - 1, seeds)

@@ -163,8 +163,7 @@ def test_criterion_3_certified_scenarios_round_trip():
         with pytest.raises(SigmaEscapesV):
             rz.build_realization(
                 rt.op, cfgmod.assemble_drift(rt), _perturbed_vols(name, rt),
-                real.V, psi_method=rt.psi_method,
-                mode_indices=rt.modes or None)
+                real.V, mode_indices=rt.modes or None)
 
 
 def test_criterion_4_reduced_model_matches_reference_solver(tmp_path):
@@ -200,11 +199,10 @@ def test_criterion_5_reconstruction_ignores_complement_choice():
         V = rz.Subspace.build(rt.subspace_basis, space)
         assert V.dim == 2
         real = rz.build_realization(rt.op, drift, list(rt.sigma), V,
-                                    psi_method=rt.psi_method,
                                     mode_indices=rt.modes or None)
         psi, _meta = rz.psi_rows(real, rt.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt.h0)
-        coords = rz.coordinate_rows(real, t_grid, v0, inc, rt.scheme)
+        coords = rz.coordinate_rows(real, t_grid, v0, inc)
         results.append(np.array([p + y @ V.samples
                                  for p, y in zip(psi, coords, strict=True)]))
         v0s.append(v0)
@@ -268,8 +266,7 @@ def test_criterion_8_reduced_model_moments():
                          weight=funalg.parse_qexp("exp(-0.1*x)"))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
     real = rz.build_realization(Translation(), rz.ConstantDrift(None),
-                                [Q.exponential(-1.0)], V,
-                                psi_method="shift_exact")
+                                [Q.exponential(-1.0)], V)
     assert np.allclose(real.B, [[-1.0]], atol=1e-12)
     assert np.allclose(real.vols[0].coords, [1.0], atol=1e-12)
 
@@ -277,7 +274,7 @@ def test_criterion_8_reduced_model_moments():
     t_grid = np.linspace(0.0, 1.0, n_t + 1)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     ens = list(rz.ensemble_rows(real, t_grid, np.zeros(1), spec,
-                                list(range(n_paths)), scheme="exp_exact"))
+                                list(range(n_paths))))
     for t in (0.5, 1.0):
         idx = int(round(t / dt))
         samples = ens[idx][:, 0]

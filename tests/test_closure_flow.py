@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinespde import cli, funalg
+from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import NotInvariant
 from affinespde.funalg import QExpFunction as Q
@@ -71,8 +72,7 @@ def test_psi_rows_match_per_time_shift_on_ray_bundles():
         ("base", funalg.parse_qexp("0.2*x*exp(-1*x) + 0.1*exp(-0.5*x)")),
         ("trend", funalg.parse_qexp("0.1*exp(-0.3*x)*cos(2*x)"))])
     real = rz.build_realization(Transport("mortality_wedge"),
-                                rz.ConstantDrift(drift), [], V,
-                                psi_method="shift_exact")
+                                rz.ConstantDrift(drift), [], V)
     assert isinstance(real.drift.u_symbolic, RayBundle)
     h0 = RayBundle.make([
         ("base", funalg.parse_qexp("0.7*exp(-0.3*x) + 0.3*x^2*exp(-0.8*x)")),
@@ -94,8 +94,7 @@ def test_psi_rows_match_per_time_shift_with_sampled_remainder():
                          weight=funalg.parse_qexp("exp(-0.1*x)"))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
     a = space.sample(funalg.parse_qexp("0.2*exp(-2*x) + 0.1*x*exp(-0.5*x)"))
-    real = rz.build_realization(Translation(), rz.ConstantDrift(a), [], V,
-                                psi_method="shift_exact")
+    real = rz.build_realization(Translation(), rz.ConstantDrift(a), [], V)
     assert real.drift.u_symbolic is None and real.drift.u_vector is not None
     h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x) + 0.1*x^3*exp(-2*x)")
     t_grid = np.linspace(0.0, 0.8, 41)
@@ -127,7 +126,7 @@ def test_verify_makes_no_symbolic_shift_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(funalg, "shift", counted)
     rt = cli._load_runtime("transport-1d")
-    assert rt.psi_method == "shift_exact"
+    assert cfgmod.build_scenario_realization(rt).psi_method == "shift_exact"
     assert cli.run_verify(rt, str(tmp_path), refine=1) == 0
     assert calls == []
 

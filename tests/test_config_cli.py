@@ -153,7 +153,7 @@ def test_cli_seed_override_changes_noise(tmp_path):
 def test_cli_ensemble_stats_shape(tmp_path):
     cfg = _fast_cable(tmp_path)
     out = tmp_path / "ens"
-    assert cli.main(["simulate", "--config", cfg, "--paths", "8", "--jobs", "2",
+    assert cli.main(["simulate", "--config", cfg, "--paths", "8",
                      "--out", str(out)]) == 0
     rows = (out / "ensemble_stats.csv").read_text().strip().splitlines()
     assert len(rows) == 52  # header + 51 time points
@@ -202,7 +202,7 @@ def test_cli_eigen_outputs_reparse(tmp_path):
     ["verify", "--config", "cable", "--refine", "-1"],
     ["simulate", "--config", "cable", "--paths", "-3"],
     ["simulate", "--config", "cable", "--paths", "0"],
-    ["simulate", "--config", "cable", "--jobs", "0"],
+    ["eigen", "--operator", "cable", "--count", "0"],
 ])
 def test_cli_rejects_bad_counts_with_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -223,12 +223,12 @@ def test_cli_verify_refine_0_checks_the_bound_only(tmp_path, capsys):
     assert len(report["levels"]) == 1
 
 
-def test_cli_jobs_is_ignored_and_cwd_independent(tmp_path, monkeypatch):
-    # a relative initial_curve.csv resolves against the scenario file for
-    # any --jobs, whatever the working directory
+def test_cli_results_are_cwd_independent(tmp_path, monkeypatch):
+    # a relative initial_curve.csv resolves against the scenario file,
+    # whatever the working directory
     with open(_fast_cable(tmp_path)) as fh:
         raw = json.load(fh)
-    raw["psi_method"] = "grid_implicit"
+    del raw["modes"]  # a grid space without modes runs grid_implicit
     raw["initial_curve"] = {"csv": "h0.csv"}
     scen = tmp_path / "scen"
     scen.mkdir()
@@ -237,14 +237,13 @@ def test_cli_jobs_is_ignored_and_cwd_independent(tmp_path, monkeypatch):
                delimiter=",")
     cfg = scen / "cable-csv.json"
     cfg.write_text(json.dumps(raw))
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    monkeypatch.chdir(elsewhere)
     stats = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    for cwd in ("elsewhere", "other"):
+        (tmp_path / cwd).mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        out = tmp_path / f"out-{cwd}"
         assert cli.main(["simulate", "--config", str(cfg), "--paths", "4",
-                         "--jobs", jobs, "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         stats.append((out / "ensemble_stats.csv").read_bytes())
     assert stats[0] == stats[1]
 
@@ -284,7 +283,6 @@ def test_ensemble_check_precedes_every_write(tmp_path, capsys):
     # artifact is written
     with open(_fast_cable(tmp_path)) as fh:
         raw = json.load(fh)
-    raw["scheme"] = "euler"
     raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
                                            "coeffs": [0.1]}
     cfg = tmp_path / "cable-state.json"
@@ -325,3 +323,62 @@ def test_readme_scenario_table_matches_the_files():
         assert ("atom" in driver) == any("atoms" in c for c in jumps), name
         assert ("two-sided exp" in driver) == \
             any("two_sided_exp" in c for c in jumps), name
+
+
+def _readme_config_bullets():
+    """The bullets of README's scenario configuration summary, each joined
+    into one line."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Scenario configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    bullets = []
+    for line in section.splitlines():
+        if line.startswith("- "):
+            bullets.append(line[2:])
+        elif line.startswith("  ") and bullets:
+            bullets[-1] += " " + line.strip()
+    return bullets
+
+
+def test_readme_configuration_summary_matches_the_schema():
+    schema = cfgmod._validator().schema["properties"]
+    bullets = _readme_config_bullets()
+    keys = [b.split("`")[1].split(".")[0] for b in bullets]
+    assert sorted(keys) == sorted(schema)
+    verify = bullets[keys.index("verify")]
+    named = set(verify.split("`")[1::2]) - {"verify"}
+    oracles = set(schema["verify"]["properties"]["oracle"]["enum"])
+    assert named - oracles == set(schema["verify"]["properties"])
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ((), "psi_method", "grid_implicit"),
+    ((), "scheme", "euler"),
+    ((), "tolerances", {"tol_rank": 1e-9}),
+    (("verify",), "theta", 0.5),
+    (("verify",), "oracle_modes", [1, 2, 3]),
+])
+def test_removed_scenario_keys_exit_2_naming_the_field(tmp_path, capsys,
+                                                       where, key, value):
+    raw = copy.deepcopy(_load("cable"))
+    target = raw
+    for part in where:
+        target = target[part]
+    target[key] = value
+    cfg = tmp_path / "cable-knob.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert f"config field {'/'.join(where) or '<root>'}" in err
+
+
+def test_simulate_jobs_is_an_unknown_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", "cable", "--jobs", "2",
+                  "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

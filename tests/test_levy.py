@@ -155,3 +155,6 @@ def test_malformed_increment_csv_raises_grid_mismatch(tmp_path):
     path.write_text("t,dX1\n0.25,1.0,2.0\n")
     with pytest.raises(GridMismatch):
         levy.read_increments_csv(str(path))
+    path.write_text("t,dX1\n")
+    with pytest.raises(GridMismatch, match="no increment rows"):
+        levy.read_increments_csv(str(path))

@@ -1,12 +1,14 @@
 """Operator catalog: special functions, eigen data, and exact/grid actions."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.special
 
-from affinespde import funalg, operators
+from affinespde import cli, funalg, operators
 from affinespde.errors import DomainError, UnsupportedOperator
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
@@ -182,7 +184,7 @@ def test_grid_action_converges_to_exact_action():
     for n in (101, 201):
         grid = Grid1D.from_interval(0.0, math.pi, n)
         x = grid.points()
-        approx = operators.apply_grid(op, funalg.evaluate(f, x), grid)
+        approx = operators.operator_matrix(op, grid) @ funalg.evaluate(f, x)
         err = np.max(np.abs(approx - funalg.evaluate(exact, x))[2:-2])
         errs.append(err)
     assert errs[1] < 0.3 * errs[0]  # second-order stencil
@@ -203,3 +205,30 @@ def test_index_canonicalization():
         operators._canonical_index(Cable(), 0)
     with pytest.raises(DomainError):
         operators._canonical_index(HeatDisk(1.0), (0, 1, "sin"))  # sin needs p >= 1
+
+
+@pytest.mark.parametrize("family", [Hermite, Laguerre])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multi_index_catalog_order_is_the_sorted_product_order(family, d):
+    # the order eigen.csv has always listed: per total degree, every d-tuple
+    # of that degree from the full product, sorted in reverse
+    count = 40
+    expect = []
+    level = 0
+    while len(expect) < count:
+        combos = [beta for beta in itertools.product(range(level + 1), repeat=d)
+                  if sum(beta) == level]
+        expect.extend(sorted(combos, reverse=True))
+        level += 1
+    pairs = operators.eigenpairs(family(d), count)
+    assert [p.index for p in pairs] == expect[:count]
+
+
+def test_eigen_catalog_in_40_dimensions_takes_under_a_second(tmp_path):
+    start = time.perf_counter()
+    assert cli.main(["eigen", "--operator", "hermite", "--d", "40",
+                     "--count", "5", "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = (tmp_path / "eigen.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows[:2]] == ["-".join(["0"] * 40),
+                                                   "-".join(["1"] + ["0"] * 39)]

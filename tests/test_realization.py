@@ -26,9 +26,9 @@ def _psi(real, h0, t_grid):
     return np.array(list(rows))
 
 
-def _coords(real, t_grid, v0, inc, scheme="euler"):
+def _coords(real, t_grid, v0, inc):
     """The rows of coordinate_rows, one per time."""
-    return np.array(list(rz.coordinate_rows(real, t_grid, v0, inc, scheme)))
+    return np.array(list(rz.coordinate_rows(real, t_grid, v0, inc)))
 
 
 def test_invariant_span_dimensions():
@@ -167,7 +167,7 @@ def _cable_realization(h0_text="0.6*sin(1*x) + 0.25*sin(3*x)",
     V = rz.Subspace.build([Q.trig("sin", 1.0), Q.trig("sin", 2.0)], CABLE_SPACE)
     real = rz.build_realization(
         Cable(), rz.ConstantDrift(drift), list(vols), V,
-        psi_method="spectral_truncation", mode_indices=modes)
+        mode_indices=modes)
     return real, funalg.parse_qexp(h0_text)
 
 
@@ -198,8 +198,7 @@ def test_solve_psi_truncation_guard():
 def test_solve_psi_shift_exact_against_direct_evaluation():
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
     drift = funalg.parse_qexp("0.2*exp(-2*x)")
-    real = rz.build_realization(Translation(), rz.ConstantDrift(drift), [], V,
-                                psi_method="shift_exact")
+    real = rz.build_realization(Translation(), rz.ConstantDrift(drift), [], V)
     h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x)")
     t_grid = np.linspace(0.0, 0.8, 33)
     psi = _psi(real, h0, t_grid)
@@ -221,11 +220,11 @@ def test_solve_psi_shift_exact_against_direct_evaluation():
         assert np.max(np.abs(psi[i] - expect)) < 1e-11
 
 
-def _ou_realization():
+def _ou_realization(vol=Q.exponential(-1.0)):
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
     return rz.build_realization(
         Translation(), rz.ConstantDrift(Q.exponential(-1.0) * 0.3),
-        [Q.exponential(-1.0)], V, psi_method="shift_exact")
+        [vol], V)
 
 
 def test_exp_exact_matches_affine_closed_form():
@@ -233,7 +232,7 @@ def test_exp_exact_matches_affine_closed_form():
     t_grid = np.linspace(0.0, 2.0, 201)
     dt = t_grid[1] - t_grid[0]
     zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)), seed=0)
-    coords = _coords(real, t_grid, np.array([1.0]), zeros, scheme="exp_exact")
+    coords = _coords(real, t_grid, np.array([1.0]), zeros)
     a = 0.3
     exact = np.exp(-t_grid) * 1.0 + a * (1.0 - np.exp(-t_grid))
     assert np.max(np.abs(coords[:, 0] - exact)) < 1e-12
@@ -241,13 +240,15 @@ def test_exp_exact_matches_affine_closed_form():
 
 def test_euler_first_order_toward_exact_update():
     real = _ou_realization()
+    # a state-scaled volatility, of constant scale here, takes the euler loop
+    euler = _ou_realization(rz.StateVol(Q.exponential(-1.0), lambda y: 1.0))
     errs = []
     for n_t in (100, 200):
         t_grid = np.linspace(0.0, 1.0, n_t + 1)
         dt = t_grid[1] - t_grid[0]
         zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)), seed=0)
-        eu = _coords(real, t_grid, np.array([1.0]), zeros, "euler")
-        ex = _coords(real, t_grid, np.array([1.0]), zeros, "exp_exact")
+        eu = _coords(euler, t_grid, np.array([1.0]), zeros)
+        ex = _coords(real, t_grid, np.array([1.0]), zeros)
         errs.append(np.max(np.abs(eu - ex)))
     assert errs[1] < 0.6 * errs[0]
 
@@ -272,26 +273,24 @@ def test_ensemble_matches_per_seed_paths():
     dt = t_grid[1] - t_grid[0]
     spec = levy.make_levy_spec([{"brownian_vol": 0.4}])
     seeds = [5, 6, 7]
-    for scheme in ("euler", "exp_exact"):
-        # (paths, times, d) from the per-time (paths, d) blocks
-        ens = np.stack(list(rz.ensemble_rows(real, t_grid, np.array([1.0]),
-                                             spec, seeds, scheme=scheme)),
-                       axis=1)
-        for p, seed in enumerate(seeds):
-            inc = levy.sample_increments(spec, dt, 25, seed)
-            one = _coords(real, t_grid, np.array([1.0]), inc, scheme=scheme)
-            assert np.array_equal(ens[p], one)
+    # (paths, times, d) from the per-time (paths, d) blocks
+    ens = np.stack(list(rz.ensemble_rows(real, t_grid, np.array([1.0]),
+                                         spec, seeds)),
+                   axis=1)
+    for p, seed in enumerate(seeds):
+        inc = levy.sample_increments(spec, dt, 25, seed)
+        one = _coords(real, t_grid, np.array([1.0]), inc)
+        assert np.array_equal(ens[p], one)
 
 
 def test_state_vol_needs_euler():
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
     vol = rz.StateVol(Q.exponential(-1.0), lambda y: 1.0 + 0.5 * float(y[0]) ** 2)
-    real = rz.build_realization(Translation(), rz.ConstantDrift(None), [vol], V,
-                                psi_method="shift_exact")
+    real = rz.build_realization(Translation(), rz.ConstantDrift(None), [vol], V)
     t_grid = np.linspace(0.0, 0.2, 21)
-    inc = levy.sample_increments(levy.make_levy_spec([{"brownian_vol": 1.0}]),
-                                 t_grid[1] - t_grid[0], 20, 9)
-    coords = _coords(real, t_grid, np.array([0.5]), inc, "euler")
+    spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
+    inc = levy.sample_increments(spec, t_grid[1] - t_grid[0], 20, 9)
+    coords = _coords(real, t_grid, np.array([0.5]), inc)
     assert coords.shape == (21, 1)
     with pytest.raises(SchemeUnsupported):
-        rz.coordinate_rows(real, t_grid, np.array([0.5]), inc, "exp_exact")
+        rz.ensemble_rows(real, t_grid, np.array([0.5]), spec, [9])

@@ -47,8 +47,7 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
     real = cfgmod.build_scenario_realization(rt)
     _u0, v0 = rz.split_initial(real, rt.h0)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, 11)
-    got = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc,
-                                           scheme="exp_exact")))
+    got = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
 
     # reference: the per-path recursion y <- E y + J a + dX S
     e_mat, j_mat = rz._expm_with_integral(real.B, rt.dt)
@@ -71,7 +70,7 @@ def test_streamed_ensemble_stats_equal_whole_array_reductions(tmp_path):
     real = cfgmod.build_scenario_realization(rt)
     _u0, v0 = rz.split_initial(real, rt.h0)
     blocks = rz.ensemble_rows(real, rt.t_grid(), v0, rt.driver,
-                              list(range(11, 11 + paths)), scheme=rt.scheme)
+                              list(range(11, 11 + paths)))
     coords = np.stack(list(blocks), axis=1)  # (paths, times, d)
     d = real.dim
     assert np.array_equal(t, rt.t_grid())
@@ -84,15 +83,14 @@ def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
     vols = [Q.exponential(-1.0)]
     real = rz.build_realization(Translation(), rz.ConstantDrift(None),
-                                vols * 2, V, psi_method="shift_exact")
+                                vols * 2, V)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     t_grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
-        rz.ensemble_rows(real, t_grid, np.zeros(1), spec, [1, 2, 3],
-                         scheme="exp_exact")
+        rz.ensemble_rows(real, t_grid, np.zeros(1), spec, [1, 2, 3])
     inc = levy.sample_increments(spec, 0.1, 10, 1)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
-        rz.coordinate_rows(real, t_grid, np.zeros(1), inc, scheme="exp_exact")
+        rz.coordinate_rows(real, t_grid, np.zeros(1), inc)
 
 
 def test_run_simulate_holds_no_full_curve(tmp_path):

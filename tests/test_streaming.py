@@ -44,8 +44,8 @@ def _materialised_oracle(rt, real, inc):
     if kind == "grid":
         return GridPath(t_grid, rt.space.axis(), _collect(oracle.spde_grid_rows(
             rt.op, rt.space.grid, cli._drift_for_oracle(rt, real),
-            cli._sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc,
-            theta=rt.verify.theta)), inc.seed)
+            cli._sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc)),
+            inc.seed)
     if kind == "ray_grid":
         n = rt.space.ray.size
         alpha = cli._drift_for_oracle(rt, real)
@@ -57,10 +57,11 @@ def _materialised_oracle(rt, real, inc):
             blocks.append(_collect(oracle.spde_grid_rows(
                 operators.Translation(), rt.space.ray.grid,
                 None if alpha is None else alpha[sl], [s[sl] for s in sigma],
-                h0[sl], inc, theta=rt.verify.theta)))
+                h0[sl], inc)))
         return GridPath(t_grid, rt.space.axis(), np.hstack(blocks), inc.seed)
     assert kind == "modal"
-    indices = list(rt.verify.oracle_modes) or list(rt.space.indices)
+    indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
+                   else rt.modes)
     alpha = None
     if rt.drift_element is not None:
         alpha = cli._exact_mode_amplitudes(rt, indices, rt.drift_element)
@@ -94,10 +95,11 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x):
     t_grid = rt.t_grid()
     psi = _collect(rz.psi_rows(real, rt.h0, t_grid)[0])
     _u0, v0 = rz.split_initial(real, rt.h0)
-    coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc, rt.scheme))
+    coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc))
     rec = GridPath(t_grid, rt.space.axis(), psi + coords @ real.V.samples)
     ref = _materialised_oracle(rt, real, inc)
-    whole = oracle.compare_paths(rec, ref, rt.space.weights())
+    whole = oracle.compare_streams(zip(rec.values, ref.values),
+                                   rt.space.weights())
     fol = _leaf_distances(ref.values, psi, real.V)
 
     # within 1e-12 of the path magnitude: the modal oracles are exact, so
@@ -120,7 +122,7 @@ def test_compare_streams_equals_compare_paths_and_foliation():
     base = rng.standard_normal((6, 9))
     w = space.weights()
     streamed = oracle.compare_streams(zip(a.values, b.values, base), w, leaf=V)
-    whole = oracle.compare_paths(a, b, w)
+    whole = oracle.compare_streams(zip(a.values, b.values), w)
     assert streamed.sup_error == whole.sup_error
     assert streamed.scale == whole.scale
     assert np.array_equal(streamed.per_time, whole.per_time)
