@@ -558,8 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kappa", type=float, default=1.0)
     pe.add_argument("--a", type=float, default=1.0)
     pe.add_argument("--d", type=int, default=1)
-    pe.add_argument("--p-max", dest="p_max", type=int, default=2)
-    pe.add_argument("--q-max", dest="q_max", type=int, default=3)
+    pe.add_argument("--p-max", dest="p_max", type=_at_least(0), default=2)
+    pe.add_argument("--q-max", dest="q_max", type=_at_least(1), default=3)
     pe.add_argument("--out", default=None)
     return parser
 

@@ -246,43 +246,66 @@ class IncrementMatrix:
         return self.values.shape[1]
 
 
+def _stream_key(seed: int, component: int) -> int:
+    return (int(seed) % 2 ** 64) * 2 ** 64 + int(component)
+
+
 def component_stream(seed: int, component: int) -> np.random.Generator:
     """The documented stream layout: Philox keyed by (seed, component)."""
-    key = (int(seed) % 2 ** 64) * 2 ** 64 + int(component)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, component)))
+
+
+def _check_steps(dt: float, n_steps: int) -> None:
+    if dt <= 0 or n_steps < 1:
+        raise ConfigError(f"need dt > 0 and n_steps >= 1, got {dt}, {n_steps}")
+
+
+def _component_increments(comp: LevyComponent, gen: np.random.Generator,
+                           dt: float, n_steps: int) -> np.ndarray:
+    col = np.zeros(n_steps)
+    if comp.brownian_vol:
+        col += comp.brownian_vol * math.sqrt(dt) * gen.standard_normal(n_steps)
+    if comp.jump_intensity and comp.jump_law is not None:
+        counts = gen.poisson(comp.jump_intensity * dt, n_steps)
+        total = int(counts.sum())
+        if total:
+            sizes = comp.jump_law.sample(gen, total)
+            sums = np.zeros(n_steps)
+            np.add.at(sums, np.repeat(np.arange(n_steps), counts), sizes)
+            col += sums
+        col -= comp.compensation_rate * dt
+    return col
 
 
 def sample_increments(spec: LevySpec, dt: float, n_steps: int, seed: int) -> IncrementMatrix:
     """Exact compensated increments over n_steps steps of length dt."""
-    if dt <= 0 or n_steps < 1:
-        raise ConfigError(f"need dt > 0 and n_steps >= 1, got {dt}, {n_steps}")
+    _check_steps(dt, n_steps)
     values = np.zeros((n_steps, spec.m))
-    sqdt = math.sqrt(dt)
     for k, comp in enumerate(spec.components):
-        gen = component_stream(seed, k)
-        col = np.zeros(n_steps)
-        if comp.brownian_vol:
-            col += comp.brownian_vol * sqdt * gen.standard_normal(n_steps)
-        if comp.jump_intensity and comp.jump_law is not None:
-            counts = gen.poisson(comp.jump_intensity * dt, n_steps)
-            total = int(counts.sum())
-            if total:
-                sizes = comp.jump_law.sample(gen, total)
-                sums = np.zeros(n_steps)
-                np.add.at(sums, np.repeat(np.arange(n_steps), counts), sizes)
-                col += sums
-            col -= comp.compensation_rate * dt
-        values[:, k] = col
+        values[:, k] = _component_increments(comp, component_stream(seed, k),
+                                             dt, n_steps)
     return IncrementMatrix(dt=dt, values=values, seed=int(seed))
 
 
 def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
                               seeds: Sequence[int]) -> np.ndarray:
     """Stack sample_increments over seeds: shape (n_paths, n_steps, m).
-    Path p reproduces sample_increments(spec, dt, n_steps, seeds[p]) exactly."""
+    Path p reproduces sample_increments(spec, dt, n_steps, seeds[p]) exactly:
+    one Philox serves every path, and each (seed, component) resets its
+    state to that stream's key with a zero counter and an empty buffer."""
+    _check_steps(dt, n_steps)
+    gen = component_stream(0, 0)
     out = np.zeros((len(seeds), n_steps, spec.m))
     for p, seed in enumerate(seeds):
-        out[p] = sample_increments(spec, dt, n_steps, seed).values
+        for k, comp in enumerate(spec.components):
+            key = _stream_key(seed, k)
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, np.uint64),
+                          "key": np.array([key % 2 ** 64, key // 2 ** 64], np.uint64)},
+                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+            out[p, :, k] = _component_increments(comp, gen, dt, n_steps)
     return out
 
 

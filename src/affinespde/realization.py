@@ -289,25 +289,73 @@ def span_basis(funcs: Sequence, tol_rank: float = TOL_RANK) -> SpanBasis:
     return SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv], keys)
 
 
-def _resynthesize(span: SpanBasis) -> SpanBasis:
-    """Re-express a quasi-exponential span through coefficient-orthonormal
-    combinations.  Repeated derivative sweeps accumulate badly scaled
-    functions; the recombined rows keep rank decisions on the same span well
-    conditioned downstream."""
-    if span.dim == 0 or not all(isinstance(f, QExpFunction) for f in span.functions):
-        return span
-    q, _ = np.linalg.qr(span.coefficient_matrix.T)
-    rows = np.ascontiguousarray(q.T[:span.dim])
-    for row in rows:
+def _synthesize(row: np.ndarray, keys: tuple) -> QExpFunction:
+    return QExpFunction.from_terms(
+        (c, k[0], k[1], k[2], k[3]) for c, k in zip(row, keys) if abs(c) > 1e-14)
+
+
+def _orthonormal_rows(kept: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """`count` orthonormal coefficient rows spanning the part of span(rows)
+    orthogonal to the orthonormal rows `kept`, each signed so that its
+    largest entry is positive.  With nothing kept this is the QR of `rows`."""
+    scale = np.linalg.norm(rows, axis=1, keepdims=True)
+    for _ in range(2):  # twice is enough against cancellation
+        rows = rows - (rows @ kept.T) @ kept
+    _q, _r, piv = scipy.linalg.qr((rows / scale).T, mode="economic", pivoting=True)
+    q, _ = np.linalg.qr(rows[np.sort(piv[:count])].T)
+    out = np.ascontiguousarray(q.T[:count])
+    for row in out:
         lead = np.argmax(np.abs(row))
         if row[lead] < 0.0:
             row *= -1.0
-    funcs = []
-    for row in rows:
-        funcs.append(QExpFunction.from_terms(
-            (c, k[0], k[1], k[2], k[3])
-            for c, k in zip(row, span.keys) if abs(c) > 1e-14))
-    return SpanBasis(tuple(funcs), span.dim, rows, span.keys)
+    return out
+
+
+def _resynthesize(span: SpanBasis) -> SpanBasis:
+    """Re-express a quasi-exponential span through coefficient-orthonormal
+    combinations, which keep rank decisions on the same span well
+    conditioned downstream.  `invariant_span` calls it once, on the span it
+    returns."""
+    if span.dim == 0 or not all(isinstance(f, QExpFunction) for f in span.functions):
+        return span
+    rows = _orthonormal_rows(np.zeros((0, len(span.keys))),
+                             span.coefficient_matrix, span.dim)
+    return SpanBasis(tuple(_synthesize(row, span.keys) for row in rows),
+                     span.dim, rows, span.keys)
+
+
+class _CoefficientTable:
+    """Coefficient rows of quasi-exponential functions over a key list that
+    grows as new keys arrive, so a sweep reads each function once.  A key
+    whose rate and frequency lie within KEY_TOL of a known key's takes that
+    key's column, as keys merge within funalg.coefficient_matrix."""
+
+    def __init__(self, keys: tuple):
+        self.keys = list(keys)
+        self._index = {k: i for i, k in enumerate(self.keys)}
+
+    def _col(self, key: tuple) -> int:
+        col = self._index.get(key)
+        if col is None:
+            j, mu, nu, kind = key
+            col = next((i for i, (kj, kmu, knu, kk) in enumerate(self.keys)
+                        if kj == j and kk == kind and abs(kmu - mu) <= funalg.KEY_TOL
+                        and abs(knu - nu) <= funalg.KEY_TOL), len(self.keys))
+            if col == len(self.keys):
+                self.keys.append(key)
+            self._index[key] = col
+        return col
+
+    def rows(self, funcs: Sequence[QExpFunction]) -> np.ndarray:
+        mat, keys = funalg.coefficient_matrix(funcs)
+        cols = [self._col(k) for k in keys]
+        out = np.zeros((len(funcs), len(self.keys)))
+        np.add.at(out, (slice(None), cols), mat[:, :len(cols)])
+        return out
+
+    def widen(self, mat: np.ndarray) -> np.ndarray:
+        """`mat` padded with zero columns for the keys added since."""
+        return np.pad(mat, ((0, 0), (0, len(self.keys) - mat.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -320,26 +368,60 @@ class ClosureResult:
 
 def invariant_span(op: OperatorSpec, generators: Sequence, dim_cap: int = DIM_CAP,
                    tol_rank: float = TOL_RANK) -> ClosureResult:
-    """Smallest A-invariant span containing the generators, by sweeping
-    span <- span + A(span) until the dimension stabilizes or exceeds the cap.
+    """Smallest A-invariant span containing the generators, as a Krylov
+    sweep: span <- span + A(frontier), where the frontier holds the
+    directions the previous iteration added (the generators at first), until
+    the dimension stabilizes or exceeds the cap.  Each iteration decides the
+    rank of the current span plus the frontier images.
+
+    A quasi-exponential span is kept as coefficient-orthonormal functions
+    with its coefficient matrix carried across iterations: the first growth
+    orthonormalises the whole span, each later one only the new directions,
+    so A and `from_terms` run once per direction.  Applying A to raw images
+    instead loses directions to round-off.  Other spans keep the input
+    functions and their images, as their returned basis does.
 
     A stabilized sweep certifies quasi-exponential volatility; blowing
     through the cap reports not_detected (the closure may be infinite
     dimensional or merely larger than the cap)."""
     current = span_basis(generators, tol_rank)
+    qexp = current.dim > 0 and all(isinstance(f, QExpFunction)
+                                   for f in current.functions)
+    table = _CoefficientTable(current.keys) if qexp else None
+    n_ortho = 0  # leading functions of current that are orthonormal rows
+    frontier = current.functions
     dims = [current.dim]
     iterations = 0
     while True:
         iterations += 1
-        images = [operators.apply_exact(op, f) for f in current.functions]
-        combined = span_basis(list(current.functions) + images, tol_rank)
+        images = [operators.apply_exact(op, f) for f in frontier]
+        if qexp:
+            img_rows = table.rows(images)  # may add keys, so read it first
+            mat = np.vstack([table.widen(current.coefficient_matrix), img_rows])
+            rank, piv = funalg.rank_and_pivots(mat, tol_rank)
+            funcs = current.functions + tuple(images)
+            combined = SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv],
+                                 tuple(table.keys))
+        else:
+            combined = span_basis(list(current.functions) + images, tol_rank)
         dims.append(combined.dim)
         if combined.dim == current.dim:
             return ClosureResult("quasi_exponential", _resynthesize(combined),
                                  iterations, tuple(dims))
         if combined.dim > dim_cap:
             return ClosureResult("not_detected", combined, iterations, tuple(dims))
-        current = _resynthesize(combined)
+        if qexp:
+            kept = mat[:n_ortho]
+            rows = _orthonormal_rows(kept, combined.coefficient_matrix,
+                                     combined.dim - n_ortho)
+            frontier = tuple(_synthesize(row, combined.keys) for row in rows)
+            current = SpanBasis(current.functions[:n_ortho] + frontier, combined.dim,
+                                np.vstack([kept, table.rows(frontier)]), combined.keys)
+            n_ortho = combined.dim
+        else:
+            frontier = tuple(f for f in combined.functions
+                             if not any(f is g for g in current.functions))
+            current = combined
 
 
 @dataclass(frozen=True)
@@ -700,8 +782,13 @@ def _uniform_dt(t_grid: np.ndarray) -> float:
 
 def _shift_interp(vec: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     """Samples of h(. + s) from samples of h, zero beyond the right edge
-    (truncation assumes decay)."""
-    return np.interp(x + s, x, vec, right=0.0)
+    (truncation assumes decay).  A query that rounds at most a few ulps past
+    the last node is that node: x + s for the node x_max - s can land one
+    ulp beyond x_max."""
+    q = x + s
+    edge = x[-1]
+    q[(q > edge) & (q - edge <= 4 * np.spacing(edge))] = edge
+    return np.interp(q, x, vec, right=0.0)
 
 
 def _modal_split_symbolic(op: OperatorSpec, f: QExpFunction, indices):

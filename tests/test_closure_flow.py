@@ -108,7 +108,10 @@ def test_psi_rows_match_per_time_shift_with_sampled_remainder():
         a_prev = u_vec
         for n, t in enumerate(t_grid):
             if n:
-                a_cur = np.interp(x + t, x, u_vec, right=0.0)
+                # a shift onto x_max, up to rounding, reads the last sample
+                q = x + t
+                q[np.isclose(q, x[-1], rtol=0.0, atol=1e-12)] = x[-1]
+                a_cur = np.interp(q, x, u_vec, right=0.0)
                 acc = acc + 0.5 * dt * (a_prev + a_cur)
                 a_prev = a_cur
             yield space.sample(funalg.shift(u0, float(t))) + acc

@@ -203,6 +203,8 @@ def test_cli_eigen_outputs_reparse(tmp_path):
     ["simulate", "--config", "cable", "--paths", "-3"],
     ["simulate", "--config", "cable", "--paths", "0"],
     ["eigen", "--operator", "cable", "--count", "0"],
+    ["eigen", "--operator", "heat_disk", "--q-max", "0"],
+    ["eigen", "--operator", "heat_disk", "--p-max", "-1"],
 ])
 def test_cli_rejects_bad_counts_with_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -122,12 +122,18 @@ def test_brownian_variance_scales_with_dt():
 
 
 def test_ensemble_reproduces_per_seed_paths():
-    spec = tse_spec()
-    seeds = [3, 9, 27]
-    ens = levy.sample_increment_ensemble(spec, 0.1, 25, seeds)
-    for p, seed in enumerate(seeds):
-        single = levy.sample_increments(spec, 0.1, 25, seed)
-        assert np.array_equal(ens[p], single.values)
+    # the ensemble re-keys one generator per (seed, component); each path
+    # must still be the fresh per-seed stream, bit for bit, whatever the
+    # previous path left in the generator's counter and buffer
+    seeds = [3, 9, 27, 0, 2 ** 64 + 9]
+    b, a, t = (s.components[0] for s in (brownian(0.7), atoms_spec(), tse_spec()))
+    for components in ([b], [a], [t], [b, a], [t, b, a]):
+        spec = levy.make_levy_spec(components)
+        ens = levy.sample_increment_ensemble(spec, 0.1, 25, seeds)
+        assert ens.shape == (len(seeds), 25, len(components))
+        for p, seed in enumerate(seeds):
+            single = levy.sample_increments(spec, 0.1, 25, seed)
+            assert ens[p].tobytes() == single.values.tobytes()
 
 
 def test_aggregation_sums_consecutive_steps():
