@@ -9,6 +9,7 @@ then ./affinespde-out/<name>.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -176,10 +177,41 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, d: int,
     csvio.write_rows(path, ",".join(head), t_grid, rows())
 
 
+@contextlib.contextmanager
+def _alongside(write):
+    """Run write() in a forked child while the with-block runs, then reap
+    the child, also when the block raises; a child that failed raises
+    AffineSpdeError.  Without os.fork, write() runs inline first."""
+    if not hasattr(os, "fork"):
+        write()
+        yield
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:  # never return into the caller's stack: leave via _exit
+        code = 1
+        try:
+            write()
+            code = 0
+        except BaseException as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        how = f"signal {-status}" if status < 0 else f"status {status}"
+        raise AffineSpdeError(f"forked writer ended with {how}")
+
+
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                  paths: int = 1) -> int:
     """Stream psi, Y and r = psi + Y . V into their files one time at a
-    time; only Y (n_t+1 x d) is held whole."""
+    time; only Y (n_t+1 x d) is held whole.  r.csv is written by a forked
+    child at the same time as the parent writes the other files."""
     os.makedirs(out_dir, exist_ok=True)
     seed = rt.seed if seed is None else seed
     real = cfgmod.build_scenario_realization(rt)
@@ -194,17 +226,19 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                                   [seed + i for i in range(paths)])
     axis = rt.space.axis()
 
-    oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
-    oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
-    # psi again for r: a few ms per scenario, simpler than one writer
-    # filling two files
-    psi, _meta = rz.psi_rows(real, rt.h0, t_grid)
-    basis = real.V.samples
-    r_rows = (p + y @ basis for p, y in zip(psi, coords, strict=True))
-    oracle.write_grid_path(r_rows, os.path.join(out_dir, "r.csv"), t_grid, axis)
-    levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
-    _write_json(os.path.join(out_dir, "realization.json"),
-                _realization_report(rt, real, v0, curve_meta, seed))
+    def write_r():
+        # its own psi stream: inline, this runs before psi.csv is written
+        psi_r, _meta = rz.psi_rows(real, rt.h0, t_grid)
+        basis = real.V.samples
+        r_rows = (p + y @ basis for p, y in zip(psi_r, coords, strict=True))
+        oracle.write_grid_path(r_rows, os.path.join(out_dir, "r.csv"), t_grid, axis)
+
+    with _alongside(write_r):
+        oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
+        oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
+        levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
+        _write_json(os.path.join(out_dir, "realization.json"),
+                    _realization_report(rt, real, v0, curve_meta, seed))
 
     if blocks is not None:
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),

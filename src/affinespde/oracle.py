@@ -116,7 +116,9 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
 
     a_mat = operators.operator_matrix(op, grid, boundary="pinned").tocsc()
     eye = scipy.sparse.identity(grid.n, format="csc")
-    rhs_mat = (eye + (1.0 - theta) * dt * a_mat).tocsr()
+    rhs_mat = None  # the identity at theta = 1: skip its mat-vec
+    if theta < 1.0:
+        rhs_mat = (eye + (1.0 - theta) * dt * a_mat).tocsr()
     solver = None
     if theta > 0.0:
         try:
@@ -130,9 +132,11 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
         pin_vals = h0_vec[pins_arr]
         yield r
         for n in range(increments.n_steps):
-            rhs = rhs_mat @ r + dt * _field_at(alpha_f, r)
+            # a new array, never the row just yielded, before adding into it
+            rhs = r.copy() if rhs_mat is None else rhs_mat @ r
+            rhs += dt * _field_at(alpha_f, r)
             for k, s in enumerate(sigma_f):
-                rhs = rhs + _field_at(s, r) * increments.values[n, k]
+                rhs += _field_at(s, r) * increments.values[n, k]
             r = solver.solve(rhs) if solver is not None else rhs
             r[pins_arr] = pin_vals
             yield r

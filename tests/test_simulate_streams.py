@@ -1,15 +1,19 @@
 """Streamed simulation: the one constant-coefficient stepping kernel, the
-ensemble blocks, the memory `simulate` holds, and the README example."""
+ensemble blocks, the memory `simulate` holds, the forked r.csv writer, the
+README example, and an import of the CLI that pulls in no process pool."""
 
+import ast
 import copy
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from affinespde import cli, csvio, levy
+from affinespde import cli, csvio, levy, oracle
 from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import GridMismatch
@@ -21,6 +25,11 @@ CERTIFIED = ["hjmm-linear", "hjmm-levy", "transport-1d",
              "transport-mortality-2d", "cable", "heat-disk", "hermite",
              "laguerre", "term-structure-2"]
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+ARTIFACTS = ("psi.csv", "r.csv", "Y.csv", "increments.csv", "realization.json")
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="r.csv is written inline without fork")
 
 
 def _runtime(name, n_t=None):
@@ -104,6 +113,18 @@ def test_run_simulate_holds_no_full_curve(tmp_path):
     assert peak < curve_bytes, (peak, curve_bytes)
 
 
+def test_inline_r_writer_holds_no_full_curve(tmp_path, monkeypatch):
+    # the forked child that writes r.csv is out of tracemalloc's sight, so
+    # the writer also runs in this process, inline, under the same bound
+    monkeypatch.delattr(os, "fork", raising=False)
+    rt = _runtime("hjmm-linear", n_t=100)
+    curve_bytes = 8 * (rt.n_t + 1) * rt.space.size
+    rc, peak = _traced_peak(lambda: cli.run_simulate(rt, str(tmp_path), seed=11))
+    assert rc == 0
+    assert (tmp_path / "r.csv").exists()
+    assert peak < curve_bytes, (peak, curve_bytes)
+
+
 def test_run_simulate_ensemble_holds_no_path_block(tmp_path):
     # the ensemble statistics come from one (paths, d) block per time, never
     # from the (paths, n_t+1, d) array of every path (6.4 MB here)
@@ -127,3 +148,93 @@ def test_readme_library_usage_runs():
     assert namespace["Y"].shape == (501, namespace["real"].dim)
     assert namespace["r"].shape == (801,)
     assert len(namespace["means"]) == 501
+
+
+def _failing_writer(monkeypatch, failing_name):
+    """Patch the grid-path writer so that writing `failing_name` raises."""
+    write = oracle.write_grid_path
+
+    def patched(rows, file, t_grid, x_grid):
+        if os.path.basename(file) == failing_name:
+            raise GridMismatch(f"{failing_name} writer broke on purpose")
+        write(rows, file, t_grid, x_grid)
+
+    monkeypatch.setattr(oracle, "write_grid_path", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_child_writer_failure_exits_4(tmp_path, monkeypatch, capfd):
+    _failing_writer(monkeypatch, "r.csv")  # before the fork: the child has it
+    rc = cli.main(["simulate", "--config", "heat-disk", "--out", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert rc == 4
+    assert "GridMismatch: r.csv writer broke on purpose" in err  # the child's
+    assert "forked writer ended with status 1" in err  # the parent's
+    assert (tmp_path / "psi.csv").exists()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_parent_writer_failure_reaps_the_child(tmp_path, monkeypatch, capfd):
+    _failing_writer(monkeypatch, "psi.csv")
+    rc = cli.main(["simulate", "--config", "heat-disk", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "psi.csv writer broke on purpose" in capfd.readouterr().err
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("name,n_t", [("hjmm-linear", 100),
+                                      ("transport-mortality-2d", None)])
+def test_forked_and_inline_writers_give_the_same_bytes(tmp_path, monkeypatch,
+                                                       name, n_t):
+    rt = _runtime(name, n_t)
+    assert cli.run_simulate(rt, str(tmp_path / "forked"), seed=11) == 0
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert cli.run_simulate(rt, str(tmp_path / "inline"), seed=11) == 0
+    for artifact in ARTIFACTS:
+        forked = (tmp_path / "forked" / artifact).read_bytes()
+        assert forked == (tmp_path / "inline" / artifact).read_bytes(), artifact
+
+
+def _package_imports() -> set[str]:
+    """Every absolute module name a module of the package imports."""
+    names = set()
+    pkg = os.path.join(SRC, "affinespde")
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names.update(a.name for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names.add(node.module)
+    return names
+
+
+def test_cli_import_loads_no_process_pool():
+    # scipy.sparse and scipy.linalg import concurrent.futures themselves, so
+    # it is dropped from sys.modules after the third-party imports: what the
+    # package itself pulls in (a stdlib module such as asyncio) brings it back
+    names = _package_imports()
+    assert not {n.split(".")[0] for n in names} & {"multiprocessing", "concurrent"}
+    deps = sorted(n for n in names
+                  if n.split(".")[0] not in sys.stdlib_module_names)
+    code = ("import sys\n"
+            f"for name in {deps!r}: __import__(name)\n"
+            "for name in [m for m in sys.modules if m.startswith('concurrent')]:\n"
+            "    del sys.modules[name]\n"
+            "import affinespde.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
