@@ -17,7 +17,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import csvio, funalg, levy, operators
-from .errors import GridMismatch, LinearSolveFailure, UnstableConfig
+from .errors import (GridMismatch, LinearSolveFailure, UnstableConfig,
+                     UnsupportedOperator)
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
@@ -81,6 +82,59 @@ def _check_stability(op: OperatorSpec, grid: Grid1D, dt: float, theta: float):
                 f"step bound dt <= dx / {1 - 2 * theta:.3g}")
 
 
+def _upwind_solve(b: np.ndarray, c: float) -> np.ndarray:
+    """Solve the pinned upwind system (1 + c) y_i - c y_{i+1} = b_i for
+    i < n-1, y_{n-1} = b_{n-1}, along axis 0 of a vector or (n, k) block.
+    It is the first-order recurrence y_i = b_i / (1 + c) + a y_{i+1} with
+    a = c / (1 + c), summed by a doubling scan (Kogge & Stone 1973): after
+    the pass with shift s, y_i holds its first 2s terms.  At most
+    ceil(log2 n) passes; the scan stops early once a^s underflows to 0."""
+    y = b / (1.0 + c)
+    y[-1] = b[-1]
+    a = c / (1.0 + c)
+    s = 1
+    while s < y.shape[0] and a != 0.0:
+        y[:-s] += a * y[s:]
+        a *= a
+        s *= 2
+    return y
+
+
+def _theta_halves(op: OperatorSpec, grid: Grid1D, dt: float, theta: float):
+    """(explicit, implicit) halves of one theta step: explicit(r) returns a
+    new array (I + (1-theta) dt A) r, implicit(rhs) solves
+    (I - theta dt A) y = rhs.  The first-order transport stencil is a
+    recurrence and needs no matrix; the second-order stencils are
+    assembled and factored once."""
+    if isinstance(op, (operators.Translation, operators.Transport)):
+        if isinstance(op, operators.Transport) and op.geometry != "half_line":
+            raise UnsupportedOperator(
+                "no 1-D grid stencil for the mortality wedge; use the ray oracle")
+        e = (1.0 - theta) * dt / grid.dx
+        c = theta * dt / grid.dx
+
+        def upwind_explicit(r):
+            rhs = (1.0 - e) * r
+            rhs[:-1] += e * r[1:]
+            rhs[-1] = r[-1]
+            return rhs
+
+        return (np.copy if theta == 1.0 else upwind_explicit,
+                lambda rhs: _upwind_solve(rhs, c))
+    a_mat = operators.operator_matrix(op, grid, boundary="pinned").tocsc()
+    eye = scipy.sparse.identity(grid.n, format="csc")
+    explicit = np.copy  # the identity at theta = 1: skip its mat-vec
+    if theta < 1.0:
+        explicit = (eye + (1.0 - theta) * dt * a_mat).tocsr().__matmul__
+    if theta == 0.0:
+        return explicit, lambda rhs: rhs
+    try:
+        solver = scipy.sparse.linalg.splu(eye - theta * dt * a_mat)
+    except RuntimeError as exc:
+        raise LinearSolveFailure(f"theta-scheme factorization failed: {exc}") from exc
+    return explicit, solver.solve
+
+
 def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
                    h0, increments: levy.IncrementMatrix,
                    theta: float | None = None) -> Iterator[np.ndarray]:
@@ -94,8 +148,8 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     every step.  Noise and drift enter at the left endpoint, matching the
     left-limit convention of the jump integral.  An (n, k) initial block
     (with (n, k) or absent drift and volatility blocks) steps k independent
-    states through one factorization, one multi-column solve per step.
-    Set-up checks and the factorization happen here, before the first row."""
+    states together, one multi-column solve per step.  Set-up checks and
+    any factorization happen here, before the first row."""
     if theta is None:
         theta = _default_theta(op)
     if not 0.0 <= theta <= 1.0:
@@ -114,30 +168,20 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
         raise GridMismatch(f"{len(sigma_f)} volatility components vs "
                            f"{increments.m} driver columns")
 
-    a_mat = operators.operator_matrix(op, grid, boundary="pinned").tocsc()
-    eye = scipy.sparse.identity(grid.n, format="csc")
-    rhs_mat = None  # the identity at theta = 1: skip its mat-vec
-    if theta < 1.0:
-        rhs_mat = (eye + (1.0 - theta) * dt * a_mat).tocsr()
-    solver = None
-    if theta > 0.0:
-        try:
-            solver = scipy.sparse.linalg.splu(eye - theta * dt * a_mat)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(f"theta-scheme factorization failed: {exc}") from exc
+    explicit, implicit = _theta_halves(op, grid, dt, theta)
     pins_arr = np.array(pins, dtype=int)
+    dt_alpha = None if callable(alpha_f) else dt * alpha_f
 
     def rows():
         r = h0_vec.copy()
         pin_vals = h0_vec[pins_arr]
         yield r
         for n in range(increments.n_steps):
-            # a new array, never the row just yielded, before adding into it
-            rhs = r.copy() if rhs_mat is None else rhs_mat @ r
-            rhs += dt * _field_at(alpha_f, r)
+            rhs = explicit(r)
+            rhs += (dt * alpha_f(r) if dt_alpha is None else dt_alpha)
             for k, s in enumerate(sigma_f):
                 rhs += _field_at(s, r) * increments.values[n, k]
-            r = solver.solve(rhs) if solver is not None else rhs
+            r = implicit(rhs)
             r[pins_arr] = pin_vals
             yield r
 
@@ -217,6 +261,7 @@ def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
     then the per-time distance of b_n from the leaf base_n + leaf is
     recorded as .foliation.  Only O(n_x + n_t) memory is held."""
     w = None if weights is None else np.asarray(weights, dtype=float)
+    buf = None  # every step's products go through this one array
     per_time, mag_a, mag_b, fol = [], [], [], []
     for step in steps:
         a, b = step[0], step[1]
@@ -227,10 +272,14 @@ def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
         if w.shape != a.shape:
             raise GridMismatch(f"weight vector shape {w.shape} for "
                                f"{a.shape[0]} spatial nodes")
-        diff = a - b
-        per_time.append((diff * diff * w).sum())
-        mag_a.append((a ** 2 * w).sum())
-        mag_b.append((b ** 2 * w).sum())
+        if buf is None:
+            buf = np.empty(w.shape)
+        np.subtract(a, b, out=buf)
+        np.multiply(buf, buf, out=buf)
+        per_time.append(np.multiply(buf, w, out=buf).sum())
+        for x, sink in ((a, mag_a), (b, mag_b)):
+            np.multiply(x, x, out=buf)
+            sink.append(np.multiply(buf, w, out=buf).sum())
         if leaf is not None:
             fol.append(_leaf_distance(leaf, b, step[2]))
     per_time = np.sqrt(np.maximum(np.array(per_time), 0.0))

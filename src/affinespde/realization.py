@@ -26,6 +26,7 @@ clause 1 guarantees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -74,12 +75,18 @@ class GridSpace:
         return self.grid.n
 
     def weights(self) -> np.ndarray:
+        """The quadrature weights, read-only and computed once per space."""
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         w = trapezoid_weights(self.grid.n, self.grid.dx)
         if self.weight is not None:
             wv = funalg.evaluate(self.weight, self.grid.points())
             if np.any(wv <= 0):
                 raise ConfigError("inner product weight must be positive on the grid")
             w = w * wv
+        w.flags.writeable = False
         return w
 
     def sample(self, f) -> np.ndarray:

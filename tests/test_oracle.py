@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from affinespde import funalg, levy, operators, oracle
+from affinespde import cli, funalg, levy, operators, oracle
 from affinespde import realization as rz
-from affinespde.errors import GridMismatch, UnstableConfig
+from affinespde.errors import GridMismatch, UnstableConfig, UnsupportedOperator
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
@@ -63,6 +64,38 @@ def test_grid_solver_translation_first_order_shift():
         errs.append(
             oracle.compare_streams(zip(path.values, ref.values)).sup_error)
     assert errs[1] < 0.72 * errs[0]
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("c", [0.05, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_transport_step_matches_dense_pinned_solve(theta, c, cols):
+    # one theta step of the upwind stencil against a dense solve of
+    # (I - theta dt A) y = (I + (1-theta) dt A) r with the far end pinned;
+    # at c = 10 the recurrence factor is ~0.91, so the scan runs all its
+    # ceil(log2 n) passes
+    grid = Grid1D.from_interval(0.0, 3.0, 301)
+    dt = c * grid.dx / theta
+    rng = np.random.default_rng(17)
+    r = rng.standard_normal(grid.n if cols is None else (grid.n, cols))
+    a_mat = operators.operator_matrix(operators.Translation(), grid,
+                                      boundary="pinned").toarray()
+    eye = np.eye(grid.n)
+    expect = np.linalg.solve(eye - theta * dt * a_mat,
+                             (eye + (1.0 - theta) * dt * a_mat) @ r)
+    expect[-1] = r[-1]
+    _r0, got = oracle.spde_grid_rows(operators.Translation(), grid, None, [],
+                                     r, _zero_driver(dt, 1), theta)
+    assert got.shape == r.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(r))
+
+
+def test_grid_stepping_refuses_the_mortality_wedge():
+    # the wedge is stepped along its rays, never as one 1-D stencil
+    grid = Grid1D.from_interval(0.0, 10.0, 101)
+    with pytest.raises(UnsupportedOperator):
+        _grid_solution(operators.Transport("mortality_wedge"), grid, None, [],
+                       Q.exponential(-1.0), _zero_driver(0.01, 2))
 
 
 def test_stability_guards():
@@ -247,3 +280,13 @@ def test_zero_column_coordinate_csv_round_trip():
     t, coords = oracle.read_coordinate_csv(buf)
     assert np.array_equal(t, [0.0, 0.5])
     assert coords.shape == (2, 0)
+
+
+def test_transport_verify_factors_no_matrix(monkeypatch, tmp_path):
+    # the transport oracle steps a recurrence: no sparse factorization at all
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("transport stepping called splu")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    assert cli.main(["verify", "--config", "transport-1d", "--refine", "1",
+                     "--out", str(tmp_path)]) == 0

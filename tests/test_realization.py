@@ -61,6 +61,21 @@ def test_check_invariant_pass_and_fail():
     assert bad.residual > 0.1
 
 
+def test_grid_space_weights_computed_once_and_read_only():
+    space = rz.GridSpace(HALF_LINE.grid, HALF_LINE.weight)
+    w = space.weights()
+    assert space.weights() is w
+    assert not w.flags.writeable
+    x = space.grid.points()
+    trap = np.full(space.size, space.grid.dx)
+    trap[[0, -1]] *= 0.5
+    assert np.allclose(w, trap * np.exp(-0.1 * x), rtol=1e-14, atol=0.0)
+    # the cache is no field: equality and hashing still see only the fields
+    assert space == HALF_LINE and hash(space) == hash(HALF_LINE)
+    ray = rz.ProfileRaySpace(("a", "b"), space)
+    assert np.array_equal(ray.weights(), np.tile(w, 2))
+
+
 def test_subspace_rejects_dependent_basis():
     near_copy = funalg.parse_qexp("exp(-1*x) + 0.0000000000001*exp(-2*x)")
     with pytest.raises(LinearSolveFailure):
