@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from . import config as cfgmod
-from . import csvio, funalg, hjmm, levy, operators, oracle, realization as rz
+from . import csvio, funalg, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
@@ -345,11 +345,7 @@ def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
                 raise MethodUnsupported(
                     "sampled forward-curve drift has no exact mode split; "
                     "use the grid oracle")
-            el = rt.drift_element
-            if rt.drift_mode == "hjm_wiener":
-                el = hjmm.hjm_drift_wiener(
-                    cfgmod._sigma_bases(rt),
-                    [c.brownian_vol for c in rt.driver.components])
+            el = cfgmod.assemble_drift(rt).element
             if el is not None:
                 alpha_vec = _exact_mode_amplitudes(rt, indices, el)
         elif real.drift.kind != "zero":
@@ -418,8 +414,11 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
         reference = _oracle_rows(rt_l, real, chain[lvl])
         basis = real.V.samples
-        # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n)
-        steps = ((p + y @ basis, o, p)
+        buf = np.empty(basis.shape[1])
+        # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n);
+        # every r_n is written into buf: compare_streams is done with a
+        # step before it draws the next
+        steps = ((np.add(np.matmul(y, basis, out=buf), p, out=buf), o, p)
                  for p, y, o in zip(psi, coords, reference, strict=True))
         metrics = oracle.compare_streams(steps, rt_l.space.weights(),
                                          leaf=real.V if lvl == 0 else None)

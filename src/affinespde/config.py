@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -237,7 +237,6 @@ class Runtime:
     subspace_basis: tuple
     modes: tuple
     verify: VerifySettings
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def scheme(self) -> str:
@@ -328,7 +327,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         space=space, horizon=float(time_raw["horizon"]),
         n_t=int(time_raw["n_t"]), seed=int(raw.get("seed", 0)),
         subspace_mode=sub_mode, subspace_basis=sub_basis,
-        modes=modes, verify=verify, raw=raw)
+        modes=modes, verify=verify)
 
 
 # ---------------------------------------------------------------------------

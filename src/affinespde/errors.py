@@ -90,4 +90,4 @@ class UnstableConfig(AffineSpdeError):
 
 
 class LinearSolveFailure(AffineSpdeError):
-    """Sparse or dense linear solve failed (singular or ill conditioned)."""
+    """A linear solve failed (singular or ill conditioned)."""

@@ -37,13 +37,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     BracketFailure,
     DomainError,
     GridMismatch,
     GridTooSmall,
+    UnstableConfig,
     UnsupportedOperator,
 )
 from .funalg import QExpFunction, differentiate
@@ -534,16 +534,18 @@ def apply_exact(op: OperatorSpec, f):
 # finite-difference action
 
 
-def operator_matrix(op: OperatorSpec, grid: Grid1D,
-                    boundary: str = "natural") -> scipy.sparse.csr_matrix:
-    """Assemble the finite-difference generator on a uniform grid.
+def operator_matrix(op: OperatorSpec, grid: Grid1D
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pinned finite-difference generator on a uniform grid as its
+    (lower, main, upper) diagonals, of lengths n-1, n and n-1: row i of A r
+    is lower[i-1] r[i-1] + main[i] r[i] + upper[i] r[i+1].
 
-    Stencils: upwind one-sided differences for d/dx terms (forward for
-    Translation whose characteristics enter from the right, backward for the
-    term-structure drift), central second differences.  Dirichlet rows are
-    zeroed.  boundary="natural" closes the Translation matrix with a backward
-    difference in the last row; boundary="pinned" zeroes it instead (far-field
-    row held fixed, for truncated-domain evolution)."""
+    Translation takes the forward difference (its characteristics enter
+    from the right), the cable the central second difference.  Pinned rows
+    are zero: the Dirichlet ends of the cable and the far end of the
+    truncated half line, held at their initial values while stepping.  The
+    term-structure generator is refused: its spectrum grows without bound,
+    so grid stepping amplifies every resolved high mode."""
     n, dx = grid.n, grid.dx
     if n < 5:
         raise GridTooSmall(f"stencils need at least 5 points, got {n}")
@@ -551,31 +553,76 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D,
         op = Translation()
     if isinstance(op, Translation):
         main = np.full(n, -1.0 / dx)
-        upper = np.full(n - 1, 1.0 / dx)
-        mat = scipy.sparse.diags([main, upper], [0, 1], format="lil")
-        if boundary == "pinned":
-            mat[n - 1, :] = 0.0
-        else:
-            mat[n - 1, n - 1] = 1.0 / dx
-            mat[n - 1, n - 2] = -1.0 / dx
-        return mat.tocsr()
+        main[-1] = 0.0
+        return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)
     if isinstance(op, Cable):
         c2 = op.lambda_c ** 2 / (op.tau * dx * dx)
+        lower, upper = np.full(n - 1, c2), np.full(n - 1, c2)
         main = np.full(n, -2.0 * c2 - 1.0 / op.tau)
-        off = np.full(n - 1, c2)
-        mat = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-        mat[0, :] = 0.0
-        mat[n - 1, :] = 0.0
-        return mat.tocsr()
+        main[[0, -1]] = lower[-1] = upper[0] = 0.0
+        return lower, main, upper
     if isinstance(op, TermStructure2):
-        c2 = -0.5 * op.kappa / (dx * dx)
-        main = np.full(n, -2.0 * c2 - 1.0 / dx)
-        lower = np.full(n - 1, c2 + 1.0 / dx)
-        upper = np.full(n - 1, c2)
-        mat = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="lil")
-        mat[0, :] = 0.0
-        mat[n - 1, :] = 0.0
-        return mat.tocsr()
+        raise UnstableConfig(
+            "term-structure generator has unbounded growing spectrum; grid "
+            "stepping is ill-posed, use the modal solver")
     raise UnsupportedOperator(
-        f"no 1-D grid stencil for {type(op).__name__}; use the spectral route")
+        f"no 1-D grid stencil for {type(op).__name__}; use the spectral "
+        f"route, or the ray oracle on the transport wedge")
 
+
+# A scan pass whose coefficients all lie below this changes no state value
+# beyond rounding, so the scan stops there.
+_NEGLIGIBLE = 2.0 ** -60
+
+
+def _scan_passes(a: np.ndarray) -> list:
+    """(shift s, coefficient) of each pass of the doubling scan (Kogge &
+    Stone 1973) that sums a first-order recurrence with link coefficients
+    a, one per pair of neighbouring rows.  The pass with shift s adds to
+    each row the state s rows away times the product of the s links
+    between them; that product is a float when all links are equal, else
+    an (n - s, 1) column.  At most ceil(log2 n) passes."""
+    n = a.size + 1
+    bound = float(np.max(np.abs(a)))
+    coef = float(a[0]) if np.all(a == a[0]) else a[:, None]
+    passes, s = [], 1
+    while s < n and bound >= _NEGLIGIBLE:
+        passes.append((s, coef))
+        coef = coef * coef if isinstance(coef, float) else coef[:-s] * coef[s:]
+        bound *= bound
+        s *= 2
+    return passes
+
+
+def implicit_solver(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    theta_dt: float):
+    """Factor M = I - theta_dt A once, for A given by its (lower, main,
+    upper) diagonals, and return solve(b), which solves M y = b along axis
+    0 of a vector or an (n, k) block into a new array.
+
+    M is diagonally dominant for theta_dt >= 0, so LU without pivoting is
+    stable: M = L U with L lower bidiagonal (diagonal p, M's subdiagonal
+    l) and U unit upper bidiagonal (superdiagonal u / p, u M's
+    superdiagonal).  A solve is the two recurrences
+    z_i = (b_i - l_i z_{i-1}) / p_i and y_i = z_i - (u_i / p_i) y_{i+1},
+    each summed by a doubling scan."""
+    lower, main, upper = diagonals
+    lo, up = theta_dt * lower, theta_dt * upper  # minus M's off-diagonals
+    p = (1.0 - theta_dt * main).tolist()
+    links = (lo * up).tolist()
+    for i in range(1, len(p)):
+        p[i] -= links[i - 1] / p[i - 1]
+    p = np.array(p)
+    forward = _scan_passes(lo / p[1:])
+    backward = _scan_passes(up / p[:-1])
+    p = p[:, None]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = b.reshape(p.shape[0], -1) / p
+        for s, c in forward:
+            y[s:] += c * y[:-s]
+        for s, c in backward:
+            y[:-s] += c * y[s:]
+        return y.reshape(b.shape)
+
+    return solve

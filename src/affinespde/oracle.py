@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import csvio, funalg, levy, operators
-from .errors import (GridMismatch, LinearSolveFailure, UnstableConfig,
-                     UnsupportedOperator)
+from .errors import GridMismatch, UnstableConfig
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
@@ -55,108 +52,45 @@ def pinned_nodes(op: OperatorSpec, grid: Grid1D) -> tuple[int, ...]:
                          f"use the modal solver")
 
 
-def _default_theta(op: OperatorSpec) -> float:
-    if isinstance(op, (operators.Cable, operators.TermStructure2)):
-        return 0.5
-    return 1.0
-
-
-def _check_stability(op: OperatorSpec, grid: Grid1D, dt: float, theta: float):
-    if isinstance(op, operators.TermStructure2):
-        # eigenvalues grow to +infinity: forward stepping amplifies every
-        # resolved high mode regardless of theta
-        raise UnstableConfig(
-            "term-structure generator has unbounded growing spectrum; grid "
-            "stepping is ill-posed, use the modal solver")
-    if isinstance(op, operators.Cable):
-        if theta < 0.5:
-            nu = op.lambda_c ** 2 * dt / (op.tau * grid.dx ** 2)
-            if 2.0 * (1.0 - 2.0 * theta) * nu > 1.0:
-                raise UnstableConfig(
-                    f"theta = {theta} needs lambda_c^2 dt / (tau dx^2) <= "
-                    f"{0.5 / (1 - 2 * theta):.3g}, got {nu:.3g}")
-    elif isinstance(op, (operators.Translation, operators.Transport)):
-        if theta < 0.5 and (1.0 - 2.0 * theta) * dt / grid.dx > 1.0:
-            raise UnstableConfig(
-                f"upwind theta scheme with theta = {theta} violates the "
-                f"step bound dt <= dx / {1 - 2 * theta:.3g}")
-
-
-def _upwind_solve(b: np.ndarray, c: float) -> np.ndarray:
-    """Solve the pinned upwind system (1 + c) y_i - c y_{i+1} = b_i for
-    i < n-1, y_{n-1} = b_{n-1}, along axis 0 of a vector or (n, k) block.
-    It is the first-order recurrence y_i = b_i / (1 + c) + a y_{i+1} with
-    a = c / (1 + c), summed by a doubling scan (Kogge & Stone 1973): after
-    the pass with shift s, y_i holds its first 2s terms.  At most
-    ceil(log2 n) passes; the scan stops early once a^s underflows to 0."""
-    y = b / (1.0 + c)
-    y[-1] = b[-1]
-    a = c / (1.0 + c)
-    s = 1
-    while s < y.shape[0] and a != 0.0:
-        y[:-s] += a * y[s:]
-        a *= a
-        s *= 2
-    return y
-
-
-def _theta_halves(op: OperatorSpec, grid: Grid1D, dt: float, theta: float):
+def _theta_halves(op: OperatorSpec, grid: Grid1D, dt: float):
     """(explicit, implicit) halves of one theta step: explicit(r) returns a
     new array (I + (1-theta) dt A) r, implicit(rhs) solves
-    (I - theta dt A) y = rhs.  The first-order transport stencil is a
-    recurrence and needs no matrix; the second-order stencils are
-    assembled and factored once."""
-    if isinstance(op, (operators.Translation, operators.Transport)):
-        if isinstance(op, operators.Transport) and op.geometry != "half_line":
-            raise UnsupportedOperator(
-                "no 1-D grid stencil for the mortality wedge; use the ray oracle")
-        e = (1.0 - theta) * dt / grid.dx
-        c = theta * dt / grid.dx
+    (I - theta dt A) y = rhs.  Theta follows the operator: Crank-Nicolson
+    (0.5) for the cable, backward Euler (1) for transport, whose explicit
+    half is then the identity."""
+    stencil = operators.operator_matrix(op, grid)
+    if not isinstance(op, operators.Cable):
+        return np.copy, operators.implicit_solver(stencil, dt)
+    lower, main, upper = (0.5 * dt * d for d in stencil)
+    main += 1.0
 
-        def upwind_explicit(r):
-            rhs = (1.0 - e) * r
-            rhs[:-1] += e * r[1:]
-            rhs[-1] = r[-1]
-            return rhs
+    def explicit(r):
+        out = main * r
+        out[1:] += lower * r[:-1]
+        out[:-1] += upper * r[1:]
+        return out
 
-        return (np.copy if theta == 1.0 else upwind_explicit,
-                lambda rhs: _upwind_solve(rhs, c))
-    a_mat = operators.operator_matrix(op, grid, boundary="pinned").tocsc()
-    eye = scipy.sparse.identity(grid.n, format="csc")
-    explicit = np.copy  # the identity at theta = 1: skip its mat-vec
-    if theta < 1.0:
-        explicit = (eye + (1.0 - theta) * dt * a_mat).tocsr().__matmul__
-    if theta == 0.0:
-        return explicit, lambda rhs: rhs
-    try:
-        solver = scipy.sparse.linalg.splu(eye - theta * dt * a_mat)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"theta-scheme factorization failed: {exc}") from exc
-    return explicit, solver.solve
+    return explicit, operators.implicit_solver(stencil, 0.5 * dt)
 
 
 def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
-                   h0, increments: levy.IncrementMatrix,
-                   theta: float | None = None) -> Iterator[np.ndarray]:
+                   h0, increments: levy.IncrementMatrix) -> Iterator[np.ndarray]:
     """Theta-scheme reference solution of dr = (A r + alpha(r)) dt
     + sum_k sigma^k(r) dX^k on the sampled grid, yielded one state per time:
 
         (I - theta dt A) r_{n+1}
             = (I + (1-theta) dt A) r_n + dt alpha(r_n) + sum_k sigma^k(r_n) dXk
 
-    with Dirichlet/far-field rows re-pinned to the initial samples after
-    every step.  Noise and drift enter at the left endpoint, matching the
+    with theta = 0.5 for the cable and 1 for transport, and the
+    Dirichlet/far-field rows re-pinned to the initial samples after every
+    step.  Noise and drift enter at the left endpoint, matching the
     left-limit convention of the jump integral.  An (n, k) initial block
     (with (n, k) or absent drift and volatility blocks) steps k independent
     states together, one multi-column solve per step.  Set-up checks and
-    any factorization happen here, before the first row."""
-    if theta is None:
-        theta = _default_theta(op)
-    if not 0.0 <= theta <= 1.0:
-        raise UnstableConfig(f"theta must sit in [0, 1], got {theta}")
+    the factorization happen here, before the first row."""
     dt = increments.dt
-    _check_stability(op, grid, dt, theta)
     pins = pinned_nodes(op, grid)
+    explicit, implicit = _theta_halves(op, grid, dt)
 
     h0_vec = _normalize_field(h0, grid)
     if callable(h0_vec):
@@ -168,7 +102,6 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
         raise GridMismatch(f"{len(sigma_f)} volatility components vs "
                            f"{increments.m} driver columns")
 
-    explicit, implicit = _theta_halves(op, grid, dt, theta)
     pins_arr = np.array(pins, dtype=int)
     dt_alpha = None if callable(alpha_f) else dt * alpha_f
 

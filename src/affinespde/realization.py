@@ -53,6 +53,7 @@ from .operators import EigenExpansion, OperatorSpec, RayBundle
 
 DIM_CAP = 50
 TOL_PROJECT = 1e-10
+TRUNCATION_BOUND = 1e-6  # spectral tail allowed, relative to the curve norm
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,8 @@ class Subspace:
     label: str = "V"
 
     @classmethod
-    def build(cls, basis: Sequence, space: SpaceSpec, label: str = "V",
-              tol_rank: float = TOL_RANK) -> "Subspace":
+    def build(cls, basis: Sequence, space: SpaceSpec,
+              label: str = "V") -> "Subspace":
         basis = tuple(basis)
         if basis:
             samples = np.vstack([space.sample(b) for b in basis])
@@ -622,7 +623,6 @@ class Realization:
     drift: DriftSplit
     psi_method: str
     mode_indices: tuple | None = None
-    truncation_bound: float = 1e-6
     clauses: dict = field(default_factory=dict)
     correction_norm: float = 0.0
 
@@ -631,7 +631,7 @@ class Realization:
         return self.V.dim
 
 
-def _symbolic_coords(basis: Sequence, target, tol: float):
+def _symbolic_coords(basis: Sequence, target):
     """Least-squares coordinates of target in span(basis) at coefficient
     level; returns (coords, relative residual)."""
     mat, _ = _coeff_matrix_generic(list(basis) + [target])
@@ -656,10 +656,8 @@ def _is_symbolic(f) -> bool:
 
 def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
                       V: Subspace, tol_project: float = TOL_PROJECT,
-                      tol_rank: float = TOL_RANK, drift_tol: float = 1e-8,
                       probes: Sequence = (), directions: Sequence = (),
-                      mode_indices: Sequence | None = None,
-                      truncation_bound: float = 1e-6) -> Realization:
+                      mode_indices: Sequence | None = None) -> Realization:
     """Run the three realization checks and assemble the reduced model.
 
     Raises NotInvariant / DriftConditionFails / SigmaEscapesV when the
@@ -673,7 +671,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
     # clause 1: invariance, plus the coordinate matrix of A on V
     clauses: dict = {}
     if V.dim:
-        inv = check_invariant(op, V.basis, tol_rank)
+        inv = check_invariant(op, V.basis)
         if not inv.ok:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside {V.label} "
@@ -700,7 +698,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
         if isinstance(vol, StateVol):
             scale_fn, target = vol.scale_fn, vol.base
         if _is_symbolic(target) and V.dim:
-            coords, resid = _symbolic_coords(V.basis, target, tol_project)
+            coords, resid = _symbolic_coords(V.basis, target)
         else:
             vec = V.space.sample(target)
             coords = V.coords(vec)
@@ -714,7 +712,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
     clauses["volatility_in_V"] = {"ok": True, "components": len(vol_coords)}
 
     # clause 2: drift constant along fibers, then split by the complement
-    ok, dev = drift_projection_constant(alpha, V, probes, directions, drift_tol)
+    ok, dev = drift_projection_constant(alpha, V, probes, directions)
     if not ok:
         raise DriftConditionFails(
             f"complement drift varies along fibers (max deviation {dev:.3e})")
@@ -757,7 +755,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
                        vols=tuple(vol_coords), drift=drift,
                        psi_method=psi_method,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
-                       truncation_bound=truncation_bound, clauses=clauses,
+                       clauses=clauses,
                        correction_norm=float(correction_norm))
 
 
@@ -974,14 +972,14 @@ def _spectral_rows(real: Realization, h0, u0, t_grid: np.ndarray):
         return np.array([coefs[n] for n in indices]), space_norm(space, vec - recon)
 
     a0, tail = expand(u0)
-    if tail > real.truncation_bound * scale:
+    if tail > TRUNCATION_BOUND * scale:
         raise TruncationTailTooLarge(
             f"initial curve tail {tail:.3e} above bound "
-            f"{real.truncation_bound:.1e} * {scale:.3e}")
+            f"{TRUNCATION_BOUND:.1e} * {scale:.3e}")
     drift_coefs = np.zeros(len(indices))
     if u_rep is not None:
         drift_coefs, dtail = expand(u_rep)
-        if dtail > real.truncation_bound * max(1.0, scale):
+        if dtail > TRUNCATION_BOUND * max(1.0, scale):
             raise TruncationTailTooLarge(
                 f"drift remainder tail {dtail:.3e} above bound")
     amps = _mode_amplitudes(real.op, indices, t_grid, a0, drift_coefs)
@@ -990,29 +988,23 @@ def _spectral_rows(real: Realization, h0, u0, t_grid: np.ndarray):
 
 
 def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
-    """grid_implicit: backward Euler on the pinned grid stencil."""
+    """grid_implicit: backward Euler on the pinned grid stencil, which
+    refuses the term-structure generator (UnstableConfig) before any row."""
     space = real.V.space
     if not isinstance(space, GridSpace):
         raise MethodUnsupported("grid_implicit needs a grid space")
-    import scipy.sparse
-    import scipy.sparse.linalg
-    mat = operators.operator_matrix(real.op, space.grid, boundary="pinned")
-    n = space.size
-    lhs = (scipy.sparse.identity(n, format="csc") - dt * mat.tocsc())
-    try:
-        solver = scipy.sparse.linalg.splu(lhs)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"implicit factorization failed: {exc}") from exc
+    solve = operators.implicit_solver(
+        operators.operator_matrix(real.op, space.grid), dt)
     u_vec = real.drift.remainder_vector(space)
     if u_vec is None:
-        u_vec = np.zeros(n)
+        u_vec = np.zeros(space.size)
     start = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
 
     def rows():
         cur = start
         yield cur
         for _ in range(1, len(t_grid)):
-            cur = solver.solve(cur + dt * u_vec)
+            cur = solve(cur + dt * u_vec)
             yield cur
 
     return rows()

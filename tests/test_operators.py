@@ -176,6 +176,12 @@ def test_ray_bundle_shift_and_apply():
         assert funalg.allclose(dfn, funalg.differentiate(fn))
 
 
+def _dense(stencil):
+    """The matrix with the (lower, main, upper) diagonals of stencil."""
+    lower, main, upper = stencil
+    return np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
 def test_grid_action_converges_to_exact_action():
     op = Cable(1.0, 1.0)
     f = funalg.parse_qexp("sin(2*x) + 0.3*sin(5*x)")
@@ -184,7 +190,7 @@ def test_grid_action_converges_to_exact_action():
     for n in (101, 201):
         grid = Grid1D.from_interval(0.0, math.pi, n)
         x = grid.points()
-        approx = operators.operator_matrix(op, grid) @ funalg.evaluate(f, x)
+        approx = _dense(operators.operator_matrix(op, grid)) @ funalg.evaluate(f, x)
         err = np.max(np.abs(approx - funalg.evaluate(exact, x))[2:-2])
         errs.append(err)
     assert errs[1] < 0.3 * errs[0]  # second-order stencil
@@ -192,9 +198,13 @@ def test_grid_action_converges_to_exact_action():
 
 def test_operator_matrix_pinned_rows_are_zero():
     grid = Grid1D.from_interval(0.0, math.pi, 31)
-    mat = operators.operator_matrix(Cable(), grid, boundary="pinned").toarray()
+    mat = _dense(operators.operator_matrix(Cable(), grid))
     assert np.all(mat[0] == 0.0)
     assert np.all(mat[-1] == 0.0)
+    assert np.count_nonzero(mat[1:-1]) == 3 * (grid.n - 2)
+    half_line = _dense(operators.operator_matrix(Translation(), grid))
+    assert np.all(half_line[-1] == 0.0)
+    assert np.count_nonzero(half_line[:-1]) == 2 * (grid.n - 1)
 
 
 def test_index_canonicalization():

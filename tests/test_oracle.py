@@ -1,13 +1,16 @@
 """Reference solvers, comparison metrics, and path file formats."""
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
-from affinespde import cli, funalg, levy, operators, oracle
+from affinespde import cli, config, funalg, levy, operators, oracle
 from affinespde import realization as rz
 from affinespde.errors import GridMismatch, UnstableConfig, UnsupportedOperator
 from affinespde.funalg import QExpFunction as Q
@@ -19,9 +22,9 @@ def _zero_driver(dt, n_steps):
     return levy.IncrementMatrix(dt, np.zeros((n_steps, 0)), seed=0)
 
 
-def _grid_solution(op, grid, alpha, sigma, h0, inc, theta=None):
+def _grid_solution(op, grid, alpha, sigma, h0, inc):
     """The rows of spde_grid_rows as one path."""
-    rows = oracle.spde_grid_rows(op, grid, alpha, sigma, h0, inc, theta)
+    rows = oracle.spde_grid_rows(op, grid, alpha, sigma, h0, inc)
     t_grid = np.arange(inc.n_steps + 1) * inc.dt
     return GridPath(t_grid, grid.points(), np.array(list(rows)))
 
@@ -42,7 +45,7 @@ def test_grid_solver_cable_second_order_decay():
         dt = 0.5 / n_t
         path = _grid_solution(operators.Cable(), grid, None, [],
                               funalg.parse_qexp("sin(2*x)"),
-                              _zero_driver(dt, n_t), theta=0.5)
+                              _zero_driver(dt, n_t))
         exact = np.exp(g2 * path.t_grid)[:, None] * np.sin(2 * grid.points())
         ref = GridPath(path.t_grid, grid.points(), exact)
         errs.append(
@@ -66,28 +69,48 @@ def test_grid_solver_translation_first_order_shift():
     assert errs[1] < 0.72 * errs[0]
 
 
+def _dense(stencil):
+    """The matrix with the (lower, main, upper) diagonals of stencil."""
+    lower, main, upper = stencil
+    return np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("c", [0.05, 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("cols", [None, 3])
 def test_transport_step_matches_dense_pinned_solve(theta, c, cols):
-    # one theta step of the upwind stencil against a dense solve of
-    # (I - theta dt A) y = (I + (1-theta) dt A) r with the far end pinned;
-    # at c = 10 the recurrence factor is ~0.91, so the scan runs all its
-    # ceil(log2 n) passes
+    # the tridiagonal scan solves (I - theta dt A) y = r on the pinned
+    # upwind stencil, vector or block, with dt = c dx; at theta c = 10 the
+    # recurrence factor is ~0.91, so the scan runs all ceil(log2 n) passes
     grid = Grid1D.from_interval(0.0, 3.0, 301)
-    dt = c * grid.dx / theta
+    dt = c * grid.dx
     rng = np.random.default_rng(17)
     r = rng.standard_normal(grid.n if cols is None else (grid.n, cols))
-    a_mat = operators.operator_matrix(operators.Translation(), grid,
-                                      boundary="pinned").toarray()
-    eye = np.eye(grid.n)
-    expect = np.linalg.solve(eye - theta * dt * a_mat,
-                             (eye + (1.0 - theta) * dt * a_mat) @ r)
-    expect[-1] = r[-1]
-    _r0, got = oracle.spde_grid_rows(operators.Translation(), grid, None, [],
-                                     r, _zero_driver(dt, 1), theta)
+    stencil = operators.operator_matrix(operators.Translation(), grid)
+    expect = np.linalg.solve(np.eye(grid.n) - theta * dt * _dense(stencil), r)
+    got = operators.implicit_solver(stencil, theta * dt)(r)
     assert got.shape == r.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(r))
+    if theta == 1.0:  # the grid oracle's own backward Euler transport step
+        _r0, step = oracle.spde_grid_rows(operators.Translation(), grid, None,
+                                          [], r, _zero_driver(dt, 1))
+        assert np.max(np.abs(step - expect)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.02])
+def test_implicit_solver_matches_dense_cable_step(dt):
+    # the Crank-Nicolson cable step: (I - dt/2 A) y = b against a dense
+    # solve; at dt = 0.02 the scan's recurrence factor is ~0.9
+    grid = Grid1D.from_interval(0.0, math.pi, 315)
+    stencil = operators.operator_matrix(operators.Cable(), grid)
+    rng = np.random.default_rng(23)
+    lhs = np.eye(grid.n) - 0.5 * dt * _dense(stencil)
+    solve = operators.implicit_solver(stencil, 0.5 * dt)
+    for b in (rng.standard_normal(grid.n), rng.standard_normal((grid.n, 3))):
+        got = solve(b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - np.linalg.solve(lhs, b))) <= \
+            1e-13 * np.max(np.abs(b))
 
 
 def test_grid_stepping_refuses_the_mortality_wedge():
@@ -99,26 +122,26 @@ def test_grid_stepping_refuses_the_mortality_wedge():
 
 
 def test_stability_guards():
-    h0 = funalg.parse_qexp("sin(1*x)")
-    cable_grid = Grid1D.from_interval(0.0, math.pi, 101)
-    # explicit stepping with dt far beyond the diffusive limit
-    with pytest.raises(UnstableConfig):
-        _grid_solution(operators.Cable(), cable_grid, None, [], h0,
-                       _zero_driver(0.01, 10), theta=0.0)
-    # explicit transport past the step bound dt <= dx
-    trans_grid = Grid1D.from_interval(0.0, 10.0, 101)
-    with pytest.raises(UnstableConfig):
-        _grid_solution(operators.Translation(), trans_grid, None, [],
-                       Q.exponential(-1.0), _zero_driver(0.2, 5), theta=0.0)
-    with pytest.raises(UnstableConfig):
-        _grid_solution(operators.Cable(), cable_grid, None, [], h0,
-                       _zero_driver(0.001, 10), theta=1.5)
     # the growing short-rate generator has no stable grid stepping here
     ts_grid = Grid1D.from_interval(0.0, 1.0, 101)
     with pytest.raises(UnstableConfig):
         _grid_solution(operators.TermStructure2(1.0), ts_grid, None, [],
                        funalg.parse_qexp("exp(-1*x)*sin(3.14159*x)"),
                        _zero_driver(0.001, 10))
+
+
+def test_grid_stepping_refuses_term_structure_before_writing(tmp_path, capsys):
+    # without modes the term structure would take grid_implicit, whose
+    # backward Euler blows up on the growing spectrum: exit 4, no curve file
+    raw = config.load_config(config.resolve_config_path("term-structure-2"))
+    del raw["modes"]
+    cfg = tmp_path / "ts-grid.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "UnstableConfig" in capsys.readouterr().err
+    assert not (out / "psi.csv").exists()
+    assert not (out / "r.csv").exists()
 
 
 def test_modal_solver_exact_for_linear_ode():
@@ -282,11 +305,17 @@ def test_zero_column_coordinate_csv_round_trip():
     assert coords.shape == (2, 0)
 
 
-def test_transport_verify_factors_no_matrix(monkeypatch, tmp_path):
-    # the transport oracle steps a recurrence: no sparse factorization at all
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("transport stepping called splu")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-    assert cli.main(["verify", "--config", "transport-1d", "--refine", "1",
-                     "--out", str(tmp_path)]) == 0
+def test_grid_verify_loads_no_sparse_module(tmp_path):
+    # every grid stencil is stepped by the tridiagonal scan: verifying the
+    # cable loads no scipy.sparse module at all
+    code = ("import sys\n"
+            "from affinespde import cli\n"
+            f"code = cli.main(['verify', '--config', 'cable', '--refine', '1', "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "0 []"
