@@ -27,10 +27,6 @@ from .funalg import QExpFunction, parse_qexp
 from .grids import Grid1D
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
-_OPERATOR_KINDS = ("translation", "transport", "cable", "heat_disk",
-                   "hermite", "laguerre", "term_structure_2")
-
-
 @functools.cache
 def _validator() -> jsonschema.protocols.Validator:
     """The validator of the shipped schema, built once per process after
@@ -154,15 +150,26 @@ def parse_field(d: dict, op: OperatorSpec):
     return RayBundle.make(parts)
 
 
-def _parse_state_scale(d: dict):
+@dataclass(frozen=True)
+class StateScale:
+    """The scale c0 + coeffs . y of a state-dependent volatility, or its
+    square root floored at zero, in the leading coordinates y of the state."""
+
+    sqrt: bool
+    c0: float
+    coeffs: np.ndarray
+
+    def __call__(self, y: np.ndarray) -> float:
+        value = self.c0 + float(np.dot(self.coeffs, y[:len(self.coeffs)]))
+        return math.sqrt(max(value, 0.0)) if self.sqrt else value
+
+
+def _parse_state_scale(d: dict) -> StateScale:
     kind = d.get("kind")
-    c0 = float(d.get("c0", 0.0))
-    coeffs = np.asarray(d.get("coeffs", []), dtype=float)
-    if kind == "affine":
-        return lambda y: float(c0 + np.dot(coeffs, y[:len(coeffs)]))
-    if kind == "sqrt_affine":
-        return lambda y: math.sqrt(max(c0 + float(np.dot(coeffs, y[:len(coeffs)])), 0.0))
-    raise ConfigError(f"unknown state_scale kind {kind!r}")
+    if kind not in ("affine", "sqrt_affine"):
+        raise ConfigError(f"unknown state_scale kind {kind!r}")
+    return StateScale(kind == "sqrt_affine", float(d.get("c0", 0.0)),
+                      np.asarray(d.get("coeffs", []), dtype=float))
 
 
 def parse_volatility(entries: Sequence[dict], op: OperatorSpec) -> list:
@@ -394,5 +401,10 @@ def build_scenario_realization(rt: Runtime, basis: tuple | None = None
     if basis is None:
         basis = assemble_basis(rt)
     V = rz.Subspace.build(basis, rt.space)
+    for k, s in enumerate(rt.sigma):
+        if isinstance(s, rz.StateVol) and len(s.scale_fn.coeffs) > V.dim:
+            raise ConfigError(
+                f"volatility entry {k}: state_scale.coeffs has "
+                f"{len(s.scale_fn.coeffs)} entries but dim V is {V.dim}")
     return rz.build_realization(rt.op, assemble_drift(rt), rt.sigma, V,
                                 mode_indices=rt.modes or None)

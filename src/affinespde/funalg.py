@@ -344,27 +344,33 @@ def coefficient_matrix(funcs: Sequence[QExpFunction]):
     all_terms = [t for f in funcs for t in f.terms]
     rate_map = _snap_values(t.rate for t in all_terms)
     freq_map = _snap_values(t.freq for t in all_terms)
-    keys: list[tuple] = []
-    index: dict[tuple, int] = {}
+    return keyed_matrix([((j, rate_map[mu], freq_map[nu], kind), c)
+                         for c, j, mu, nu, kind in f.terms] for f in funcs)
+
+
+def keyed_matrix(items: Iterable[Iterable[tuple]]):
+    """Stack rows of (key, coefficient) pairs into a (n_rows, n_keys)
+    matrix, keys in order of first appearance and repeated keys summed."""
+    keys: list = []
+    index: dict = {}
     rows = []
-    for f in funcs:
+    for pairs in items:
         row: dict[int, float] = {}
-        for c, j, mu, nu, kind in f.terms:
-            key = (j, rate_map[mu], freq_map[nu], kind)
+        for key, c in pairs:
             if key not in index:
                 index[key] = len(keys)
                 keys.append(key)
             k = index[key]
             row[k] = row.get(k, 0.0) + c
         rows.append(row)
-    mat = np.zeros((len(funcs), max(len(keys), 1)))
+    mat = np.zeros((len(rows), max(len(keys), 1)))
     for i, row in enumerate(rows):
         for k, c in row.items():
             mat[i, k] = c
     return mat, tuple(keys)
 
 
-def rank_and_pivots(mat: np.ndarray, tol_rank: float = TOL_RANK):
+def rank_and_pivots(mat: np.ndarray):
     """Numerical rank (relative SVD cutoff) and a greedy choice of that many
     row indices via column-pivoted QR on the transpose.  Rows are normalized
     first: spans are scale-invariant, and without this a huge-coefficient
@@ -374,7 +380,7 @@ def rank_and_pivots(mat: np.ndarray, tol_rank: float = TOL_RANK):
     scale = np.max(np.abs(mat), axis=1, keepdims=True)
     scaled = mat / np.where(scale == 0.0, 1.0, scale)
     s = np.linalg.svd(scaled, compute_uv=False)
-    rank = int(np.sum(s > tol_rank * s[0]))
+    rank = int(np.sum(s > TOL_RANK * s[0]))
     if rank == 0:
         return 0, []
     _q, _r, piv = scipy.linalg.qr(scaled.T, mode="economic", pivoting=True)

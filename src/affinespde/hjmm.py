@@ -73,7 +73,7 @@ def hjm_drift_levy_grid(driver: levy.LevySpec, sigma: Sequence[QExpFunction],
     return out
 
 
-def product_closure(V: SpanBasis, tol_rank: float = realization.TOL_RANK) -> SpanBasis:
+def product_closure(V: SpanBasis) -> SpanBasis:
     """Basis of V + P(V) where P(V) is spanned by the pairwise products
     v_i (T v_j).  The result has dimension at most dim V + (dim V)^2 and
     stays d/dx-invariant whenever V is."""
@@ -82,4 +82,4 @@ def product_closure(V: SpanBasis, tol_rank: float = realization.TOL_RANK) -> Spa
         raise DomainError("product closure needs quasi-exponential functions")
     prods = [funalg.multiply(vi, funalg.integrate_from_zero(vj))
              for vi in base for vj in base]
-    return realization.span_basis(base + prods, tol_rank)
+    return realization.span_basis(base + prods)

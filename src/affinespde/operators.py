@@ -117,8 +117,6 @@ class TermStructure2:
 OperatorSpec = Union[Translation, Transport, Cable, HeatDisk, Hermite,
                      Laguerre, TermStructure2]
 
-SPECTRAL_OPS = (Cable, HeatDisk, Hermite, Laguerre, TermStructure2)
-
 
 # ---------------------------------------------------------------------------
 # function representations beyond plain QExpFunction

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import csvio, funalg, levy, operators
-from .errors import GridMismatch, UnstableConfig
+from .errors import GridMismatch
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
@@ -41,24 +41,22 @@ def _field_at(f, r: np.ndarray) -> np.ndarray:
     return f(r) if callable(f) else f
 
 
-def pinned_nodes(op: OperatorSpec, grid: Grid1D) -> tuple[int, ...]:
-    """Grid rows held at their initial values: Dirichlet ends for the
-    second-order operators, the far-field end for transport."""
-    if isinstance(op, (operators.Cable, operators.TermStructure2)):
-        return (0, grid.n - 1)
-    if isinstance(op, (operators.Translation, operators.Transport)):
-        return (grid.n - 1,)
-    raise UnstableConfig(f"no grid stepping for {type(op).__name__}; "
-                         f"use the modal solver")
+def _pinned_rows(stencil) -> np.ndarray:
+    """The all-zero rows of a (lower, main, upper) stencil: the rows held
+    at their initial values while stepping."""
+    lower, main, upper = stencil
+    live = main != 0.0
+    live[1:] |= lower != 0.0
+    live[:-1] |= upper != 0.0
+    return np.flatnonzero(~live)
 
 
-def _theta_halves(op: OperatorSpec, grid: Grid1D, dt: float):
+def _theta_halves(op: OperatorSpec, stencil, dt: float):
     """(explicit, implicit) halves of one theta step: explicit(r) returns a
     new array (I + (1-theta) dt A) r, implicit(rhs) solves
     (I - theta dt A) y = rhs.  Theta follows the operator: Crank-Nicolson
     (0.5) for the cable, backward Euler (1) for transport, whose explicit
     half is then the identity."""
-    stencil = operators.operator_matrix(op, grid)
     if not isinstance(op, operators.Cable):
         return np.copy, operators.implicit_solver(stencil, dt)
     lower, main, upper = (0.5 * dt * d for d in stencil)
@@ -89,8 +87,9 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     states together, one multi-column solve per step.  Set-up checks and
     the factorization happen here, before the first row."""
     dt = increments.dt
-    pins = pinned_nodes(op, grid)
-    explicit, implicit = _theta_halves(op, grid, dt)
+    stencil = operators.operator_matrix(op, grid)
+    pins = _pinned_rows(stencil)
+    explicit, implicit = _theta_halves(op, stencil, dt)
 
     h0_vec = _normalize_field(h0, grid)
     if callable(h0_vec):
@@ -102,12 +101,11 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
         raise GridMismatch(f"{len(sigma_f)} volatility components vs "
                            f"{increments.m} driver columns")
 
-    pins_arr = np.array(pins, dtype=int)
     dt_alpha = None if callable(alpha_f) else dt * alpha_f
 
     def rows():
         r = h0_vec.copy()
-        pin_vals = h0_vec[pins_arr]
+        pin_vals = h0_vec[pins]
         yield r
         for n in range(increments.n_steps):
             rhs = explicit(r)
@@ -115,7 +113,7 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
             for k, s in enumerate(sigma_f):
                 rhs += _field_at(s, r) * increments.values[n, k]
             r = implicit(rhs)
-            r[pins_arr] = pin_vals
+            r[pins] = pin_vals
             yield r
 
     return rows()

@@ -47,7 +47,7 @@ from .errors import (
     SigmaEscapesV,
     TruncationTailTooLarge,
 )
-from .funalg import TOL_RANK, QExpFunction, SpanBasis
+from .funalg import QExpFunction, SpanBasis
 from .grids import Grid1D, trapezoid_weights
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
@@ -251,22 +251,7 @@ def _coeff_matrix_generic(funcs: Sequence):
     if isinstance(first, QExpFunction):
         return funalg.coefficient_matrix(funcs)
     if isinstance(first, EigenExpansion):
-        keys: list = []
-        index: dict = {}
-        rows = []
-        for f in funcs:
-            row = {}
-            for idx, c in f.items:
-                if idx not in index:
-                    index[idx] = len(keys)
-                    keys.append(idx)
-                row[index[idx]] = c
-            rows.append(row)
-        mat = np.zeros((len(funcs), max(len(keys), 1)))
-        for i, row in enumerate(rows):
-            for k, c in row.items():
-                mat[i, k] = c
-        return mat, tuple(keys)
+        return funalg.keyed_matrix(f.items for f in funcs)
     if isinstance(first, RayBundle):
         labels = sorted({lbl for b in funcs for lbl, _fn in b.parts})
         rays = [fn for b in funcs for _lbl, fn in b.parts]
@@ -286,14 +271,14 @@ def _coeff_matrix_generic(funcs: Sequence):
     raise DomainError(f"span computations need symbolic functions, got {type(first).__name__}")
 
 
-def span_basis(funcs: Sequence, tol_rank: float = TOL_RANK) -> SpanBasis:
+def span_basis(funcs: Sequence) -> SpanBasis:
     """Dimension of span(funcs) plus a reduced basis picked from the inputs.
     The functions are quasi-exponentials, eigen-expansions or ray bundles."""
     funcs = list(funcs)
     if not funcs:
         return SpanBasis((), 0, np.zeros((0, 0)))
     mat, keys = _coeff_matrix_generic(funcs)
-    rank, piv = funalg.rank_and_pivots(mat, tol_rank)
+    rank, piv = funalg.rank_and_pivots(mat)
     return SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv], keys)
 
 
@@ -374,8 +359,8 @@ class ClosureResult:
     dims: tuple[int, ...]
 
 
-def invariant_span(op: OperatorSpec, generators: Sequence, dim_cap: int = DIM_CAP,
-                   tol_rank: float = TOL_RANK) -> ClosureResult:
+def invariant_span(op: OperatorSpec, generators: Sequence,
+                   dim_cap: int = DIM_CAP) -> ClosureResult:
     """Smallest A-invariant span containing the generators, as a Krylov
     sweep: span <- span + A(frontier), where the frontier holds the
     directions the previous iteration added (the generators at first), until
@@ -392,7 +377,7 @@ def invariant_span(op: OperatorSpec, generators: Sequence, dim_cap: int = DIM_CA
     A stabilized sweep certifies quasi-exponential volatility; blowing
     through the cap reports not_detected (the closure may be infinite
     dimensional or merely larger than the cap)."""
-    current = span_basis(generators, tol_rank)
+    current = span_basis(generators)
     qexp = current.dim > 0 and all(isinstance(f, QExpFunction)
                                    for f in current.functions)
     table = _CoefficientTable(current.keys) if qexp else None
@@ -406,12 +391,12 @@ def invariant_span(op: OperatorSpec, generators: Sequence, dim_cap: int = DIM_CA
         if qexp:
             img_rows = table.rows(images)  # may add keys, so read it first
             mat = np.vstack([table.widen(current.coefficient_matrix), img_rows])
-            rank, piv = funalg.rank_and_pivots(mat, tol_rank)
+            rank, piv = funalg.rank_and_pivots(mat)
             funcs = current.functions + tuple(images)
             combined = SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv],
                                  tuple(table.keys))
         else:
-            combined = span_basis(list(current.functions) + images, tol_rank)
+            combined = span_basis(list(current.functions) + images)
         dims.append(combined.dim)
         if combined.dim == current.dim:
             return ClosureResult("quasi_exponential", _resynthesize(combined),
@@ -432,33 +417,41 @@ def invariant_span(op: OperatorSpec, generators: Sequence, dim_cap: int = DIM_CA
             current = combined
 
 
+def span_coords(basis: Sequence, targets: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coordinates of each target in span(basis), solved at
+    coefficient level: (coords, rel) with coords[:, j] the coordinates of
+    targets[j] and rel[j] its residual relative to its own norm, so the
+    verdict on one target does not depend on how the others are scaled."""
+    mat, _keys = _coeff_matrix_generic(list(basis) + list(targets))
+    b_mat, t_mat = mat[:len(basis)], mat[len(basis):]
+    coords, *_ = np.linalg.lstsq(b_mat.T, t_mat.T, rcond=None)
+    rel = np.linalg.norm(b_mat.T @ coords - t_mat.T, axis=0) / np.maximum(
+        np.linalg.norm(t_mat, axis=1), 1e-300)
+    return coords, rel
+
+
 @dataclass(frozen=True)
 class InvarianceCheck:
     ok: bool
     dim: int
-    offender: int | None = None
-    residual: float = 0.0
+    offender: int
+    residual: float
+    coords: np.ndarray = field(repr=False)
 
 
-def check_invariant(op: OperatorSpec, basis: Sequence,
-                    tol_rank: float = TOL_RANK) -> InvarianceCheck:
-    """Does span(basis) absorb its image under A?  On failure the certificate
-    carries the first offending basis index and its relative residual after
-    projecting the image back onto the span (coefficient level)."""
+def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
+    """Does span(basis) absorb its image under A?  The certificate carries
+    the basis index whose image leaves the span the most, that image's
+    relative residual after projecting it back onto the span (coefficient
+    level), and the coordinates of A on the span: column i of coords holds
+    those of A basis[i].  It passes when the residual is within
+    TOL_PROJECT."""
     basis = list(basis)
-    images = [operators.apply_exact(op, f) for f in basis]
-    mat, _keys = _coeff_matrix_generic(basis + images)
-    b_mat, i_mat = mat[:len(basis)], mat[len(basis):]
-    base = span_basis(basis, tol_rank)
-    combined = span_basis(basis + images, tol_rank)
-    if combined.dim == base.dim:
-        return InvarianceCheck(True, base.dim)
-    coef, *_ = np.linalg.lstsq(b_mat.T, i_mat.T, rcond=None)
-    resid = i_mat.T - b_mat.T @ coef
-    rel = np.linalg.norm(resid, axis=0) / np.maximum(
-        np.linalg.norm(i_mat, axis=1), 1e-300)
+    coords, rel = span_coords(basis, [operators.apply_exact(op, f) for f in basis])
     offender = int(np.argmax(rel))
-    return InvarianceCheck(False, combined.dim, offender, float(rel[offender]))
+    residual = float(rel[offender])
+    return InvarianceCheck(residual <= TOL_PROJECT, len(basis), offender,
+                           residual, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +529,6 @@ class CorrectionOperator:
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         return self.left @ (self.right @ np.asarray(h, dtype=float))
-
-    def matrix(self) -> np.ndarray:
-        return self.left @ self.right
 
     def operator_norm(self) -> float:
         """Largest singular value in the weighted metric."""
@@ -631,17 +621,6 @@ class Realization:
         return self.V.dim
 
 
-def _symbolic_coords(basis: Sequence, target):
-    """Least-squares coordinates of target in span(basis) at coefficient
-    level; returns (coords, relative residual)."""
-    mat, _ = _coeff_matrix_generic(list(basis) + [target])
-    b_mat, t_vec = mat[:-1], mat[-1]
-    scale = max(np.linalg.norm(t_vec), 1e-300)
-    coef, *_ = np.linalg.lstsq(b_mat.T, t_vec, rcond=None)
-    resid = np.linalg.norm(b_mat.T @ coef - t_vec) / scale
-    return coef, resid
-
-
 def _linear_combination(basis: Sequence, coords: np.ndarray):
     out = None
     for b, c in zip(basis, coords):
@@ -672,20 +651,12 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
     clauses: dict = {}
     if V.dim:
         inv = check_invariant(op, V.basis)
-        if not inv.ok:
+        if inv.residual > tol_project:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside {V.label} "
-                f"(relative residual {inv.residual:.3e})")
-        images = [operators.apply_exact(op, b) for b in V.basis]
-        mat, _ = _coeff_matrix_generic(list(V.basis) + images)
-        b_mat, i_mat = mat[:V.dim], mat[V.dim:]
-        bt, *_ = np.linalg.lstsq(b_mat.T, i_mat.T, rcond=None)
-        rel = np.linalg.norm(b_mat.T @ bt - i_mat.T) / max(
-            np.linalg.norm(i_mat), 1e-300)
-        if rel > tol_project:
-            raise NotInvariant(f"coordinate matrix residual {rel:.3e}")
-        B = bt  # column i holds coordinates of A v_i
-        clauses["invariant"] = {"ok": True, "dim": V.dim, "residual": float(rel)}
+                f"(coordinate matrix residual {inv.residual:.3e})")
+        B = inv.coords  # column i holds coordinates of A v_i
+        clauses["invariant"] = {"ok": True, "dim": V.dim, "residual": inv.residual}
     else:
         B = np.zeros((0, 0))
         clauses["invariant"] = {"ok": True, "dim": 0, "residual": 0.0}
@@ -698,7 +669,8 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
         if isinstance(vol, StateVol):
             scale_fn, target = vol.scale_fn, vol.base
         if _is_symbolic(target) and V.dim:
-            coords, resid = _symbolic_coords(V.basis, target)
+            coords, resid = span_coords(V.basis, [target])
+            coords, resid = coords[:, 0], resid[0]
         else:
             vec = V.space.sample(target)
             coords = V.coords(vec)

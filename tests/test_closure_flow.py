@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affinespde import cli, funalg
+from affinespde import cli, funalg, operators
 from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import NotInvariant
@@ -132,6 +132,39 @@ def test_verify_makes_no_symbolic_shift_calls(tmp_path, monkeypatch):
     assert cfgmod.build_scenario_realization(rt).psi_method == "shift_exact"
     assert cli.run_verify(rt, str(tmp_path), refine=1) == 0
     assert calls == []
+
+
+CERTIFIED = [n for n in sorted(cfgmod.bundled_scenarios())
+             if not n.startswith("neg-")]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_build_applies_the_generator_twice_per_basis_element(name, monkeypatch):
+    # once for clause 1 and the coordinate matrix B, once for the
+    # semi-invariance correction
+    rt = cli._load_runtime(name)
+    basis = cfgmod.assemble_basis(rt)
+    calls = []
+    apply_exact = operators.apply_exact
+
+    def counted(op, f):
+        calls.append(f)
+        return apply_exact(op, f)
+
+    monkeypatch.setattr(operators, "apply_exact", counted)
+    real = cfgmod.build_scenario_realization(rt, basis)
+    assert len(calls) == 2 * real.dim
+
+
+@pytest.mark.parametrize("name", ["heat-disk", "hjmm-linear",
+                                  "transport-mortality-2d"])
+def test_check_invariant_coords_are_the_coordinate_matrix(name):
+    rt = cli._load_runtime(name)
+    real = cfgmod.build_scenario_realization(rt)
+    inv = rz.check_invariant(rt.op, real.V.basis)
+    assert inv.ok and inv.dim == real.dim
+    assert np.array_equal(inv.coords, real.B)
+    assert inv.residual == real.clauses["invariant"]["residual"]
 
 
 def test_remainder_vector_prefers_the_stored_vector():

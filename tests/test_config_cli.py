@@ -279,6 +279,20 @@ def test_initial_curve_csv_with_a_text_field_is_a_config_error(
     assert "initial curve file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
+def test_state_scale_longer_than_dim_v_exits_2(tmp_path, capsys, command):
+    raw = copy.deepcopy(_load("transport-1d"))  # dim V = 2
+    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
+                                           "coeffs": [0.1] * 5}
+    cfg = tmp_path / "transport-state.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "state_scale.coeffs has 5 entries" in err and "dim V is 2" in err
+    assert os.listdir(out) == []
+
+
 def test_ensemble_check_precedes_every_write(tmp_path, capsys):
     # euler steps a state-dependent volatility on one path, but the ensemble
     # kernel needs constant coefficients: --paths 2 must fail before any

@@ -12,15 +12,15 @@ from affinespde.operators import Cable, TermStructure2, Translation
 from test_acceptance import _random_family_member
 
 
-def _full_sweep(op, generators, dim_cap=rz.DIM_CAP, tol_rank=rz.TOL_RANK):
+def _full_sweep(op, generators, dim_cap=rz.DIM_CAP):
     """The reference: apply A to the whole span every iteration and
     re-synthesise it, O(dim_cap^2) applications of A.  Returns (status,
     dims, basis)."""
-    current = rz.span_basis(generators, tol_rank)
+    current = rz.span_basis(generators)
     dims = [current.dim]
     while True:
         images = [operators.apply_exact(op, f) for f in current.functions]
-        combined = rz.span_basis(list(current.functions) + images, tol_rank)
+        combined = rz.span_basis(list(current.functions) + images)
         dims.append(combined.dim)
         if combined.dim == current.dim:
             return "quasi_exponential", tuple(dims), rz._resynthesize(combined)

@@ -113,6 +113,21 @@ def test_implicit_solver_matches_dense_cable_step(dt):
             1e-13 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("op, pins", [
+    (operators.Cable(), (0, 100)),
+    (operators.Translation(), (100,)),
+    (operators.Transport(), (100,)),
+])
+def test_grid_stepping_holds_exactly_the_pinned_rows(op, pins):
+    # the pins are the stencil's all-zero rows: the Dirichlet ends of the
+    # cable, the far-field end of transport
+    grid = Grid1D.from_interval(0.0, 3.0, 101)
+    h0 = funalg.evaluate(Q.exponential(-1.0), grid.points())
+    inc = levy.IncrementMatrix(0.01, np.full((3, 1), 0.5), seed=0)
+    last = _grid_solution(op, grid, None, [np.ones(grid.n)], h0, inc).values[-1]
+    assert tuple(np.flatnonzero(last == h0)) == pins
+
+
 def test_grid_stepping_refuses_the_mortality_wedge():
     # the wedge is stepped along its rays, never as one 1-D stencil
     grid = Grid1D.from_interval(0.0, 10.0, 101)

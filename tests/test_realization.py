@@ -61,6 +61,36 @@ def test_check_invariant_pass_and_fail():
     assert bad.residual > 0.1
 
 
+@pytest.mark.parametrize("s", [1.0, 100.0])
+def test_invariance_verdict_ignores_the_scale_of_other_elements(s):
+    # A v1 leaves span(v2) by 2e-10 of its own norm; a residual relative to
+    # all images together hides it once s v3 has a large image
+    basis = [Q.exponential(-1.0),
+             funalg.parse_qexp("exp(-2*x) + 2e-5*x*exp(-2*x)"),
+             Q.exponential(-3.0, s)]
+    inv = rz.check_invariant(Translation(), basis)
+    assert not inv.ok and inv.offender == 1
+    assert 1e-10 < inv.residual < 1e-9
+    V = rz.Subspace.build(basis, HALF_LINE)
+    with pytest.raises(NotInvariant, match="basis element 1 .*coordinate "
+                                           "matrix residual"):
+        rz.build_realization(Translation(), rz.ConstantDrift(None), [], V)
+
+
+def test_ray_bundle_basis_leaving_its_span_is_not_invariant():
+    # d/dx keeps the base ray exp(-x/2) and maps the trend ray x e^{-x} out
+    wedge = operators.Transport("mortality_wedge")
+    basis = [operators.RayBundle.make([("base", Q.exponential(-0.5))]),
+             operators.RayBundle.make([("trend", funalg.parse_qexp("x*exp(-1*x)"))])]
+    inv = rz.check_invariant(wedge, basis)
+    assert not inv.ok and inv.offender == 1 and inv.residual > 0.1
+    space = rz.ProfileRaySpace(("base", "trend"),
+                               rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201)))
+    V = rz.Subspace.build(basis, space)
+    with pytest.raises(NotInvariant, match="basis element 1"):
+        rz.build_realization(wedge, rz.ConstantDrift(None), [], V)
+
+
 def test_grid_space_weights_computed_once_and_read_only():
     space = rz.GridSpace(HALF_LINE.grid, HALF_LINE.weight)
     w = space.weights()
