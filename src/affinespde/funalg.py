@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 
@@ -383,8 +382,30 @@ def rank_and_pivots(mat: np.ndarray):
     rank = int(np.sum(s > TOL_RANK * s[0]))
     if rank == 0:
         return 0, []
-    _q, _r, piv = scipy.linalg.qr(scaled.T, mode="economic", pivoting=True)
-    return rank, sorted(int(i) for i in piv[:rank])
+    return rank, qr_pivots(scaled.T, rank)
+
+
+def qr_pivots(a: np.ndarray, count: int) -> list[int]:
+    """Sorted column indices of the first `count` pivots of column-pivoted
+    QR (Businger & Golub 1965).  Each step swaps in the remaining column of
+    largest residual norm, the first one on a tie as LAPACK's idamax does,
+    and projects it out of the rest by one rank-1 update; the norms are
+    recomputed exactly rather than downdated.  With `count` at least the
+    column count every column is a pivot and nothing is eliminated."""
+    n = a.shape[1]
+    if count >= n:
+        return list(range(n))
+    r = np.array(a, dtype=float)
+    perm = np.arange(n)
+    for i in range(count):
+        norms = np.linalg.norm(r[:, i:], axis=0)
+        p = i + int(np.argmax(norms))
+        r[:, [i, p]] = r[:, [p, i]]
+        perm[[i, p]] = perm[[p, i]]
+        if norms[p - i] > 0.0:
+            q = r[:, i] / norms[p - i]
+            r[:, i + 1:] -= np.outer(q, q @ r[:, i + 1:])
+    return sorted(int(j) for j in perm[:count])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+# numpy loads numpy.random on first use; simulate and verify always draw
+# from it, so it loads with the package like every other dependency
+import numpy.random
 
 from . import csvio
 from .errors import (

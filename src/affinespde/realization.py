@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import funalg, levy, operators
 from .errors import (
@@ -294,8 +293,7 @@ def _orthonormal_rows(kept: np.ndarray, rows: np.ndarray, count: int) -> np.ndar
     scale = np.linalg.norm(rows, axis=1, keepdims=True)
     for _ in range(2):  # twice is enough against cancellation
         rows = rows - (rows @ kept.T) @ kept
-    _q, _r, piv = scipy.linalg.qr((rows / scale).T, mode="economic", pivoting=True)
-    q, _ = np.linalg.qr(rows[np.sort(piv[:count])].T)
+    q, _ = np.linalg.qr(rows[funalg.qr_pivots((rows / scale).T, count)].T)
     out = np.ascontiguousarray(q.T[:count])
     for row in out:
         lead = np.argmax(np.abs(row))
@@ -437,21 +435,23 @@ class InvarianceCheck:
     offender: int
     residual: float
     coords: np.ndarray = field(repr=False)
+    images: tuple = field(repr=False)
 
 
 def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
     """Does span(basis) absorb its image under A?  The certificate carries
     the basis index whose image leaves the span the most, that image's
     relative residual after projecting it back onto the span (coefficient
-    level), and the coordinates of A on the span: column i of coords holds
-    those of A basis[i].  It passes when the residual is within
-    TOL_PROJECT."""
+    level), the coordinates of A on the span: column i of coords holds
+    those of A basis[i], and the images A basis[i] themselves.  It passes
+    when the residual is within TOL_PROJECT."""
     basis = list(basis)
-    coords, rel = span_coords(basis, [operators.apply_exact(op, f) for f in basis])
+    images = tuple(operators.apply_exact(op, f) for f in basis)
+    coords, rel = span_coords(basis, images)
     offender = int(np.argmax(rel))
     residual = float(rel[offender])
     return InvarianceCheck(residual <= TOL_PROJECT, len(basis), offender,
-                           residual, coords)
+                           residual, coords, images)
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +541,19 @@ class CorrectionOperator:
         return float(s[0]) if s.size else 0.0
 
 
-def semiinvariant_correction(op: OperatorSpec, V: Subspace) -> CorrectionOperator:
+def semiinvariant_correction(op: OperatorSpec, V: Subspace,
+                             images: Sequence | None = None) -> CorrectionOperator:
     """Correction making the complement projection of (A + T) vanish on V.
     The basis functions are assumed inside the generator's domain (true for
     every symbolic family here), so the extension of A used off the domain is
-    immaterial: T acts through the projection onto V."""
+    immaterial: T acts through the projection onto V.  `images` are the
+    A V.basis[i] when the caller has them already (`check_invariant`)."""
     if V.dim == 0:
         n = V.space.size
         return CorrectionOperator(np.zeros((n, 0)), np.zeros((0, n)), V.space)
-    images = np.vstack([V.space.sample(operators.apply_exact(op, b)) for b in V.basis])
+    if images is None:
+        images = [operators.apply_exact(op, b) for b in V.basis]
+    images = np.vstack([V.space.sample(img) for img in images])
     w = V.space.weights()
     phi_w = V.samples * w
     try:
@@ -714,7 +718,7 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
 
     correction_norm = 0.0
     if V.dim:
-        correction_norm = semiinvariant_correction(op, V).operator_norm()
+        correction_norm = semiinvariant_correction(op, V, inv.images).operator_norm()
 
     if isinstance(op, (operators.Translation, operators.Transport)):
         psi_method = "shift_exact"
@@ -1007,6 +1011,36 @@ def psi_rows(real: Realization, h0,
 # the V-coordinate process Y
 
 
+# the degree-13 Padé approximant p(x) / p(-x) of e^x: the coefficients of
+# p, and the 1-norm theta_13 up to which it needs no scaling (Higham 2005,
+# "The scaling and squaring method for the matrix exponential revisited")
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by the degree-13 Padé approximant with scaling and squaring."""
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _expm_with_integral(B: np.ndarray, dt: float):
     """(e^{B dt}, int_0^dt e^{B s} ds) from one augmented matrix exponential."""
     d = B.shape[0]
@@ -1015,7 +1049,7 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = B * dt
     aug[:d, d:] = np.eye(d) * dt
-    full = scipy.linalg.expm(aug)
+    full = _expm(aug)
     return full[:d, :d], full[:d, d:]
 
 

@@ -320,17 +320,19 @@ def test_zero_column_coordinate_csv_round_trip():
     assert coords.shape == (2, 0)
 
 
-def test_grid_verify_loads_no_sparse_module(tmp_path):
-    # every grid stencil is stepped by the tridiagonal scan: verifying the
-    # cable loads no scipy.sparse module at all
+def test_commands_load_no_scipy_module(tmp_path):
+    # the package runs on numpy alone: analyze, simulate and verify load no
+    # scipy module, on a grid scenario (cable) and a modal one (heat-disk)
+    runs = [[*cmd, "--config", name, "--out", str(tmp_path / f"{name}-{cmd[0]}")]
+            for name in ("cable", "heat-disk")
+            for cmd in (["analyze"], ["simulate", "--seed", "1"],
+                        ["verify", "--refine", "1"])]
     code = ("import sys\n"
             "from affinespde import cli\n"
-            f"code = cli.main(['verify', '--config', 'cable', '--refine', '1', "
-            f"'--out', {str(tmp_path)!r}])\n"
-            "print(code, sorted(m for m in sys.modules "
-            "if m.startswith('scipy.sparse')))\n")
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip().splitlines()[-1] == "0 []"
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

@@ -220,9 +220,10 @@ def _package_imports() -> set[str]:
 
 
 def test_cli_import_loads_no_process_pool():
-    # scipy.sparse and scipy.linalg import concurrent.futures themselves, so
-    # it is dropped from sys.modules after the third-party imports: what the
-    # package itself pulls in (a stdlib module such as asyncio) brings it back
+    # a third-party dependency may import concurrent.futures itself, so it
+    # is dropped from sys.modules after the third-party imports: only what
+    # the package itself pulls in (a stdlib module such as asyncio) brings
+    # it back
     names = _package_imports()
     assert not {n.split(".")[0] for n in names} & {"multiprocessing", "concurrent"}
     deps = sorted(n for n in names
