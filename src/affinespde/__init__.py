@@ -14,7 +14,7 @@ from .realization import (
     build_realization,
     check_invariant,
     coordinate_rows,
-    ensemble_rows,
+    ensemble_moments,
     invariant_span,
     psi_rows,
     semiinvariant_correction,
@@ -41,7 +41,7 @@ __all__ = [
     "build_realization",
     "check_invariant",
     "coordinate_rows",
-    "ensemble_rows",
+    "ensemble_moments",
     "invariant_span",
     "psi_rows",
     "semiinvariant_correction",

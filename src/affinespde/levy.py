@@ -298,16 +298,17 @@ def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
     state to that stream's key with a zero counter and an empty buffer."""
     _check_steps(dt, n_steps)
     gen = component_stream(0, 0)
+    # one state dict; the setter copies it, so only its key changes per stream
+    key = np.zeros(2, np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.zeros((len(seeds), n_steps, spec.m))
     for p, seed in enumerate(seeds):
         for k, comp in enumerate(spec.components):
-            key = _stream_key(seed, k)
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, np.uint64),
-                          "key": np.array([key % 2 ** 64, key // 2 ** 64], np.uint64)},
-                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0}
+            key[1], key[0] = divmod(_stream_key(seed, k), 2 ** 64)
+            gen.bit_generator.state = state
             out[p, :, k] = _component_increments(comp, gen, dt, n_steps)
     return out
 

@@ -27,6 +27,7 @@ clause 1 guarantees.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -1097,7 +1098,7 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     yielding Y at every time of the uniform grid.  Set-up checks raise here.
 
     Constant coefficients take the exact affine update through the same
-    kernel as ensemble_rows; state-dependent ones take explicit
+    kernel as ensemble_moments; state-dependent ones take explicit
     first-order euler steps."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
@@ -1130,27 +1131,69 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     return rows()
 
 
-def ensemble_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                  spec: levy.LevySpec, seeds: Sequence[int]
-                  ) -> Iterator[np.ndarray]:
+# seeds per path block of ensemble_moments: BLOCK_VALUES // (n_t m), about
+# 2 MB of float64 increments
+BLOCK_VALUES = 2 ** 18
+
+
+def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
+                     spec: levy.LevySpec, seeds: Sequence[int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo over per-seed driver streams, constant coefficients only:
-    yields the (len(seeds), dim) block of coordinates at every time of the
-    uniform grid.  Path p is driven by the same increments as seed seeds[p].
-    Set-up checks raise here; the increments are sampled at the first block,
-    so a caller can check before it writes anything."""
+    the sample mean and variance (ddof=1) of the coordinates at every time
+    of the uniform grid, each (n_t+1, dim).  Path p is driven by the same
+    increments as seed seeds[p].  Paths are drawn, stepped and reduced one
+    block of seeds at a time, so memory does not grow with their number.
+    Set-up checks raise before the first draw.
+
+    The mean sums over paths one path at a time, as numpy reduces the whole
+    (paths, n_t+1, dim) array, so its bits are that array's mean(axis=0).
+    Block variances merge by the pairwise update of Chan, Golub & LeVeque
+    (1979): within one block the bits are var(axis=0, ddof=1), beyond it
+    they differ by rounding."""
     dt = _uniform_dt(t_grid)
     _check_driver(real, spec.m)
     step = _constant_step(real, dt)
-
-    def rows():
-        inc = levy.sample_increment_ensemble(spec, dt, len(t_grid) - 1, seeds)
-        # no local name for the first block, so it is freed after one step
-        yield from _affine_rows(
-            np.tile(np.asarray(v0, dtype=float).reshape(1, real.dim),
-                    (len(seeds), 1)),
-            step, inc.transpose(1, 0, 2))
-
-    return rows()
+    n_steps = len(t_grid) - 1
+    per_block = max(2, BLOCK_VALUES // (n_steps * spec.m))
+    # a lone last path joins the block before it: numpy steps a one-row
+    # block by a matrix-vector product, which rounds unlike the matrix
+    # product that steps two rows or more
+    stops = [*range(per_block, len(seeds) - 1, per_block), len(seeds)]
+    y0 = np.asarray(v0, dtype=float).reshape(1, real.dim)
+    total = np.zeros((n_steps + 1, real.dim))
+    m2 = np.zeros_like(total)
+    count = 0
+    for start, stop in zip([0, *stops], stops):
+        block = seeds[start:stop]
+        size = len(block)
+        # no local name for the increments: the exhausted rows free them
+        # before the next block is drawn
+        rows = _affine_rows(
+            np.tile(y0, (size, 1)), step,
+            levy.sample_increment_ensemble(spec, dt, n_steps, block)
+            .transpose(1, 0, 2))
+        # eight times per reduction: one thin (paths, d) row alone reduces
+        # about four times slower per value
+        at = slice(0, 0)
+        while chunk := list(itertools.islice(rows, 8)):
+            ys = np.stack(chunk, axis=1)  # (paths, times, d)
+            at = slice(at.stop, at.stop + len(chunk))
+            block_sum = np.add.reduce(ys, axis=0)
+            mean = block_sum / size
+            dev = ys - mean
+            block_m2 = np.add.reduce(dev * dev, axis=0)
+            if count:
+                delta = mean - total[at] / count
+                m2[at] += block_m2 + delta * delta * (count * size
+                                                      / (count + size))
+                total[at] = np.add.reduce(
+                    np.concatenate([total[at][None], ys]), axis=0)
+            else:
+                m2[at] = block_m2
+                total[at] = block_sum
+        count += size
+    return total / count, m2 / max(count - 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,9 @@ CERTIFIED = [n for n in sorted(cfgmod.bundled_scenarios())
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
-def test_a_build_applies_the_generator_twice_per_basis_element(name, monkeypatch):
-    # once per basis element: clause 1, the coordinate matrix B and the
-    # semi-invariance correction share the images (the name is kept from
-    # when the correction applied A a second time)
+def test_a_build_applies_the_generator_once_per_basis_element(name, monkeypatch):
+    # clause 1, the coordinate matrix B and the semi-invariance correction
+    # share the images
     rt = cli._load_runtime(name)
     basis = cfgmod.assemble_basis(rt)
     calls = []

@@ -86,11 +86,8 @@ def _old_write_increments_csv(inc, path):
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _old_write_ensemble_stats(path, t_grid, d, blocks):
-    coords = np.stack(list(blocks), axis=1)  # (paths, times, d)
-    mean = coords.mean(axis=0)
-    var = coords.var(axis=0, ddof=1)
-    d = coords.shape[2]
+def _old_write_ensemble_stats(path, t_grid, mean, var):
+    d = mean.shape[1]
     with open(path, "w") as fh:
         head = ["t"] + [f"mean_{i + 1}" for i in range(d)] + \
             [f"var_{i + 1}" for i in range(d)]

@@ -318,14 +318,14 @@ def test_ensemble_matches_per_seed_paths():
     dt = t_grid[1] - t_grid[0]
     spec = levy.make_levy_spec([{"brownian_vol": 0.4}])
     seeds = [5, 6, 7]
-    # (paths, times, d) from the per-time (paths, d) blocks
-    ens = np.stack(list(rz.ensemble_rows(real, t_grid, np.array([1.0]),
-                                         spec, seeds)),
-                   axis=1)
-    for p, seed in enumerate(seeds):
-        inc = levy.sample_increments(spec, dt, 25, seed)
-        one = _coords(real, t_grid, np.array([1.0]), inc)
-        assert np.array_equal(ens[p], one)
+    mean, var = rz.ensemble_moments(real, t_grid, np.array([1.0]), spec, seeds)
+    # (paths, times, d) from the three single paths
+    paths = np.stack([
+        _coords(real, t_grid, np.array([1.0]),
+                levy.sample_increments(spec, dt, 25, seed))
+        for seed in seeds])
+    assert np.array_equal(mean, paths.mean(axis=0))
+    assert np.array_equal(var, paths.var(axis=0, ddof=1))
 
 
 def test_state_vol_needs_euler():
@@ -338,4 +338,4 @@ def test_state_vol_needs_euler():
     coords = _coords(real, t_grid, np.array([0.5]), inc)
     assert coords.shape == (21, 1)
     with pytest.raises(SchemeUnsupported):
-        rz.ensemble_rows(real, t_grid, np.array([0.5]), spec, [9])
+        rz.ensemble_moments(real, t_grid, np.array([0.5]), spec, [9])

@@ -1,6 +1,7 @@
 """Streamed simulation: the one constant-coefficient stepping kernel, the
-ensemble blocks, the memory `simulate` holds, the forked r.csv writer, the
-README example, and an import of the CLI that pulls in no process pool."""
+ensemble's path blocks and moments, the memory `simulate` holds, the forked
+r.csv writer, the README example, and an import of the CLI that pulls in no
+process pool."""
 
 import ast
 import copy
@@ -70,6 +71,17 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
     assert np.array_equal(got, np.array(expect))
 
 
+def _whole_ensemble(rt, real, v0, seeds):
+    """The (paths, n_t+1, d) array of every path: the per-seed increments
+    stacked whole and stepped as one block."""
+    inc = np.stack([levy.sample_increments(rt.driver, rt.dt, rt.n_t, s).values
+                    for s in seeds])
+    rows = rz._affine_rows(np.tile(v0, (len(seeds), 1)),
+                           rz._constant_step(real, rt.dt),
+                           inc.transpose(1, 0, 2))
+    return np.stack(list(rows), axis=1)
+
+
 def test_streamed_ensemble_stats_equal_whole_array_reductions(tmp_path):
     rt = _runtime("heat-disk")
     paths = 500
@@ -78,13 +90,36 @@ def test_streamed_ensemble_stats_equal_whole_array_reductions(tmp_path):
 
     real = cfgmod.build_scenario_realization(rt)
     _u0, v0 = rz.split_initial(real, rt.h0)
-    blocks = rz.ensemble_rows(real, rt.t_grid(), v0, rt.driver,
-                              list(range(11, 11 + paths)))
-    coords = np.stack(list(blocks), axis=1)  # (paths, times, d)
+    coords = _whole_ensemble(rt, real, v0, range(11, 11 + paths))
     d = real.dim
     assert np.array_equal(t, rt.t_grid())
     assert np.array_equal(stats[:, :d], coords.mean(axis=0))
     assert np.array_equal(stats[:, d:], coords.var(axis=0, ddof=1))
+
+
+@pytest.mark.parametrize("paths, per_block", [
+    (2, 5), (6, 5), (7, 5), (11, 5), (16, 5),
+    (3300, None)])  # three shipped blocks, the last one ragged
+def test_ensemble_moments_match_whole_array_reductions(paths, per_block,
+                                                       monkeypatch):
+    # the mean keeps the whole array's bits for every count; the variance
+    # keeps them within one block, where a lone last path joins the block
+    # before it, and its value to rounding across blocks
+    rt = _runtime("heat-disk")
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    if per_block is not None:
+        monkeypatch.setattr(rz, "BLOCK_VALUES",
+                            per_block * rt.n_t * rt.driver.m)
+    per_block = rz.BLOCK_VALUES // (rt.n_t * rt.driver.m)
+    seeds = range(11, 11 + paths)
+    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
+    coords = _whole_ensemble(rt, real, v0, seeds)
+    want = coords.var(axis=0, ddof=1)
+    assert np.array_equal(mean, coords.mean(axis=0))
+    if paths <= per_block + 1:
+        assert np.array_equal(var, want)
+    assert np.all(np.abs(var - want) <= 1e-12 * want.max(axis=0))
 
 
 def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
@@ -96,7 +131,7 @@ def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     t_grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
-        rz.ensemble_rows(real, t_grid, np.zeros(1), spec, [1, 2, 3])
+        rz.ensemble_moments(real, t_grid, np.zeros(1), spec, [1, 2, 3])
     inc = levy.sample_increments(spec, 0.1, 10, 1)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
         rz.coordinate_rows(real, t_grid, np.zeros(1), inc)
@@ -126,8 +161,8 @@ def test_inline_r_writer_holds_no_full_curve(tmp_path, monkeypatch):
 
 
 def test_run_simulate_ensemble_holds_no_path_block(tmp_path):
-    # the ensemble statistics come from one (paths, d) block per time, never
-    # from the (paths, n_t+1, d) array of every path (6.4 MB here)
+    # the ensemble statistics come from blocks of paths, never from the
+    # (paths, n_t+1, d) array of every path (6.4 MB here)
     rt = _runtime("heat-disk")
     paths = 2000
     real = cfgmod.build_scenario_realization(rt)
@@ -136,6 +171,21 @@ def test_run_simulate_ensemble_holds_no_path_block(tmp_path):
         lambda: cli.run_simulate(rt, str(tmp_path), seed=11, paths=paths))
     assert rc == 0
     assert peak < block_bytes, (peak, block_bytes)
+
+
+def test_run_simulate_ensemble_memory_does_not_grow_with_paths(tmp_path):
+    # paths are drawn a block at a time, so 20000 paths hold neither the
+    # (paths, n_t, m) increment array of every path (32 MB here) nor much
+    # more than 2000 paths do
+    rt = _runtime("heat-disk")
+    peaks = {}
+    for paths in (2000, 20000):
+        rc, peaks[paths] = _traced_peak(lambda: cli.run_simulate(
+            rt, str(tmp_path / str(paths)), seed=11, paths=paths))
+        assert rc == 0
+    increment_bytes = 8 * 20000 * rt.n_t * rt.driver.m
+    assert peaks[20000] < increment_bytes, (peaks, increment_bytes)
+    assert peaks[20000] <= 1.5 * peaks[2000], peaks
 
 
 def test_readme_library_usage_runs():
@@ -147,7 +197,7 @@ def test_readme_library_usage_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["Y"].shape == (501, namespace["real"].dim)
     assert namespace["r"].shape == (801,)
-    assert len(namespace["means"]) == 501
+    assert namespace["mean"].shape == (501, namespace["real"].dim)
 
 
 def _failing_writer(monkeypatch, failing_name):
