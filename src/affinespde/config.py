@@ -14,11 +14,10 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Sequence
 
-import jsonschema
 import numpy as np
 
 from . import hjmm, levy, operators, realization as rz
@@ -27,15 +26,191 @@ from .funalg import QExpFunction, parse_qexp
 from .grids import Grid1D
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
+# ---------------------------------------------------------------------------
+# schema check: a draft-07 validator for the keywords the shipped schema uses
+
+_KEYWORDS = frozenset({
+    "$ref", "type", "properties", "additionalProperties", "required",
+    "items", "minItems", "maxItems", "minLength", "enum", "minimum",
+    "exclusiveMinimum", "maximum", "oneOf",
+    "$schema", "title", "definitions"})     # the last three annotate only
+_TYPES = {"array": list, "boolean": bool, "null": type(None),
+          "object": dict, "string": str}
+_REF = "#/definitions/"
+
+
+def _is_type(instance, name: str) -> bool:
+    """Draft-07 types: a bool is no number, an integral float an integer."""
+    if name in _TYPES:
+        return isinstance(instance, _TYPES[name])
+    if isinstance(instance, bool) or not isinstance(instance, (int, float)):
+        return False
+    return (name == "number" or isinstance(instance, int)
+            or instance.is_integer())
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One schema violation.  As in jsonschema, `path` is relative to the
+    instance of the enclosing oneOf (or to the document), and a oneOf's
+    violation holds its branches' violations in `context`."""
+
+    message: str
+    path: tuple
+    keyword: str
+    matches_type: bool        # the instance has the type its schema names
+    context: tuple = ()
+
+    def relevance(self):
+        """jsonschema's `relevance`: a shorter path wins, then a greater one,
+        then a keyword other than oneOf, then an instance of the wrong type."""
+        return (-len(self.path), self.path, self.keyword != "oneOf",
+                not self.matches_type)
+
+
+class SchemaValidator:
+    """Draft-07 validation by the keywords in `_KEYWORDS`, string enums and
+    $ref into the definitions; loading a schema that uses anything else
+    raises.  Messages are jsonschema's text."""
+
+    def __init__(self, schema: dict):
+        self.schema = schema
+        self._check(schema)
+
+    def _resolve(self, ref: str) -> dict:
+        if not ref.startswith(_REF):
+            raise ValueError(f"schema $ref {ref!r} is not into #/definitions")
+        return self.schema["definitions"][ref[len(_REF):]]
+
+    def _check(self, schema) -> None:
+        if not isinstance(schema, dict):
+            raise ValueError(f"schema node {schema!r} is not an object")
+        unknown = set(schema) - _KEYWORDS
+        if unknown:
+            raise ValueError(f"schema keywords {sorted(unknown)} are not "
+                             f"implemented")
+        if schema.get("additionalProperties", False) is not False:
+            raise ValueError("only additionalProperties: false is implemented")
+        if schema.get("type", "number") not in (*_TYPES, "integer", "number"):
+            raise ValueError(f"schema type {schema['type']!r} is not "
+                             f"implemented")
+        if not all(isinstance(e, str) for e in schema.get("enum", [])):
+            raise ValueError("only enums of strings are implemented")
+        if "$ref" in schema:
+            self._resolve(schema["$ref"])
+        items = schema.get("items", [])
+        for sub in [*schema.get("properties", {}).values(),
+                    *schema.get("definitions", {}).values(),
+                    *(items if isinstance(items, list) else [items]),
+                    *schema.get("oneOf", [])]:
+            self._check(sub)
+
+    def iter_errors(self, instance, schema=None, path=()):
+        """The violations of `instance`, in jsonschema's order."""
+        schema = self.schema if schema is None else schema
+        while "$ref" in schema:  # draft-07: siblings of $ref are ignored
+            schema = self._resolve(schema["$ref"])
+        matches = "type" in schema and _is_type(instance, schema["type"])
+        for key, value in schema.items():
+            if key == "properties" and isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from self.iter_errors(instance[name], sub,
+                                                    path + (name,))
+            elif key == "items" and isinstance(instance, list):
+                pairs = (zip(instance, value) if isinstance(value, list)
+                         else ((item, value) for item in instance))
+                for index, (item, sub) in enumerate(pairs):
+                    yield from self.iter_errors(item, sub, path + (index,))
+            elif key == "oneOf":
+                yield from self._one_of(value, instance, path, matches)
+            else:
+                for message in self._leaf(key, value, instance, schema):
+                    yield Violation(message, path, key, matches)
+
+    def _one_of(self, branches, instance, path, matches):
+        context = []
+        for index, sub in enumerate(branches):
+            errors = list(self.iter_errors(instance, sub))
+            if not errors:
+                break
+            context += errors
+        else:
+            yield Violation(f"{instance!r} is not valid under any of the "
+                            f"given schemas", path, "oneOf", matches,
+                            tuple(context))
+            return
+        valid = [s for s in branches[index + 1:]
+                 if next(self.iter_errors(instance, s), None) is None]
+        if valid:
+            reprs = ", ".join(map(repr, valid + [branches[index]]))
+            yield Violation(f"{instance!r} is valid under each of {reprs}",
+                            path, "oneOf", matches)
+
+    @staticmethod
+    def _leaf(key, value, instance, schema):
+        """The messages of one keyword that does not descend."""
+        number = _is_type(instance, "number")
+        if key == "type" and not _is_type(instance, value):
+            yield f"{instance!r} is not of type {value!r}"
+        elif key == "required" and isinstance(instance, dict):
+            for name in value:
+                if name not in instance:
+                    yield f"{name!r} is a required property"
+        elif key == "additionalProperties" and isinstance(instance, dict):
+            extras = sorted(k for k in instance
+                            if k not in schema.get("properties", {}))
+            if extras:
+                yield (f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extras))} "
+                       f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key in ("minItems", "minLength") and isinstance(
+                instance, list if key == "minItems" else str) \
+                and len(instance) < value:
+            yield (f"{instance!r} "
+                   f"{'should be non-empty' if value == 1 else 'is too short'}")
+        elif key == "maxItems" and isinstance(instance, list) \
+                and len(instance) > value:
+            yield (f"{instance!r} "
+                   f"{'is expected to be empty' if value == 0 else 'is too long'}")
+        elif key == "enum" and instance not in value:
+            yield f"{instance!r} is not one of {value!r}"
+        elif key == "minimum" and number and instance < value:
+            yield f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and number and instance <= value:
+            yield (f"{instance!r} is less than or equal to the minimum of "
+                   f"{value!r}")
+        elif key == "maximum" and number and instance > value:
+            yield f"{instance!r} is greater than the maximum of {value!r}"
+
+    def best_match(self, instance) -> Violation | None:
+        """jsonschema's `best_match`: the most relevant violation, descending
+        into a oneOf's branch violations while one of them is the most
+        relevant alone; its path is made absolute."""
+        best = max(self.iter_errors(instance), key=Violation.relevance,
+                   default=None)
+        if best is None:
+            return None
+        path = best.path
+        while best.context:
+            first, *rest = sorted(best.context, key=Violation.relevance)[:2]
+            if rest and first.relevance() == rest[0].relevance():
+                break
+            best = first
+            path += best.path
+        return replace(best, path=path)
+
+
 @functools.cache
-def _validator() -> jsonschema.protocols.Validator:
-    """The validator of the shipped schema, built once per process after
-    the schema passes its metaschema check."""
-    schema = json.loads(resources.files("affinespde").joinpath(
-        "schema/scenario.schema.json").read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _validator() -> SchemaValidator:
+    """The validator of the shipped schema, built once per process."""
+    return SchemaValidator(json.loads(resources.files("affinespde").joinpath(
+        "schema/scenario.schema.json").read_text()))
+
+
+def scenario_schema() -> dict:
+    """The shipped scenario schema, the one source of what a scenario holds."""
+    return _validator().schema
 
 
 def load_config(path: str) -> dict:
@@ -51,11 +226,10 @@ def load_config(path: str) -> dict:
 
 def validate_config(raw: dict) -> None:
     """Raise ConfigError with the best-matching schema violation."""
-    error = jsonschema.exceptions.best_match(
-        _validator().iter_errors(raw))
+    error = _validator().best_match(raw)
     if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {error.message}") from error
+        path = "/".join(map(str, error.path)) or "<root>"
+        raise ConfigError(f"config field {path}: {error.message}")
 
 
 def scenario_dir():

@@ -60,17 +60,20 @@ def hjm_drift_levy_grid(driver: levy.LevySpec, sigma: Sequence[QExpFunction],
         np.zeros((0, grid.n))
     t_vals = np.vstack([funalg.evaluate(funalg.integrate_from_zero(s), x)
                         for s in sigma]) if sigma else np.zeros((0, grid.n))
-    out = np.zeros(grid.n)
-    for i in range(grid.n):
-        z = -t_vals[:, i]
-        try:
-            grad = levy.cumulant_gradient(driver, z)
-        except MomentExplosion as exc:
-            raise MomentExplosion(
-                f"moment region violated at grid point x = {x[i]:.6g}: {exc}"
-            ) from exc
-        out[i] = -float(np.dot(sig_vals[:, i], grad))
-    return out
+    z = -t_vals
+    try:
+        grad = levy.cumulant_gradient(driver, z)
+    except MomentExplosion:
+        for i in range(grid.n):  # name the first grid point outside
+            try:
+                levy.cumulant_gradient(driver, z[:, i])
+            except MomentExplosion as exc:
+                raise MomentExplosion(
+                    f"moment region violated at grid point x = {x[i]:.6g}: "
+                    f"{exc}") from exc
+        raise
+    # one dot product per grid point, as np.dot rounds it
+    return -(sig_vals.T[:, None, :] @ grad.T[:, :, None]).ravel()
 
 
 def product_closure(V: SpanBasis) -> SpanBasis:

@@ -67,9 +67,9 @@ class AtomicJumps:
         """E[exp(z * size)]; always finite."""
         return sum(p * math.exp(z * s) for s, p in self.atoms)
 
-    def exp_moment_prime(self, z: float) -> float:
-        """E[size * exp(z * size)]."""
-        return sum(p * s * math.exp(z * s) for s, p in self.atoms)
+    def exp_moment_prime(self, z):
+        """E[size * exp(z * size)], elementwise for an array z."""
+        return sum(p * s * np.exp(z * s) for s, p in self.atoms)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         sizes = np.array([s for s, _p in self.atoms])
@@ -103,22 +103,29 @@ class TwoSidedExponentialJumps:
     def second_moment(self) -> float:
         return 2 * self.p_up / self.rate_up ** 2 + 2 * (1 - self.p_up) / self.rate_down ** 2
 
-    def exp_moment(self, z: float) -> float:
-        if not (-self.rate_down < z < self.rate_up):
+    def _check_region(self, z):
+        inside = np.ravel((-self.rate_down < z) & (z < self.rate_up))
+        if not inside.all():
             raise MomentExplosion(
                 f"exp moment of two-sided exponential finite only on "
-                f"({-self.rate_down}, {self.rate_up}), got z = {z}")
+                f"({-self.rate_down}, {self.rate_up}), "
+                f"got z = {np.ravel(z)[inside.argmin()]}")
+
+    def exp_moment(self, z: float) -> float:
+        self._check_region(z)
         up = self.p_up * self.rate_up / (self.rate_up - z)
         dn = (1 - self.p_up) * self.rate_down / (self.rate_down + z)
         return up + dn
 
-    def exp_moment_prime(self, z: float) -> float:
-        if not (-self.rate_down < z < self.rate_up):
-            raise MomentExplosion(
-                f"exp moment of two-sided exponential finite only on "
-                f"({-self.rate_down}, {self.rate_up}), got z = {z}")
-        up = self.p_up * self.rate_up / (self.rate_up - z) ** 2
-        dn = (1 - self.p_up) * self.rate_down / (self.rate_down + z) ** 2
+    def exp_moment_prime(self, z):
+        """E[size * exp(z * size)], elementwise for an array z."""
+        self._check_region(z)
+        # float_power squares by libm's pow, as the scalar ** of numpy
+        # and Python does; an array's ** 2 multiplies, which can round
+        # differently
+        up = self.p_up * self.rate_up / np.float_power(self.rate_up - z, 2)
+        dn = (1 - self.p_up) * self.rate_down / np.float_power(
+            self.rate_down + z, 2)
         return up - dn
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -218,11 +225,12 @@ def cumulant(spec: LevySpec, z) -> float:
 
 
 def cumulant_gradient(spec: LevySpec, z) -> np.ndarray:
-    """Componentwise derivative dPsi/dz_k at z (Psi is a sum over components)."""
+    """Componentwise derivative dPsi/dz_k at z (Psi is a sum over components),
+    for z of shape (m,), or (m, n) for n points at once."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (spec.m,):
+    if z.ndim > 2 or z.shape[0] != spec.m:
         raise GridMismatch(f"gradient argument has shape {z.shape}, driver has m = {spec.m}")
-    out = np.zeros(spec.m)
+    out = np.zeros(z.shape)
     for k, (zk, comp) in enumerate(zip(z, spec.components)):
         g = comp.brownian_vol ** 2 * zk
         if comp.jump_intensity and comp.jump_law is not None:

@@ -52,20 +52,21 @@ def _pinned_rows(stencil) -> np.ndarray:
 
 
 def _theta_halves(op: OperatorSpec, stencil, dt: float):
-    """(explicit, implicit) halves of one theta step: explicit(r) returns a
-    new array (I + (1-theta) dt A) r, implicit(rhs) solves
+    """(explicit, implicit) halves of one theta step: explicit(r, b) returns
+    a new array (I + (1-theta) dt A) r + b, implicit(rhs) solves
     (I - theta dt A) y = rhs.  Theta follows the operator: Crank-Nicolson
     (0.5) for the cable, backward Euler (1) for transport, whose explicit
-    half is then the identity."""
+    half is then r + b."""
     if not isinstance(op, operators.Cable):
-        return np.copy, operators.implicit_solver(stencil, dt)
+        return np.add, operators.implicit_solver(stencil, dt)
     lower, main, upper = (0.5 * dt * d for d in stencil)
     main += 1.0
 
-    def explicit(r):
+    def explicit(r, b):
         out = main * r
         out[1:] += lower * r[:-1]
         out[:-1] += upper * r[1:]
+        out += b
         return out
 
     return explicit, operators.implicit_solver(stencil, 0.5 * dt)
@@ -108,8 +109,8 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
         pin_vals = h0_vec[pins]
         yield r
         for n in range(increments.n_steps):
-            rhs = explicit(r)
-            rhs += (dt * alpha_f(r) if dt_alpha is None else dt_alpha)
+            rhs = explicit(r, dt * alpha_f(r) if dt_alpha is None
+                           else dt_alpha)
             for k, s in enumerate(sigma_f):
                 rhs += _field_at(s, r) * increments.values[n, k]
             r = implicit(rhs)

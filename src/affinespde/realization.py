@@ -868,25 +868,29 @@ def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
         raise MethodUnsupported("shifting sampled data needs a grid space")
     # u0 and G were sampled on this space already, so a bundle's labels are
     # profiles of a ProfileRaySpace and a plain function sits on a GridSpace
-    if family is None:
-        blocks = []
-    elif isinstance(family, RayBundle):
+    # a plain function shifts as one full-width (coefs, phi) pair, whose
+    # GEMV row is the row; a bundle fills one slice per part
+    whole, blocks = None, []
+    if isinstance(family, RayBundle):
         n = space.ray.size
         pos = {lbl: i for i, lbl in enumerate(space.profiles)}
         blocks = [(slice(pos[lbl] * n, (pos[lbl] + 1) * n),
                    *funalg.shift_family(fn, space.ray.axis(), t_grid))
                   for lbl, fn in family.parts]
-    else:
-        blocks = [(slice(None), *funalg.shift_family(family, space.axis(), t_grid))]
+    elif family is not None:
+        whole = funalg.shift_family(family, space.axis(), t_grid)
 
     def rows():
         acc = np.zeros(space.size)
         a_prev = None if u_vec is None else u_vec.copy()
         x = space.grid.points() if isinstance(space, GridSpace) else None
         for i, t in enumerate(t_grid):
-            row = np.zeros(space.size)
-            for part, coefs, phi in blocks:
-                row[part] = coefs[i] @ phi
+            if whole is not None:
+                row = whole[0][i] @ whole[1]
+            else:
+                row = np.zeros(space.size)
+                for part, coefs, phi in blocks:
+                    row[part] = coefs[i] @ phi
             if u0_vec is not None:
                 row += _shift_interp(u0_vec, x, float(t))
             if g0 is not None:

@@ -358,7 +358,7 @@ def _readme_config_bullets():
 
 
 def test_readme_configuration_summary_matches_the_schema():
-    schema = cfgmod._validator().schema["properties"]
+    schema = cfgmod.scenario_schema()["properties"]
     bullets = _readme_config_bullets()
     keys = [b.split("`")[1].split(".")[0] for b in bullets]
     assert sorted(keys) == sorted(schema)

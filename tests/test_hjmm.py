@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from affinespde import funalg, hjmm, levy, operators
+from affinespde import cli, funalg, hjmm, levy, operators
+from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import DomainError, MomentExplosion
 from affinespde.funalg import QExpFunction as Q
@@ -64,6 +65,68 @@ def test_levy_grid_drift_flags_moment_explosion_with_location():
     with pytest.raises(MomentExplosion) as err:
         hjmm.hjm_drift_levy_grid(driver, sigma, grid)
     assert "x =" in str(err.value)
+
+
+def _drift_point_by_point(driver, sigma, grid):
+    """The drift as one cumulant gradient and one dot product per grid
+    point, the form the grid-wide evaluation must reproduce."""
+    x = grid.points()
+    sig = np.vstack([funalg.evaluate(s, x) for s in sigma])
+    t_sig = np.vstack([funalg.evaluate(funalg.integrate_from_zero(s), x)
+                       for s in sigma])
+    out = np.zeros(grid.n)
+    for i in range(grid.n):
+        grad = levy.cumulant_gradient(driver, -t_sig[:, i])
+        out[i] = -float(np.dot(sig[:, i], grad))
+    return out
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_levy_grid_drift_equals_the_point_by_point_drift_on_hjmm_levy(level):
+    # the grids of verify --refine 2 on the bundled hjmm-levy scenario
+    rt = cli._refine_runtime(cfgmod.build_runtime(cfgmod.load_config(
+        cfgmod.resolve_config_path("hjmm-levy"))), 2 ** level)
+    grid, sigma = rt.space.grid, cfgmod._sigma_bases(rt)
+    fast = hjmm.hjm_drift_levy_grid(rt.driver, sigma, grid)
+    slow = _drift_point_by_point(rt.driver, sigma, grid)
+    assert fast.tobytes() == slow.tobytes()
+
+
+def test_levy_grid_drift_per_point_identity_for_several_components():
+    grid = Grid1D.from_interval(0.0, 30.0, 3001)
+    sigma = [funalg.parse_qexp("0.5*exp(-1.0*x)"),
+             funalg.parse_qexp("0.3*exp(-0.5*x)*cos(1.0*x)")]
+    driver = levy.make_levy_spec([
+        {"brownian_vol": 0.3},
+        {"brownian_vol": 0.2, "jump_intensity": 1.0,
+         "two_sided_exp": {"p_up": 0.3, "rate_up": 5.0, "rate_down": 6.0}}])
+    fast = hjmm.hjm_drift_levy_grid(driver, sigma, grid)
+    assert fast.tobytes() == _drift_point_by_point(driver, sigma,
+                                                   grid).tobytes()
+    # an atomic law evaluates exp by numpy on the grid, by math per point
+    atoms = levy.make_levy_spec([
+        {"jump_intensity": 2.0, "atoms": [[0.8, 0.25], [-0.2, 0.75]]}])
+    fast = hjmm.hjm_drift_levy_grid(atoms, sigma[:1], grid)
+    slow = _drift_point_by_point(atoms, sigma[:1], grid)
+    assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
+
+
+def test_levy_grid_drift_names_the_first_grid_point_outside_the_region():
+    grid = Grid1D.from_interval(0.0, 10.0, 101)
+    sigma = [funalg.parse_qexp("0.5*exp(-1*x)"),
+             funalg.parse_qexp("10*exp(-1*x)")]
+    driver = levy.make_levy_spec([
+        {"jump_intensity": 1.0,
+         "two_sided_exp": {"p_up": 0.5, "rate_up": 8.0, "rate_down": 0.456}},
+        {"jump_intensity": 1.0,
+         "two_sided_exp": {"p_up": 0.5, "rate_up": 8.0, "rate_down": 9.0}}])
+    # -(T sigma) leaves the region of component 1 at x = 2.4 (10 (1 - e^-x)
+    # > 9) before the region of component 0 at x = 2.5 (0.5 (1 - e^-x) > 0.456)
+    with pytest.raises(MomentExplosion) as err:
+        hjmm.hjm_drift_levy_grid(driver, sigma, grid)
+    assert str(err.value).startswith(
+        "moment region violated at grid point x = 2.4: ")
+    assert str(err.value).endswith(", got z = -9.092820467105875")
 
 
 def test_levy_grid_drift_component_count_guard():

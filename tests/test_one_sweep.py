@@ -73,9 +73,14 @@ def test_each_command_sweeps_at_most_once_and_validates_once(
 
 
 def test_the_validator_is_built_once_from_a_valid_schema():
+    # the package validates against the shipped schema without jsonschema;
+    # the schema itself is checked here, against the draft-07 metaschema
     validator = cfgmod._validator()
     assert cfgmod._validator() is validator
-    type(validator).check_schema(validator.schema)
+    assert validator.schema is cfgmod.scenario_schema()
+    assert validator.schema["$schema"] == \
+        "http://json-schema.org/draft-07/schema#"
+    jsonschema.Draft7Validator.check_schema(validator.schema)
 
 
 def test_validation_reports_the_best_matching_error():
