@@ -283,6 +283,31 @@ def _sigma_for_oracle(rt: cfgmod.Runtime, real: rz.Realization) -> list:
     return out
 
 
+def _modal_split_symbolic(op, f: QExpFunction, indices):
+    """Exact eigen-coefficients of the resolvable terms; the rest is returned
+    as a leftover function."""
+    coefs = dict.fromkeys(indices, 0.0)
+    leftover = []
+    for term in f.terms:
+        c, j, mu, nu, kind = term
+        idx = None
+        if isinstance(op, operators.Cable):
+            n = round(nu)
+            if (j == 0 and kind == "sin" and abs(mu) <= 1e-9
+                    and abs(nu - n) <= 1e-9 and n >= 1):
+                idx = int(n)
+        elif isinstance(op, operators.TermStructure2):
+            n = round(nu / math.pi)
+            if (j == 0 and kind == "sin" and abs(mu + 1.0 / op.kappa) <= 1e-9
+                    and abs(nu - n * math.pi) <= 1e-9 and n >= 1):
+                idx = int(n)
+        if idx is not None and idx in coefs:
+            coefs[idx] += c
+        else:
+            leftover.append(term)
+    return coefs, QExpFunction.from_terms(leftover)
+
+
 def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
     """Amplitudes of f over the oracle's modes, exact or refused: numeric
     projection dust would be amplified by growing spectra."""
@@ -296,7 +321,7 @@ def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
                 out[j] = vec[pos[idx]]
         return out
     if isinstance(f, QExpFunction):
-        coefs, leftover = rz._modal_split_symbolic(rt.op, f, list(indices))
+        coefs, leftover = _modal_split_symbolic(rt.op, f, list(indices))
         if not leftover.is_zero:
             left_norm = rz.space_norm(space, space.sample(leftover))
             scale = max(rz.space_norm(space, space.sample(f)), 1e-300)
@@ -377,6 +402,13 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                refine: int = 1, mutate=None) -> int:
     """Step the reduced model and the reference solver together at each
     refinement level, comparing them one time at a time (O(n_x) memory)."""
+    axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
+    cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
+    limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
+    if rt.n_t > limit >> refine or cells > (limit - 1) >> refine:
+        raise ConfigError(
+            f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
+            f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
     os.makedirs(out_dir, exist_ok=True)
     if rt.verify.oracle == "none":
         raise MethodUnsupported(f"scenario {rt.name} declares no oracle")

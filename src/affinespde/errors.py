@@ -68,7 +68,8 @@ class MethodUnsupported(AffineSpdeError):
 
 
 class TruncationTailTooLarge(AffineSpdeError):
-    """Spectral truncation leaves an initial-curve tail above the bound."""
+    """Projecting sampled curve data onto the catalog modes drops a tail
+    above the bound."""
 
 
 class SchemeUnsupported(AffineSpdeError):

@@ -286,42 +286,6 @@ def shift(f: QExpFunction, t: float) -> QExpFunction:
     return QExpFunction(_canonical(out))
 
 
-def shift_family(f: QExpFunction, x, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of x -> f(x + t) for every t of t_grid, through the finite
-    d/dx-closure of f.  Returns (coefs, phi): phi is the (K, len(x)) matrix of
-    the closure basis x^i e^{mu x} cos/sin(nu x), sampled once, and coefs is
-    the (len(t_grid), K) matrix of the shifted coefficients in closed form,
-    c e^{mu t} C(j, i) t^(j-i) rotated by cos/sin(nu t), i.e. expm(t D) c0
-    on the closure.  Row n of coefs @ phi is evaluate(shift(f, t_n), x)."""
-    t = np.asarray(t_grid, dtype=float)
-    cols: dict[tuple, np.ndarray] = {}
-
-    def add(key, col):
-        cols[key] = cols[key] + col if key in cols else col
-
-    for c, j, mu, nu, kind in f.terms:
-        amp = c * np.exp(mu * t)
-        ct, st = np.cos(nu * t), np.sin(nu * t)
-        for i in range(j + 1):
-            a = amp * (math.comb(j, i) * t ** (j - i))
-            if nu == 0.0:
-                add((i, mu, 0.0, "cos"), a)
-            elif kind == "cos":
-                add((i, mu, nu, "cos"), a * ct)
-                add((i, mu, nu, "sin"), -a * st)
-            else:
-                add((i, mu, nu, "cos"), a * st)
-                add((i, mu, nu, "sin"), a * ct)
-    keys = list(cols)
-    coefs = np.empty((len(t), len(keys)))
-    for k, key in enumerate(keys):
-        coefs[:, k] = cols[key]
-    phi = np.empty((len(keys), np.size(x)))
-    for k, (i, mu, nu, kind) in enumerate(keys):
-        phi[k] = evaluate(QExpFunction((Term(1.0, i, mu, nu, kind),)), x)
-    return coefs, phi
-
-
 # ---------------------------------------------------------------------------
 # span computations
 

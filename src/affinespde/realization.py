@@ -53,7 +53,9 @@ from .operators import EigenExpansion, OperatorSpec, RayBundle
 
 DIM_CAP = 50
 TOL_PROJECT = 1e-10
-TRUNCATION_BOUND = 1e-6  # spectral tail allowed, relative to the curve norm
+# the tail that projecting sampled data onto the modes may drop, relative to
+# the curve norm
+TRUNCATION_BOUND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,16 @@ class ClosureResult:
 
 def invariant_span(op: OperatorSpec, generators: Sequence,
                    dim_cap: int = DIM_CAP) -> ClosureResult:
+    """Smallest A-invariant span containing the generators: the closure
+    sweep of a scenario's volatilities (config.volatility_closure).  psi_rows
+    sweeps its curve data through the core, _closure_sweep, directly, so
+    that what counts or times invariant_span (tests/test_one_sweep.py,
+    perfbench's span) sees a command's volatility sweeps only."""
+    return _closure_sweep(op, generators, dim_cap)
+
+
+def _closure_sweep(op: OperatorSpec, generators: Sequence,
+                   dim_cap: int = DIM_CAP) -> ClosureResult:
     """Smallest A-invariant span containing the generators, as a Krylov
     sweep: span <- span + A(frontier), where the frontier holds the
     directions the previous iteration added (the generators at first), until
@@ -648,7 +660,9 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
     corresponding clause fails; the clause report lands in .clauses.  The
     curve method follows from the generator and the space: shift_exact for
     a transport generator, grid_implicit on a grid space without
-    mode_indices, spectral_truncation otherwise."""
+    mode_indices, spectral_truncation otherwise.  The first two labels name
+    the generator family; psi_rows steps both on the A-closure of the
+    curve data, and grid_implicit by backward Euler on the grid."""
     if V.dim and not all(_is_symbolic(b) for b in V.basis):
         raise DomainError("realization construction needs a symbolic basis")
 
@@ -773,31 +787,6 @@ def _shift_interp(vec: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     return np.interp(q, x, vec, right=0.0)
 
 
-def _modal_split_symbolic(op: OperatorSpec, f: QExpFunction, indices):
-    """Exact eigen-coefficients of the resolvable terms; the rest is returned
-    as a leftover function."""
-    coefs = dict.fromkeys(indices, 0.0)
-    leftover = []
-    for term in f.terms:
-        c, j, mu, nu, kind = term
-        idx = None
-        if isinstance(op, operators.Cable):
-            n = round(nu)
-            if (j == 0 and kind == "sin" and abs(mu) <= 1e-9
-                    and abs(nu - n) <= 1e-9 and n >= 1):
-                idx = int(n)
-        elif isinstance(op, operators.TermStructure2):
-            n = round(nu / math.pi)
-            if (j == 0 and kind == "sin" and abs(mu + 1.0 / op.kappa) <= 1e-9
-                    and abs(nu - n * math.pi) <= 1e-9 and n >= 1):
-                idx = int(n)
-        if idx is not None and idx in coefs:
-            coefs[idx] += c
-        else:
-            leftover.append(term)
-    return coefs, QExpFunction.from_terms(leftover)
-
-
 def _modal_project_numeric(op: OperatorSpec, vec: np.ndarray, grid: Grid1D, indices):
     """Sturm-Liouville quadrature projection onto catalog modes (cable and
     term-structure families on their native intervals)."""
@@ -819,153 +808,103 @@ def _modal_project_numeric(op: OperatorSpec, vec: np.ndarray, grid: Grid1D, indi
     return coefs
 
 
-def _phi1(g: float, t) -> np.ndarray:
-    """(e^{g t} - 1)/g with the g -> 0 limit."""
-    t = np.asarray(t, dtype=float)
-    if abs(g) < 1e-14:
-        return t.copy()
-    return (np.exp(g * t) - 1.0) / g
-
-
-def _mode_amplitudes(op: OperatorSpec, indices, t_grid: np.ndarray,
-                     a0: np.ndarray, drift_coefs: np.ndarray) -> np.ndarray:
-    """Exact flow of the eigen-amplitudes under a constant drift:
-    a_i(t) = e^{g_i t} a0_i + (e^{g_i t} - 1)/g_i c_i, one row per time."""
-    gvals = np.array([operators.generator_eigenvalue(op, i) for i in indices])
-    return (np.exp(np.outer(t_grid, gvals)) * a0[None, :]
-            + np.vstack([_phi1(g, t_grid) for g in gvals]).T * drift_coefs[None, :])
-
-
-def _shift_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
-    """shift_exact: psi(t) = u0(. + t) + int_0^t a(. + s) ds.
-
-    Symbolic data shift in closed form.  The drift remainder a is read
-    symbolic first, since only the closed form has a finite d/dx-closure:
-    with G its running integral, psi(t) = (u0 + G)(. + t) - G, so each row
-    is coefs[n] @ phi - G from funalg.shift_family (per RayBundle part on a
-    profile x ray space).  Data known only as samples (grid spaces) shift by
-    _shift_interp: a sampled u0 row by row, a sampled remainder accumulated
-    by the trapezoid rule."""
-    if not isinstance(real.op, (operators.Translation, operators.Transport)):
-        raise MethodUnsupported("shift_exact needs a transport generator")
+def _band_limited(real: Realization, h0, u0, u):
+    """(u0, u, meta) with sampled data made symbolic for the closure route.
+    On a modal space a sampled vector is already a coefficient vector.  On a
+    grid space it is projected onto the catalog modes of mode_indices, and
+    the quasi-exponential sum of the projection replaces it; the weighted
+    norm of the tail that the projection drops must stay within
+    TRUNCATION_BOUND of the initial curve's norm (of 1 for the drift)."""
     space = real.V.space
-    u_sym, u_vec = real.drift.u_symbolic, real.drift.u_vector
-    family, u0_vec = (u0, None) if _is_symbolic(u0) else (None, u0)
-    g0 = None
-    if u_sym is not None:
-        # int_0^t S_{t-s} a ds = G(. + t) - G with G the running integral
-        if isinstance(u_sym, QExpFunction):
-            big_g = funalg.integrate_from_zero(u_sym)
-        elif isinstance(u_sym, RayBundle):
-            big_g = RayBundle.make(
-                (lbl, funalg.integrate_from_zero(fn)) for lbl, fn in u_sym.parts)
-        else:
-            raise MethodUnsupported("symbolic drift remainder expected")
-        g0 = space.sample(big_g)
-        family = big_g if family is None else family + big_g
-    if ((u0_vec is not None or (g0 is None and u_vec is not None))
-            and not isinstance(space, GridSpace)):
+    if isinstance(space, ModalSpace):
+        u0, u = (EigenExpansion.make(real.op, zip(space.indices, f))
+                 if isinstance(f, np.ndarray) else f for f in (u0, u))
+        return u0, u, {}
+    if not any(isinstance(f, np.ndarray) for f in (u0, u)):
+        return u0, u, {}
+    if not isinstance(space, GridSpace) or not real.mode_indices:
+        raise MethodUnsupported("projecting sampled data needs a grid space "
+                                "with mode_indices")
+    indices = real.mode_indices
+    modes = [operators.eigenfunction_qexp(real.op, n) for n in indices]
+    scale = max(space_norm(space, space.sample(h0)), 1e-300)
+    out, tails = [], []
+    for f, what, bound in ((u0, "initial curve", scale),
+                           (u, "drift remainder", max(1.0, scale))):
+        if isinstance(f, np.ndarray):
+            coefs = _modal_project_numeric(real.op, f, space.grid, indices)
+            f_sym = _linear_combination(modes, [coefs[n] for n in indices])
+            tail = space_norm(space, f - space.sample(f_sym))
+            if tail > TRUNCATION_BOUND * bound:
+                raise TruncationTailTooLarge(
+                    f"{what} tail {tail:.3e} above bound "
+                    f"{TRUNCATION_BOUND:.1e} * {bound:.3e}")
+            f = f_sym
+            tails.append(tail)
+        out.append(f)
+    return (*out, {"truncation_tail": float(max(tails)), "modes": len(indices)})
+
+
+def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
+    """The exact flow of symbolic data: psi(t) = S_t u0 + int_0^t S_s u ds
+    on W, the smallest A-invariant span of (u0, u), where None or zero data
+    drop out.  With B_W the coordinates of A on W and (c0, a) those of
+    (u0, u), the coordinates c of psi take the noise-free step of
+    _affine_rows, c <- E c + J a with (E, J) = _expm_with_integral(B_W, dt),
+    so psi and Y share one kernel.  Returns (rows, dim W).
+
+    On the Dirichlet generators the flow on W is the semigroup only when W
+    lies in the domain of A, so every element of W must vanish at both grid
+    ends; else DomainError, before the first row."""
+    space = real.V.space
+    given = [f is not None and not f.is_zero for f in (u0, u)]
+    data = [f for f, g in zip((u0, u), given) if g]
+    if not data:
+        return (np.zeros(space.size) for _ in t_grid), 0
+    closure = _closure_sweep(real.op, data)
+    if closure.status != "quasi_exponential":
+        raise MethodUnsupported(
+            f"curve data span no invariant span below cap {DIM_CAP} "
+            f"(dims {closure.dims})")
+    W = closure.basis.functions
+    samples = np.vstack([space.sample(w) for w in W])
+    if (isinstance(real.op, (operators.Cable, operators.TermStructure2))
+            and isinstance(space, GridSpace)):
+        ends = (np.max(np.abs(samples[:, [0, -1]]), axis=1)
+                / np.max(np.abs(samples), axis=1))
+        if np.max(ends) > 1e-10:
+            raise DomainError(
+                f"the curve data leave the generator's domain: an element of "
+                f"their closure is {np.max(ends):.3e} of its max at a "
+                f"Dirichlet end")
+    coords = iter(span_coords(W, data)[0].T)
+    c0, a = (next(coords) if g else np.zeros(len(W)) for g in given)
+    e_mat, j_mat = _expm_with_integral(check_invariant(real.op, W).coords, dt)
+    c_rows = _affine_rows(c0, (e_mat, j_mat @ a, None),
+                          itertools.repeat(None, len(t_grid) - 1))
+    return (c @ samples for c in c_rows), len(W)
+
+
+def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
+                     dt: float):
+    """The transport flow of data known only as samples: a sampled u0
+    shifted by _shift_interp row by row, plus int_0^t u(. + s) ds of a
+    sampled drift remainder accumulated by the trapezoid rule."""
+    if not isinstance(space, GridSpace):
         raise MethodUnsupported("shifting sampled data needs a grid space")
-    # u0 and G were sampled on this space already, so a bundle's labels are
-    # profiles of a ProfileRaySpace and a plain function sits on a GridSpace
-    # a plain function shifts as one full-width (coefs, phi) pair, whose
-    # GEMV row is the row; a bundle fills one slice per part
-    whole, blocks = None, []
-    if isinstance(family, RayBundle):
-        n = space.ray.size
-        pos = {lbl: i for i, lbl in enumerate(space.profiles)}
-        blocks = [(slice(pos[lbl] * n, (pos[lbl] + 1) * n),
-                   *funalg.shift_family(fn, space.ray.axis(), t_grid))
-                  for lbl, fn in family.parts]
-    elif family is not None:
-        whole = funalg.shift_family(family, space.axis(), t_grid)
+    x = space.grid.points()
 
     def rows():
         acc = np.zeros(space.size)
-        a_prev = None if u_vec is None else u_vec.copy()
-        x = space.grid.points() if isinstance(space, GridSpace) else None
+        a_prev = u_vec
         for i, t in enumerate(t_grid):
-            if whole is not None:
-                row = whole[0][i] @ whole[1]
-            else:
-                row = np.zeros(space.size)
-                for part, coefs, phi in blocks:
-                    row[part] = coefs[i] @ phi
-            if u0_vec is not None:
-                row += _shift_interp(u0_vec, x, float(t))
-            if g0 is not None:
-                row -= g0
-            elif u_vec is not None:
-                # trapezoid accumulation of the sampled remainder
-                if i:
-                    a_cur = _shift_interp(u_vec, x, float(t))
-                    acc = acc + 0.5 * dt * (a_prev + a_cur)
-                    a_prev = a_cur
-                row += acc
-            yield row
+            if u_vec is not None and i:
+                a_cur = _shift_interp(u_vec, x, float(t))
+                acc = acc + 0.5 * dt * (a_prev + a_cur)
+                a_prev = a_cur
+            yield acc if u0_vec is None else acc + _shift_interp(u0_vec, x, float(t))
 
     return rows()
-
-
-def _spectral_rows(real: Realization, h0, u0, t_grid: np.ndarray):
-    """spectral_truncation: exact eigen-amplitude flow, mapped to the grid
-    one row at a time on a grid space.  The drift remainder is read symbolic
-    first (unlike DriftSplit.remainder_vector), because its resolvable terms
-    have exact eigen-coefficients."""
-    space = real.V.space
-    u_rep = None  # complement part of a constant drift, symbolic if known
-    if real.drift.kind == "constant":
-        u_rep = (real.drift.u_symbolic
-                 if real.drift.u_symbolic is not None else real.drift.u_vector)
-    if isinstance(space, ModalSpace):
-        indices = space.indices
-        a0 = space.sample(u0) if not isinstance(u0, np.ndarray) else u0
-        drift_coefs = np.zeros(len(indices))
-        if u_rep is not None:
-            drift_coefs = (u_rep if isinstance(u_rep, np.ndarray)
-                           else space.sample(u_rep))
-        return iter(_mode_amplitudes(real.op, indices, t_grid, a0, drift_coefs)), {}
-    if not isinstance(space, GridSpace):
-        raise MethodUnsupported("spectral truncation needs a grid or modal space")
-    if real.mode_indices is None:
-        raise MethodUnsupported("spectral truncation needs mode_indices")
-    indices = list(real.mode_indices)
-    grid = space.grid
-    scale = max(space_norm(space, space.sample(h0)), 1e-300)
-    phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(real.op, n),
-                                     grid.points()) for n in indices])
-
-    def expand(rep):
-        if isinstance(rep, QExpFunction):
-            coefs, left = _modal_split_symbolic(real.op, rep, indices)
-            if left.is_zero:
-                return np.array([coefs[n] for n in indices]), 0.0
-            vec = space.sample(left)
-            extra = _modal_project_numeric(real.op, vec, grid, indices)
-            for n in indices:
-                coefs[n] += extra[n]
-        else:
-            vec = np.asarray(rep, dtype=float)
-            coefs = extra = _modal_project_numeric(real.op, vec, grid, indices)
-        recon = np.zeros(grid.n)
-        for i, n in enumerate(indices):
-            recon += extra[n] * phi[i]
-        return np.array([coefs[n] for n in indices]), space_norm(space, vec - recon)
-
-    a0, tail = expand(u0)
-    if tail > TRUNCATION_BOUND * scale:
-        raise TruncationTailTooLarge(
-            f"initial curve tail {tail:.3e} above bound "
-            f"{TRUNCATION_BOUND:.1e} * {scale:.3e}")
-    drift_coefs = np.zeros(len(indices))
-    if u_rep is not None:
-        drift_coefs, dtail = expand(u_rep)
-        if dtail > TRUNCATION_BOUND * max(1.0, scale):
-            raise TruncationTailTooLarge(
-                f"drift remainder tail {dtail:.3e} above bound")
-    amps = _mode_amplitudes(real.op, indices, t_grid, a0, drift_coefs)
-    return ((a @ phi for a in amps),
-            {"truncation_tail": float(tail), "modes": len(indices)})
 
 
 def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
@@ -996,20 +935,43 @@ def psi_rows(real: Realization, h0,
     """The carrier curve one time at a time: returns (rows, meta), where rows
     yields psi(t_n) for every t_n of the uniform grid as a (space.size,)
     vector and meta is the curve metadata.  Set-up checks raise here, before
-    the first row; stepping holds O(space.size) memory."""
+    the first row; stepping holds O(space.size) memory.
+
+    psi solves dpsi/dt = A psi + u, psi(0) = u0, for u0 the complement part
+    of h0 and u that of a constant drift.  grid_implicit steps backward
+    Euler on the grid stencil.  shift_exact and spectral_truncation step
+    symbolic data exactly on their A-closure (_closure_rows, meta
+    {"closure_dim": k}).  Data known only as samples keep a sampled route:
+    on a transport generator they shift by interpolation and add to the
+    closure rows, on a grid space with mode_indices they are projected onto
+    the modes first (meta adds "truncation_tail" and "modes")."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     u0, _v0 = split_initial(real, h0)
     if real.drift.kind == "state" and real.drift.v_coords is None:
         raise MethodUnsupported("callable drift cannot drive the reduced solver")
     method = real.psi_method
-    if method == "shift_exact":
-        return _shift_rows(real, u0, t_grid, dt), {}
-    if method == "spectral_truncation":
-        return _spectral_rows(real, h0, u0, t_grid)
     if method == "grid_implicit":
         return _implicit_rows(real, u0, t_grid, dt), {}
-    raise MethodUnsupported(f"unknown curve method {method!r}")
+    u = (real.drift.u_symbolic if real.drift.u_symbolic is not None
+         else real.drift.u_vector)
+    sampled = None
+    if method == "shift_exact":
+        if not isinstance(real.op, (operators.Translation, operators.Transport)):
+            raise MethodUnsupported("shift_exact needs a transport generator")
+        u0_vec, u_vec = (f if isinstance(f, np.ndarray) else None for f in (u0, u))
+        if u0_vec is not None or u_vec is not None:
+            sampled = _shifted_samples(real.V.space, u0_vec, u_vec, t_grid, dt)
+        u0, u = (None if isinstance(f, np.ndarray) else f for f in (u0, u))
+        meta = {}
+    elif method == "spectral_truncation":
+        u0, u, meta = _band_limited(real, h0, u0, u)
+    else:
+        raise MethodUnsupported(f"unknown curve method {method!r}")
+    rows, dim = _closure_rows(real, u0, u, t_grid, dt)
+    if sampled is not None:
+        rows = (r + s for r, s in zip(rows, sampled, strict=True))
+    return rows, {"closure_dim": dim, **meta}
 
 
 # ---------------------------------------------------------------------------
@@ -1079,13 +1041,17 @@ def _constant_step(real: Realization, dt: float):
     return e_mat, j_mat @ a_v, sig
 
 
-def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray]):
+def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
     """The one stepping kernel: y is a (d,) state or a (P, d) block of
-    states, each increment a (m,) row or a (P, m) block."""
+    states, each increment a (m,) row or a (P, m) block, or None for a step
+    without noise (the carrier curve's coordinates)."""
     e_mat, drift_term, sig = step
+    e_t = e_mat.T
     yield y
     for dx in increments:
-        y = y @ e_mat.T + drift_term + dx @ sig
+        y = y @ e_t + drift_term
+        if dx is not None:
+            y += dx @ sig
         yield y
 
 
@@ -1103,7 +1069,10 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
 
     Constant coefficients take the exact affine update through the same
     kernel as ensemble_moments; state-dependent ones take explicit
-    first-order euler steps."""
+    first-order euler steps.  For d >= 2 the rows agree with path s of
+    ensemble_moments over the same seed to rounding, not bit for bit:
+    numpy steps this (d,) state by a matrix-vector product and a block of
+    paths by a matrix product, which round differently."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:

@@ -1,6 +1,6 @@
-"""shift_exact through the finite d/dx-closure: funalg.shift_family against
-the symbolic shift, psi rows against a per-time shift + evaluate reference,
-and no symbolic shift left in the verify loop."""
+"""shift_exact through the finite d/dx-closure: psi rows against the
+symbolic shift and against a per-time shift + evaluate reference, and no
+symbolic shift left in the verify loop."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from affinespde.grids import Grid1D
 from affinespde.operators import RayBundle, Translation, Transport
 
 XS = np.linspace(0.0, 3.0, 41)
+XS_SPACE = rz.GridSpace(Grid1D.from_interval(0.0, 3.0, 41))
 
 TERMS = st.tuples(
     st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3),  # coef
@@ -26,29 +27,39 @@ TERMS = st.tuples(
 )
 
 
+def _translation_of(h0, t_grid):
+    """psi rows of h0 under translation with V = {0} and no drift, so u0 is
+    h0 itself and psi(t) = h0(. + t)."""
+    V = rz.Subspace.build([], XS_SPACE)
+    real = rz.build_realization(Translation(), rz.ConstantDrift(None), [], V)
+    rows, meta = rz.psi_rows(real, h0, t_grid)
+    return np.array(list(rows)), meta
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(TERMS, min_size=1, max_size=4), st.floats(0.0, 2.0))
 @example([(1.5, 3, -0.7, 0.0, "cos"), (-0.4, 2, 0.6, 1.3, "sin"),
           (0.9, 1, -1.1, 2.0, "cos"), (0.3, 0, 0.0, 0.0, "cos")], 1.25)
 @example([(1.0, 0, -1.0, 0.0, "cos")], 0.0)
-def test_shift_family_rows_equal_symbolic_shift(terms, t_max):
+def test_psi_rows_on_translation_equal_symbolic_shift(terms, t_max):
     f = Q.from_terms(terms)
     t_grid = np.linspace(0.0, t_max, 7)  # always contains t = 0
-    coefs, phi = funalg.shift_family(f, XS, t_grid)
-    assert coefs.shape == (len(t_grid), phi.shape[0])
-    assert phi.shape == (coefs.shape[1], len(XS))
+    psi, _meta = _translation_of(f, t_grid)
+    assert psi.shape == (len(t_grid), len(XS))
     for n, t in enumerate(t_grid):
-        got = coefs[n] @ phi
-        ref = funalg.evaluate(funalg.shift(f, float(t)), XS)
+        shifted = funalg.shift(f, float(t))
+        ref = funalg.evaluate(shifted, XS)
         # rounding scale: the sum of the term magnitudes at each point
-        scale = max(float(np.max(np.abs(coefs[n]) @ np.abs(phi))), 1e-300)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        mags = [np.abs(funalg.evaluate(Q((term,)), XS)) for term in shifted.terms]
+        scale = max(float(np.max(sum(mags, np.zeros(len(XS))))), 1e-300)
+        assert np.max(np.abs(psi[n] - ref)) <= 1e-12 * scale
 
 
-def test_shift_family_of_zero_is_empty():
-    coefs, phi = funalg.shift_family(Q(), XS, np.linspace(0.0, 1.0, 5))
-    assert coefs.shape == (5, 0) and phi.shape == (0, len(XS))
-    assert np.array_equal(coefs[3] @ phi, np.zeros(len(XS)))
+def test_psi_rows_of_zero_data_are_zero():
+    psi, meta = _translation_of(Q(), np.linspace(0.0, 1.0, 5))
+    assert meta == {"closure_dim": 0}
+    assert psi.shape == (5, len(XS))
+    assert np.array_equal(psi, np.zeros_like(psi))
 
 
 def _assert_rows_match(real, h0, t_grid, reference):

@@ -225,6 +225,35 @@ def test_cli_verify_refine_0_checks_the_bound_only(tmp_path, capsys):
     assert len(report["levels"]) == 1
 
 
+@pytest.mark.parametrize("name", ["heat-disk", "transport-mortality-2d"])
+def test_verify_refine_beyond_a_numpy_index_exits_2(tmp_path, capsys, name):
+    # n_t * 2^70 steps overflow np.intp: refused before any sampling
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", name, "--refine", "70",
+                     "--out", str(out)]) == 2
+    assert "--refine 70" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+# the curve method of each certified scenario, as the benchmark's reference
+# records it: a renamed method fails here before it fails the benchmark
+PSI_METHODS = {
+    "cable": "spectral_truncation", "heat-disk": "spectral_truncation",
+    "hermite": "spectral_truncation", "hjmm-levy": "shift_exact",
+    "hjmm-linear": "shift_exact", "laguerre": "spectral_truncation",
+    "term-structure-2": "spectral_truncation", "transport-1d": "shift_exact",
+    "transport-mortality-2d": "shift_exact",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_METHODS))
+def test_analysis_reports_the_psi_method(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main(["analyze", "--config", name, "--out", str(out)]) == 0
+    report = json.loads((out / "analysis.json").read_text())
+    assert report["psi_method"] == PSI_METHODS[name]
+
+
 def test_cli_results_are_cwd_independent(tmp_path, monkeypatch):
     # a relative initial_curve.csv resolves against the scenario file,
     # whatever the working directory

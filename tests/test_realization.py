@@ -1,13 +1,15 @@
 """Realization layer: invariance, the three clauses, psi, and simulation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from affinespde import funalg, levy, operators
+from affinespde import cli, funalg, levy, operators
+from affinespde import config as cfgmod
 from affinespde import realization as rz
-from affinespde.errors import (DriftConditionFails, GridMismatch,
+from affinespde.errors import (DomainError, DriftConditionFails, GridMismatch,
                                LinearSolveFailure, NotInvariant,
                                SchemeUnsupported, SigmaEscapesV,
                                TruncationTailTooLarge)
@@ -233,11 +235,43 @@ def test_solve_psi_spectral_closed_form():
     assert np.max(np.abs(psi - exact)) < 1e-10
 
 
-def test_solve_psi_truncation_guard():
+def test_solve_psi_truncation_guard(tmp_path):
+    # a curve inside the generator's domain runs exactly, in `modes` or not
     real, _ = _cable_realization()
-    h0 = funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(9*x)")
+    t_grid = np.linspace(0.0, 1.0, 11)
+    psi = _psi(real, funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(9*x)"), t_grid)
+    x = CABLE_SPACE.grid.points()
+    g9 = operators.generator_eigenvalue(Cable(), 9)
+    exact = 0.25 * np.exp(g9 * t_grid)[:, None] * np.sin(9 * x)[None, :]
+    assert np.max(np.abs(psi - exact)) < 1e-10
+
+    # cos 3x does not vanish at the Dirichlet ends: refused before any row
+    off_domain = "0.6*sin(1*x) + 0.25*cos(3*x)"
+    with pytest.raises(DomainError):
+        rz.psi_rows(real, funalg.parse_qexp(off_domain), t_grid)
+    raw = cfgmod.load_config(cfgmod.resolve_config_path("cable"))
+    raw["initial_curve"] = {"qexp": off_domain}
+    cfg = tmp_path / "cable-off-domain.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert not (out / "psi.csv").exists()
+
+
+def test_sampled_curve_is_projected_onto_the_modes():
+    # a curve known only as samples takes the closure route through its
+    # projection onto `modes`, whose dropped tail is bounded and reported
+    real, _ = _cable_realization()
+    t_grid = np.linspace(0.0, 1.0, 11)
+    x = CABLE_SPACE.grid.points()
+    rows, meta = rz.psi_rows(real, 0.6 * np.sin(x) + 0.25 * np.sin(3 * x),
+                             t_grid)
+    g3 = operators.generator_eigenvalue(Cable(), 3)
+    exact = 0.25 * np.exp(g3 * t_grid)[:, None] * np.sin(3 * x)[None, :]
+    assert np.max(np.abs(np.array(list(rows)) - exact)) < 1e-10
+    assert meta["modes"] == 3 and meta["truncation_tail"] < 1e-12
     with pytest.raises(TruncationTailTooLarge):
-        _psi(real, h0, np.linspace(0.0, 1.0, 11))
+        rz.psi_rows(real, 0.6 * np.sin(x) + 0.25 * np.sin(9 * x), t_grid)
 
 
 def test_solve_psi_shift_exact_against_direct_evaluation():

@@ -137,6 +137,26 @@ def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
         rz.coordinate_rows(real, t_grid, np.zeros(1), inc)
 
 
+def test_one_path_and_its_ensemble_path_agree_to_rounding():
+    # a (d,) state steps by a matrix-vector product and a block of paths by
+    # a matrix product, which round differently for d >= 2 (heat-disk has
+    # d = 2): simulate --seed s and ensemble path s agree to rounding, not
+    # necessarily bit for bit
+    rt = cli._load_runtime("heat-disk")
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    seeds = [11, 12, 13]
+    block = rz._affine_rows(
+        np.tile(v0, (len(seeds), 1)), rz._constant_step(real, rt.dt),
+        levy.sample_increment_ensemble(rt.driver, rt.dt, rt.n_t, seeds)
+        .transpose(1, 0, 2))
+    ensemble = np.stack(list(block), axis=1)  # (paths, times, d)
+    for path, seed in zip(ensemble, seeds):
+        inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
+        one = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
+        assert np.max(np.abs(path - one)) <= 1e-12 * np.max(np.abs(one))
+
+
 def test_run_simulate_holds_no_full_curve(tmp_path):
     # psi and r are (n_t+1) x n_x, 2.4 MB here (24 MB at the shipped
     # n_t = 1000, where tracemalloc makes the run take about 25 s); simulate
