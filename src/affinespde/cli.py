@@ -24,7 +24,6 @@ from . import csvio, funalg, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
-    DriftConditionFails,
     MethodUnsupported,
     NotInvariant,
     NotQuasiExponential,
@@ -36,19 +35,17 @@ from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import EigenExpansion, RayBundle
 
-_CLAUSE_ERRORS = (NotQuasiExponential, NotInvariant, SigmaEscapesV,
-                  DriftConditionFails)
+_CLAUSE_ERRORS = (NotQuasiExponential, NotInvariant, SigmaEscapesV)
 
 
 def _out_dir(arg_out: str | None, name: str) -> str:
+    """The output path; each command creates it just before its first
+    write, so a command that fails earlier leaves nothing behind."""
     if arg_out:
-        path = arg_out
-    elif os.environ.get("AFFINESPDE_OUT"):
-        path = os.path.join(os.environ["AFFINESPDE_OUT"], name)
-    else:
-        path = os.path.join("affinespde-out", name)
-    os.makedirs(path, exist_ok=True)
-    return path
+        return arg_out
+    if os.environ.get("AFFINESPDE_OUT"):
+        return os.path.join(os.environ["AFFINESPDE_OUT"], name)
+    return os.path.join("affinespde-out", name)
 
 
 def _load_runtime(ref: str) -> cfgmod.Runtime:
@@ -70,6 +67,7 @@ def _serialize_field(f) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -80,7 +78,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     report: dict = {"scenario": rt.name,
                     "operator": type(rt.op).__name__,
                     "subspace_mode": rt.subspace_mode}
@@ -134,19 +131,19 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
 def _realization_report(rt: cfgmod.Runtime, real: rz.Realization,
                         v0: np.ndarray, curve_meta: dict, seed: int) -> dict:
     drift = real.drift
-    u_vec = drift.remainder_vector(real.V.space)
-    u_norm = 0.0 if u_vec is None else rz.space_norm(real.V.space, u_vec)
+    space = real.V.space
+    u_norm = (0.0 if drift.remainder is None
+              else rz.space_norm(space, space.sample(drift.remainder)))
     return {
         "scenario": rt.name,
         "operator": type(rt.op).__name__,
-        "space_size": real.V.space.size,
+        "space_size": space.size,
         "dim_V": real.dim,
         "basis": [_serialize_field(b) for b in real.V.basis],
         "B": real.B.tolist(),
         "sigma_coords": [v.coords.tolist() for v in real.vols],
         "drift": {"mode": rt.drift_mode, "kind": drift.kind,
-                  "v_coords": (drift.v_coords.tolist()
-                               if isinstance(drift.v_coords, np.ndarray) else None),
+                  "v_coords": drift.v_coords.tolist(),
                   "complement_norm": u_norm},
         "v0": v0.tolist(),
         "seed": seed,
@@ -202,7 +199,6 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     """Stream psi, Y and r = psi + Y . V into their files one time at a
     time; only Y (n_t+1 x d) is held whole.  r.csv is written by a forked
     child at the same time as the parent writes the other files."""
-    os.makedirs(out_dir, exist_ok=True)
     seed = rt.seed if seed is None else seed
     real = cfgmod.build_scenario_realization(rt)
     t_grid = rt.t_grid()
@@ -215,6 +211,7 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         moments = rz.ensemble_moments(real, t_grid, v0, rt.driver,
                                       range(seed, seed + paths))
     axis = rt.space.axis()
+    os.makedirs(out_dir, exist_ok=True)
 
     def write_r():
         # its own psi stream: inline, this runs before psi.csv is written
@@ -256,56 +253,25 @@ def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
     return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor)
 
 
-def _drift_for_oracle(rt: cfgmod.Runtime, real: rz.Realization):
-    drift = real.drift
-    if drift.kind == "zero":
-        return None
-    if drift.kind == "constant":
-        vec = real.V.from_coords(drift.v_coords)
-        u_vec = drift.remainder_vector(real.V.space)
-        return vec if u_vec is None else vec + u_vec
-    raise MethodUnsupported("grid oracle supports zero or constant drift only")
+def _scenario_drift(rt: cfgmod.Runtime) -> np.ndarray | None:
+    """The scenario's own drift sampled on its space, None for zero drift."""
+    drift = cfgmod.assemble_drift(rt)
+    return None if drift is None else rt.space.sample(drift)
 
 
-def _sigma_for_oracle(rt: cfgmod.Runtime, real: rz.Realization) -> list:
+def _sigma_for_oracle(rt: cfgmod.Runtime, V: rz.Subspace) -> list:
     out = []
     for s in rt.sigma:
         if isinstance(s, rz.StateVol):
-            base_vec = real.V.space.sample(s.base)
-            scale, v_sub = s.scale_fn, real.V
+            base_vec = rt.space.sample(s.base)
 
-            def fn(r, base_vec=base_vec, scale=scale, v_sub=v_sub):
-                return scale(v_sub.coords(r)) * base_vec
+            def fn(r, base_vec=base_vec, scale=s.scale_fn):
+                return scale(V.coords(r)) * base_vec
 
             out.append(fn)
         else:
-            out.append(real.V.space.sample(s))
+            out.append(rt.space.sample(s))
     return out
-
-
-def _modal_split_symbolic(op, f: QExpFunction, indices):
-    """Exact eigen-coefficients of the resolvable terms; the rest is returned
-    as a leftover function."""
-    coefs = dict.fromkeys(indices, 0.0)
-    leftover = []
-    for term in f.terms:
-        c, j, mu, nu, kind = term
-        idx = None
-        if isinstance(op, operators.Cable):
-            n = round(nu)
-            if (j == 0 and kind == "sin" and abs(mu) <= 1e-9
-                    and abs(nu - n) <= 1e-9 and n >= 1):
-                idx = int(n)
-        elif isinstance(op, operators.TermStructure2):
-            n = round(nu / math.pi)
-            if (j == 0 and kind == "sin" and abs(mu + 1.0 / op.kappa) <= 1e-9
-                    and abs(nu - n * math.pi) <= 1e-9 and n >= 1):
-                idx = int(n)
-        if idx is not None and idx in coefs:
-            coefs[idx] += c
-        else:
-            leftover.append(term)
-    return coefs, QExpFunction.from_terms(leftover)
 
 
 def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
@@ -321,28 +287,28 @@ def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
                 out[j] = vec[pos[idx]]
         return out
     if isinstance(f, QExpFunction):
-        coefs, leftover = _modal_split_symbolic(rt.op, f, list(indices))
-        if not leftover.is_zero:
-            left_norm = rz.space_norm(space, space.sample(leftover))
-            scale = max(rz.space_norm(space, space.sample(f)), 1e-300)
-            if left_norm > 1e-9 * scale:
-                raise UnstableConfig(
-                    "modal oracle needs band-limited data; leftover relative "
-                    f"norm {left_norm / scale:.3e}")
-        return np.array([coefs[i] for i in indices])
+        coords, rel = rz.span_coords(
+            [operators.eigenfunction_qexp(rt.op, i) for i in indices], [f])
+        if rel[0] > rz.TOL_PROJECT:
+            raise UnstableConfig(
+                "modal oracle needs band-limited data; relative residual "
+                f"{rel[0]:.3e} outside the modes")
+        return coords[:, 0]
     raise UnstableConfig("modal oracle needs symbolic data")
 
 
-def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
+def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
                  inc: levy.IncrementMatrix) -> Iterator[np.ndarray]:
-    """The reference solution one time at a time, on the space axis."""
+    """The reference solution one time at a time, on the space axis.  It
+    samples only the scenario's own data; V enters only as the coordinates
+    that scale a state-dependent volatility."""
     kind = rt.verify.oracle
     if kind == "grid":
         if not isinstance(rt.space, rz.GridSpace):
             raise MethodUnsupported("grid oracle needs a grid space")
         return oracle.spde_grid_rows(
-            rt.op, rt.space.grid, _drift_for_oracle(rt, real),
-            _sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc)
+            rt.op, rt.space.grid, _scenario_drift(rt),
+            _sigma_for_oracle(rt, V), rt.space.sample(rt.h0), inc)
     if kind == "modal":
         indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
                        else rt.modes)
@@ -354,17 +320,9 @@ def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
                 f"modal oracle would overflow: max |eigenvalue| x horizon = "
                 f"{gmax * rt.horizon:.3g}")
         a0 = _exact_mode_amplitudes(rt, indices, rt.h0)
-        alpha_vec = None
-        if real.drift.kind == "constant":
-            if rt.drift_mode == "hjm_levy":
-                raise MethodUnsupported(
-                    "sampled forward-curve drift has no exact mode split; "
-                    "use the grid oracle")
-            el = cfgmod.assemble_drift(rt).element
-            if el is not None:
-                alpha_vec = _exact_mode_amplitudes(rt, indices, el)
-        elif real.drift.kind != "zero":
-            raise MethodUnsupported("modal oracle supports constant drift only")
+        drift = cfgmod.assemble_drift(rt)
+        alpha_vec = (None if drift is None
+                     else _exact_mode_amplitudes(rt, indices, drift))
         if any(isinstance(s, rz.StateVol) for s in rt.sigma):
             raise MethodUnsupported("modal oracle needs additive volatility")
         sig_rows = [np.asarray(_exact_mode_amplitudes(rt, indices, s))
@@ -385,8 +343,8 @@ def _oracle_rows(rt: cfgmod.Runtime, real: rz.Realization,
             # profile-major blocks -> one column per profile
             return vec.reshape(n_prof, rt.space.ray.size).T
 
-        alpha_vec = _drift_for_oracle(rt, real)
-        sig_vecs = _sigma_for_oracle(rt, real)
+        alpha_vec = _scenario_drift(rt)
+        sig_vecs = _sigma_for_oracle(rt, V)
         if any(callable(s) for s in sig_vecs):
             raise MethodUnsupported("ray oracle needs additive volatility")
         rows = oracle.spde_grid_rows(
@@ -409,7 +367,6 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         raise ConfigError(
             f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
             f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
-    os.makedirs(out_dir, exist_ok=True)
     if rt.verify.oracle == "none":
         raise MethodUnsupported(f"scenario {rt.name} declares no oracle")
     seed = rt.seed if seed is None else seed
@@ -434,7 +391,7 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         psi, _meta = rz.psi_rows(real, rt_l.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt_l.h0)
         coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
-        reference = _oracle_rows(rt_l, real, chain[lvl])
+        reference = _oracle_rows(rt_l, real.V, chain[lvl])
         basis = real.V.samples
         buf = np.empty(basis.shape[1])
         # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n);
@@ -521,7 +478,6 @@ def _index_token(index) -> str:
 
 
 def run_eigen(args, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     if args.operator == "cable":
         op = operators.Cable(args.tau, args.lambda_c)
     elif args.operator == "heat_disk":
@@ -545,6 +501,7 @@ def run_eigen(args, out_dir: str) -> int:
     else:
         pairs = operators.eigenpairs(op, args.count)
     path = os.path.join(out_dir, "eigen.csv")
+    os.makedirs(out_dir, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("index,eigenvalue,generator_eigenvalue,"
                  + ",".join(f"v{i + 1}" for i in range(9)) + "\n")

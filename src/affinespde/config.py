@@ -555,17 +555,17 @@ def assemble_basis(rt: Runtime, closure: rz.ClosureResult | None = None) -> tupl
     return closure.basis.functions
 
 
-def assemble_drift(rt: Runtime) -> rz.DriftSpec:
-    if rt.drift_mode == "zero":
-        return rz.ConstantDrift(None)
-    if rt.drift_mode == "constant":
-        return rz.ConstantDrift(rt.drift_element)
+def assemble_drift(rt: Runtime):
+    """The scenario's drift element, None for zero drift.  Every drift mode
+    declares a constant element: a fixed field, the closed-form forward-curve
+    drift, or the sampled one on the scenario's own grid."""
     if rt.drift_mode == "hjm_wiener":
         vols = [c.brownian_vol for c in rt.driver.components]
-        return rz.ConstantDrift(hjmm.hjm_drift_wiener(_sigma_bases(rt), vols))
-    # hjm_levy: grid samples on the scenario's own grid
-    return rz.ConstantDrift(hjmm.hjm_drift_levy_grid(
-        rt.driver, _sigma_bases(rt), rt.space.grid))
+        return hjmm.hjm_drift_wiener(_sigma_bases(rt), vols)
+    if rt.drift_mode == "hjm_levy":
+        return hjmm.hjm_drift_levy_grid(rt.driver, _sigma_bases(rt),
+                                        rt.space.grid)
+    return rt.drift_element
 
 
 def build_scenario_realization(rt: Runtime, basis: tuple | None = None

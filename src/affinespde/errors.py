@@ -59,10 +59,6 @@ class SigmaEscapesV(AffineSpdeError):
     """A volatility component has range outside the candidate subspace."""
 
 
-class DriftConditionFails(AffineSpdeError):
-    """Complement projection of the drift varies along the fibers."""
-
-
 class MethodUnsupported(AffineSpdeError):
     """Requested curve solver does not apply to this operator or input."""
 

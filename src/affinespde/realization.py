@@ -10,13 +10,15 @@ as psi(t) + sum_i Y_i(t) v_i where psi solves the deterministic PDE
 u0 + v0 is the splitting of the initial curve by the complement U of V
 under the working inner product, and Y solves the d-dimensional SDE with
 drift matrix B (A restricted to V) plus the V-components of alpha and sigma.
+The drift alpha is a constant element of the state space (None for zero),
+split once into its V-coordinates and its complement part.
 
 Checks implemented before a realization is built:
 
   1. V is invariant under A (images stay in the span, checked at coefficient
      level);
-  2. the complement projection of the drift is constant along h + V (trivial
-     for constant drift; sampled for callable drift);
+  2. the complement projection of the drift is constant along h + V, which
+     a constant drift satisfies by construction;
   3. every volatility component has range inside V.
 
 All three are necessary and sufficient for the affine structure when V is
@@ -38,7 +40,6 @@ from . import funalg, levy, operators
 from .errors import (
     ConfigError,
     DomainError,
-    DriftConditionFails,
     GridMismatch,
     LinearSolveFailure,
     MethodUnsupported,
@@ -468,35 +469,7 @@ def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
 
 
 # ---------------------------------------------------------------------------
-# drift and volatility specifications
-
-
-@dataclass(frozen=True)
-class ConstantDrift:
-    """State-independent drift; element None means zero."""
-
-    element: object = None  # QExpFunction | EigenExpansion | RayBundle | ndarray | None
-
-
-@dataclass(frozen=True)
-class StateDrift:
-    """Drift with values in V: coordinates depend on (t, Y).  Its complement
-    projection vanishes identically, so the fiber condition holds by
-    construction."""
-
-    coords_fn: Callable[[float, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class CallableDrift:
-    """Opaque drift h -> alpha(h) on sampled vectors; usable in the decision
-    procedures (sampled evidence) and the grid oracle, not in the reduced
-    simulation."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-DriftSpec = ConstantDrift | StateDrift | CallableDrift
+# volatility specifications
 
 
 @dataclass(frozen=True)
@@ -505,27 +478,6 @@ class StateVol:
 
     base: object
     scale_fn: Callable[[np.ndarray], float]
-
-
-def drift_projection_constant(alpha: DriftSpec, V: Subspace,
-                              probes: Sequence[np.ndarray] = (),
-                              directions: Sequence[np.ndarray] = (),
-                              tol: float = 1e-8) -> tuple[bool, float]:
-    """Is the complement projection of the drift constant along each fiber
-    h + V?  Constant and V-valued drift pass without sampling; callable drift
-    is probed at the given base points and V-directions, which yields
-    evidence, not proof."""
-    if isinstance(alpha, (ConstantDrift, StateDrift)):
-        return True, 0.0
-    if not probes or not directions:
-        raise DriftConditionFails("callable drift needs probe points and directions")
-    worst = 0.0
-    for h in probes:
-        ref = V.complement_residual(alpha.fn(np.asarray(h, dtype=float)))
-        for v in directions:
-            dev = V.complement_residual(alpha.fn(np.asarray(h + v, dtype=float))) - ref
-            worst = max(worst, space_norm(V.space, dev))
-    return worst <= tol, worst
 
 
 # ---------------------------------------------------------------------------
@@ -595,30 +547,14 @@ class VolCoord:
 
 @dataclass(frozen=True)
 class DriftSplit:
-    """Drift separated by the complement: u_part lives in U (None means
-    zero), v_coords are the V-coordinates (constant vector, or a callable of
-    (t, Y) for V-valued state drift)."""
+    """The drift split by the complement: v_coords, a (d,) array, are its
+    V-coordinates and remainder its complement part, symbolic when the drift
+    and the basis are, else sampled on the space, and None when negligible
+    or for zero drift."""
 
-    kind: str  # "zero" | "constant" | "state"
-    v_coords: object = None
-    u_symbolic: object = None
-    u_vector: np.ndarray | None = None
-
-    def remainder_vector(self, space: SpaceSpec) -> np.ndarray | None:
-        """The complement part u of the drift as a vector on space: u_vector
-        when stored, else the sampled u_symbolic, else None (no remainder)."""
-        if self.u_vector is not None:
-            return self.u_vector
-        if self.u_symbolic is not None:
-            return space.sample(self.u_symbolic)
-        return None
-
-    def coords_at(self, t: float, y: np.ndarray) -> np.ndarray:
-        if self.kind == "state":
-            return np.asarray(self.v_coords(t, y), dtype=float)
-        if self.kind == "constant":
-            return self.v_coords
-        return np.zeros(y.shape[-1] if y.ndim else 0)
+    kind: str  # "zero" | "constant"
+    v_coords: np.ndarray
+    remainder: object = None
 
 
 @dataclass(frozen=True)
@@ -650,19 +586,20 @@ def _is_symbolic(f) -> bool:
     return isinstance(f, (QExpFunction, EigenExpansion, RayBundle))
 
 
-def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
+def build_realization(op: OperatorSpec, drift, vols: Sequence,
                       V: Subspace, tol_project: float = TOL_PROJECT,
-                      probes: Sequence = (), directions: Sequence = (),
                       mode_indices: Sequence | None = None) -> Realization:
-    """Run the three realization checks and assemble the reduced model.
+    """Run the realization checks and assemble the reduced model.
 
-    Raises NotInvariant / DriftConditionFails / SigmaEscapesV when the
-    corresponding clause fails; the clause report lands in .clauses.  The
-    curve method follows from the generator and the space: shift_exact for
-    a transport generator, grid_implicit on a grid space without
-    mode_indices, spectral_truncation otherwise.  The first two labels name
-    the generator family; psi_rows steps both on the A-closure of the
-    curve data, and grid_implicit by backward Euler on the grid."""
+    `drift` is the constant drift element, symbolic or sampled on V.space,
+    and None means zero drift.  Raises NotInvariant / SigmaEscapesV when
+    clause 1 / 3 fails; clause 2 holds for a constant drift by construction.
+    The clause report lands in .clauses.  The curve method follows from the
+    generator and the space: shift_exact for a transport generator,
+    grid_implicit on a grid space without mode_indices, spectral_truncation
+    otherwise.  The first two labels name the generator family; psi_rows
+    steps both on the A-closure of the curve data, and grid_implicit by
+    backward Euler on the grid."""
     if V.dim and not all(_is_symbolic(b) for b in V.basis):
         raise DomainError("realization construction needs a symbolic basis")
 
@@ -702,34 +639,18 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
         vol_coords.append(VolCoord(np.asarray(coords, dtype=float), scale_fn))
     clauses["volatility_in_V"] = {"ok": True, "components": len(vol_coords)}
 
-    # clause 2: drift constant along fibers, then split by the complement
-    ok, dev = drift_projection_constant(alpha, V, probes, directions)
-    if not ok:
-        raise DriftConditionFails(
-            f"complement drift varies along fibers (max deviation {dev:.3e})")
-    sampled = isinstance(alpha, CallableDrift)
+    # clause 2: a constant drift's complement part is the same on every
+    # fiber; split it by the complement, dropping a negligible remainder
     clauses["drift_constant_on_fibers"] = {
-        "ok": True, "max_deviation": float(dev), "sampled_evidence": sampled}
-
-    if isinstance(alpha, StateDrift):
-        drift = DriftSplit("state", v_coords=alpha.coords_fn)
-    elif isinstance(alpha, CallableDrift):
-        drift = DriftSplit("state", v_coords=None)  # not simulatable
+        "ok": True, "max_deviation": 0.0, "sampled_evidence": False}
+    if drift is None:
+        split = DriftSplit("zero", np.zeros(V.dim))
     else:
-        el = alpha.element
-        if el is None:
-            drift = DriftSplit("zero", v_coords=np.zeros(V.dim))
-        else:
-            vec = V.space.sample(el)
-            coords = V.coords(vec)
-            u_vec = vec - V.from_coords(coords)
-            u_sym = None
-            if _is_symbolic(el) and all(_is_symbolic(b) for b in V.basis):
-                u_sym = el - _linear_combination(V.basis, coords) if V.dim else el
-            if space_norm(V.space, u_vec) <= 1e-12 * max(1.0, space_norm(V.space, vec)):
-                u_sym, u_vec = None, None
-            drift = DriftSplit("constant", v_coords=coords,
-                               u_symbolic=u_sym, u_vector=u_vec)
+        u, coords = _complement_split(V, drift)
+        scale = max(1.0, space_norm(V.space, V.space.sample(drift)))
+        if space_norm(V.space, V.space.sample(u)) <= 1e-12 * scale:
+            u = None
+        split = DriftSplit("constant", coords, u)
 
     correction_norm = 0.0
     if V.dim:
@@ -743,23 +664,27 @@ def build_realization(op: OperatorSpec, alpha: DriftSpec, vols: Sequence,
         psi_method = "spectral_truncation"
 
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
-                       vols=tuple(vol_coords), drift=drift,
+                       vols=tuple(vol_coords), drift=split,
                        psi_method=psi_method,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
                        clauses=clauses,
                        correction_norm=float(correction_norm))
 
 
+def _complement_split(V: Subspace, f) -> tuple[object, np.ndarray]:
+    """(u, c) with f = u + sum c_i v_i and u in the complement of V: u is
+    symbolic whenever f and the basis are, else sampled on V.space."""
+    vec = V.space.sample(f)
+    c = V.coords(vec)
+    if _is_symbolic(f) and all(_is_symbolic(b) for b in V.basis):
+        return (f - _linear_combination(V.basis, c) if V.dim else f), c
+    return vec - V.from_coords(c), c
+
+
 def split_initial(real: Realization, h0) -> tuple[object, np.ndarray]:
     """Decompose the initial curve by the complement: h0 = u0 + sum v0_i v_i.
     Returns (u0, v0) with u0 symbolic whenever h0 and the basis are."""
-    vec = real.V.space.sample(h0)
-    v0 = real.V.coords(vec)
-    if _is_symbolic(h0) and all(_is_symbolic(b) for b in real.V.basis):
-        u0 = h0 - _linear_combination(real.V.basis, v0) if real.dim else h0
-    else:
-        u0 = vec - real.V.from_coords(v0)
-    return u0, v0
+    return _complement_split(real.V, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +840,8 @@ def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
         raise MethodUnsupported("grid_implicit needs a grid space")
     solve = operators.implicit_solver(
         operators.operator_matrix(real.op, space.grid), dt)
-    u_vec = real.drift.remainder_vector(space)
-    if u_vec is None:
-        u_vec = np.zeros(space.size)
+    u = real.drift.remainder
+    u_vec = np.zeros(space.size) if u is None else space.sample(u)
     start = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
 
     def rows():
@@ -938,7 +862,7 @@ def psi_rows(real: Realization, h0,
     the first row; stepping holds O(space.size) memory.
 
     psi solves dpsi/dt = A psi + u, psi(0) = u0, for u0 the complement part
-    of h0 and u that of a constant drift.  grid_implicit steps backward
+    of h0 and u the drift's remainder.  grid_implicit steps backward
     Euler on the grid stencil.  shift_exact and spectral_truncation step
     symbolic data exactly on their A-closure (_closure_rows, meta
     {"closure_dim": k}).  Data known only as samples keep a sampled route:
@@ -948,13 +872,10 @@ def psi_rows(real: Realization, h0,
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     u0, _v0 = split_initial(real, h0)
-    if real.drift.kind == "state" and real.drift.v_coords is None:
-        raise MethodUnsupported("callable drift cannot drive the reduced solver")
     method = real.psi_method
     if method == "grid_implicit":
         return _implicit_rows(real, u0, t_grid, dt), {}
-    u = (real.drift.u_symbolic if real.drift.u_symbolic is not None
-         else real.drift.u_vector)
+    u = real.drift.remainder
     sampled = None
     if method == "shift_exact":
         if not isinstance(real.op, (operators.Translation, operators.Transport)):
@@ -1021,8 +942,7 @@ def _expm_with_integral(B: np.ndarray, dt: float):
 
 
 def _constant_coefficients(real: Realization) -> bool:
-    return (real.drift.kind != "state"
-            and all(v.scale_fn is None for v in real.vols))
+    return all(v.scale_fn is None for v in real.vols)
 
 
 def _constant_step(real: Realization, dt: float):
@@ -1030,15 +950,12 @@ def _constant_step(real: Realization, dt: float):
     constant coefficients: E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
     if not _constant_coefficients(real):
         raise SchemeUnsupported(
-            "ensemble stepping needs constant drift coordinates and additive "
-            "noise; only a single euler path takes state-dependent "
-            "coefficients")
-    d = real.dim
-    a_v = real.drift.coords_at(0.0, np.zeros(d))
+            "ensemble stepping needs additive noise; only a single euler "
+            "path takes state-dependent coefficients")
     sig = (np.vstack([v.coords for v in real.vols])
-           if real.vols else np.zeros((0, d)))
+           if real.vols else np.zeros((0, real.dim)))
     e_mat, j_mat = _expm_with_integral(real.B, dt)
-    return e_mat, j_mat @ a_v, sig
+    return e_mat, j_mat @ real.drift.v_coords, sig
 
 
 def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
@@ -1063,12 +980,12 @@ def _check_driver(real: Realization, m: int) -> None:
 
 def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
                     increments: levy.IncrementMatrix) -> Iterator[np.ndarray]:
-    """Integrate dY = (B Y + alpha_V(t, Y)) dt + sum_k sigma_V^k(Y_-) dX^k
+    """Integrate dY = (B Y + alpha_V) dt + sum_k sigma_V^k(Y_-) dX^k
     against the provided increments (noise enters at the left endpoint),
     yielding Y at every time of the uniform grid.  Set-up checks raise here.
 
-    Constant coefficients take the exact affine update through the same
-    kernel as ensemble_moments; state-dependent ones take explicit
+    Additive noise takes the exact affine update through the same kernel
+    as ensemble_moments; state-scaled volatility takes explicit
     first-order euler steps.  For d >= 2 the rows agree with path s of
     ensemble_moments over the same seed to rounding, not bit for bit:
     numpy steps this (d,) state by a matrix-vector product and a block of
@@ -1083,8 +1000,6 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     _check_driver(real, increments.m)
     d = real.dim
     v0 = np.asarray(v0, dtype=float).reshape(d)
-    if real.drift.kind == "state" and real.drift.v_coords is None:
-        raise MethodUnsupported("callable drift cannot drive the reduced simulation")
     if _constant_coefficients(real):
         return _affine_rows(v0.copy(), _constant_step(real, dt),
                             increments.values)
@@ -1093,8 +1008,7 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
         y = v0.copy()
         yield y
         for n in range(increments.n_steps):
-            t = float(t_grid[n])
-            a = real.B @ y + real.drift.coords_at(t, y)
+            a = real.B @ y + real.drift.v_coords
             noise = np.zeros(d)
             for k, vol in enumerate(real.vols):
                 noise += vol.at(y) * increments.values[n, k]

@@ -265,8 +265,8 @@ def test_criterion_8_reduced_model_moments():
     space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201),
                          weight=funalg.parse_qexp("exp(-0.1*x)"))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
-    real = rz.build_realization(Translation(), rz.ConstantDrift(None),
-                                [Q.exponential(-1.0)], V)
+    real = rz.build_realization(Translation(), None, [Q.exponential(-1.0)],
+                                V)
     assert np.allclose(real.B, [[-1.0]], atol=1e-12)
     assert np.allclose(real.vols[0].coords, [1.0], atol=1e-12)
 

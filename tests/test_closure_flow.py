@@ -31,7 +31,7 @@ def _translation_of(h0, t_grid):
     """psi rows of h0 under translation with V = {0} and no drift, so u0 is
     h0 itself and psi(t) = h0(. + t)."""
     V = rz.Subspace.build([], XS_SPACE)
-    real = rz.build_realization(Translation(), rz.ConstantDrift(None), [], V)
+    real = rz.build_realization(Translation(), None, [], V)
     rows, meta = rz.psi_rows(real, h0, t_grid)
     return np.array(list(rows)), meta
 
@@ -82,9 +82,8 @@ def test_psi_rows_match_per_time_shift_on_ray_bundles():
     drift = RayBundle.make([
         ("base", funalg.parse_qexp("0.2*x*exp(-1*x) + 0.1*exp(-0.5*x)")),
         ("trend", funalg.parse_qexp("0.1*exp(-0.3*x)*cos(2*x)"))])
-    real = rz.build_realization(Transport("mortality_wedge"),
-                                rz.ConstantDrift(drift), [], V)
-    assert isinstance(real.drift.u_symbolic, RayBundle)
+    real = rz.build_realization(Transport("mortality_wedge"), drift, [], V)
+    assert isinstance(real.drift.remainder, RayBundle)
     h0 = RayBundle.make([
         ("base", funalg.parse_qexp("0.7*exp(-0.3*x) + 0.3*x^2*exp(-0.8*x)")),
         ("trend", funalg.parse_qexp("0.4*exp(-0.6*x) + 0.2*exp(-0.5*x)*sin(1.5*x)"))])
@@ -92,7 +91,7 @@ def test_psi_rows_match_per_time_shift_on_ray_bundles():
 
     u0, _v0 = rz.split_initial(real, h0)
     big_g = RayBundle.make((lbl, funalg.integrate_from_zero(fn))
-                           for lbl, fn in real.drift.u_symbolic.parts)
+                           for lbl, fn in real.drift.remainder.parts)
     g0 = space.sample(big_g)
     reference = (space.sample(u0.shift_rays(float(t)))
                  + space.sample(big_g.shift_rays(float(t))) - g0
@@ -105,14 +104,14 @@ def test_psi_rows_match_per_time_shift_with_sampled_remainder():
                          weight=funalg.parse_qexp("exp(-0.1*x)"))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
     a = space.sample(funalg.parse_qexp("0.2*exp(-2*x) + 0.1*x*exp(-0.5*x)"))
-    real = rz.build_realization(Translation(), rz.ConstantDrift(a), [], V)
-    assert real.drift.u_symbolic is None and real.drift.u_vector is not None
+    real = rz.build_realization(Translation(), a, [], V)
+    assert isinstance(real.drift.remainder, np.ndarray)
     h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x) + 0.1*x^3*exp(-2*x)")
     t_grid = np.linspace(0.0, 0.8, 41)
     dt = float(t_grid[1] - t_grid[0])
     x = space.axis()
     u0, _v0 = rz.split_initial(real, h0)
-    u_vec = real.drift.u_vector
+    u_vec = real.drift.remainder
 
     def reference():
         acc = np.zeros(space.size)
@@ -178,16 +177,26 @@ def test_check_invariant_coords_are_the_coordinate_matrix(name):
     assert inv.residual == real.clauses["invariant"]["residual"]
 
 
-def test_remainder_vector_prefers_the_stored_vector():
+def test_drift_remainder_is_one_field():
+    # symbolic for a symbolic drift, the sampled complement part for a
+    # sampled one, None for zero drift and for a drift inside V
     space = rz.GridSpace(Grid1D.from_interval(0.0, 5.0, 11))
-    sym = Q.exponential(-1.0)
-    vec = np.arange(11.0)
-    assert rz.DriftSplit("zero").remainder_vector(space) is None
-    assert np.array_equal(
-        rz.DriftSplit("constant", u_symbolic=sym).remainder_vector(space),
-        space.sample(sym))
-    assert rz.DriftSplit("constant", u_symbolic=sym,
-                         u_vector=vec).remainder_vector(space) is vec
+    V = rz.Subspace.build([Q.exponential(-1.0)], space)
+    drift = Q.exponential(-1.0) * 0.5 + Q.exponential(-2.0)
+    sym = rz.build_realization(Translation(), drift, [], V).drift
+    vec = rz.build_realization(Translation(), space.sample(drift), [], V).drift
+    assert isinstance(sym.remainder, Q) and sym.kind == "constant"
+    assert isinstance(vec.remainder, np.ndarray)
+    assert np.allclose(space.sample(sym.remainder), vec.remainder,
+                       rtol=0.0, atol=1e-14)
+    assert np.array_equal(sym.v_coords, vec.v_coords)
+    zero = rz.build_realization(Translation(), None, [], V).drift
+    inside = rz.build_realization(Translation(), Q.exponential(-1.0) * 0.3,
+                                  [], V).drift
+    assert (zero.kind, zero.remainder) == ("zero", None)
+    assert np.array_equal(zero.v_coords, [0.0])
+    assert (inside.kind, inside.remainder) == ("constant", None)
+    assert np.allclose(inside.v_coords, [0.3], rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("tol_project, raises", [(1e-20, True), (1e-10, False)])
@@ -198,9 +207,9 @@ def test_coordinate_matrix_residual_uses_tol_project(tol_project, raises):
                            funalg.parse_qexp("exp(-1*x) - exp(-2*x)")], space)
     if raises:
         with pytest.raises(NotInvariant, match="coordinate matrix residual"):
-            rz.build_realization(Translation(), rz.ConstantDrift(None), [], V,
+            rz.build_realization(Translation(), None, [], V,
                                  tol_project=tol_project)
     else:
-        real = rz.build_realization(Translation(), rz.ConstantDrift(None), [],
-                                    V, tol_project=tol_project)
+        real = rz.build_realization(Translation(), None, [], V,
+                                    tol_project=tol_project)
         assert real.clauses["invariant"]["residual"] <= tol_project

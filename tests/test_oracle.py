@@ -1,5 +1,6 @@
 """Reference solvers, comparison metrics, and path file formats."""
 
+import dataclasses
 import io
 import json
 import math
@@ -147,7 +148,8 @@ def test_stability_guards():
 
 def test_grid_stepping_refuses_term_structure_before_writing(tmp_path, capsys):
     # without modes the term structure would take grid_implicit, whose
-    # backward Euler blows up on the growing spectrum: exit 4, no curve file
+    # backward Euler blows up on the growing spectrum: exit 4, no file and
+    # no output directory
     raw = config.load_config(config.resolve_config_path("term-structure-2"))
     del raw["modes"]
     cfg = tmp_path / "ts-grid.json"
@@ -155,8 +157,7 @@ def test_grid_stepping_refuses_term_structure_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
     assert "UnstableConfig" in capsys.readouterr().err
-    assert not (out / "psi.csv").exists()
-    assert not (out / "r.csv").exists()
+    assert not out.exists()
 
 
 def test_modal_solver_exact_for_linear_ode():
@@ -237,8 +238,8 @@ def _cable_setup():
     space = rz.GridSpace(Grid1D.from_interval(0.0, math.pi, 315))
     V = rz.Subspace.build([Q.trig("sin", 1.0), Q.trig("sin", 2.0)], space)
     real = rz.build_realization(
-        operators.Cable(), rz.ConstantDrift(funalg.parse_qexp("0.3*sin(1*x)")),
-        [], V, mode_indices=(1, 2, 3))
+        operators.Cable(), funalg.parse_qexp("0.3*sin(1*x)"), [], V,
+        mode_indices=(1, 2, 3))
     h0 = funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(3*x)")
     t_grid = np.linspace(0.0, 0.5, 51)
     rows, _meta = rz.psi_rows(real, h0, t_grid)
@@ -336,3 +337,43 @@ def test_commands_load_no_scipy_module(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
+def _zero_drift_coords(real):
+    return dataclasses.replace(real, drift=dataclasses.replace(
+        real.drift, v_coords=np.zeros(real.dim)))
+
+
+def _drop_remainder(real):
+    return dataclasses.replace(real, drift=dataclasses.replace(
+        real.drift, remainder=None))
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("cable", _zero_drift_coords),
+    ("hjmm-linear", _zero_drift_coords),
+    ("hjmm-levy", _zero_drift_coords),
+    ("hjmm-levy", _drop_remainder),
+])
+def test_oracle_drift_is_independent_of_the_split(tmp_path, name, mutate):
+    # the oracle samples the scenario's own drift, so a reduced model whose
+    # drift split loses a part fails verification
+    rt = cli._load_runtime(name)
+    assert cli.run_verify(rt, str(tmp_path), seed=0, refine=1) == 0
+    assert cli.run_verify(rt, str(tmp_path), seed=0, refine=1,
+                          mutate=mutate) == 5
+
+
+def test_modal_amplitudes_on_a_grid_are_exact_or_refused():
+    rt = cli._load_runtime("term-structure-2")
+    modes = list(rt.modes)
+    assert modes == [1, 2, 3]
+
+    def amp(f):
+        return cli._exact_mode_amplitudes(rt, modes, f)
+
+    assert np.array_equal(amp(rt.h0), [0.4, 0.0, 0.05])
+    assert np.array_equal(amp(config.assemble_drift(rt)), [0.0, 0.1, 0.0])
+    assert np.array_equal(amp(rt.sigma[0]), [0.15, 0.0, 0.0])
+    with pytest.raises(UnstableConfig, match="band-limited"):
+        amp(funalg.parse_qexp("0.6*sin(1*x) + 0.25*cos(3*x)"))

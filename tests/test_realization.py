@@ -9,9 +9,8 @@ import pytest
 from affinespde import cli, funalg, levy, operators
 from affinespde import config as cfgmod
 from affinespde import realization as rz
-from affinespde.errors import (DomainError, DriftConditionFails, GridMismatch,
-                               LinearSolveFailure, NotInvariant,
-                               SchemeUnsupported, SigmaEscapesV,
+from affinespde.errors import (DomainError, GridMismatch, LinearSolveFailure,
+                               NotInvariant, SchemeUnsupported, SigmaEscapesV,
                                TruncationTailTooLarge)
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
@@ -76,7 +75,7 @@ def test_invariance_verdict_ignores_the_scale_of_other_elements(s):
     V = rz.Subspace.build(basis, HALF_LINE)
     with pytest.raises(NotInvariant, match="basis element 1 .*coordinate "
                                            "matrix residual"):
-        rz.build_realization(Translation(), rz.ConstantDrift(None), [], V)
+        rz.build_realization(Translation(), None, [], V)
 
 
 def test_ray_bundle_basis_leaving_its_span_is_not_invariant():
@@ -90,7 +89,7 @@ def test_ray_bundle_basis_leaving_its_span_is_not_invariant():
                                rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201)))
     V = rz.Subspace.build(basis, space)
     with pytest.raises(NotInvariant, match="basis element 1"):
-        rz.build_realization(wedge, rz.ConstantDrift(None), [], V)
+        rz.build_realization(wedge, None, [], V)
 
 
 def test_grid_space_weights_computed_once_and_read_only():
@@ -131,61 +130,18 @@ def test_subspace_projection_round_trips():
 
 def test_coordinate_matrix_is_diagonal_for_eigenbasis():
     V = rz.Subspace.build([Q.trig("sin", 1.0), Q.trig("sin", 2.0)], CABLE_SPACE)
-    real = rz.build_realization(Cable(), rz.ConstantDrift(None), [], V)
+    real = rz.build_realization(Cable(), None, [], V)
     assert np.allclose(real.B, np.diag([-2.0, -5.0]), atol=1e-12)
-
-
-def _fiber_setup():
-    V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
-    x = HALF_LINE.grid.points()
-    u_dir = V.complement_residual(np.exp(-3.0 * x))
-    rng = np.random.default_rng(5)
-    probes = [rng.standard_normal(HALF_LINE.size) for _ in range(3)]
-    directions = [V.from_coords(np.array([s])) for s in (0.5, -1.0)]
-    return V, u_dir, probes, directions
-
-
-def test_drift_projection_constant_decisions():
-    V, u_dir, probes, directions = _fiber_setup()
-    ok, dev = rz.drift_projection_constant(rz.ConstantDrift(None), V)
-    assert ok and dev == 0.0
-    ok, _ = rz.drift_projection_constant(
-        rz.StateDrift(lambda t, y: -y), V)
-    assert ok
-
-    # complement part reacts to the V-coordinate: varies along fibers
-    w = HALF_LINE.weights()
-    g = V.samples[0]
-    varying = rz.CallableDrift(lambda h: float(g @ (w * h)) * u_dir)
-    ok, dev = rz.drift_projection_constant(varying, V, probes, directions)
-    assert not ok and dev > 1e-4
-
-    # any function of the complement residual is constant along fibers
-    flat = rz.CallableDrift(lambda h: np.tanh(V.complement_residual(h)))
-    ok, dev = rz.drift_projection_constant(flat, V, probes, directions)
-    assert ok and dev < 1e-10
-
-    with pytest.raises(DriftConditionFails):
-        rz.drift_projection_constant(varying, V)
 
 
 def test_build_realization_clause_failures():
     bad_v = rz.Subspace.build([funalg.parse_qexp("x*exp(-1*x)")], HALF_LINE)
     with pytest.raises(NotInvariant):
-        rz.build_realization(Translation(), rz.ConstantDrift(None), [], bad_v)
+        rz.build_realization(Translation(), None, [], bad_v)
 
     V = rz.Subspace.build([Q.trig("sin", 1.0), Q.trig("sin", 2.0)], CABLE_SPACE)
     with pytest.raises(SigmaEscapesV):
-        rz.build_realization(Cable(), rz.ConstantDrift(None),
-                             [Q.trig("sin", 3.0)], V)
-
-    Vh, u_dir, probes, directions = _fiber_setup()
-    w = HALF_LINE.weights()
-    g = Vh.samples[0]
-    varying = rz.CallableDrift(lambda h: float(g @ (w * h)) * u_dir)
-    with pytest.raises(DriftConditionFails):
-        rz.build_realization(Translation(), varying, [], Vh,
-                             probes=probes, directions=directions)
+        rz.build_realization(Cable(), None, [Q.trig("sin", 3.0)], V)
 
 
 def test_correction_cancels_complement_image():
@@ -212,9 +168,8 @@ def test_correction_cancels_complement_image():
 def _cable_realization(h0_text="0.6*sin(1*x) + 0.25*sin(3*x)",
                        vols=(), drift=None, modes=(1, 2, 3)):
     V = rz.Subspace.build([Q.trig("sin", 1.0), Q.trig("sin", 2.0)], CABLE_SPACE)
-    real = rz.build_realization(
-        Cable(), rz.ConstantDrift(drift), list(vols), V,
-        mode_indices=modes)
+    real = rz.build_realization(Cable(), drift, list(vols), V,
+                                mode_indices=modes)
     return real, funalg.parse_qexp(h0_text)
 
 
@@ -277,7 +232,7 @@ def test_sampled_curve_is_projected_onto_the_modes():
 def test_solve_psi_shift_exact_against_direct_evaluation():
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
     drift = funalg.parse_qexp("0.2*exp(-2*x)")
-    real = rz.build_realization(Translation(), rz.ConstantDrift(drift), [], V)
+    real = rz.build_realization(Translation(), drift, [], V)
     h0 = funalg.parse_qexp("0.5*exp(-0.25*x) + 1.0*exp(-1*x)")
     t_grid = np.linspace(0.0, 0.8, 33)
     psi = _psi(real, h0, t_grid)
@@ -301,9 +256,8 @@ def test_solve_psi_shift_exact_against_direct_evaluation():
 
 def _ou_realization(vol=Q.exponential(-1.0)):
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
-    return rz.build_realization(
-        Translation(), rz.ConstantDrift(Q.exponential(-1.0) * 0.3),
-        [vol], V)
+    return rz.build_realization(Translation(), Q.exponential(-1.0) * 0.3,
+                                [vol], V)
 
 
 def test_exp_exact_matches_affine_closed_form():
@@ -365,7 +319,7 @@ def test_ensemble_matches_per_seed_paths():
 def test_state_vol_needs_euler():
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
     vol = rz.StateVol(Q.exponential(-1.0), lambda y: 1.0 + 0.5 * float(y[0]) ** 2)
-    real = rz.build_realization(Translation(), rz.ConstantDrift(None), [vol], V)
+    real = rz.build_realization(Translation(), None, [vol], V)
     t_grid = np.linspace(0.0, 0.2, 21)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     inc = levy.sample_increments(spec, t_grid[1] - t_grid[0], 20, 9)

@@ -61,7 +61,7 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
 
     # reference: the per-path recursion y <- E y + J a + dX S
     e_mat, j_mat = rz._expm_with_integral(real.B, rt.dt)
-    a = real.drift.coords_at(0.0, v0)
+    a = real.drift.v_coords
     sig = np.vstack([v.coords for v in real.vols])
     y = v0.copy()
     expect = [y]
@@ -126,8 +126,7 @@ def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
     space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
     vols = [Q.exponential(-1.0)]
-    real = rz.build_realization(Translation(), rz.ConstantDrift(None),
-                                vols * 2, V)
+    real = rz.build_realization(Translation(), None, vols * 2, V)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     t_grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):

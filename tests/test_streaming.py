@@ -41,15 +41,15 @@ def _materialised_oracle(rt, real, inc):
     """The reference path built whole, one public solver call per profile."""
     t_grid = np.arange(inc.n_steps + 1) * inc.dt
     kind = rt.verify.oracle
+    drift = cfgmod.assemble_drift(rt)
+    alpha = None if drift is None else rt.space.sample(drift)
     if kind == "grid":
         return GridPath(t_grid, rt.space.axis(), _collect(oracle.spde_grid_rows(
-            rt.op, rt.space.grid, cli._drift_for_oracle(rt, real),
-            cli._sigma_for_oracle(rt, real), rt.space.sample(rt.h0), inc)),
-            inc.seed)
+            rt.op, rt.space.grid, alpha, cli._sigma_for_oracle(rt, real.V),
+            rt.space.sample(rt.h0), inc)), inc.seed)
     if kind == "ray_grid":
         n = rt.space.ray.size
-        alpha = cli._drift_for_oracle(rt, real)
-        sigma = cli._sigma_for_oracle(rt, real)
+        sigma = cli._sigma_for_oracle(rt, real.V)
         h0 = rt.space.sample(rt.h0)
         blocks = []
         for i in range(len(rt.space.profiles)):
