@@ -66,10 +66,23 @@ def _serialize_field(f) -> dict:
     return {"samples": np.asarray(f).tolist()}
 
 
+def _finite_or_null(value):
+    """`value` with every non-finite float replaced by None, which JSON
+    writes as null: NaN and Infinity are not JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -415,7 +428,8 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
     bound = rt.verify.bound_rel_h0 * h0_norm
     sup0 = levels[0]["sup_error"]
-    failures = []
+    failures = [f"level {lvl['level']} sup_error {lvl['sup_error']} is not finite"
+                for lvl in levels if not math.isfinite(lvl["sup_error"])]
     if sup0 > bound:
         failures.append(f"sup_error {sup0:.6g} above bound {bound:.6g}")
     for lvl in range(refine):

@@ -213,14 +213,33 @@ def scenario_schema() -> dict:
     return _validator().schema
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)  # float() gives inf beyond the double range
+    return int(text)
+
+
+def _no_constant(text: str):
+    raise ValueError(f"{text} is not a finite number")
+
+
 def load_config(path: str) -> dict:
-    """The scenario's JSON object, unvalidated: `build_runtime` validates."""
+    """The scenario's JSON object, unvalidated: `build_runtime` validates.
+    NaN, Infinity and numbers beyond the double range are refused here, as
+    JSON itself has no such values."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_float,
+                             parse_int=_finite_int, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError and the hooks above
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 

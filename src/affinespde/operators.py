@@ -74,8 +74,8 @@ class Cable:
     lambda_c: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.lambda_c <= 0:
-            raise UnsupportedOperator("cable parameters must be positive")
+        if not (0 < self.tau < math.inf and 0 < self.lambda_c < math.inf):
+            raise UnsupportedOperator("cable parameters must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class HeatDisk:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise UnsupportedOperator("diffusivity must be positive")
+        if not 0 < self.a < math.inf:
+            raise UnsupportedOperator("diffusivity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class TermStructure2:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise UnsupportedOperator("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise UnsupportedOperator("kappa must be finite and positive")
 
 
 OperatorSpec = Union[Translation, Transport, Cable, HeatDisk, Hermite,

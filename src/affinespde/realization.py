@@ -309,8 +309,9 @@ def _orthonormal_rows(kept: np.ndarray, rows: np.ndarray, count: int) -> np.ndar
 def _resynthesize(span: SpanBasis) -> SpanBasis:
     """Re-express a quasi-exponential span through coefficient-orthonormal
     combinations, which keep rank decisions on the same span well
-    conditioned downstream.  `invariant_span` calls it once, on the span it
-    returns."""
+    conditioned downstream.  A span given by its coefficient rows alone (no
+    functions) is synthesized from them; one of other functions is returned
+    as it is.  `invariant_span` calls it once, on the span it returns."""
     if span.dim == 0 or not all(isinstance(f, QExpFunction) for f in span.functions):
         return span
     rows = _orthonormal_rows(np.zeros((0, len(span.keys))),
@@ -319,43 +320,40 @@ def _resynthesize(span: SpanBasis) -> SpanBasis:
                      span.dim, rows, span.keys)
 
 
-class _CoefficientTable:
-    """Coefficient rows of quasi-exponential functions over a key list that
-    grows as new keys arrive, so a sweep reads each function once.  A key
-    whose rate and frequency lie within KEY_TOL of a known key's takes that
-    key's column, as keys merge within funalg.coefficient_matrix."""
-
-    def __init__(self, keys: tuple):
-        self.keys = list(keys)
-        self._index = {k: i for i, k in enumerate(self.keys)}
-
-    def _col(self, key: tuple) -> int:
-        col = self._index.get(key)
-        if col is None:
-            j, mu, nu, kind = key
-            col = next((i for i, (kj, kmu, knu, kk) in enumerate(self.keys)
-                        if kj == j and kk == kind and abs(kmu - mu) <= funalg.KEY_TOL
-                        and abs(knu - nu) <= funalg.KEY_TOL), len(self.keys))
-            if col == len(self.keys):
-                self.keys.append(key)
-            self._index[key] = col
-        return col
-
-    def rows(self, funcs: Sequence[QExpFunction]) -> np.ndarray:
-        mat, keys = funalg.coefficient_matrix(funcs)
-        cols = [self._col(k) for k in keys]
-        out = np.zeros((len(funcs), len(self.keys)))
-        np.add.at(out, (slice(None), cols), mat[:, :len(cols)])
-        return out
-
-    def widen(self, mat: np.ndarray) -> np.ndarray:
-        """`mat` padded with zero columns for the keys added since."""
-        return np.pad(mat, ((0, 0), (0, len(self.keys) - mat.shape[1])))
+def _key_closure(op: OperatorSpec, keys: tuple) -> tuple[tuple, np.ndarray]:
+    """The term keys closed under A, and G, the matrix of A on them: row i
+    holds the coefficients of A applied to the one-term function
+    x^j e^{mu x} cos/sin(nu x) of keys[i], so a span's coefficient rows R
+    have images R @ G.  The differential generators map a key into keys of
+    its own rate and frequency with powers up to its own, in both trig
+    kinds, so the list stays finite; those images carry the key's rate and
+    frequency bit for bit, so new keys match old ones exactly."""
+    keys = list(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    images = []
+    while len(images) < len(keys):  # each image may append keys
+        j, mu, nu, kind = keys[len(images)]
+        image = operators.apply_exact(op, QExpFunction.from_terms([(1.0, j, mu, nu, kind)]))
+        cols = []
+        for c, *key in image.terms:
+            key = tuple(key)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            cols.append((index[key], c))
+        images.append(cols)
+    g = np.zeros((len(keys), len(keys)))
+    for i, cols in enumerate(images):
+        for col, c in cols:
+            g[i, col] = c
+    return tuple(keys), g
 
 
 @dataclass(frozen=True)
 class ClosureResult:
     status: str  # "quasi_exponential" or "not_detected"
+    # a quasi-exponential not_detected basis holds its coefficient rows and
+    # no functions: nothing is built on a span past the cap
     basis: SpanBasis
     iterations: int
     dims: tuple[int, ...]
@@ -379,12 +377,14 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
     the dimension stabilizes or exceeds the cap.  Each iteration decides the
     rank of the current span plus the frontier images.
 
-    A quasi-exponential span is kept as coefficient-orthonormal functions
-    with its coefficient matrix carried across iterations: the first growth
-    orthonormalises the whole span, each later one only the new directions,
-    so A and `from_terms` run once per direction.  Applying A to raw images
-    instead loses directions to round-off.  Other spans keep the input
-    functions and their images, as their returned basis does.
+    A quasi-exponential span is swept as coefficient rows on the key table
+    of _key_closure: A runs once per term key, on that key's one-term
+    function, and the frontier images are frontier rows @ G.  The first
+    growth orthonormalises the whole span, each later one only the new
+    directions; applying A to raw images instead loses directions to
+    round-off.  Functions are synthesized once, from the rows of the span
+    returned; a not_detected span carries its rows only.  Other spans keep
+    the input functions and their images, as their returned basis does.
 
     A stabilized sweep certifies quasi-exponential volatility; blowing
     through the cap reports not_detected (the closure may be infinite
@@ -392,23 +392,24 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
     current = span_basis(generators)
     qexp = current.dim > 0 and all(isinstance(f, QExpFunction)
                                    for f in current.functions)
-    table = _CoefficientTable(current.keys) if qexp else None
-    n_ortho = 0  # leading functions of current that are orthonormal rows
-    frontier = current.functions
+    if qexp:
+        keys, g_mat = _key_closure(op, current.keys)
+        rows = np.zeros((current.dim, len(keys)))
+        rows[:, :len(current.keys)] = current.coefficient_matrix
+        current = SpanBasis((), current.dim, rows, keys)
+    n_ortho = 0  # leading rows of current that are orthonormal
+    frontier = current.coefficient_matrix if qexp else current.functions
     dims = [current.dim]
     iterations = 0
     while True:
         iterations += 1
-        images = [operators.apply_exact(op, f) for f in frontier]
         if qexp:
-            img_rows = table.rows(images)  # may add keys, so read it first
-            mat = np.vstack([table.widen(current.coefficient_matrix), img_rows])
+            mat = np.vstack([current.coefficient_matrix, frontier @ g_mat])
             rank, piv = funalg.rank_and_pivots(mat)
-            funcs = current.functions + tuple(images)
-            combined = SpanBasis(tuple(funcs[i] for i in piv), rank, mat[piv],
-                                 tuple(table.keys))
+            combined = SpanBasis((), rank, mat[piv], keys)
         else:
-            combined = span_basis(list(current.functions) + images)
+            combined = span_basis(list(current.functions)
+                                  + [operators.apply_exact(op, f) for f in frontier])
         dims.append(combined.dim)
         if combined.dim == current.dim:
             return ClosureResult("quasi_exponential", _resynthesize(combined),
@@ -416,12 +417,10 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
         if combined.dim > dim_cap:
             return ClosureResult("not_detected", combined, iterations, tuple(dims))
         if qexp:
-            kept = mat[:n_ortho]
-            rows = _orthonormal_rows(kept, combined.coefficient_matrix,
-                                     combined.dim - n_ortho)
-            frontier = tuple(_synthesize(row, combined.keys) for row in rows)
-            current = SpanBasis(current.functions[:n_ortho] + frontier, combined.dim,
-                                np.vstack([kept, table.rows(frontier)]), combined.keys)
+            kept = current.coefficient_matrix[:n_ortho]
+            frontier = _orthonormal_rows(kept, combined.coefficient_matrix,
+                                         combined.dim - n_ortho)
+            current = SpanBasis((), combined.dim, np.vstack([kept, frontier]), keys)
             n_ortho = combined.dim
         else:
             frontier = tuple(f for f in combined.functions

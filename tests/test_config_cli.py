@@ -1,6 +1,7 @@
 """Configuration validation and the command-line pipelines end to end."""
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -100,6 +101,9 @@ def test_cli_bad_inputs_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"name": "broken"}))
     assert cli.main(["analyze", "--config", str(broken), "--out", str(tmp_path / "y")]) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "\xff"}')
+    assert cli.main(["analyze", "--config", str(not_utf8), "--out", str(tmp_path / "z")]) == 2
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
 
@@ -185,6 +189,52 @@ def test_cli_verify_passes_and_flags_corruption(tmp_path):
     report = json.loads((out_bad / "verify.json").read_text())
     assert report["passed"] is False
     assert report["failures"]
+
+
+def _no_constant(text):
+    raise ValueError(f"{text} is not JSON")
+
+
+def test_a_non_finite_verify_error_fails_and_is_written_as_null(tmp_path, capsys):
+    # nan > bound is False: without the finite check NaN errors pass both
+    # the bound and the ratio test
+    def nan_vols(real):
+        return dataclasses.replace(real, vols=tuple(
+            dataclasses.replace(v, coords=np.full_like(v.coords, np.nan))
+            for v in real.vols))
+
+    rt = cli._load_runtime("heat-disk")
+    assert cli.run_verify(rt, str(tmp_path), seed=0, refine=1,
+                          mutate=nan_vols) == 5
+    assert "level 0 sup_error nan is not finite" in capsys.readouterr().out
+    report = json.loads((tmp_path / "verify.json").read_text(),
+                        parse_constant=_no_constant)
+    assert report["passed"] is False
+    assert [lvl["sup_error"] for lvl in report["levels"]] == [None, None]
+
+
+@pytest.mark.parametrize("where, literal", [
+    pytest.param(("operator", "tau"), "NaN", id="tau-NaN"),
+    pytest.param(("driver", "components", 0, "brownian_vol"), "NaN",
+                 id="brownian_vol-NaN"),
+    pytest.param(("operator", "lambda_c"), "Infinity", id="lambda_c-Infinity"),
+    pytest.param(("space", "x_min"), "-Infinity", id="x_min--Infinity"),
+    pytest.param(("time", "horizon"), "1e400", id="horizon-1e400"),
+    pytest.param(("time", "horizon"), "1" + "0" * 400, id="horizon-10^400"),
+])
+def test_non_finite_numbers_in_a_scenario_exit_2(tmp_path, capsys, where, literal):
+    raw = copy.deepcopy(_load("cable"))
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "LITERAL"
+    cfg = tmp_path / "cable.json"
+    cfg.write_text(json.dumps(raw).replace('"LITERAL"', literal))
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg), "--refine", "0",
+                     "--out", str(out)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_eigen_outputs_reparse(tmp_path):

@@ -1,5 +1,6 @@
-"""The closure sweep applies A only to the directions each iteration adds and
-decides the same dimensions as the full sweep it replaced."""
+"""The closure sweep applies A once per term key and steps only the
+directions each iteration adds, and decides the same dimensions as the full
+sweep it replaced."""
 
 import numpy as np
 import pytest
@@ -87,16 +88,22 @@ def test_negative_controls_sweep_to_the_cap(name):
     assert out.dims == tuple(range(1, rz.DIM_CAP + 2))
 
 
-def test_analyze_applies_a_once_per_direction(tmp_path, monkeypatch):
-    calls = []
+def test_analyze_applies_a_once_per_term_key(tmp_path, monkeypatch):
+    # A runs on the one-term function of each key of the sweep's table,
+    # x^0 .. x^60 for the degree-60 control, never on a swept direction
+    raw = cfgmod.load_config(cfgmod.resolve_config_path("neg-rational-taylor"))
+    gen = funalg.parse_qexp(raw["volatility"][0]["qexp"])
+    keys, _g = rz._key_closure(Translation(), rz.span_basis([gen]).keys)
+    assert len(keys) == 61
+    terms = []
     differentiate = funalg.differentiate
 
     def counted(f):
-        calls.append(1)
+        terms.append(len(f.terms))
         return differentiate(f)
 
     monkeypatch.setattr(funalg, "differentiate", counted)
     monkeypatch.setattr(operators, "differentiate", counted)
     assert cli.main(["analyze", "--config", "neg-rational-taylor",
                      "--out", str(tmp_path / "a")]) == 3
-    assert 0 < len(calls) <= rz.DIM_CAP + 1
+    assert terms == [1] * len(keys)

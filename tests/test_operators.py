@@ -131,6 +131,20 @@ def test_heat_disk_eigenfunction_vanishes_on_boundary():
         -operators.bessel_zero(0, 1) ** 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("operator, flag", [
+    ("cable", "--tau"), ("cable", "--lambda-c"), ("heat_disk", "--a"),
+    ("term_structure_2", "--kappa"),
+])
+def test_operator_parameters_must_be_finite_and_positive(tmp_path, operator,
+                                                         flag, value):
+    # NaN fails every comparison, so a bare `x <= 0` check lets it through
+    out = tmp_path / "eig"
+    assert cli.main(["eigen", "--operator", operator, flag, value,
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_eigenpairs_enumeration():
     pairs = operators.eigenpairs(Cable(), 5)
     assert [p.eigenvalue for p in pairs] == [1.0, 4.0, 9.0, 16.0, 25.0]
