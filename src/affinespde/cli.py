@@ -213,6 +213,9 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     time; only Y (n_t+1 x d) is held whole.  r.csv is written by a forked
     child at the same time as the parent writes the other files."""
     seed = rt.seed if seed is None else seed
+    if seed + paths > levy.SEED_END:
+        raise ConfigError(f"--paths {paths} from seed {seed} runs past the "
+                          f"last seed 2^64 - 1")
     real = cfgmod.build_scenario_realization(rt)
     t_grid = rt.t_grid()
     psi, curve_meta = rz.psi_rows(real, rt.h0, t_grid)
@@ -521,9 +524,8 @@ def run_eigen(args, out_dir: str) -> int:
                  + ",".join(f"v{i + 1}" for i in range(9)) + "\n")
         for pair in pairs:
             samples = _eigen_samples(op, pair.index)
-            fh.write(f"{_index_token(pair.index)},{pair.eigenvalue:.17g},"
-                     f"{pair.generator_eigenvalue:.17g},"
-                     + ",".join(f"{v:.17g}" for v in samples) + "\n")
+            fh.write(_index_token(pair.index) + csvio.comma_fields(
+                [pair.eigenvalue, pair.generator_eigenvalue, *samples]) + "\n")
     print(f"eigen catalog written to {path}")
     return 0
 
@@ -532,8 +534,9 @@ def run_eigen(args, out_dir: str) -> int:
 # argument parsing
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum (else exit 2)."""
+def _at_least(minimum: int, below: int | None = None):
+    """argparse type: an integer no smaller than minimum and, if given,
+    smaller than below (else exit 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -543,6 +546,9 @@ def _at_least(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be at least {minimum}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(
+                f"must be below {below}, got {value}")
         return value
 
     return parse
@@ -563,13 +569,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="solve the reduced model and write paths")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
     ps.add_argument("--paths", type=_at_least(1), default=1)
 
     pv = sub.add_parser("verify", help="compare against the independent solver")
     pv.add_argument("--config", required=True)
     pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
     pv.add_argument("--refine", type=_at_least(0), default=1,
                     help="number of simultaneous halvings (default 1; 0 "
                          "checks the absolute bound only)")

@@ -12,8 +12,8 @@ rate_down).
 Sampling is exact in distribution per step: Gaussian increments plus a
 Poisson number of jump sizes per step, minus intensity * mean * dt.  Each
 (path seed, component) pair owns an independent counter-based Philox stream
-with key = (seed mod 2^64) * 2^64 + component, so runs are reproducible and
-components never share draws.
+with key = seed * 2^64 + component, seed in [0, 2^64), so runs are
+reproducible and no two seeds or components share draws.
 """
 
 from __future__ import annotations
@@ -257,8 +257,13 @@ class IncrementMatrix:
         return self.values.shape[1]
 
 
+SEED_END = 2 ** 64  # seeds are the integers in [0, SEED_END)
+
+
 def _stream_key(seed: int, component: int) -> int:
-    return (int(seed) % 2 ** 64) * 2 ** 64 + int(component)
+    if not 0 <= seed < SEED_END:
+        raise ConfigError(f"seed {seed} is outside [0, 2^64)")
+    return int(seed) * SEED_END + int(component)
 
 
 def component_stream(seed: int, component: int) -> np.random.Generator:

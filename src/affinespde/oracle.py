@@ -231,8 +231,7 @@ def write_grid_path(rows: Iterable[np.ndarray], file, t_grid: np.ndarray,
                     x_grid: np.ndarray) -> None:
     """First row carries the spatial axis x_grid, each later row
     `t,value_1..` for one state of rows, written as it is produced."""
-    header = ("x" + ",%.17g" * len(x_grid)) % tuple(np.asarray(x_grid).tolist())
-    csvio.write_rows(file, header, t_grid, rows)
+    csvio.write_rows(file, "x" + csvio.comma_fields(x_grid), t_grid, rows)
 
 
 def read_grid_path(file, seed: int = 0) -> GridPath:

@@ -264,6 +264,44 @@ def test_cli_rejects_bad_counts_with_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--seed", str(2 ** 64)],
+    ["verify", "--seed", "-1"],
+    ["verify", "--seed", str(2 ** 64)],
+])
+def test_cli_rejects_seeds_outside_64_bits(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", "cable", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_paths_past_the_last_seed_exit_2(tmp_path, capsys):
+    cfg = _fast_cable(tmp_path)
+    out = tmp_path / "p"
+    last = ["--seed", str(2 ** 64 - 1), "--out", str(out)]
+    assert cli.main(["simulate", "--config", cfg, "--paths", "2"] + last) == 2
+    assert "--paths 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["simulate", "--config", cfg] + last) == 0
+
+
+@pytest.mark.parametrize("seed, paths", [(2 ** 64, 1), (2 ** 64 - 1, 2)])
+def test_scenario_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, paths):
+    cfg = _fast_cable(tmp_path)
+    raw = json.loads(open(cfg).read())
+    raw["seed"] = seed
+    with open(cfg, "w") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", cfg, "--paths", str(paths),
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_refine_0_checks_the_bound_only(tmp_path, capsys):
     cfg = _fast_cable(tmp_path)
     out = tmp_path / "v0"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affinespde import cli, csvio, levy, oracle
+from affinespde.errors import GridMismatch
 
 EDGE_VALUES = [
     0.0, -0.0, float("nan"), float("inf"), -float("inf"),
@@ -34,13 +35,79 @@ def _encode(header: str, t_grid, values) -> str:
     return buf.getvalue()
 
 
+def _assert_encodes(block):
+    """Each row of the block, written as t and its other values, is the
+    per-value %.17g table."""
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    t_grid, values = block[:, 0], block[:, 1:]
+    header = "t" + ",v" * values.shape[1]
+    assert _encode(header, t_grid, values) == \
+        _reference_table(header, t_grid, values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                min_side=1, max_side=6),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_encoder_matches_per_value_formatting(block):
-    t_grid, values = block[:, 0], block[:, 1:]
-    assert _encode("t", t_grid, values) == _reference_table("t", t_grid, values)
+    _assert_encodes(block)
+
+
+def _neighbours(values) -> np.ndarray:
+    """Each value with the doubles on either side of it."""
+    values = np.asarray(values, dtype=float)
+    return np.stack([np.nextafter(values, -np.inf), values,
+                     np.nextafter(values, np.inf)], axis=1).ravel()
+
+
+def test_encoder_on_a_row_as_wide_as_hjmm_linear():
+    rng = np.random.default_rng(3)
+    row = rng.standard_normal(3002) * 10.0 ** rng.integers(-8, 3, 3002)
+    row[::97] = 0.0
+    _assert_encodes(row)
+    _assert_encodes(np.stack([row, -row[::-1]]))
+
+
+def test_encoder_on_every_power_of_ten_and_its_neighbours():
+    powers = _neighbours([float(f"1e{e}") for e in range(-300, 301)])
+    _assert_encodes(np.concatenate([powers, -powers]).reshape(-1, 6))
+
+
+def test_encoder_where_the_notation_switches():
+    # %.17g is fixed notation for decimal exponents -4..16, e-notation beyond
+    _assert_encodes(_neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-3, 1e15]))
+
+
+def test_encoder_carries_into_the_next_decade():
+    # 17 significant digits of 9.99..9e-5 round up to 1e-4; and below every
+    # power of ten, for each exponent, the first digit can carry
+    carries = [9.99999999999999999e-5, 9.9999999999999999e22,
+               0.99999999999999999]
+    carries += [float(f"9.99999999999999999e{e}") for e in range(-300, 301)]
+    _assert_encodes(_neighbours(carries).reshape(-1, 3))
+
+
+def test_encoder_rounds_exact_ties_to_even():
+    # the 17th digit of x.25 and x.75 at 10^15 is an exact tie; so is that
+    # of 3 * 2^-24, scaled by 10^23, a power of ten no double holds
+    ties = [1000000000000000.25, 1000000000000000.75,
+            1000000000000001.25, 1000000000000001.75, 3 * 2.0 ** -24]
+    ties += [1e15 + j / 4 for j in range(400)]
+    _assert_encodes(np.array(ties + [-t for t in ties]).reshape(-1, 2))
+
+
+def test_encoder_on_rows_mixing_zeros_non_finite_and_subnormals():
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+               1.7976931348623157e308, 1e-280, 1e280, 0.5, -3.25]
+    rng = np.random.default_rng(5)
+    _assert_encodes(np.stack([rng.permutation(special) for _ in range(8)]))
+
+
+def test_encoder_on_random_bit_patterns():
+    bits = np.random.default_rng(7).integers(0, 2 ** 64, 100_000,
+                                             dtype=np.uint64)
+    _assert_encodes(bits.view(np.float64).reshape(-1, 250))
 
 
 def test_encoder_edge_values_and_round_trip(tmp_path):
@@ -58,6 +125,35 @@ def test_encoder_edge_values_and_round_trip(tmp_path):
     assert np.array_equal(t_back, t_grid)
     assert np.array_equal(v_back, values, equal_nan=True)
     assert np.array_equal(np.signbit(v_back), np.signbit(values))
+
+
+@pytest.mark.parametrize("t_grid, rows", [
+    ([0.0, 1.0], [[1.0, 2.0], [3.0]]),  # a row shorter than the header
+    ([0.0, 1.0], [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]),  # rows longer
+    ([0.0, 1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]),  # fewer rows than times
+    ([0.0], [[1.0, 2.0], [3.0, 4.0]]),  # more rows than times
+])
+def test_malformed_tables_raise_grid_mismatch(t_grid, rows):
+    for given in (rows, iter(rows), np.array(rows, dtype=object)):
+        with pytest.raises(GridMismatch):
+            csvio.write_rows(io.StringIO(), "t,a,b", np.array(t_grid), given)
+
+
+def test_grid_path_axis_must_match_the_rows(tmp_path):
+    rows = np.ones((2, 3))
+    with pytest.raises(GridMismatch):
+        oracle.write_grid_path(rows, str(tmp_path / "p.csv"),
+                               np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    oracle.write_grid_path(rows, str(tmp_path / "p.csv"), np.array([0.0, 1.0]),
+                           np.array([0.0, 0.5, 1.0]))
+    path = oracle.read_grid_path(str(tmp_path / "p.csv"))
+    assert np.array_equal(path.values, rows)
+
+
+def test_comma_fields_is_the_row_encoder():
+    values = [0.1, -0.0, 1e-5, 1e300, np.nan]
+    assert csvio.comma_fields(values) == "".join(f",{v:.17g}" for v in values)
+    assert csvio.comma_fields([]) == ""
 
 
 # ---------------------------------------------------------------------------

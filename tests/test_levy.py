@@ -106,6 +106,18 @@ def test_component_streams_are_disjoint():
     assert np.array_equal(inc.values[:, 0], one.values[:, 0])
 
 
+def test_seeds_are_refused_outside_64_bits():
+    # a key of seed mod 2^64 made seeds s and s + 2^64 draw one stream
+    spec = brownian()
+    last = levy.sample_increments(spec, 0.5, 5, seed=2 ** 64 - 1)
+    assert last.values.shape == (5, 1)
+    for seed in (-1, 2 ** 64, 2 ** 64 + 9):
+        with pytest.raises(ConfigError, match="outside"):
+            levy.sample_increments(spec, 0.5, 5, seed=seed)
+    with pytest.raises(ConfigError, match="outside"):
+        levy.sample_increment_ensemble(spec, 0.5, 5, range(2 ** 64 - 1, 2 ** 64 + 1))
+
+
 def test_compensation_makes_increments_centered():
     spec = atoms_spec(intensity=4.0)
     inc = levy.sample_increments(spec, 0.05, 40000, seed=11)
@@ -125,7 +137,7 @@ def test_ensemble_reproduces_per_seed_paths():
     # the ensemble re-keys one generator per (seed, component); each path
     # must still be the fresh per-seed stream, bit for bit, whatever the
     # previous path left in the generator's counter and buffer
-    seeds = [3, 9, 27, 0, 2 ** 64 + 9]
+    seeds = [3, 9, 27, 0, 2 ** 64 - 1]
     b, a, t = (s.components[0] for s in (brownian(0.7), atoms_spec(), tse_spec()))
     for components in ([b], [a], [t], [b, a], [t, b, a]):
         spec = levy.make_levy_spec(components)
