@@ -210,12 +210,19 @@ def _opened(file):
 @contextlib.contextmanager
 def _writer(file):
     """A function writing bytes to `file`: the path opened in binary mode,
-    or an open text file, which is given the decoded ASCII."""
-    if isinstance(file, (str, os.PathLike)):
-        with open(file, "wb") as fh:
-            yield fh.write
-    else:
+    or an open text file, which is given the decoded ASCII.  A path opened
+    here is removed again when the with-block raises, so no partial table
+    is left behind; a caller's open file is left as it is."""
+    if not isinstance(file, (str, os.PathLike)):
         yield lambda data: file.write(data.decode("ascii"))
+        return
+    fh = open(file, "wb")
+    try:
+        with fh:
+            yield fh.write
+    except BaseException:
+        os.unlink(file)
+        raise
 
 
 def write_rows(file, header: str, t_grid, rows) -> None:
@@ -245,8 +252,8 @@ def write_rows(file, header: str, t_grid, rows) -> None:
                 filled = 0
         if filled:
             write(_encode(block[:filled]))
-    if n != n_t:
-        raise GridMismatch(f"{n} rows for {n_t} times")
+        if n != n_t:
+            raise GridMismatch(f"{n} rows for {n_t} times")
 
 
 def read_rows(file, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:

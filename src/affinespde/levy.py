@@ -276,31 +276,35 @@ def _check_steps(dt: float, n_steps: int) -> None:
         raise ConfigError(f"need dt > 0 and n_steps >= 1, got {dt}, {n_steps}")
 
 
-def _component_increments(comp: LevyComponent, gen: np.random.Generator,
-                           dt: float, n_steps: int) -> np.ndarray:
-    col = np.zeros(n_steps)
+def _fill_component(comp: LevyComponent, gen: np.random.Generator,
+                    dt: float, row: np.ndarray) -> None:
+    """One path of a component's increments, drawn in place into the
+    contiguous row: the Brownian part, then the jump sums per step, then
+    the compensation."""
     if comp.brownian_vol:
-        col += comp.brownian_vol * math.sqrt(dt) * gen.standard_normal(n_steps)
+        gen.standard_normal(out=row)
+        row *= comp.brownian_vol * math.sqrt(dt)
+        row += 0.0  # as 0.0 + x: a -0.0 draw becomes +0.0
+    else:
+        row[:] = 0.0
     if comp.jump_intensity and comp.jump_law is not None:
+        n_steps = len(row)
         counts = gen.poisson(comp.jump_intensity * dt, n_steps)
         total = int(counts.sum())
         if total:
             sizes = comp.jump_law.sample(gen, total)
-            sums = np.zeros(n_steps)
-            np.add.at(sums, np.repeat(np.arange(n_steps), counts), sizes)
-            col += sums
-        col -= comp.compensation_rate * dt
-    return col
+            row += np.bincount(np.repeat(np.arange(n_steps), counts),
+                               weights=sizes, minlength=n_steps)
+        row -= comp.compensation_rate * dt
 
 
 def sample_increments(spec: LevySpec, dt: float, n_steps: int, seed: int) -> IncrementMatrix:
     """Exact compensated increments over n_steps steps of length dt."""
     _check_steps(dt, n_steps)
-    values = np.zeros((n_steps, spec.m))
+    cols = np.empty((spec.m, n_steps))
     for k, comp in enumerate(spec.components):
-        values[:, k] = _component_increments(comp, component_stream(seed, k),
-                                             dt, n_steps)
-    return IncrementMatrix(dt=dt, values=values, seed=int(seed))
+        _fill_component(comp, component_stream(seed, k), dt, cols[k])
+    return IncrementMatrix(dt=dt, values=cols.T.copy(), seed=int(seed))
 
 
 def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
@@ -308,8 +312,16 @@ def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
     """Stack sample_increments over seeds: shape (n_paths, n_steps, m).
     Path p reproduces sample_increments(spec, dt, n_steps, seeds[p]) exactly:
     one Philox serves every path, and each (seed, component) resets its
-    state to that stream's key with a zero counter and an empty buffer."""
+    state to that stream's key with a zero counter and an empty buffer.
+
+    The result is a transposed view of an (m, n_paths, n_steps) array, so
+    each path's draws of one component fill a contiguous row in place.  A
+    Brownian-only component draws every path's normals first and scales
+    the whole block once.  The seeds are range-checked once per call."""
     _check_steps(dt, n_steps)
+    if len(seeds):
+        for end in (min(seeds), max(seeds)):
+            _stream_key(end, 0)  # ConfigError outside [0, 2^64)
     gen = component_stream(0, 0)
     # one state dict; the setter copies it, so only its key changes per stream
     key = np.zeros(2, np.uint64)
@@ -317,13 +329,21 @@ def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
              "state": {"counter": np.zeros(4, np.uint64), "key": key},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    out = np.zeros((len(seeds), n_steps, spec.m))
-    for p, seed in enumerate(seeds):
-        for k, comp in enumerate(spec.components):
-            key[1], key[0] = divmod(_stream_key(seed, k), 2 ** 64)
+    out = np.empty((spec.m, len(seeds), n_steps))
+    for k, (comp, blk) in enumerate(zip(spec.components, out)):
+        key[0] = k
+        brownian_only = not (comp.jump_intensity and comp.jump_law is not None)
+        for seed, row in zip(seeds, blk):
+            key[1] = seed
             gen.bit_generator.state = state
-            out[p, :, k] = _component_increments(comp, gen, dt, n_steps)
-    return out
+            if brownian_only:
+                gen.standard_normal(out=row)
+            else:
+                _fill_component(comp, gen, dt, row)
+        if brownian_only:
+            blk *= comp.brownian_vol * math.sqrt(dt)
+            blk += 0.0
+    return out.transpose(1, 2, 0)
 
 
 def aggregate_increments(inc: IncrementMatrix, factor: int) -> IncrementMatrix:

@@ -945,7 +945,7 @@ def _constant_coefficients(real: Realization) -> bool:
 
 
 def _constant_step(real: Realization, dt: float):
-    """(E, c, S) of the exact affine step y -> y @ E.T + c + dX @ S for
+    """(E, c, S) of the exact affine step y -> E y + c + S.T dX for
     constant coefficients: E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
     if not _constant_coefficients(real):
         raise SchemeUnsupported(
@@ -958,16 +958,22 @@ def _constant_step(real: Realization, dt: float):
 
 
 def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
-    """The one stepping kernel: y is a (d,) state or a (P, d) block of
-    states, each increment a (m,) row or a (P, m) block, or None for a step
-    without noise (the carrier curve's coordinates)."""
+    """The one stepping kernel, y <- E y + c + S.T dX: y is a (d,) state or
+    a (d, P) block of states, one column per path, and each increment a
+    (m,) row or an (m, P) block, or None for a step without noise (the
+    carrier curve's coordinates).  In a block every elementwise op runs
+    along the paths, and E y is one matrix product on a contiguous
+    operand."""
     e_mat, drift_term, sig = step
-    e_t = e_mat.T
+    if y.ndim == 2:
+        drift_term = drift_term[:, None]
+    sig_t = None if sig is None else sig.T
     yield y
     for dx in increments:
-        y = y @ e_t + drift_term
+        y = e_mat @ y
+        y += drift_term
         if dx is not None:
-            y += dx @ sig
+            y += sig_t @ dx
         yield y
 
 
@@ -986,9 +992,10 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     Additive noise takes the exact affine update through the same kernel
     as ensemble_moments; state-scaled volatility takes explicit
     first-order euler steps.  For d >= 2 the rows agree with path s of
-    ensemble_moments over the same seed to rounding, not bit for bit:
-    numpy steps this (d,) state by a matrix-vector product and a block of
-    paths by a matrix product, which round differently."""
+    ensemble_moments over the same seed to rounding, not always bit for
+    bit: numpy steps this (d,) state by a matrix-vector product and a
+    (d, P) block of paths by a matrix product, which can round
+    differently."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:
@@ -1021,6 +1028,10 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
 # 2 MB of float64 increments
 BLOCK_VALUES = 2 ** 18
 
+# times per reduction: one thin (paths, d) row alone reduces about four
+# times slower per value
+_WINDOW = 8
+
 
 def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
                      spec: levy.LevySpec, seeds: Sequence[int]
@@ -1032,39 +1043,43 @@ def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     block of seeds at a time, so memory does not grow with their number.
     Set-up checks raise before the first draw.
 
-    The mean sums over paths one path at a time, as numpy reduces the whole
-    (paths, n_t+1, dim) array, so its bits are that array's mean(axis=0).
-    Block variances merge by the pairwise update of Chan, Golub & LeVeque
-    (1979): within one block the bits are var(axis=0, ddof=1), beyond it
-    they differ by rounding."""
+    A block of P paths steps as one (d, P) state, one column per path, over
+    the (m, P) increments of each step.  Every _WINDOW states are copied
+    into one (P, _WINDOW, d) buffer and reduced over its path axis, in path
+    order.  The mean sums over paths one path at a time, as numpy reduces
+    the whole (paths, n_t+1, dim) array, so its bits are that array's
+    mean(axis=0).  Block variances merge by the pairwise update of Chan,
+    Golub & LeVeque (1979): within one block the bits are var(axis=0,
+    ddof=1), beyond it they differ by rounding."""
     dt = _uniform_dt(t_grid)
     _check_driver(real, spec.m)
     step = _constant_step(real, dt)
     n_steps = len(t_grid) - 1
     per_block = max(2, BLOCK_VALUES // (n_steps * spec.m))
-    # a lone last path joins the block before it: numpy steps a one-row
+    # a lone last path joins the block before it: numpy steps a (d, 1)
     # block by a matrix-vector product, which rounds unlike the matrix
-    # product that steps two rows or more
+    # product that steps the columns of a wider block
     stops = [*range(per_block, len(seeds) - 1, per_block), len(seeds)]
-    y0 = np.asarray(v0, dtype=float).reshape(1, real.dim)
+    y0 = np.asarray(v0, dtype=float).reshape(real.dim, 1)
     total = np.zeros((n_steps + 1, real.dim))
     m2 = np.zeros_like(total)
+    bounds = list(zip([0, *stops], stops))
+    window = np.empty((max(b - a for a, b in bounds), _WINDOW, real.dim))
     count = 0
-    for start, stop in zip([0, *stops], stops):
+    for start, stop in bounds:
         block = seeds[start:stop]
         size = len(block)
         # no local name for the increments: the exhausted rows free them
         # before the next block is drawn
         rows = _affine_rows(
-            np.tile(y0, (size, 1)), step,
+            np.repeat(y0, size, axis=1), step,
             levy.sample_increment_ensemble(spec, dt, n_steps, block)
-            .transpose(1, 0, 2))
-        # eight times per reduction: one thin (paths, d) row alone reduces
-        # about four times slower per value
-        at = slice(0, 0)
-        while chunk := list(itertools.islice(rows, 8)):
-            ys = np.stack(chunk, axis=1)  # (paths, times, d)
-            at = slice(at.stop, at.stop + len(chunk))
+            .transpose(1, 2, 0))
+        for first in range(0, n_steps + 1, _WINDOW):
+            at = slice(first, min(first + _WINDOW, n_steps + 1))
+            for j, y in enumerate(itertools.islice(rows, _WINDOW)):
+                window[:size, j] = y.T
+            ys = window[:size, :at.stop - first]  # (paths, times, d)
             block_sum = np.add.reduce(ys, axis=0)
             mean = block_sum / size
             dev = ys - mean

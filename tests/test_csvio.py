@@ -139,6 +139,32 @@ def test_malformed_tables_raise_grid_mismatch(t_grid, rows):
             csvio.write_rows(io.StringIO(), "t,a,b", np.array(t_grid), given)
 
 
+@pytest.mark.parametrize("bad", ["width", "more", "fewer"])
+def test_streamed_malformed_table_leaves_no_file(tmp_path, bad):
+    # the table fails after its first block is written: a path opened by
+    # write_rows is removed, a caller's open file keeps what it was given
+    per_block = csvio._BLOCK // 3
+    n_t = per_block + 10
+    t_grid = np.arange(n_t, dtype=float)
+
+    def rows():
+        for n in range(n_t + {"more": 1, "fewer": -5}.get(bad, 0)):
+            wide = bad == "width" and n > per_block
+            yield [1.0, 2.0, 3.0] if wide else [1.0, float(n)]
+
+    target = tmp_path / "table.csv"
+    with pytest.raises(GridMismatch):
+        csvio.write_rows(str(target), "t,a,b", t_grid, rows())
+    assert not target.exists()
+    with pytest.raises(GridMismatch):
+        oracle.write_grid_path(rows(), target, t_grid, np.zeros(2))
+    assert not target.exists()
+    text = io.StringIO()
+    with pytest.raises(GridMismatch):
+        csvio.write_rows(text, "t,a,b", t_grid, rows())
+    assert text.getvalue().count("\n") > per_block
+
+
 def test_grid_path_axis_must_match_the_rows(tmp_path):
     rows = np.ones((2, 3))
     with pytest.raises(GridMismatch):

@@ -136,16 +136,22 @@ def test_brownian_variance_scales_with_dt():
 def test_ensemble_reproduces_per_seed_paths():
     # the ensemble re-keys one generator per (seed, component); each path
     # must still be the fresh per-seed stream, bit for bit, whatever the
-    # previous path left in the generator's counter and buffer
+    # previous path left in the generator's counter and buffer; a jump-only
+    # component draws no normals, and a one-seed block is a path of its own
     seeds = [3, 9, 27, 0, 2 ** 64 - 1]
     b, a, t = (s.components[0] for s in (brownian(0.7), atoms_spec(), tse_spec()))
-    for components in ([b], [a], [t], [b, a], [t, b, a]):
+    jumps_only = levy.LevyComponent(jump_intensity=t.jump_intensity,
+                                    jump_law=t.jump_law)
+    for components in ([b], [a], [t], [jumps_only], [b, a], [t, b, a],
+                       [jumps_only, b]):
         spec = levy.make_levy_spec(components)
         ens = levy.sample_increment_ensemble(spec, 0.1, 25, seeds)
         assert ens.shape == (len(seeds), 25, len(components))
         for p, seed in enumerate(seeds):
             single = levy.sample_increments(spec, 0.1, 25, seed)
             assert ens[p].tobytes() == single.values.tobytes()
+            one = levy.sample_increment_ensemble(spec, 0.1, 25, [seed])
+            assert one[0].tobytes() == single.values.tobytes()
 
 
 def test_aggregation_sums_consecutive_steps():

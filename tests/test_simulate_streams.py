@@ -76,10 +76,10 @@ def _whole_ensemble(rt, real, v0, seeds):
     stacked whole and stepped as one block."""
     inc = np.stack([levy.sample_increments(rt.driver, rt.dt, rt.n_t, s).values
                     for s in seeds])
-    rows = rz._affine_rows(np.tile(v0, (len(seeds), 1)),
+    rows = rz._affine_rows(np.tile(v0[:, None], (1, len(seeds))),
                            rz._constant_step(real, rt.dt),
-                           inc.transpose(1, 0, 2))
-    return np.stack(list(rows), axis=1)
+                           inc.transpose(1, 2, 0))
+    return np.stack([y.T for y in rows], axis=1)
 
 
 def test_streamed_ensemble_stats_equal_whole_array_reductions(tmp_path):
@@ -122,6 +122,27 @@ def test_ensemble_moments_match_whole_array_reductions(paths, per_block,
     assert np.all(np.abs(var - want) <= 1e-12 * want.max(axis=0))
 
 
+@pytest.mark.parametrize("name", ["hjmm-levy", "transport-mortality-2d"])
+@pytest.mark.parametrize("paths", [6, 13])  # one block; a ragged last block
+def test_ensemble_moments_off_heat_disk_match_whole_array_reductions(
+        name, paths, monkeypatch):
+    # a jump driver with d = 1 and a grid space with d = 2, in blocks of
+    # five paths: the mean keeps the whole array's bits, the variance
+    # keeps them within one block and its value to rounding across blocks
+    rt = _runtime(name)
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    monkeypatch.setattr(rz, "BLOCK_VALUES", 5 * rt.n_t * rt.driver.m)
+    seeds = range(11, 11 + paths)
+    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
+    coords = _whole_ensemble(rt, real, v0, seeds)
+    want = coords.var(axis=0, ddof=1)
+    assert np.array_equal(mean, coords.mean(axis=0))
+    if paths == 6:
+        assert np.array_equal(var, want)
+    assert np.all(np.abs(var - want) <= 1e-12 * want.max(axis=0))
+
+
 def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
     space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201))
     V = rz.Subspace.build([Q.exponential(-1.0)], space)
@@ -146,10 +167,10 @@ def test_one_path_and_its_ensemble_path_agree_to_rounding():
     _u0, v0 = rz.split_initial(real, rt.h0)
     seeds = [11, 12, 13]
     block = rz._affine_rows(
-        np.tile(v0, (len(seeds), 1)), rz._constant_step(real, rt.dt),
+        np.tile(v0[:, None], (1, len(seeds))), rz._constant_step(real, rt.dt),
         levy.sample_increment_ensemble(rt.driver, rt.dt, rt.n_t, seeds)
-        .transpose(1, 0, 2))
-    ensemble = np.stack(list(block), axis=1)  # (paths, times, d)
+        .transpose(1, 2, 0))
+    ensemble = np.stack([y.T for y in block], axis=1)  # (paths, times, d)
     for path, seed in zip(ensemble, seeds):
         inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
         one = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
