@@ -404,19 +404,17 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         if mutate is not None:
             real = mutate(real)
         t_grid = rt_l.t_grid()
-        psi, _meta = rz.psi_rows(real, rt_l.h0, t_grid)
+        carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
         _u0, v0 = rz.split_initial(real, rt_l.h0)
         coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
         reference = _oracle_rows(rt_l, real.V, chain[lvl])
-        basis = real.V.samples
-        buf = np.empty(basis.shape[1])
-        # (reduced r_n = psi_n + Y_n . V, reference state, leaf base psi_n);
-        # every r_n is written into buf: compare_streams is done with a
-        # step before it draws the next
-        steps = ((np.add(np.matmul(y, basis, out=buf), p, out=buf), o, p)
-                 for p, y, o in zip(psi, coords, reference, strict=True))
-        metrics = oracle.compare_streams(steps, rt_l.space.weights(),
-                                         leaf=real.V if lvl == 0 else None)
+        # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
+        # compared in coordinates over the stacked span [W; V]; the leaf of
+        # r_n is psi_n + V
+        metrics = oracle.compare_coordinates(
+            reference, [(carrier.coords, carrier.samples),
+                        (coords, real.V.samples)],
+            rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
         if lvl == 0:
             h0_norm = rz.space_norm(rt_l.space, rt_l.space.sample(rt_l.h0))
             fol_max = float(metrics.foliation.max())
@@ -429,7 +427,10 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
             "scale": metrics.scale,
         })
 
-    bound = rt.verify.bound_rel_h0 * h0_norm
+    # a zero initial curve gives no scale of its own: the bound is then
+    # relative to the level-0 path scale
+    bound = rt.verify.bound_rel_h0 * (levels[0]["scale"] if h0_norm == 0
+                                      else h0_norm)
     sup0 = levels[0]["sup_error"]
     failures = [f"level {lvl['level']} sup_error {lvl['sup_error']} is not finite"
                 for lvl in levels if not math.isfinite(lvl["sup_error"])]

@@ -9,13 +9,14 @@ evidence that the reduced model reproduces the weak solution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import csvio, funalg, levy, operators
-from .errors import GridMismatch
+from .errors import GridMismatch, LinearSolveFailure
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
@@ -184,6 +185,18 @@ def _leaf_distance(V: Subspace, state: np.ndarray, base: np.ndarray) -> float:
     return space_norm(V.space, V.complement_residual(state - base))
 
 
+def _path_metrics(per_time, mag_a, mag_b, fol) -> PathMetrics:
+    """PathMetrics from per-time squared distances and squared magnitudes;
+    a NaN anywhere reaches the sup error."""
+    per_time = np.sqrt(np.maximum(np.array(per_time), 0.0))
+    mag = np.sqrt(np.maximum(np.array(mag_a), 0.0))
+    mag_b = np.sqrt(np.maximum(np.array(mag_b), 0.0))
+    scale = max(float(mag.max(initial=0.0)), float(mag_b.max(initial=0.0)))
+    sup = float(per_time.max(initial=0.0))
+    return PathMetrics(sup, sup / max(scale, 1e-300), per_time, scale,
+                       None if fol is None else np.array(fol))
+
+
 def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
                     leaf: Subspace | None = None) -> PathMetrics:
     """Sup over time of the weighted-L2 spatial distance of two paths given
@@ -214,13 +227,129 @@ def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
             sink.append(np.multiply(buf, w, out=buf).sum())
         if leaf is not None:
             fol.append(_leaf_distance(leaf, b, step[2]))
-    per_time = np.sqrt(np.maximum(np.array(per_time), 0.0))
-    mag = np.sqrt(np.maximum(np.array(mag_a), 0.0))
-    mag_b = np.sqrt(np.maximum(np.array(mag_b), 0.0))
-    scale = max(float(mag.max(initial=0.0)), float(mag_b.max(initial=0.0)))
-    sup = float(per_time.max(initial=0.0))
-    return PathMetrics(sup, sup / max(scale, 1e-300), per_time, scale,
-                       np.array(fol) if leaf is not None else None)
+    return _path_metrics(per_time, mag_a, mag_b,
+                         fol if leaf is not None else None)
+
+
+# a block of reduced states in compare_coordinates holds at most
+# BLOCK_VALUES float64 (256 KB, so it stays in cache while the reference
+# rows stream past) and at most BLOCK_ROWS times
+BLOCK_VALUES = 2 ** 15
+BLOCK_ROWS = 256
+# OpenBLAS spreads a dot product of more than 10000 values over its
+# threads, whose hand-off costs more than the product at these sizes (three
+# times the time at n_x = 10002 on two cores): longer vectors are dotted in
+# pieces of at most DOT_PIECE values
+DOT_PIECE = 8192
+
+
+def _square_norm(x: np.ndarray) -> float:
+    if len(x) <= DOT_PIECE:
+        return np.dot(x, x)
+    return sum(np.dot(x[i:i + DOT_PIECE], x[i:i + DOT_PIECE])
+               for i in range(0, len(x), DOT_PIECE))
+
+
+def compare_coordinates(reference: Iterable[np.ndarray],
+                        parts: Sequence[tuple[Iterable[np.ndarray], np.ndarray]],
+                        weights: np.ndarray | None = None,
+                        sampled: Iterable[np.ndarray] | None = None,
+                        leaf: bool = False) -> PathMetrics:
+    """compare_streams of a reference path against a reduced path given in
+    coordinates, without building the reduced states one by one.  Each part
+    is (coordinate stream, samples): the stream yields (k,) rows over the
+    (k, n_x) sampled span.  The reduced state at t_n is the sum over parts
+    of coords_n @ samples, plus the row sampled_n when sampled is given;
+    the metrics are those of compare_streams(zip(reduced, reference)), up
+    to rounding.  With leaf, the last part spans the leaf directions and
+    .foliation records the distance of each reference state from its
+    reduced state's leaf: the reduced state minus its last part, plus that
+    part's span.
+
+    Everything runs in sqrt(w)-scaled coordinates, where the weighted norm
+    is the Euclidean one.  The parts are stacked once into S' = S sqrt(w)
+    with G = S' S'^T.  For a block of K = BLOCK_VALUES // n_x times
+    (at most BLOCK_ROWS) the coordinates fill Z (K, dim S), and one
+    product R' = Z S' gives the K reduced states, plus sqrt(w) times the
+    sampled rows.  Their squared magnitudes are the Gram forms z G z^T, or
+    ||R'_j||^2 with a sampled term.  Each reference row o then takes four
+    vector passes: o' = o sqrt(w), ||o'||^2, o' -= R'_j and ||o'||^2.  The
+    leaf distance of a row is the norm of the part of o' - R'_j outside
+    the last part's span, whose solve by its Gram block takes the block's
+    K rows at once.  O(K n_x + n_t) memory is held."""
+    S = np.vstack([np.asarray(s, dtype=float) for _c, s in parts])
+    dim, n = S.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise GridMismatch(f"weight vector shape {w.shape} for {n} spatial "
+                           f"nodes")
+    sw = np.sqrt(w)
+    S *= sw
+    gram = S @ S.T
+    widths = [np.shape(s)[0] for _c, s in parts]
+    offsets = np.cumsum([0, *widths])
+    size = max(1, min(BLOCK_ROWS, BLOCK_VALUES // max(n, 1)))
+    z = np.empty((size, dim))
+    red = np.empty((size, n))
+    # the scaled reference rows, then their differences: a block of them
+    # for the leaf distances, else one row
+    own = np.empty((size if leaf else 1, n))
+    streams = [iter(c) for c, _s in parts]
+    if sampled is not None:
+        streams.append(iter(sampled))
+    ref = iter(reference)
+    per_time, mag_red, mag_ref, fol = [], [], [], []
+    while True:
+        blocks = [list(itertools.islice(it, size)) for it in streams]
+        k = len(blocks[0])
+        if any(len(b) != k for b in blocks):
+            raise GridMismatch("coordinate streams of different lengths")
+        if not k:
+            break
+        zk, rk = z[:k], red[:k]
+        for lo, hi, rows in zip(offsets, offsets[1:], blocks):
+            rows = np.asarray(rows, dtype=float)
+            if rows.shape != (k, hi - lo):
+                raise GridMismatch(f"coordinate rows of shape {rows.shape[1:]} "
+                                   f"over {hi - lo} span rows")
+            zk[:, lo:hi] = rows
+        np.matmul(zk, S, out=rk)
+        if sampled is None:
+            mag_red.extend(np.einsum("ij,jk,ik->i", zk, gram, zk))
+        else:
+            for r, s in zip(rk, blocks[-1]):
+                if np.shape(s) != (n,):
+                    raise GridMismatch(f"sampled row of shape {np.shape(s)} "
+                                       f"for {n} nodes")
+                r += np.multiply(s, sw, out=own[0])
+            mag_red.extend(np.einsum("ij,ij->i", rk, rk))
+        for j, o in enumerate(itertools.islice(ref, k)):
+            if np.shape(o) != (n,):
+                raise GridMismatch(f"states of shape {np.shape(o)} vs ({n},)")
+            o_s = np.multiply(o, sw, out=own[j if leaf else 0])
+            mag_ref.append(_square_norm(o_s))
+            o_s -= rk[j]
+            per_time.append(_square_norm(o_s))
+        if leaf:
+            fol.extend(_outside_norms(own[:k], S[offsets[-2]:],
+                                      gram[offsets[-2]:, offsets[-2]:]))
+    if len(per_time) != len(mag_red) or next(ref, None) is not None:
+        raise GridMismatch("reference and reduced paths of different lengths")
+    return _path_metrics(per_time, mag_red, mag_ref, fol if leaf else None)
+
+
+def _outside_norms(x: np.ndarray, span: np.ndarray,
+                   gram: np.ndarray) -> np.ndarray:
+    """Norms of the rows of x minus their orthogonal projections onto the
+    rows of span (Gram matrix gram), all rows through one solve; x is
+    overwritten."""
+    if len(span):
+        try:
+            coef = np.linalg.solve(gram, span @ x.T)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(f"gram solve failed: {exc}") from exc
+        x -= coef.T @ span
+    return np.sqrt(np.maximum(np.einsum("ij,ij->i", x, x), 0.0))
 
 
 # ---------------------------------------------------------------------------

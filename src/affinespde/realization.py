@@ -775,7 +775,8 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     drop out.  With B_W the coordinates of A on W and (c0, a) those of
     (u0, u), the coordinates c of psi take the noise-free step of
     _affine_rows, c <- E c + J a with (E, J) = _expm_with_integral(B_W, dt),
-    so psi and Y share one kernel.  Returns (rows, dim W).
+    so psi and Y share one kernel.  Returns (coordinate rows, W sampled as
+    (dim W, space.size) rows); no data give dim W = 0.
 
     On the Dirichlet generators the flow on W is the semigroup only when W
     lies in the domain of A, so every element of W must vanish at both grid
@@ -784,7 +785,7 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     given = [f is not None and not f.is_zero for f in (u0, u)]
     data = [f for f, g in zip((u0, u), given) if g]
     if not data:
-        return (np.zeros(space.size) for _ in t_grid), 0
+        return _no_coords(t_grid), np.zeros((0, space.size))
     closure = _closure_sweep(real.op, data)
     if closure.status != "quasi_exponential":
         raise MethodUnsupported(
@@ -806,7 +807,11 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     e_mat, j_mat = _expm_with_integral(check_invariant(real.op, W).coords, dt)
     c_rows = _affine_rows(c0, (e_mat, j_mat @ a, None),
                           itertools.repeat(None, len(t_grid) - 1))
-    return (c @ samples for c in c_rows), len(W)
+    return c_rows, samples
+
+
+def _no_coords(t_grid: np.ndarray) -> Iterator[np.ndarray]:
+    return itertools.repeat(np.zeros(0), len(t_grid))
 
 
 def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
@@ -853,27 +858,54 @@ def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
     return rows()
 
 
-def psi_rows(real: Realization, h0,
-             t_grid: np.ndarray) -> tuple[Iterator[np.ndarray], dict]:
-    """The carrier curve one time at a time: returns (rows, meta), where rows
-    yields psi(t_n) for every t_n of the uniform grid as a (space.size,)
-    vector and meta is the curve metadata.  Set-up checks raise here, before
-    the first row; stepping holds O(space.size) memory.
+@dataclass(frozen=True)
+class Carrier:
+    """The carrier curve in coordinates: psi(t_n) = coords_n @ samples
+    + sampled_n.  coords yields the (dim W,) coordinates c_n over W, the
+    A-closure of the symbolic curve data, samples is W sampled as
+    (dim W, space.size) rows, and sampled, None or a stream of
+    (space.size,) rows, is the part of the curve known only as samples
+    (grid_implicit, a sampled drift remainder or initial curve on a
+    transport generator).  meta is the curve metadata."""
+
+    coords: Iterator[np.ndarray]
+    samples: np.ndarray
+    sampled: Iterator[np.ndarray] | None
+    meta: dict
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """psi(t_n) one time at a time, as a (space.size,) vector: each row
+        is one vector-matrix product c_n @ samples, plus the sampled row;
+        with W empty the sampled rows are psi as they are."""
+        if self.sampled is not None and not len(self.samples):
+            return self.sampled
+        rows = (c @ self.samples for c in self.coords)
+        if self.sampled is None:
+            return rows
+        return (r + s for r, s in zip(rows, self.sampled, strict=True))
+
+
+def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
+    """The carrier curve psi on the uniform time grid, in coordinates (see
+    Carrier).  Set-up checks raise here, before the first row; stepping
+    holds O(space.size) memory.
 
     psi solves dpsi/dt = A psi + u, psi(0) = u0, for u0 the complement part
     of h0 and u the drift's remainder.  grid_implicit steps backward
-    Euler on the grid stencil.  shift_exact and spectral_truncation step
-    symbolic data exactly on their A-closure (_closure_rows, meta
-    {"closure_dim": k}).  Data known only as samples keep a sampled route:
-    on a transport generator they shift by interpolation and add to the
-    closure rows, on a grid space with mode_indices they are projected onto
-    the modes first (meta adds "truncation_tail" and "modes")."""
+    Euler on the grid stencil, the sampled term alone (W empty, meta {}).
+    shift_exact and spectral_truncation step symbolic data exactly on their
+    A-closure (_closure_rows, meta {"closure_dim": dim W}).  Data known
+    only as samples keep a sampled route: on a transport generator they
+    shift by interpolation into the sampled term, on a grid space with
+    mode_indices they are projected onto the modes first (meta adds
+    "truncation_tail" and "modes")."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     u0, _v0 = split_initial(real, h0)
     method = real.psi_method
     if method == "grid_implicit":
-        return _implicit_rows(real, u0, t_grid, dt), {}
+        return Carrier(_no_coords(t_grid), np.zeros((0, real.V.space.size)),
+                       _implicit_rows(real, u0, t_grid, dt), {})
     u = real.drift.remainder
     sampled = None
     if method == "shift_exact":
@@ -888,10 +920,21 @@ def psi_rows(real: Realization, h0,
         u0, u, meta = _band_limited(real, h0, u0, u)
     else:
         raise MethodUnsupported(f"unknown curve method {method!r}")
-    rows, dim = _closure_rows(real, u0, u, t_grid, dt)
-    if sampled is not None:
-        rows = (r + s for r, s in zip(rows, sampled, strict=True))
-    return rows, {"closure_dim": dim, **meta}
+    coords, samples = _closure_rows(real, u0, u, t_grid, dt)
+    return Carrier(coords, samples, sampled,
+                   {"closure_dim": len(samples), **meta})
+
+
+def psi_rows(real: Realization, h0,
+             t_grid: np.ndarray) -> tuple[Iterator[np.ndarray], dict]:
+    """The carrier curve one time at a time: returns (rows, meta), where rows
+    yields psi(t_n) for every t_n of the uniform grid as a (space.size,)
+    vector and meta is the curve metadata; carrier_coords(...).rows().
+    Each row is built on its own, a vector-matrix product plus the sampled
+    row, so the rows do not depend on how many are taken at once: a block
+    matrix product would round unlike the row product for dim W >= 2."""
+    car = carrier_coords(real, h0, t_grid)
+    return car.rows(), car.meta
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,22 @@ def test_initial_curve_csv_with_a_text_field_is_a_config_error(
     assert "initial curve file" in capsys.readouterr().err
 
 
+def test_a_zero_initial_curve_verifies_against_the_path_scale(tmp_path):
+    # bound_rel_h0 x ||h0|| is 0 for h0 = 0, which no sup error meets; the
+    # bound is then relative to the level-0 path scale
+    raw = copy.deepcopy(_load("transport-1d"))
+    raw["initial_curve"] = {"qexp": "0"}
+    cfg = tmp_path / "transport-zero.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg), "--refine", "2",
+                     "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert report["h0_norm"] == 0.0
+    assert report["bound"] == raw["verify"]["bound_rel_h0"] * \
+        report["levels"][0]["scale"] > 0.0
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
 def test_state_scale_longer_than_dim_v_exits_2(tmp_path, capsys, command):
     raw = copy.deepcopy(_load("transport-1d"))  # dim V = 2
