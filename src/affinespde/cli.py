@@ -9,11 +9,11 @@ then ./affinespde-out/<name>.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 from typing import Iterator
 
@@ -177,34 +177,50 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, mean: np.ndarray,
     csvio.write_rows(path, ",".join(head), t_grid, np.hstack([mean, var]))
 
 
-@contextlib.contextmanager
-def _alongside(write):
-    """Run write() in a forked child while the with-block runs, then reap
-    the child, also when the block raises; a child that failed raises
-    AffineSpdeError.  Without os.fork, write() runs inline first."""
+def _alongside(child, parent):
+    """Return (parent(), child()), running child() in a forked process
+    while parent() runs in this one.  The child pickles its value, or the
+    exception it raised, through a pipe; the parent reads it, then reaps
+    the child in a `finally`, so a failure of parent() wins and leaves no
+    child behind.  The child's exception is raised again here with its
+    class and message, after a stderr line naming the child's status; a
+    child that ends without a result raises AffineSpdeError.  Without
+    os.fork, parent() and then child() run inline."""
     if not hasattr(os, "fork"):
-        write()
-        yield
-        return
+        return parent(), child()
     sys.stdout.flush()
     sys.stderr.flush()
+    rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:  # never return into the caller's stack: leave via _exit
         code = 1
         try:
-            write()
-            code = 0
-        except BaseException as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+            os.close(rfd)
+            try:
+                payload = pickle.dumps((True, child()))
+                code = 0
+            except BaseException as exc:
+                payload = pickle.dumps((False, exc))
+            with open(wfd, "wb") as fh:
+                fh.write(payload)
         finally:
             os._exit(code)
+    os.close(wfd)
     try:
-        yield
+        own = parent()
     finally:
+        with open(rfd, "rb") as fh:
+            payload = fh.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        how = f"signal {-status}" if status < 0 else f"status {status}"
-        raise AffineSpdeError(f"forked writer ended with {how}")
+    how = f"signal {-status}" if status < 0 else f"status {status}"
+    if payload:
+        ok, value = pickle.loads(payload)
+        if ok and status == 0:
+            return own, value
+        if not ok:
+            print(f"forked writer ended with {how}", file=sys.stderr, flush=True)
+            raise value
+    raise AffineSpdeError(f"forked writer ended with {how}")
 
 
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
@@ -230,18 +246,20 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     os.makedirs(out_dir, exist_ok=True)
 
     def write_r():
-        # its own psi stream: inline, this runs before psi.csv is written
+        # its own psi stream: inline, this runs after psi.csv is written
         psi_r, _meta = rz.psi_rows(real, rt.h0, t_grid)
         basis = real.V.samples
         r_rows = (p + y @ basis for p, y in zip(psi_r, coords, strict=True))
         oracle.write_grid_path(r_rows, os.path.join(out_dir, "r.csv"), t_grid, axis)
 
-    with _alongside(write_r):
+    def write_rest():
         oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
         oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
         levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
         _write_json(os.path.join(out_dir, "realization.json"),
                     _realization_report(rt, real, v0, curve_meta, seed))
+
+    _alongside(write_r, write_rest)
 
     if moments is not None:
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),
@@ -259,14 +277,21 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
 def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
     space = rt.space
+    h0 = rt.h0
     axis = space.ray if isinstance(space, rz.ProfileRaySpace) else space
     if isinstance(axis, rz.GridSpace) and factor > 1:
         g = axis.grid
         fine = rz.GridSpace(Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
                                                  (g.n - 1) * factor + 1),
                             axis.weight, axis.label)
+        if isinstance(h0, np.ndarray):
+            # a sampled curve is the piecewise-linear interpolant of its
+            # nodes, so every level starts from one function
+            x, x_fine = g.points(), fine.grid.points()
+            h0 = np.concatenate([np.interp(x_fine, x, block) for block
+                                 in space.sample(h0).reshape(-1, g.n)])
         space = fine if axis is space else rz.ProfileRaySpace(space.profiles, fine)
-    return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor)
+    return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor, h0=h0)
 
 
 def _scenario_drift(rt: cfgmod.Runtime) -> np.ndarray | None:
@@ -372,10 +397,50 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
     raise MethodUnsupported(f"no oracle of kind {kind!r}")
 
 
+def _verify_level(rt: cfgmod.Runtime, lvl: int,
+                  chain: list[levy.IncrementMatrix], v_basis, mutate):
+    """Step the reduced model and the reference solver together at
+    refinement level lvl, comparing them one time at a time (O(n_x)
+    memory).  Returns the level's report, and at level 0 also the norm of
+    h0 and the largest foliation distance (else None, None)."""
+    rt_l = _refine_runtime(rt, 2 ** lvl)
+    real = cfgmod.build_scenario_realization(rt_l, v_basis)
+    if mutate is not None:
+        real = mutate(real)
+    t_grid = rt_l.t_grid()
+    carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
+    _u0, v0 = rz.split_initial(real, rt_l.h0)
+    coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
+    reference = _oracle_rows(rt_l, real.V, chain[lvl])
+    # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
+    # compared in coordinates over the stacked span [W; V]; the leaf of
+    # r_n is psi_n + V
+    metrics = oracle.compare_coordinates(
+        reference, [(carrier.coords, carrier.samples),
+                    (coords, real.V.samples)],
+        rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
+    level = {
+        "level": lvl,
+        "n_t": rt_l.n_t,
+        "space_size": rt_l.space.size,
+        "sup_error": metrics.sup_error,
+        "relative": metrics.relative,
+        "scale": metrics.scale,
+    }
+    if lvl > 0:
+        return level, None, None
+    h0_norm = rz.space_norm(rt_l.space, rt_l.space.sample(rt_l.h0))
+    return level, h0_norm, float(metrics.foliation.max())
+
+
 def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                refine: int = 1, mutate=None) -> int:
-    """Step the reduced model and the reference solver together at each
-    refinement level, comparing them one time at a time (O(n_x) memory)."""
+    """Check the reduced model against the reference solver at refinement
+    levels 0..refine, each by `_verify_level`.  For refine >= 1 the finest
+    level, the most costly, runs in a forked child (`_alongside`) while
+    this process runs the coarser ones in turn; the report bytes and exit
+    codes are those of running every level here in order, which is what
+    happens at refine 0 and where os.fork does not exist."""
     axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
     cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
     limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
@@ -395,37 +460,18 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     chain.reverse()  # chain[l] matches refinement level l
 
     v_basis = cfgmod.assemble_basis(rt)  # symbolic: one sweep for all levels
-    levels = []
-    h0_norm = None
-    fol_max = None
-    for lvl in range(refine + 1):
-        rt_l = _refine_runtime(rt, 2 ** lvl)
-        real = cfgmod.build_scenario_realization(rt_l, v_basis)
-        if mutate is not None:
-            real = mutate(real)
-        t_grid = rt_l.t_grid()
-        carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
-        _u0, v0 = rz.split_initial(real, rt_l.h0)
-        coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
-        reference = _oracle_rows(rt_l, real.V, chain[lvl])
-        # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
-        # compared in coordinates over the stacked span [W; V]; the leaf of
-        # r_n is psi_n + V
-        metrics = oracle.compare_coordinates(
-            reference, [(carrier.coords, carrier.samples),
-                        (coords, real.V.samples)],
-            rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
-        if lvl == 0:
-            h0_norm = rz.space_norm(rt_l.space, rt_l.space.sample(rt_l.h0))
-            fol_max = float(metrics.foliation.max())
-        levels.append({
-            "level": lvl,
-            "n_t": rt_l.n_t,
-            "space_size": rt_l.space.size,
-            "sup_error": metrics.sup_error,
-            "relative": metrics.relative,
-            "scale": metrics.scale,
-        })
+
+    def level(lvl):
+        return _verify_level(rt, lvl, chain, v_basis, mutate)
+
+    if refine == 0:
+        results = [level(0)]
+    else:
+        coarse, finest = _alongside(lambda: level(refine),
+                                    lambda: [level(lvl) for lvl in range(refine)])
+        results = coarse + [finest]
+    levels = [lv for lv, _norm, _fol in results]
+    _lv0, h0_norm, fol_max = results[0]
 
     # a zero initial curve gives no scale of its own: the bound is then
     # relative to the level-0 path scale

@@ -396,6 +396,27 @@ def test_initial_curve_csv_with_a_text_field_is_a_config_error(
     assert "initial curve file" in capsys.readouterr().err
 
 
+def test_verify_refines_an_initial_curve_csv(tmp_path):
+    # every level samples the piecewise-linear interpolant of the CSV nodes
+    raw = copy.deepcopy(_load("transport-1d"))
+    raw["space"]["n_x"] = 401
+    raw["time"]["n_t"] = 100
+    rt = cfgmod.build_runtime(raw)
+    x = rt.space.grid.points()
+    h0 = rt.space.sample(rt.h0)
+    (tmp_path / "h0.csv").write_text(
+        "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, h0)))
+    raw["initial_curve"] = {"csv": "h0.csv"}
+    cfg = tmp_path / "transport-csv.json"
+    cfg.write_text(json.dumps(raw))
+    fine = cli._refine_runtime(cfgmod.build_runtime(raw, str(tmp_path)), 4)
+    assert np.array_equal(fine.h0, np.interp(fine.space.grid.points(), x, h0))
+    assert cli.main(["verify", "--config", str(cfg), "--refine", "2",
+                     "--out", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert [lv["space_size"] for lv in report["levels"]] == [401, 801, 1601]
+
+
 def test_a_zero_initial_curve_verifies_against_the_path_scale(tmp_path):
     # bound_rel_h0 x ||h0|| is 0 for h0 = 0, which no sup error meets; the
     # bound is then relative to the level-0 path scale

@@ -1,7 +1,8 @@
 """Streamed verification: the time loop of `verify` against the materialised
-paths, and its memory bound."""
+paths, its memory bound, and the finest level run in a forked child."""
 
 import copy
+import functools
 import json
 import os
 import tracemalloc
@@ -12,10 +13,11 @@ import pytest
 from affinespde import cli, levy, operators, oracle
 from affinespde import config as cfgmod
 from affinespde import realization as rz
-from affinespde.errors import GridMismatch
+from affinespde.errors import ConfigError, GridMismatch, NotInvariant
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
+from test_simulate_streams import _assert_no_child_left, needs_fork
 
 
 def _small_runtime(name, n_t, n_x=None, edit=None):
@@ -230,9 +232,11 @@ def test_compare_coordinates_refuses_mismatched_streams():
             run(**bad)
 
 
-def test_verify_refine2_holds_no_full_path(tmp_path):
+def test_verify_refine2_holds_no_full_path(tmp_path, monkeypatch):
     # one (n_t+1) x n_x float64 array at the finest level is 5.1 MB here;
-    # building the paths whole needs several of them
+    # building the paths whole needs several of them.  The forked finest
+    # level is out of tracemalloc's sight, so every level runs inline here
+    monkeypatch.delattr(os, "fork", raising=False)
     rt = _small_runtime("transport-1d", 100, 401)
     n_t_fine, n_x_fine = 4 * 100, 4 * 400 + 1
     full_path_bytes = 8 * (n_t_fine + 1) * n_x_fine
@@ -246,3 +250,102 @@ def test_verify_refine2_holds_no_full_path(tmp_path):
     report = json.loads((tmp_path / "verify.json").read_text())
     assert [lv["space_size"] for lv in report["levels"]] == [401, 801, 1601]
     assert peak < full_path_bytes, (peak, full_path_bytes)
+
+
+# ---------------------------------------------------------------------------
+# the finest level in a forked child
+
+
+@needs_fork
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("name, n_t, n_x", [
+    ("cable", 40, 64),  # grid oracle
+    ("heat-disk", 40, None),  # modal oracle on a modal space
+    ("transport-mortality-2d", 40, 126),  # ray_grid oracle
+])
+def test_forked_and_inline_verify_give_the_same_bytes(tmp_path, monkeypatch,
+                                                      name, n_t, n_x, refine):
+    rt = _small_runtime(name, n_t, n_x)
+    rc = cli.run_verify(rt, str(tmp_path / "forked"), seed=3, refine=refine)
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert cli.run_verify(rt, str(tmp_path / "inline"), seed=3,
+                          refine=refine) == rc
+    forked = (tmp_path / "forked" / "verify.json").read_bytes()
+    assert forked == (tmp_path / "inline" / "verify.json").read_bytes()
+    assert len(json.loads(forked)["levels"]) == refine + 1
+
+
+def _verify_small_cable(tmp_path, monkeypatch, capfd, refine, fail):
+    """`verify --refine refine` of cable at n_x = 64 through cli.main, with
+    fail(n) called on each level's realization, n its number of points
+    (64 at level 0, 127 at level 1, 253 at level 2): (exit code, stderr)."""
+    raw = copy.deepcopy(cfgmod.load_config(cfgmod.resolve_config_path("cable")))
+    raw["time"]["n_t"] = 40
+    raw["space"]["n_x"] = 64
+    cfg = tmp_path / "cable-small.json"
+    cfg.write_text(json.dumps(raw))
+
+    def mutate(real):
+        fail(real.V.space.size)
+        return real
+
+    monkeypatch.setattr(cli, "run_verify",
+                        functools.partial(cli.run_verify, mutate=mutate))
+    rc = cli.main(["verify", "--config", str(cfg), "--refine", str(refine),
+                   "--out", str(tmp_path / "out")])
+    return rc, capfd.readouterr().err
+
+
+@needs_fork
+@pytest.mark.parametrize("exc, code", [(NotInvariant, 4), (ConfigError, 2)])
+def test_a_finest_level_failure_exits_as_inline(tmp_path, monkeypatch, capfd,
+                                                exc, code):
+    def fail(n):
+        if n == 253:
+            raise exc("finest level broke on purpose")
+
+    forked = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    inline = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
+    assert inline[0] == forked[0] == code
+    assert "finest level broke on purpose" in inline[1]
+    assert forked[1] == "forked writer ended with status 1\n" + inline[1]
+
+
+@needs_fork
+def test_a_parent_level_failure_wins_and_reaps_the_child(tmp_path,
+                                                         monkeypatch, capfd):
+    def fail(n):
+        if n == 64:
+            raise GridMismatch("level 0 broke on purpose")
+        if n == 253:
+            raise ConfigError("finest level broke on purpose")
+
+    rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
+    _assert_no_child_left()
+    assert rc == 4
+    assert err == "GridMismatch: level 0 broke on purpose\n"
+
+
+@needs_fork
+def test_a_finest_level_that_ends_without_a_result_exits_4(tmp_path,
+                                                           monkeypatch, capfd):
+    def fail(n):
+        if n == 127:
+            os._exit(3)
+
+    rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 1, fail)
+    _assert_no_child_left()
+    assert rc == 4
+    assert err == "AffineSpdeError: forked writer ended with status 3\n"
+
+
+def test_verify_refine_0_never_forks(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("verify --refine 0 forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rt = _small_runtime("cable", 40, 64)
+    assert cli.run_verify(rt, str(tmp_path), seed=3, refine=0) == 0
