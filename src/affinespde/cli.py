@@ -13,14 +13,13 @@ import dataclasses
 import json
 import math
 import os
-import pickle
 import sys
 from typing import Iterator
 
 import numpy as np
 
 from . import config as cfgmod
-from . import csvio, funalg, levy, operators, oracle, realization as rz
+from . import csvio, forked, funalg, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
@@ -177,52 +176,6 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, mean: np.ndarray,
     csvio.write_rows(path, ",".join(head), t_grid, np.hstack([mean, var]))
 
 
-def _alongside(child, parent):
-    """Return (parent(), child()), running child() in a forked process
-    while parent() runs in this one.  The child pickles its value, or the
-    exception it raised, through a pipe; the parent reads it, then reaps
-    the child in a `finally`, so a failure of parent() wins and leaves no
-    child behind.  The child's exception is raised again here with its
-    class and message, after a stderr line naming the child's status; a
-    child that ends without a result raises AffineSpdeError.  Without
-    os.fork, parent() and then child() run inline."""
-    if not hasattr(os, "fork"):
-        return parent(), child()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # never return into the caller's stack: leave via _exit
-        code = 1
-        try:
-            os.close(rfd)
-            try:
-                payload = pickle.dumps((True, child()))
-                code = 0
-            except BaseException as exc:
-                payload = pickle.dumps((False, exc))
-            with open(wfd, "wb") as fh:
-                fh.write(payload)
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    try:
-        own = parent()
-    finally:
-        with open(rfd, "rb") as fh:
-            payload = fh.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    how = f"signal {-status}" if status < 0 else f"status {status}"
-    if payload:
-        ok, value = pickle.loads(payload)
-        if ok and status == 0:
-            return own, value
-        if not ok:
-            print(f"forked writer ended with {how}", file=sys.stderr, flush=True)
-            raise value
-    raise AffineSpdeError(f"forked writer ended with {how}")
-
-
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                  paths: int = 1) -> int:
     """Stream psi, Y and r = psi + Y . V into their files one time at a
@@ -259,7 +212,7 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         _write_json(os.path.join(out_dir, "realization.json"),
                     _realization_report(rt, real, v0, curve_meta, seed))
 
-    _alongside(write_r, write_rest)
+    forked.alongside(write_r, write_rest)
 
     if moments is not None:
         _write_ensemble_stats(os.path.join(out_dir, "ensemble_stats.csv"),
@@ -437,10 +390,10 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                refine: int = 1, mutate=None) -> int:
     """Check the reduced model against the reference solver at refinement
     levels 0..refine, each by `_verify_level`.  For refine >= 1 the finest
-    level, the most costly, runs in a forked child (`_alongside`) while
-    this process runs the coarser ones in turn; the report bytes and exit
-    codes are those of running every level here in order, which is what
-    happens at refine 0 and where os.fork does not exist."""
+    level, the most costly, runs in a forked child (`forked.alongside`)
+    while this process runs the coarser ones in turn; the report bytes and
+    exit codes are those of running every level here in order, which is
+    what happens at refine 0 and where os.fork does not exist."""
     axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
     cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
     limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
@@ -467,8 +420,8 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     if refine == 0:
         results = [level(0)]
     else:
-        coarse, finest = _alongside(lambda: level(refine),
-                                    lambda: [level(lvl) for lvl in range(refine)])
+        coarse, finest = forked.alongside(
+            lambda: level(refine), lambda: [level(lvl) for lvl in range(refine)])
         results = coarse + [finest]
     levels = [lv for lv, _norm, _fol in results]
     _lv0, h0_norm, fol_max = results[0]

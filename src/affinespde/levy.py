@@ -308,17 +308,26 @@ def sample_increments(spec: LevySpec, dt: float, n_steps: int, seed: int) -> Inc
 
 
 def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
-                              seeds: Sequence[int]) -> np.ndarray:
+                              seeds: Sequence[int],
+                              out: np.ndarray | None = None) -> np.ndarray:
     """Stack sample_increments over seeds: shape (n_paths, n_steps, m).
     Path p reproduces sample_increments(spec, dt, n_steps, seeds[p]) exactly:
     one Philox serves every path, and each (seed, component) resets its
     state to that stream's key with a zero counter and an empty buffer.
 
-    The result is a transposed view of an (m, n_paths, n_steps) array, so
-    each path's draws of one component fill a contiguous row in place.  A
-    Brownian-only component draws every path's normals first and scales
-    the whole block once.  The seeds are range-checked once per call."""
+    The result is a transposed view of an (m, n_paths, n_steps) array,
+    `out` when given (C-contiguous float), so each path's draws of one
+    component fill a contiguous row in place.  A Brownian-only component
+    draws every path's normals first and scales the whole block once.  The
+    seeds are range-checked once per call."""
     _check_steps(dt, n_steps)
+    shape = (spec.m, len(seeds), n_steps)
+    if out is None:
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != float
+          or not out.flags.c_contiguous):
+        raise GridMismatch(f"out must be a C-contiguous float array of shape "
+                           f"{shape}, got {out.dtype} {out.shape}")
     if len(seeds):
         for end in (min(seeds), max(seeds)):
             _stream_key(end, 0)  # ConfigError outside [0, 2^64)
@@ -329,7 +338,6 @@ def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
              "state": {"counter": np.zeros(4, np.uint64), "key": key},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    out = np.empty((spec.m, len(seeds), n_steps))
     for k, (comp, blk) in enumerate(zip(spec.components, out)):
         key[0] = k
         brownian_only = not (comp.jump_intensity and comp.jump_law is not None)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import funalg, levy, operators
+from . import forked, funalg, levy, operators
 from .errors import (
     ConfigError,
     DomainError,
@@ -1083,8 +1083,11 @@ def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     the sample mean and variance (ddof=1) of the coordinates at every time
     of the uniform grid, each (n_t+1, dim).  Path p is driven by the same
     increments as seed seeds[p].  Paths are drawn, stepped and reduced one
-    block of seeds at a time, so memory does not grow with their number.
-    Set-up checks raise before the first draw.
+    block of seeds at a time, so memory does not grow with their number:
+    with two or more blocks a forked child draws block b + 1 into shared
+    memory while this process steps and reduces block b (`forked.ahead`),
+    with the same bits as drawing them here.  Set-up checks raise before
+    the first draw.
 
     A block of P paths steps as one (d, P) state, one column per path, over
     the (m, P) increments of each step.  Every _WINDOW states are copied
@@ -1109,34 +1112,37 @@ def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     bounds = list(zip([0, *stops], stops))
     window = np.empty((max(b - a for a, b in bounds), _WINDOW, real.dim))
     count = 0
-    for start, stop in bounds:
-        block = seeds[start:stop]
-        size = len(block)
-        # no local name for the increments: the exhausted rows free them
-        # before the next block is drawn
-        rows = _affine_rows(
-            np.repeat(y0, size, axis=1), step,
-            levy.sample_increment_ensemble(spec, dt, n_steps, block)
-            .transpose(1, 2, 0))
-        for first in range(0, n_steps + 1, _WINDOW):
-            at = slice(first, min(first + _WINDOW, n_steps + 1))
-            for j, y in enumerate(itertools.islice(rows, _WINDOW)):
-                window[:size, j] = y.T
-            ys = window[:size, :at.stop - first]  # (paths, times, d)
-            block_sum = np.add.reduce(ys, axis=0)
-            mean = block_sum / size
-            dev = ys - mean
-            block_m2 = np.add.reduce(dev * dev, axis=0)
-            if count:
-                delta = mean - total[at] / count
-                m2[at] += block_m2 + delta * delta * (count * size
-                                                      / (count + size))
-                total[at] = np.add.reduce(
-                    np.concatenate([total[at][None], ys]), axis=0)
-            else:
-                m2[at] = block_m2
-                total[at] = block_sum
-        count += size
+
+    def draw(b, out):
+        start, stop = bounds[b]
+        levy.sample_increment_ensemble(spec, dt, n_steps, seeds[start:stop],
+                                       out=out)
+
+    shapes = [(spec.m, stop - start, n_steps) for start, stop in bounds]
+    with forked.ahead(draw, shapes) as blocks:
+        for inc in blocks:  # (m, paths, n_steps)
+            size = inc.shape[1]
+            rows = _affine_rows(np.repeat(y0, size, axis=1), step,
+                                inc.transpose(2, 0, 1))
+            for first in range(0, n_steps + 1, _WINDOW):
+                at = slice(first, min(first + _WINDOW, n_steps + 1))
+                for j, y in enumerate(itertools.islice(rows, _WINDOW)):
+                    window[:size, j] = y.T
+                ys = window[:size, :at.stop - first]  # (paths, times, d)
+                block_sum = np.add.reduce(ys, axis=0)
+                mean = block_sum / size
+                dev = ys - mean
+                block_m2 = np.add.reduce(dev * dev, axis=0)
+                if count:
+                    delta = mean - total[at] / count
+                    m2[at] += block_m2 + delta * delta * (count * size
+                                                          / (count + size))
+                    total[at] = np.add.reduce(
+                        np.concatenate([total[at][None], ys]), axis=0)
+                else:
+                    m2[at] = block_m2
+                    total[at] = block_sum
+            count += size
     return total / count, m2 / max(count - 1, 0)
 
 

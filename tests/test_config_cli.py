@@ -291,7 +291,8 @@ def test_cli_paths_past_the_last_seed_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("seed, paths", [(2 ** 64, 1), (2 ** 64 - 1, 2)])
 def test_scenario_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, paths):
     cfg = _fast_cable(tmp_path)
-    raw = json.loads(open(cfg).read())
+    with open(cfg) as fh:
+        raw = json.load(fh)
     raw["seed"] = seed
     with open(cfg, "w") as fh:
         json.dump(raw, fh)

@@ -137,7 +137,8 @@ def test_ensemble_reproduces_per_seed_paths():
     # the ensemble re-keys one generator per (seed, component); each path
     # must still be the fresh per-seed stream, bit for bit, whatever the
     # previous path left in the generator's counter and buffer; a jump-only
-    # component draws no normals, and a one-seed block is a path of its own
+    # component draws no normals, and a one-seed block is a path of its own;
+    # drawn into a given (m, paths, steps) array, the bits are the same
     seeds = [3, 9, 27, 0, 2 ** 64 - 1]
     b, a, t = (s.components[0] for s in (brownian(0.7), atoms_spec(), tse_spec()))
     jumps_only = levy.LevyComponent(jump_intensity=t.jump_intensity,
@@ -147,11 +148,24 @@ def test_ensemble_reproduces_per_seed_paths():
         spec = levy.make_levy_spec(components)
         ens = levy.sample_increment_ensemble(spec, 0.1, 25, seeds)
         assert ens.shape == (len(seeds), 25, len(components))
+        out = np.full((len(components), len(seeds), 25), np.nan)
+        into = levy.sample_increment_ensemble(spec, 0.1, 25, seeds, out=out)
+        assert np.shares_memory(into, out)
+        assert into.tobytes() == ens.tobytes()
         for p, seed in enumerate(seeds):
             single = levy.sample_increments(spec, 0.1, 25, seed)
             assert ens[p].tobytes() == single.values.tobytes()
             one = levy.sample_increment_ensemble(spec, 0.1, 25, [seed])
             assert one[0].tobytes() == single.values.tobytes()
+
+
+def test_ensemble_into_a_mismatched_array_raises_grid_mismatch():
+    for out in (np.empty((1, 3, 24)), np.empty((2, 3, 25)),
+                np.empty((1, 25, 3)).transpose(0, 2, 1),
+                np.empty((1, 3, 25), np.float32)):
+        with pytest.raises(GridMismatch, match="out must be"):
+            levy.sample_increment_ensemble(brownian(0.7), 0.1, 25, [1, 2, 3],
+                                           out=out)
 
 
 def test_aggregation_sums_consecutive_steps():

@@ -1,12 +1,13 @@
 """Streamed simulation: the one constant-coefficient stepping kernel, the
 ensemble's path blocks and moments, the memory `simulate` holds, the forked
-r.csv writer, the README example, and an import of the CLI that pulls in no
-process pool."""
+r.csv writer and ensemble sampler, the README example, and an import of the
+CLI that pulls in no process pool."""
 
 import ast
 import copy
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,8 @@ import pytest
 from affinespde import cli, csvio, levy, oracle
 from affinespde import config as cfgmod
 from affinespde import realization as rz
-from affinespde.errors import GridMismatch
+from affinespde.errors import ConfigError, GridMismatch
+from affinespde.forked import alongside
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.operators import Translation
@@ -291,6 +293,139 @@ def test_forked_and_inline_writers_give_the_same_bytes(tmp_path, monkeypatch,
     for artifact in ARTIFACTS:
         forked = (tmp_path / "forked" / artifact).read_bytes()
         assert forked == (tmp_path / "inline" / artifact).read_bytes(), artifact
+
+
+# ---------------------------------------------------------------------------
+# the ensemble's noise drawn one block ahead in a forked child
+
+
+@needs_fork
+@pytest.mark.parametrize("name, paths, per_block", [
+    ("heat-disk", 3300, None),  # three shipped blocks, the last one ragged
+    ("hjmm-levy", 13, 5)])  # a jump driver, three blocks of five or fewer
+def test_forked_and_inline_ensembles_give_the_same_bytes(tmp_path, monkeypatch,
+                                                         name, paths, per_block):
+    rt = _runtime(name)
+    if per_block is not None:
+        monkeypatch.setattr(rz, "BLOCK_VALUES", per_block * rt.n_t * rt.driver.m)
+    assert cli.run_simulate(rt, str(tmp_path / "forked"), seed=11,
+                            paths=paths) == 0
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert cli.run_simulate(rt, str(tmp_path / "inline"), seed=11,
+                            paths=paths) == 0
+    forked = (tmp_path / "forked" / "ensemble_stats.csv").read_bytes()
+    assert forked == (tmp_path / "inline" / "ensemble_stats.csv").read_bytes()
+
+
+def _simulate_ensemble(tmp_path, capfd, out):
+    """`simulate heat-disk --paths 3300` (three blocks) through cli.main:
+    (exit code, stderr)."""
+    rc = cli.main(["simulate", "--config", "heat-disk", "--paths", "3300",
+                   "--out", str(tmp_path / out)])
+    return rc, capfd.readouterr().err
+
+
+def _sampler_failing_on_block(monkeypatch, block, fail):
+    """Patch the ensemble sampler so that its block-th call runs fail()."""
+    sample = levy.sample_increment_ensemble
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == block:
+            fail()
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(levy, "sample_increment_ensemble", patched)
+
+
+@needs_fork
+def test_a_sampler_failure_exits_as_inline(tmp_path, monkeypatch, capfd):
+    def fail():
+        raise ConfigError("third block broke on purpose")
+
+    _sampler_failing_on_block(monkeypatch, 3, fail)
+    forked = _simulate_ensemble(tmp_path, capfd, "forked")
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    _sampler_failing_on_block(monkeypatch, 3, fail)
+    inline = _simulate_ensemble(tmp_path, capfd, "inline")
+    assert inline[0] == forked[0] == 2
+    assert "third block broke on purpose" in inline[1]
+    assert forked[1] == "forked writer ended with status 1\n" + inline[1]
+
+
+@needs_fork
+def test_a_sampler_that_ends_without_a_block_exits_4(tmp_path, monkeypatch,
+                                                     capfd):
+    _sampler_failing_on_block(monkeypatch, 2, lambda: os._exit(3))
+    rc, err = _simulate_ensemble(tmp_path, capfd, "out")
+    _assert_no_child_left()
+    assert rc == 4
+    assert err == "AffineSpdeError: forked writer ended with status 3\n"
+
+
+@needs_fork
+def test_a_stepping_failure_stops_and_reaps_the_sampler(tmp_path, monkeypatch,
+                                                        capfd):
+    # the parent fails half-way through the second block, while the child
+    # draws the third or waits for a slot; an alarm turns a hang into a
+    # failure
+    affine_rows = rz._affine_rows
+    calls = []
+
+    def patched(y, step, dxs):
+        calls.append(1)
+        for n, row in enumerate(affine_rows(y, step, dxs)):
+            if len(calls) == 2 and n == 100:
+                raise GridMismatch("stepping broke on purpose")
+            yield row
+
+    def hung(_signum, _frame):
+        raise AssertionError("the stepping failure hung")
+
+    monkeypatch.setattr(rz, "_affine_rows", patched)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        rc, err = _simulate_ensemble(tmp_path, capfd, "out")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+    assert len(calls) == 2
+    assert rc == 4
+    assert err == "GridMismatch: stepping broke on purpose\n"
+
+
+def test_a_failed_fork_raises_and_closes_its_pipes(monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    free = os.pipe()  # the lowest free descriptors, taken again if closed
+    for fd in free:
+        os.close(fd)
+    with pytest.raises(BlockingIOError, match="no process to spare"):
+        alongside(lambda: 1, lambda: 2)
+    again = os.pipe()
+    for fd in again:
+        os.close(fd)
+    assert again == free
+
+
+def test_a_one_block_ensemble_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("a one-block ensemble forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rt = _runtime("heat-disk")
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    seeds = range(11, 11 + rz.BLOCK_VALUES // (rt.n_t * rt.driver.m))
+    mean, _var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
+    assert mean.shape == (rt.n_t + 1, real.dim)
 
 
 def _package_imports() -> set[str]:
