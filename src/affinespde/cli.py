@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from . import csvio, forked, funalg, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
+    GridMismatch,
     MethodUnsupported,
     NotInvariant,
     NotQuasiExponential,
@@ -350,12 +352,40 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
     raise MethodUnsupported(f"no oracle of kind {kind!r}")
 
 
+def _reference_blocks(rows: Iterator[np.ndarray], n_rows: int, size: int):
+    """(fill, shapes) for `forked.ahead`: n_rows reference rows of size
+    values each, in blocks of oracle.BLOCK_VALUES values (at least one
+    row), fill(b, out) copying the next rows of the stream into block b.  A
+    row of another shape, or a stream of another length, raises
+    GridMismatch, as compare_coordinates does."""
+    per = max(1, oracle.BLOCK_VALUES // size)
+    shapes = [(min(per, n_rows - i), size) for i in range(0, n_rows, per)]
+
+    def fill(b, out):
+        got = 0
+        for got, row in enumerate(itertools.islice(rows, len(out)), 1):
+            if np.shape(row) != (size,):
+                raise GridMismatch(f"states of shape {np.shape(row)} vs "
+                                   f"({size},)")
+            out[got - 1] = row
+        if got < len(out) or (b == len(shapes) - 1
+                              and next(rows, None) is not None):
+            raise GridMismatch("reference and reduced paths of different "
+                               "lengths")
+
+    return fill, shapes
+
+
 def _verify_level(rt: cfgmod.Runtime, lvl: int,
-                  chain: list[levy.IncrementMatrix], v_basis, mutate):
+                  chain: list[levy.IncrementMatrix], v_basis, mutate,
+                  ahead: bool = False):
     """Step the reduced model and the reference solver together at
     refinement level lvl, comparing them one time at a time (O(n_x)
-    memory).  Returns the level's report, and at level 0 also the norm of
-    h0 and the largest foliation distance (else None, None)."""
+    memory).  With ahead and two or more blocks of reference rows, a
+    forked child computes block b + 1 of them while this process compares
+    block b (`forked.ahead`), with the same bits.  Returns the level's
+    report, and at level 0 also the norm of h0 and the largest foliation
+    distance (else None, None)."""
     rt_l = _refine_runtime(rt, 2 ** lvl)
     real = cfgmod.build_scenario_realization(rt_l, v_basis)
     if mutate is not None:
@@ -365,13 +395,22 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
     _u0, v0 = rz.split_initial(real, rt_l.h0)
     coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
     reference = _oracle_rows(rt_l, real.V, chain[lvl])
-    # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
-    # compared in coordinates over the stacked span [W; V]; the leaf of
-    # r_n is psi_n + V
-    metrics = oracle.compare_coordinates(
-        reference, [(carrier.coords, carrier.samples),
-                    (coords, real.V.samples)],
-        rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
+
+    def compare(rows):
+        # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
+        # compared in coordinates over the stacked span [W; V]; the leaf of
+        # r_n is psi_n + V
+        return oracle.compare_coordinates(
+            rows, [(carrier.coords, carrier.samples),
+                   (coords, real.V.samples)],
+            rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
+
+    fill, shapes = _reference_blocks(reference, len(t_grid), rt_l.space.size)
+    if ahead and len(shapes) > 1:
+        with forked.ahead(fill, shapes) as blocks:
+            metrics = compare(itertools.chain.from_iterable(blocks))
+    else:
+        metrics = compare(reference)
     level = {
         "level": lvl,
         "n_t": rt_l.n_t,
@@ -391,9 +430,11 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     """Check the reduced model against the reference solver at refinement
     levels 0..refine, each by `_verify_level`.  For refine >= 1 the finest
     level, the most costly, runs in a forked child (`forked.alongside`)
-    while this process runs the coarser ones in turn; the report bytes and
-    exit codes are those of running every level here in order, which is
-    what happens at refine 0 and where os.fork does not exist."""
+    while this process runs the coarser ones in turn.  Only that level
+    computes its reference rows ahead in a child of its own: it bounds the
+    command, and the coarser levels already run alongside it.  The report
+    bytes and exit codes are those of running every level here in order,
+    which is what happens at refine 0 and where os.fork does not exist."""
     axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
     cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
     limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
@@ -414,14 +455,15 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
     v_basis = cfgmod.assemble_basis(rt)  # symbolic: one sweep for all levels
 
-    def level(lvl):
-        return _verify_level(rt, lvl, chain, v_basis, mutate)
+    def level(lvl, ahead=False):
+        return _verify_level(rt, lvl, chain, v_basis, mutate, ahead)
 
     if refine == 0:
         results = [level(0)]
     else:
         coarse, finest = forked.alongside(
-            lambda: level(refine), lambda: [level(lvl) for lvl in range(refine)])
+            lambda: level(refine, ahead=True),
+            lambda: [level(lvl) for lvl in range(refine)])
         results = coarse + [finest]
     levels = [lv for lv, _norm, _fol in results]
     _lv0, h0_norm, fol_max = results[0]

@@ -1,14 +1,14 @@
 """Work in a forked child while this process does its own.
 
 `alongside(child, parent)` runs one call in a child; `ahead(fill, shapes)`
-has a child fill a sequence of arrays one ahead of their consumer.  Both
-use one kind of child.  It leaves by os._exit, never returning into the
-caller's stack.  An exception it raises comes back pickled through a pipe
-and is raised again here with its class and message, after a stderr line
-naming the child's exit status.  One `finally` closes this process's pipe
-ends, so a child waiting on a read sees EOF and ends, and reaps it: a
-failure here wins and leaves no child behind.  Without os.fork the work
-runs inline.
+has a child fill a sequence of arrays (blocks of noise, a solver's rows)
+one ahead of their consumer.  Both use one kind of child.  It leaves by
+os._exit, never returning into the caller's stack.  An exception it
+raises comes back pickled through a pipe and is raised again here with its
+class and message, after a stderr line naming the child's exit status.
+One `finally` closes this process's pipe ends, so a child waiting on a
+read sees EOF and ends, and reaps it: a failure here wins and leaves no
+child behind.  Without os.fork the work runs inline.
 """
 
 from __future__ import annotations
@@ -128,13 +128,16 @@ def alongside(child: Callable, parent: Callable):
 def ahead(fill: Callable[[int, np.ndarray], None],
           shapes: Sequence[tuple[int, ...]]) -> Iterator[Iterator[np.ndarray]]:
     """Yield an iterator over one C-contiguous float array per shape, the
-    i-th filled by fill(i, array).  An array stays valid until the next is
-    asked for.  With os.fork and two or more shapes, a forked child fills
-    them in order into two slots of one shared anonymous mmap, so array
-    i + 1 is drawn while the caller works on array i; a slot is filled
-    again only once the caller has moved past it.  Otherwise each array is
-    filled inline, in one buffer, when it is asked for.  Leaving the block
-    early stops the child."""
+    i-th filled by fill(i, array), called in order of i: fill may draw
+    noise, pull rows from a solver or produce a block any other way.  An
+    array stays valid until the next is asked for.  With os.fork and two
+    or more shapes, a forked child fills them in order into two slots of
+    one shared anonymous mmap, so array i + 1 is produced while the caller
+    works on array i; a slot is filled again only once the caller has
+    moved past it.  Otherwise each array is filled inline, in one buffer,
+    when it is asked for.  Leaving the block early stops the child.  A
+    caller that is itself a forked child may nest one: a failure then
+    prints one status line per process it passes through."""
     size = max(map(math.prod, shapes), default=0)
 
     def view(i):

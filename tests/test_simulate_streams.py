@@ -4,6 +4,7 @@ r.csv writer and ensemble sampler, the README example, and an import of the
 CLI that pulls in no process pool."""
 
 import ast
+import contextlib
 import copy
 import os
 import re
@@ -259,6 +260,45 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Turn a hang of more than seconds into a failure."""
+    def hung(_signum, _frame):
+        raise AssertionError(f"hung for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def _no_process_left():
+    """Fail unless every process forked inside the block, at any depth,
+    has ended by its end.  Each inherits the write end of a pipe opened
+    here, so once this process closes its own copy the read end gives EOF
+    at once only when no such process is left; os.waitpid sees this
+    process's own children only."""
+    read, write = os.pipe()
+    try:
+        yield
+        os.close(write)
+        write = None
+        os.set_blocking(read, False)
+        try:
+            assert os.read(read, 1) == b""
+        except BlockingIOError:
+            pytest.fail("a forked process outlived the command")
+        _assert_no_child_left()
+    finally:
+        os.close(read)
+        if write is not None:
+            os.close(write)
+
+
 @needs_fork
 def test_child_writer_failure_exits_4(tmp_path, monkeypatch, capfd):
     _failing_writer(monkeypatch, "r.csv")  # before the fork: the child has it
@@ -382,17 +422,9 @@ def test_a_stepping_failure_stops_and_reaps_the_sampler(tmp_path, monkeypatch,
                 raise GridMismatch("stepping broke on purpose")
             yield row
 
-    def hung(_signum, _frame):
-        raise AssertionError("the stepping failure hung")
-
     monkeypatch.setattr(rz, "_affine_rows", patched)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
+    with _alarm(60):
         rc, err = _simulate_ensemble(tmp_path, capfd, "out")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
     assert len(calls) == 2
     assert rc == 4

@@ -1,5 +1,6 @@
 """Streamed verification: the time loop of `verify` against the materialised
-paths, its memory bound, and the finest level run in a forked child."""
+paths, its memory bound, the finest level run in a forked child and that
+level's reference rows computed one block ahead in a child of its own."""
 
 import copy
 import functools
@@ -13,11 +14,13 @@ import pytest
 from affinespde import cli, levy, operators, oracle
 from affinespde import config as cfgmod
 from affinespde import realization as rz
-from affinespde.errors import ConfigError, GridMismatch, NotInvariant
+from affinespde.errors import (ConfigError, GridMismatch, LinearSolveFailure,
+                               NotInvariant)
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
-from test_simulate_streams import _assert_no_child_left, needs_fork
+from test_simulate_streams import (_alarm, _assert_no_child_left,
+                                   _no_process_left, needs_fork)
 
 
 def _small_runtime(name, n_t, n_x=None, edit=None):
@@ -279,7 +282,8 @@ def test_forked_and_inline_verify_give_the_same_bytes(tmp_path, monkeypatch,
 def _verify_small_cable(tmp_path, monkeypatch, capfd, refine, fail):
     """`verify --refine refine` of cable at n_x = 64 through cli.main, with
     fail(n) called on each level's realization, n its number of points
-    (64 at level 0, 127 at level 1, 253 at level 2): (exit code, stderr)."""
+    (64 at level 0, 127 at level 1, 253 at level 2): (exit code, stderr).
+    No process it forks, at any depth, may outlive it."""
     raw = copy.deepcopy(cfgmod.load_config(cfgmod.resolve_config_path("cable")))
     raw["time"]["n_t"] = 40
     raw["space"]["n_x"] = 64
@@ -292,8 +296,9 @@ def _verify_small_cable(tmp_path, monkeypatch, capfd, refine, fail):
 
     monkeypatch.setattr(cli, "run_verify",
                         functools.partial(cli.run_verify, mutate=mutate))
-    rc = cli.main(["verify", "--config", str(cfg), "--refine", str(refine),
-                   "--out", str(tmp_path / "out")])
+    with _no_process_left():
+        rc = cli.main(["verify", "--config", str(cfg), "--refine", str(refine),
+                       "--out", str(tmp_path / "out")])
     return rc, capfd.readouterr().err
 
 
@@ -306,7 +311,6 @@ def test_a_finest_level_failure_exits_as_inline(tmp_path, monkeypatch, capfd,
             raise exc("finest level broke on purpose")
 
     forked = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
-    _assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     inline = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
     assert inline[0] == forked[0] == code
@@ -324,7 +328,6 @@ def test_a_parent_level_failure_wins_and_reaps_the_child(tmp_path,
             raise ConfigError("finest level broke on purpose")
 
     rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
-    _assert_no_child_left()
     assert rc == 4
     assert err == "GridMismatch: level 0 broke on purpose\n"
 
@@ -337,7 +340,6 @@ def test_a_finest_level_that_ends_without_a_result_exits_4(tmp_path,
             os._exit(3)
 
     rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 1, fail)
-    _assert_no_child_left()
     assert rc == 4
     assert err == "AffineSpdeError: forked writer ended with status 3\n"
 
@@ -349,3 +351,198 @@ def test_verify_refine_0_never_forks(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     rt = _small_runtime("cable", 40, 64)
     assert cli.run_verify(rt, str(tmp_path), seed=3, refine=0) == 0
+
+
+# ---------------------------------------------------------------------------
+# the finest level's reference rows computed one block ahead
+
+
+_IMPLICIT_SOLVER = operators.implicit_solver
+_SMALL_CABLE_FINEST = 253  # points at level 2 of _verify_small_cable
+
+
+def _never_fail(_n):
+    pass
+
+
+def _counting_forks(monkeypatch, run):
+    """(run(), the number of os.fork calls made during it by this process
+    and by every process it forks): each call writes one byte to a pipe
+    they all inherit."""
+    read, write = os.pipe()
+    fork = os.fork
+
+    def counted():
+        os.write(write, b"f")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    try:
+        out = run()
+    finally:
+        monkeypatch.setattr(os, "fork", fork)
+        os.close(write)
+        os.set_blocking(read, False)
+        try:
+            forks = len(os.read(read, 64))
+        finally:
+            os.close(read)
+    return out, forks
+
+
+@needs_fork
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("name, n_t, n_x", [
+    ("cable", 40, 64),  # grid oracle
+    ("heat-disk", 40, None),  # modal oracle on a modal space
+    ("transport-mortality-2d", 40, 126),  # ray_grid oracle
+])
+def test_forked_and_inline_verify_over_oracle_blocks_give_the_same_bytes(
+        tmp_path, monkeypatch, name, n_t, n_x, refine):
+    # three reference rows a block at the finest level, whose oracle then
+    # runs one block ahead in a child of the finest level's child
+    rt = _small_runtime(name, n_t, n_x)
+    finest = cli._refine_runtime(rt, 2 ** refine).space.size
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * finest)
+    with _no_process_left():
+        rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
+            rt, str(tmp_path / "forked"), seed=3, refine=refine))
+    assert forks == 2
+    monkeypatch.delattr(os, "fork")
+    assert cli.run_verify(rt, str(tmp_path / "inline"), seed=3,
+                          refine=refine) == rc
+    forked = (tmp_path / "forked" / "verify.json").read_bytes()
+    assert forked == (tmp_path / "inline" / "verify.json").read_bytes()
+
+
+@needs_fork
+def test_a_one_block_finest_level_computes_its_rows_itself(tmp_path,
+                                                           monkeypatch):
+    rt = _small_runtime("heat-disk", 40)  # 161 rows of 4 modes: one block
+    with _no_process_left():
+        rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
+            rt, str(tmp_path), seed=3, refine=2))
+    assert (rc, forks) == (0, 1)
+
+
+def _finest_solve_failing(monkeypatch, call, fail):
+    """Run fail() on the call-th implicit solve at the finest level of
+    _verify_small_cable at --refine 2, whose reference rows come three to
+    a block, so its oracle runs ahead over 54 blocks."""
+    calls = []
+
+    def patched(diagonals, theta_dt):
+        solve = _IMPLICIT_SOLVER(diagonals, theta_dt)
+        if len(diagonals[1]) != _SMALL_CABLE_FINEST:
+            return solve
+
+        def counted(b):
+            calls.append(1)
+            if len(calls) == call:
+                fail()
+            return solve(b)
+        return counted
+
+    monkeypatch.setattr(operators, "implicit_solver", patched)
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * _SMALL_CABLE_FINEST)
+
+
+@needs_fork
+def test_an_oracle_failure_exits_as_inline(tmp_path, monkeypatch, capfd):
+    def fail():
+        raise LinearSolveFailure("oracle solve broke on purpose")
+
+    _finest_solve_failing(monkeypatch, 50, fail)
+    forked = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, _never_fail)
+    monkeypatch.delattr(os, "fork")
+    _finest_solve_failing(monkeypatch, 50, fail)
+    inline = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, _never_fail)
+    assert inline == (4, "LinearSolveFailure: oracle solve broke on purpose\n")
+    # one line from the finest level's process, one from this one
+    assert forked == (4, 2 * "forked writer ended with status 1\n" + inline[1])
+
+
+@needs_fork
+def test_an_oracle_that_ends_without_its_rows_exits_4(tmp_path, monkeypatch,
+                                                      capfd):
+    _finest_solve_failing(monkeypatch, 50, lambda: os._exit(3))
+    rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, _never_fail)
+    assert rc == 4
+    assert err == ("forked writer ended with status 1\n"
+                   "AffineSpdeError: forked writer ended with status 3\n")
+
+
+@needs_fork
+def test_a_level_0_failure_wins_over_the_oracle_ahead(tmp_path, monkeypatch,
+                                                      capfd):
+    def fail(n):
+        if n == 64:
+            raise GridMismatch("level 0 broke on purpose")
+
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * _SMALL_CABLE_FINEST)
+    rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
+    assert rc == 4
+    assert err == "GridMismatch: level 0 broke on purpose\n"
+
+
+@needs_fork
+def test_a_comparison_failure_stops_and_reaps_the_oracle(tmp_path,
+                                                         monkeypatch, capfd):
+    # the finest level fails at its 60th reference row, while its oracle
+    # computes a later block or waits for a slot
+    square_norm = oracle._square_norm
+    calls = []
+
+    def patched(x):
+        if len(x) == _SMALL_CABLE_FINEST:
+            calls.append(1)
+            if len(calls) == 60:
+                raise GridMismatch("comparison broke on purpose")
+        return square_norm(x)
+
+    monkeypatch.setattr(oracle, "_square_norm", patched)
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * _SMALL_CABLE_FINEST)
+    with _alarm(60):
+        forked = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, _never_fail)
+    monkeypatch.delattr(os, "fork")
+    inline = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, _never_fail)
+    assert inline == (4, "GridMismatch: comparison broke on purpose\n")
+    assert forked == (4, "forked writer ended with status 1\n" + inline[1])
+
+
+def _filled(rows, n_rows):
+    """Blocks of three 4-value rows (BLOCK_VALUES 12) for n_rows reference
+    rows, filled in order from the stream rows."""
+    fill, shapes = cli._reference_blocks(iter(rows), n_rows, 4)
+    blocks = [np.empty(shape) for shape in shapes]
+    for b, out in enumerate(blocks):
+        fill(b, out)
+    return blocks
+
+
+def test_reference_blocks_copy_the_rows_exactly(monkeypatch):
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 12)
+    rows = np.random.default_rng(0).standard_normal((7, 4))
+    blocks = _filled(list(rows), 7)
+    assert [b.shape for b in blocks] == [(3, 4), (3, 4), (1, 4)]
+    assert np.vstack(blocks).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("n, bad, message", [
+    pytest.param(6, None, "different lengths", id="short-in-last-block"),
+    pytest.param(2, None, "different lengths", id="short-in-first-block"),
+    pytest.param(8, None, "different lengths", id="one-row-too-many"),
+    # numpy would broadcast this row into the slot
+    pytest.param(7, np.ones(1), r"states of shape \(1,\) vs \(4,\)",
+                 id="one-value-row"),
+    pytest.param(7, np.ones(5), r"states of shape \(5,\) vs \(4,\)",
+                 id="long-row"),
+])
+def test_reference_blocks_refuse_a_mismatched_stream(monkeypatch, n, bad,
+                                                     message):
+    monkeypatch.setattr(oracle, "BLOCK_VALUES", 12)
+    rows = [np.ones(4)] * n
+    if bad is not None:
+        rows[4] = bad
+    with pytest.raises(GridMismatch, match=message):
+        _filled(rows, 7)
