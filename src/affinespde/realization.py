@@ -563,7 +563,6 @@ class Realization:
     B: np.ndarray
     vols: tuple[VolCoord, ...]
     drift: DriftSplit
-    psi_method: str
     mode_indices: tuple | None = None
     clauses: dict = field(default_factory=dict)
     correction_norm: float = 0.0
@@ -571,6 +570,15 @@ class Realization:
     @property
     def dim(self) -> int:
         return self.V.dim
+
+    @property
+    def psi_method(self) -> str:
+        """The curve method's label, which names the generator family:
+        shift_exact for a transport generator, else spectral_truncation.
+        psi_rows steps both on the A-closure of the curve data."""
+        if isinstance(self.op, (operators.Translation, operators.Transport)):
+            return "shift_exact"
+        return "spectral_truncation"
 
 
 def _linear_combination(basis: Sequence, coords: np.ndarray):
@@ -593,12 +601,10 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     `drift` is the constant drift element, symbolic or sampled on V.space,
     and None means zero drift.  Raises NotInvariant / SigmaEscapesV when
     clause 1 / 3 fails; clause 2 holds for a constant drift by construction.
-    The clause report lands in .clauses.  The curve method follows from the
-    generator and the space: shift_exact for a transport generator,
-    grid_implicit on a grid space without mode_indices, spectral_truncation
-    otherwise.  The first two labels name the generator family; psi_rows
-    steps both on the A-closure of the curve data, and grid_implicit by
-    backward Euler on the grid."""
+    The clause report lands in .clauses.  On the Dirichlet generators
+    clause 1 also needs V inside the generator's domain: a basis element
+    that does not vanish at a grid end raises NotInvariant.  mode_indices
+    only serve to project sampled curve data (_band_limited)."""
     if V.dim and not all(_is_symbolic(b) for b in V.basis):
         raise DomainError("realization construction needs a symbolic basis")
 
@@ -610,6 +616,12 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside {V.label} "
                 f"(coordinate matrix residual {inv.residual:.3e})")
+        off = _off_domain(op, V.space, V.samples)
+        if off is not None:
+            raise NotInvariant(
+                f"{V.label} leaves the generator's domain: basis element "
+                f"{off[0]} is {off[2]:.3e} of its max at the {off[1]} "
+                f"Dirichlet end")
         B = inv.coords  # column i holds coordinates of A v_i
         clauses["invariant"] = {"ok": True, "dim": V.dim, "residual": inv.residual}
     else:
@@ -655,19 +667,29 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     if V.dim:
         correction_norm = semiinvariant_correction(op, V, inv.images).operator_norm()
 
-    if isinstance(op, (operators.Translation, operators.Transport)):
-        psi_method = "shift_exact"
-    elif isinstance(V.space, GridSpace) and not mode_indices:
-        psi_method = "grid_implicit"
-    else:
-        psi_method = "spectral_truncation"
-
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
                        vols=tuple(vol_coords), drift=split,
-                       psi_method=psi_method,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
                        clauses=clauses,
                        correction_norm=float(correction_norm))
+
+
+def _off_domain(op: OperatorSpec, space: SpaceSpec,
+                samples: np.ndarray) -> tuple[int, str, float] | None:
+    """Do the elements sampled as the rows of samples leave the domain of a
+    Dirichlet generator (Cable, TermStructure2) on a grid?  The (row,
+    "left" | "right", ratio) of the largest end value relative to its
+    row's max when that ratio exceeds 1e-10, else None (as for every other
+    generator or space)."""
+    if not (isinstance(op, (operators.Cable, operators.TermStructure2))
+            and isinstance(space, GridSpace)):
+        return None
+    ends = (np.abs(samples[:, [0, -1]])
+            / np.max(np.abs(samples), axis=1, keepdims=True))
+    row, end = np.unravel_index(np.argmax(ends), ends.shape)
+    if ends[row, end] <= 1e-10:
+        return None
+    return int(row), ("left", "right")[end], float(ends[row, end])
 
 
 def _complement_split(V: Subspace, f) -> tuple[object, np.ndarray]:
@@ -736,7 +758,8 @@ def _band_limited(real: Realization, h0, u0, u):
     """(u0, u, meta) with sampled data made symbolic for the closure route.
     On a modal space a sampled vector is already a coefficient vector.  On a
     grid space it is projected onto the catalog modes of mode_indices, and
-    the quasi-exponential sum of the projection replaces it; the weighted
+    the quasi-exponential sum of the projection replaces it (no
+    mode_indices: ConfigError, before any row); the weighted
     norm of the tail that the projection drops must stay within
     TRUNCATION_BOUND of the initial curve's norm (of 1 for the drift)."""
     space = real.V.space
@@ -747,8 +770,8 @@ def _band_limited(real: Realization, h0, u0, u):
     if not any(isinstance(f, np.ndarray) for f in (u0, u)):
         return u0, u, {}
     if not isinstance(space, GridSpace) or not real.mode_indices:
-        raise MethodUnsupported("projecting sampled data needs a grid space "
-                                "with mode_indices")
+        raise ConfigError("curve data known only as samples need `modes` "
+                          "to project onto")
     indices = real.mode_indices
     modes = [operators.eigenfunction_qexp(real.op, n) for n in indices]
     scale = max(space_norm(space, space.sample(h0)), 1e-300)
@@ -793,15 +816,12 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
             f"(dims {closure.dims})")
     W = closure.basis.functions
     samples = np.vstack([space.sample(w) for w in W])
-    if (isinstance(real.op, (operators.Cable, operators.TermStructure2))
-            and isinstance(space, GridSpace)):
-        ends = (np.max(np.abs(samples[:, [0, -1]]), axis=1)
-                / np.max(np.abs(samples), axis=1))
-        if np.max(ends) > 1e-10:
-            raise DomainError(
-                f"the curve data leave the generator's domain: an element of "
-                f"their closure is {np.max(ends):.3e} of its max at a "
-                f"Dirichlet end")
+    off = _off_domain(real.op, space, samples)
+    if off is not None:
+        raise DomainError(
+            f"the curve data leave the generator's domain: an element of "
+            f"their closure is {off[2]:.3e} of its max at the {off[1]} "
+            f"Dirichlet end")
     coords = iter(span_coords(W, data)[0].T)
     c0, a = (next(coords) if g else np.zeros(len(W)) for g in given)
     e_mat, j_mat = _expm_with_integral(check_invariant(real.op, W).coords, dt)
@@ -836,37 +856,15 @@ def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
     return rows()
 
 
-def _implicit_rows(real: Realization, u0, t_grid: np.ndarray, dt: float):
-    """grid_implicit: backward Euler on the pinned grid stencil, which
-    refuses the term-structure generator (UnstableConfig) before any row."""
-    space = real.V.space
-    if not isinstance(space, GridSpace):
-        raise MethodUnsupported("grid_implicit needs a grid space")
-    solve = operators.implicit_solver(
-        operators.operator_matrix(real.op, space.grid), dt)
-    u = real.drift.remainder
-    u_vec = np.zeros(space.size) if u is None else space.sample(u)
-    start = space.sample(u0) if not isinstance(u0, np.ndarray) else u0.copy()
-
-    def rows():
-        cur = start
-        yield cur
-        for _ in range(1, len(t_grid)):
-            cur = solve(cur + dt * u_vec)
-            yield cur
-
-    return rows()
-
-
 @dataclass(frozen=True)
 class Carrier:
     """The carrier curve in coordinates: psi(t_n) = coords_n @ samples
     + sampled_n.  coords yields the (dim W,) coordinates c_n over W, the
     A-closure of the symbolic curve data, samples is W sampled as
     (dim W, space.size) rows, and sampled, None or a stream of
-    (space.size,) rows, is the part of the curve known only as samples
-    (grid_implicit, a sampled drift remainder or initial curve on a
-    transport generator).  meta is the curve metadata."""
+    (space.size,) rows, is the part of the curve known only as samples (a
+    sampled drift remainder or initial curve on a transport generator).
+    meta is the curve metadata."""
 
     coords: Iterator[np.ndarray]
     samples: np.ndarray
@@ -891,35 +889,26 @@ def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
     holds O(space.size) memory.
 
     psi solves dpsi/dt = A psi + u, psi(0) = u0, for u0 the complement part
-    of h0 and u the drift's remainder.  grid_implicit steps backward
-    Euler on the grid stencil, the sampled term alone (W empty, meta {}).
-    shift_exact and spectral_truncation step symbolic data exactly on their
-    A-closure (_closure_rows, meta {"closure_dim": dim W}).  Data known
-    only as samples keep a sampled route: on a transport generator they
-    shift by interpolation into the sampled term, on a grid space with
-    mode_indices they are projected onto the modes first (meta adds
-    "truncation_tail" and "modes")."""
+    of h0 and u the drift's remainder.  Symbolic data step exactly on
+    their A-closure (_closure_rows, meta {"closure_dim": dim W}), whatever
+    the generator.  Data known only as samples keep a sampled route: on a
+    transport generator they shift by interpolation into the sampled term;
+    otherwise they are projected onto mode_indices first (meta adds
+    "truncation_tail" and "modes"), and without mode_indices on a grid
+    space they are refused (ConfigError)."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     u0, _v0 = split_initial(real, h0)
-    method = real.psi_method
-    if method == "grid_implicit":
-        return Carrier(_no_coords(t_grid), np.zeros((0, real.V.space.size)),
-                       _implicit_rows(real, u0, t_grid, dt), {})
     u = real.drift.remainder
     sampled = None
-    if method == "shift_exact":
-        if not isinstance(real.op, (operators.Translation, operators.Transport)):
-            raise MethodUnsupported("shift_exact needs a transport generator")
+    if isinstance(real.op, (operators.Translation, operators.Transport)):
         u0_vec, u_vec = (f if isinstance(f, np.ndarray) else None for f in (u0, u))
         if u0_vec is not None or u_vec is not None:
             sampled = _shifted_samples(real.V.space, u0_vec, u_vec, t_grid, dt)
         u0, u = (None if isinstance(f, np.ndarray) else f for f in (u0, u))
         meta = {}
-    elif method == "spectral_truncation":
-        u0, u, meta = _band_limited(real, h0, u0, u)
     else:
-        raise MethodUnsupported(f"unknown curve method {method!r}")
+        u0, u, meta = _band_limited(real, h0, u0, u)
     coords, samples = _closure_rows(real, u0, u, t_grid, dt)
     return Carrier(coords, samples, sampled,
                    {"closure_dim": len(samples), **meta})

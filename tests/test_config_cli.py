@@ -4,12 +4,15 @@ import copy
 import dataclasses
 import json
 import os
+import types
+import typing
 
 import numpy as np
 import pytest
 
-from affinespde import cli, funalg, levy, oracle
+from affinespde import cli, funalg, levy, operators, oracle
 from affinespde import config as cfgmod
+from affinespde import realization as rz
 from affinespde.errors import ConfigError
 
 BUNDLED = ["cable", "heat-disk", "hermite", "hjmm-levy", "hjmm-linear",
@@ -348,7 +351,6 @@ def test_cli_results_are_cwd_independent(tmp_path, monkeypatch):
     # whatever the working directory
     with open(_fast_cable(tmp_path)) as fh:
         raw = json.load(fh)
-    del raw["modes"]  # a grid space without modes runs grid_implicit
     raw["initial_curve"] = {"csv": "h0.csv"}
     scen = tmp_path / "scen"
     scen.mkdir()
@@ -496,12 +498,12 @@ def test_readme_scenario_table_matches_the_files():
             any("two_sided_exp" in c for c in jumps), name
 
 
-def _readme_config_bullets():
-    """The bullets of README's scenario configuration summary, each joined
+def _readme_bullets(heading):
+    """The bullets of the README section under `## heading`, each joined
     into one line."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        section = fh.read().split("## Scenario configuration", 1)[1]
+        section = fh.read().split(f"## {heading}", 1)[1]
     section = section.split("\n## ", 1)[0]
     bullets = []
     for line in section.splitlines():
@@ -514,13 +516,26 @@ def _readme_config_bullets():
 
 def test_readme_configuration_summary_matches_the_schema():
     schema = cfgmod.scenario_schema()["properties"]
-    bullets = _readme_config_bullets()
+    bullets = _readme_bullets("Scenario configuration")
     keys = [b.split("`")[1].split(".")[0] for b in bullets]
     assert sorted(keys) == sorted(schema)
     verify = bullets[keys.index("verify")]
     named = set(verify.split("`")[1::2]) - {"verify"}
     oracles = set(schema["verify"]["properties"]["oracle"]["enum"])
     assert named - oracles == set(schema["verify"]["properties"])
+
+
+def test_readme_curve_methods_name_exactly_the_psi_method_labels():
+    # the lead sentence of the curve-methods bullet names each label that
+    # Realization.psi_method can take, and no other: a retired label fails
+    labels = {rz.Realization.psi_method.fget(types.SimpleNamespace(op=op()))
+              for op in typing.get_args(operators.OperatorSpec)}
+    bullet, = [b for b in _readme_bullets("Numerical methods")
+               if b.startswith("Curve methods")]
+    lead = bullet.split(". ", 1)[0]
+    kinds = cfgmod.scenario_schema()["properties"]["operator"]["properties"][
+        "kind"]["enum"]
+    assert set(lead.split("`")[1::2]) - set(kinds) == labels
 
 
 @pytest.mark.parametrize("where, key, value", [

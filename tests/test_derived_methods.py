@@ -85,21 +85,44 @@ def test_simulate_shifts_a_csv_initial_curve(tmp_path):
     _check_against_symbolic(path.values, symbolic, path.t_grid, path.x_grid)
 
 
-def test_cable_grid_without_modes_runs_grid_implicit(tmp_path):
+def test_cable_grid_without_modes_runs_the_closure_route(tmp_path):
+    # `modes` only projects sampled data and indexes the modal oracle: a
+    # symbolic cable curve takes the one closure route without them, to
+    # the same bits
+    raw = _raw("cable")
+    raw["time"]["n_t"] = 50
+    without = copy.deepcopy(raw)
+    del without["modes"]
+    outs = []
+    for label, edit in (("with", raw), ("without", without)):
+        cfg = tmp_path / f"cable-{label}.json"
+        cfg.write_text(json.dumps(edit))
+        out = tmp_path / label
+        assert cli.main(["analyze", "--config", str(cfg),
+                         "--out", str(out / "a")]) == 0
+        analysis = json.loads((out / "a" / "analysis.json").read_text())
+        assert analysis["psi_method"] == "spectral_truncation"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out / "s")]) == 0
+        outs.append({f: (out / "s" / f).read_bytes()
+                     for f in sorted(os.listdir(out / "s"))})
+    assert sorted(outs[0]) == ["Y.csv", "increments.csv", "psi.csv", "r.csv",
+                               "realization.json"]
+    assert outs[0] == outs[1]
+
+
+def test_sampled_curve_without_modes_is_a_config_error(tmp_path, capsys):
+    # a CSV initial curve on a Dirichlet grid is projected onto `modes`;
+    # without them the command refuses it before it writes anything
     raw = _raw("cable")
     del raw["modes"]
-    raw["time"]["n_t"] = 50
-    cfg = tmp_path / "cable-grid.json"
-    cfg.write_text(json.dumps(raw))
-    assert cli.main(["analyze", "--config", str(cfg),
-                     "--out", str(tmp_path / "a")]) == 0
-    analysis = json.loads((tmp_path / "a" / "analysis.json").read_text())
-    assert analysis["psi_method"] == "grid_implicit"
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "s")]) == 0
-    report = json.loads((tmp_path / "s" / "realization.json").read_text())
-    assert report["psi_method"] == "grid_implicit"
-    assert os.path.getsize(tmp_path / "s" / "psi.csv") > 0
+    cfg = tmp_path / "cable-csv.json"
+    cfg.write_text(json.dumps(_with_csv_initial_curve(raw, tmp_path)))
+    for command in ("simulate", "verify"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "`modes`" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_scheme_is_euler_exactly_for_a_state_scaled_volatility(tmp_path):

@@ -146,17 +146,22 @@ def test_stability_guards():
                        _zero_driver(0.001, 10))
 
 
-def test_grid_stepping_refuses_term_structure_before_writing(tmp_path, capsys):
-    # without modes the term structure would take grid_implicit, whose
-    # backward Euler blows up on the growing spectrum: exit 4, no file and
-    # no output directory
+def test_term_structure_without_modes_simulates_but_verify_needs_modes(
+        tmp_path, capsys):
+    # the reduced model steps the term structure's symbolic curve on its
+    # A-closure whatever `modes` says, but its modal oracle takes its
+    # indices from `modes`: exit 2, no output directory
     raw = config.load_config(config.resolve_config_path("term-structure-2"))
     del raw["modes"]
+    raw["time"]["n_t"] = 40
     cfg = tmp_path / "ts-grid.json"
     cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
-    assert "UnstableConfig" in capsys.readouterr().err
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "modal oracle needs modes" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -144,6 +144,39 @@ def test_build_realization_clause_failures():
         rz.build_realization(Cable(), None, [Q.trig("sin", 3.0)], V)
 
 
+def _off_domain_volatility(tmp_path, h0_text):
+    """cable with the volatility 0.2 x (pi - x), whose closure under the
+    differential expression, span{1, x (pi - x)}, leaves the domain."""
+    raw = cfgmod.load_config(cfgmod.resolve_config_path("cable"))
+    raw["volatility"] = [{"qexp": "0.6283185307179586*x - 0.2*x^2"}]
+    raw["subspace"] = {"mode": "volatility_invariant_span"}
+    raw["drift"] = {"mode": "zero"}
+    raw["initial_curve"] = {"qexp": h0_text}
+    cfg = tmp_path / "cable-off-domain-vol.json"
+    cfg.write_text(json.dumps(raw))
+    return str(cfg)
+
+
+def test_span_outside_the_domain_is_not_certified(tmp_path, capsys):
+    cfg = _off_domain_volatility(tmp_path, "0.6*sin(1.0*x)")
+    out = tmp_path / "a"
+    assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "analysis.json").read_text())
+    assert report["reason"] == "NotInvariant"
+    # V = span{1, x (pi - x)}: the constant is 1 at the left end
+    assert report["detail"] == (
+        "V leaves the generator's domain: basis element 0 is 1.000e+00 of "
+        "its max at the left Dirichlet end")
+    assert report["detail"] in capsys.readouterr().out
+
+    # outside analyze a clause failure is a build failure
+    cfg = _off_domain_volatility(tmp_path, "0")
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "NotInvariant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correction_cancels_complement_image():
     # the canonical semi-invariant example: A maps x e^{-x} to
     # e^{-x} - x e^{-x}, whose e^{-x} part escapes the one dimensional span
@@ -206,11 +239,15 @@ def test_solve_psi_truncation_guard(tmp_path):
         rz.psi_rows(real, funalg.parse_qexp(off_domain), t_grid)
     raw = cfgmod.load_config(cfgmod.resolve_config_path("cable"))
     raw["initial_curve"] = {"qexp": off_domain}
-    cfg = tmp_path / "cable-off-domain.json"
-    cfg.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
-    assert not (out / "psi.csv").exists()
+    # without `modes` the curve takes the same closure route and is refused
+    without = {k: v for k, v in raw.items() if k != "modes"}
+    for label, edit in (("with", raw), ("without", without)):
+        cfg = tmp_path / f"cable-off-domain-{label}.json"
+        cfg.write_text(json.dumps(edit))
+        out = tmp_path / label
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 4
+        assert not (out / "psi.csv").exists()
 
 
 def test_sampled_curve_is_projected_onto_the_modes():

@@ -35,7 +35,7 @@ def _small_runtime(name, n_t, n_x=None, edit=None):
 
 
 def _without_modes(raw):
-    del raw["modes"]  # a grid space without modes runs grid_implicit
+    del raw["modes"]  # symbolic data take the closure route all the same
 
 
 def _state_scaled(raw):
@@ -102,9 +102,9 @@ def _materialised_oracle(rt, real, inc):
     pytest.param("heat-disk", 40, None, None, 0, id="heat-disk-40-None"),
     pytest.param("transport-mortality-2d", 40, 126, None, 0,  # ray_grid oracle
                  id="transport-mortality-2d-40-126"),
-    # psi with a sampled drift remainder, psi by grid_implicit, Y by euler
+    # psi with a sampled drift remainder, cable without modes, Y by euler
     pytest.param("hjmm-levy", 40, 151, None, 0, id="hjmm-levy-sampled"),
-    pytest.param("cable", 40, 64, _without_modes, 0, id="cable-grid_implicit"),
+    pytest.param("cable", 40, 64, _without_modes, 0, id="cable-without-modes"),
     pytest.param("cable", 40, 64, _state_scaled, 0, id="cable-state_scale"),
     pytest.param("hjmm-linear", 30, 121, None, 1, id="hjmm-linear-refine1"),
 ])
@@ -123,8 +123,10 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x,
         real = cfgmod.build_scenario_realization(rt_l)
         t_grid = rt_l.t_grid()
         carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
-        if name == "hjmm-levy" or edit is _without_modes:
+        if name == "hjmm-levy":
             assert carrier.sampled is not None
+        if edit is _without_modes:
+            assert carrier.sampled is None
         psi = _collect(carrier.rows())
         _u0, v0 = rz.split_initial(real, rt_l.h0)
         coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc))
