@@ -238,7 +238,7 @@ def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
         g = axis.grid
         fine = rz.GridSpace(Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
                                                  (g.n - 1) * factor + 1),
-                            axis.weight, axis.label)
+                            axis.weight)
         if isinstance(h0, np.ndarray):
             # a sampled curve is the piecewise-linear interpolant of its
             # nodes, so every level starts from one function
@@ -273,15 +273,8 @@ def _sigma_for_oracle(rt: cfgmod.Runtime, V: rz.Subspace) -> list:
 def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
     """Amplitudes of f over the oracle's modes, exact or refused: numeric
     projection dust would be amplified by growing spectra."""
-    space = rt.space
-    if isinstance(space, rz.ModalSpace):
-        vec = space.sample(f)
-        pos = {idx: i for i, idx in enumerate(space.indices)}
-        out = np.zeros(len(indices))
-        for j, idx in enumerate(indices):
-            if idx in pos:
-                out[j] = vec[pos[idx]]
-        return out
+    if isinstance(rt.space, rz.ModalSpace):  # the oracle's modes are its own
+        return rt.space.sample(f)
     if isinstance(f, QExpFunction):
         coords, rel = rz.span_coords(
             [operators.eigenfunction_qexp(rt.op, i) for i in indices], [f])
@@ -298,10 +291,8 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
     """The reference solution one time at a time, on the space axis.  It
     samples only the scenario's own data; V enters only as the coordinates
     that scale a state-dependent volatility."""
-    kind = rt.verify.oracle
+    kind = rt.oracle
     if kind == "grid":
-        if not isinstance(rt.space, rz.GridSpace):
-            raise MethodUnsupported("grid oracle needs a grid space")
         return oracle.spde_grid_rows(
             rt.op, rt.space.grid, _scenario_drift(rt),
             _sigma_for_oracle(rt, V), rt.space.sample(rt.h0), inc)
@@ -326,30 +317,24 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
         amps = oracle.solve_spde_modal(rt.op, indices, alpha_vec, sig_rows,
                                        a0, inc)
         if isinstance(rt.space, rz.ModalSpace):
-            pos = {idx: i for i, idx in enumerate(indices)}
-            cols = [pos[idx] for idx in rt.space.indices]
-            return (a[cols] for a in amps)
+            return iter(amps)
         return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
-    if kind == "ray_grid":
-        if not isinstance(rt.space, rz.ProfileRaySpace):
-            raise MethodUnsupported("ray oracle needs a profile x ray space")
-        n_prof = len(rt.space.profiles)
+    n_prof = len(rt.space.profiles)  # ray_grid
 
-        def by_ray(vec):
-            # profile-major blocks -> one column per profile
-            return vec.reshape(n_prof, rt.space.ray.size).T
+    def by_ray(vec):
+        # profile-major blocks -> one column per profile
+        return vec.reshape(n_prof, rt.space.ray.size).T
 
-        alpha_vec = _scenario_drift(rt)
-        sig_vecs = _sigma_for_oracle(rt, V)
-        if any(callable(s) for s in sig_vecs):
-            raise MethodUnsupported("ray oracle needs additive volatility")
-        rows = oracle.spde_grid_rows(
-            operators.Translation(), rt.space.ray.grid,
-            None if alpha_vec is None else by_ray(alpha_vec),
-            [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
-            inc)
-        return (r.T.ravel() for r in rows)
-    raise MethodUnsupported(f"no oracle of kind {kind!r}")
+    alpha_vec = _scenario_drift(rt)
+    sig_vecs = _sigma_for_oracle(rt, V)
+    if any(callable(s) for s in sig_vecs):
+        raise MethodUnsupported("ray oracle needs additive volatility")
+    rows = oracle.spde_grid_rows(
+        operators.Translation(), rt.space.ray.grid,
+        None if alpha_vec is None else by_ray(alpha_vec),
+        [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
+        inc)
+    return (r.T.ravel() for r in rows)
 
 
 def _reference_blocks(rows: Iterator[np.ndarray], n_rows: int, size: int):
@@ -442,8 +427,6 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         raise ConfigError(
             f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
             f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
-    if rt.verify.oracle == "none":
-        raise MethodUnsupported(f"scenario {rt.name} declares no oracle")
     seed = rt.seed if seed is None else seed
     n_fine = rt.n_t * 2 ** refine
     inc_fine = levy.sample_increments(rt.driver, rt.horizon / n_fine,
@@ -487,7 +470,7 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                 f"{rt.verify.ratio_bound}")
     report = {
         "scenario": rt.name,
-        "oracle": rt.verify.oracle,
+        "oracle": rt.oracle,
         "seed": seed,
         "bound": bound,
         "h0_norm": h0_norm,
@@ -632,8 +615,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kappa", type=float, default=1.0)
     pe.add_argument("--a", type=float, default=1.0)
     pe.add_argument("--d", type=int, default=1)
-    pe.add_argument("--p-max", dest="p_max", type=_at_least(0), default=2)
-    pe.add_argument("--q-max", dest="q_max", type=_at_least(1), default=3)
+    pe.add_argument("--p-max", dest="p_max", type=_at_least(0, 21), default=2)
+    pe.add_argument("--q-max", dest="q_max", type=_at_least(1, 51), default=3)
     pe.add_argument("--out", default=None)
     return parser
 

@@ -1,9 +1,9 @@
 """Scenario configuration: JSON schema validation and runtime assembly.
 
 A scenario file fixes the generator, the driving noise, volatility and drift
-structure, the initial curve, the state-space discretization, the subspace
-plan, and the verification settings; the numerical methods follow from
-these.  Parsing is strict: anything
+structure, the initial curve, the state-space discretization and the
+subspace plan; the numerical methods, the reference solver and the
+verification bounds follow from these.  Parsing is strict: anything
 outside the shipped schema or the per-operator index conventions raises
 ConfigError with the offending field.
 """
@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -284,7 +284,7 @@ def parse_operator(d: dict) -> OperatorSpec:
         if kind == "translation":
             return operators.Translation()
         if kind == "transport":
-            return operators.Transport(d.get("geometry", "half_line"))
+            return operators.Transport()
         if kind == "cable":
             return operators.Cable(d.get("tau", 1.0), d.get("lambda_c", 1.0))
         if kind == "heat_disk":
@@ -412,7 +412,10 @@ def parse_space(d: dict, op: OperatorSpec) -> rz.SpaceSpec:
 
 @dataclass(frozen=True)
 class VerifySettings:
-    oracle: str = "grid"          # grid | modal | ray_grid | none
+    """The fixed pass rule of `verify`: the level-0 sup error within
+    bound_rel_h0 x ||h0||, and each refinement's sup error within
+    ratio_bound x the coarser one's, or within floor_rel x its path scale."""
+
     bound_rel_h0: float = 0.02
     ratio_bound: float = 0.7
     floor_rel: float = 1e-9
@@ -436,7 +439,16 @@ class Runtime:
     subspace_mode: str            # explicit | volatility_invariant_span | hjm_product_closure
     subspace_basis: tuple
     modes: tuple
-    verify: VerifySettings
+    verify: ClassVar[VerifySettings] = VerifySettings()  # every scenario's
+
+    @property
+    def oracle(self) -> str:
+        """The reference solver of `verify`, fixed by the space and the
+        generator; term-structure grid stepping is ill-posed."""
+        if isinstance(self.space, rz.ProfileRaySpace):
+            return "ray_grid"
+        return ("modal" if isinstance(self.space, rz.ModalSpace)
+                or isinstance(self.op, operators.TermStructure2) else "grid")
 
     @property
     def scheme(self) -> str:
@@ -456,6 +468,9 @@ class Runtime:
 
 def _parse_h0(d: dict, op: OperatorSpec, base_dir: str):
     if "csv" in d:
+        if len(d) > 1:
+            raise ConfigError(f"initial curve needs exactly one of "
+                              f"qexp/modal/rays/csv, got {d}")
         path = os.path.join(base_dir, d["csv"])
         try:
             data = np.loadtxt(path, delimiter=",")
@@ -513,13 +528,6 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         raise ConfigError(f"unknown subspace mode {sub_mode!r}")
 
     time_raw = raw["time"]
-    ver_raw = raw.get("verify", {})
-    verify = VerifySettings(
-        oracle=ver_raw.get("oracle", "grid"),
-        bound_rel_h0=float(ver_raw.get("bound_rel_h0", 0.02)),
-        ratio_bound=float(ver_raw.get("ratio_bound", 0.7)),
-        floor_rel=float(ver_raw.get("floor_rel", 1e-9)))
-
     modes = tuple(_parse_index(op, i) for i in raw.get("modes", []))
     return Runtime(
         name=raw["name"], op=op, driver=driver, sigma=sigma,
@@ -527,7 +535,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         space=space, horizon=float(time_raw["horizon"]),
         n_t=int(time_raw["n_t"]), seed=int(raw.get("seed", 0)),
         subspace_mode=sub_mode, subspace_basis=sub_basis,
-        modes=modes, verify=verify)
+        modes=modes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Catalog (state space, generator A, boundary):
 
   Translation        d/dx on quasi-exponential curves over [0, inf)
-  Transport          <v, grad> : 1-D half line (v = 1) or the 2-D wedge
-                     C = {(s, y) : y >= -s} with v = (1, -1); wedge functions
-                     are bundles profile x ray-function (RayBundle)
+  Transport          <v, grad> : 1-D half line (v = 1) on quasi-exponential
+                     curves, or the 2-D wedge C = {(s, y) : y >= -s} with
+                     v = (1, -1) on bundles profile x ray-function (RayBundle)
   Cable              (lambda_c^2 d^2/dx^2 - 1)/tau, Dirichlet on (0, pi)
   HeatDisk           a * Laplacian on the unit disk, Dirichlet boundary
   Hermite            -Laplacian/2 + <x, grad> on R^d, Gaussian weight
@@ -61,11 +61,7 @@ class Translation:
 
 @dataclass(frozen=True)
 class Transport:
-    geometry: str = "half_line"  # or "mortality_wedge"
-
-    def __post_init__(self):
-        if self.geometry not in ("half_line", "mortality_wedge"):
-            raise UnsupportedOperator(f"unknown transport geometry {self.geometry!r}")
+    pass
 
 
 @dataclass(frozen=True)
@@ -441,12 +437,17 @@ class EigenPair:
 def _multi_indices(level: int, d: int) -> Iterator[tuple[int, ...]]:
     """The d-tuples of non-negative integers summing to level, in decreasing
     lexicographic order, generated one at a time."""
-    if d == 1:
-        yield (level,)
-        return
-    for first in range(level, -1, -1):
-        for rest in _multi_indices(level - first, d - 1):
-            yield (first, *rest)
+    index = [level] + [0] * (d - 1)
+    while True:
+        yield tuple(index)
+        # the successor moves one unit from the last nonzero entry before
+        # the end to its right neighbour, which takes the tail sum as well
+        i = next((i for i in range(d - 2, -1, -1) if index[i]), None)
+        if i is None:
+            return
+        tail, index[-1] = index[-1], 0
+        index[i] -= 1
+        index[i + 1] = tail + 1
 
 
 def _enumerate_indices(op: OperatorSpec, count: int) -> list:
@@ -503,9 +504,7 @@ def apply_exact(op: OperatorSpec, f):
     the differential 1-D operators, RayBundle by the wedge transport, and
     EigenExpansion by every operator with a discrete eigenbasis."""
     if isinstance(f, QExpFunction):
-        if isinstance(f, QExpFunction) and isinstance(op, (Translation, Transport)):
-            if isinstance(op, Transport) and op.geometry != "half_line":
-                raise DomainError("wedge transport acts on RayBundle functions")
+        if isinstance(op, (Translation, Transport)):
             return differentiate(f)
         if isinstance(op, Cable):
             d2 = differentiate(differentiate(f))
@@ -538,18 +537,17 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D
     (lower, main, upper) diagonals, of lengths n-1, n and n-1: row i of A r
     is lower[i-1] r[i-1] + main[i] r[i] + upper[i] r[i+1].
 
-    Translation takes the forward difference (its characteristics enter
-    from the right), the cable the central second difference.  Pinned rows
-    are zero: the Dirichlet ends of the cable and the far end of the
-    truncated half line, held at their initial values while stepping.  The
-    term-structure generator is refused: its spectrum grows without bound,
-    so grid stepping amplifies every resolved high mode."""
+    Translation and transport take the forward difference (their
+    characteristics enter from the right), the cable the central second
+    difference.  Pinned rows are zero: the Dirichlet ends of the cable and
+    the far end of the truncated half line, held at their initial values
+    while stepping.  The term-structure generator is refused: its spectrum
+    grows without bound, so grid stepping amplifies every resolved high
+    mode."""
     n, dx = grid.n, grid.dx
     if n < 5:
         raise GridTooSmall(f"stencils need at least 5 points, got {n}")
-    if isinstance(op, Transport) and op.geometry == "half_line":
-        op = Translation()
-    if isinstance(op, Translation):
+    if isinstance(op, (Translation, Transport)):
         main = np.full(n, -1.0 / dx)
         main[-1] = 0.0
         return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)
@@ -563,9 +561,8 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D
         raise UnstableConfig(
             "term-structure generator has unbounded growing spectrum; grid "
             "stepping is ill-posed, use the modal solver")
-    raise UnsupportedOperator(
-        f"no 1-D grid stencil for {type(op).__name__}; use the spectral "
-        f"route, or the ray oracle on the transport wedge")
+    raise UnsupportedOperator(f"no 1-D grid stencil for {type(op).__name__}; "
+                              f"use the spectral route")
 
 
 # A scan pass whose coefficients all lie below this changes no state value

@@ -69,7 +69,6 @@ class GridSpace:
 
     grid: Grid1D
     weight: QExpFunction | None = None
-    label: str = "grid"
 
     def axis(self) -> np.ndarray:
         return self.grid.points()
@@ -199,11 +198,9 @@ class Subspace:
     space: SpaceSpec
     samples: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
-    label: str = "V"
 
     @classmethod
-    def build(cls, basis: Sequence, space: SpaceSpec,
-              label: str = "V") -> "Subspace":
+    def build(cls, basis: Sequence, space: SpaceSpec) -> "Subspace":
         basis = tuple(basis)
         if basis:
             samples = np.vstack([space.sample(b) for b in basis])
@@ -215,9 +212,9 @@ class Subspace:
             eig = np.linalg.eigvalsh(gram)
             if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
                 raise LinearSolveFailure(
-                    f"basis of {label} is numerically dependent "
+                    "basis of V is numerically dependent "
                     f"(gram eigenvalue ratio {eig[0]:.2e} / {eig[-1]:.2e})")
-        return cls(basis, space, samples, gram, label)
+        return cls(basis, space, samples, gram)
 
     @property
     def dim(self) -> int:
@@ -614,12 +611,12 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
         inv = check_invariant(op, V.basis)
         if inv.residual > tol_project:
             raise NotInvariant(
-                f"A maps basis element {inv.offender} outside {V.label} "
+                f"A maps basis element {inv.offender} outside V "
                 f"(coordinate matrix residual {inv.residual:.3e})")
         off = _off_domain(op, V.space, V.samples)
         if off is not None:
             raise NotInvariant(
-                f"{V.label} leaves the generator's domain: basis element "
+                "V leaves the generator's domain: basis element "
                 f"{off[0]} is {off[2]:.3e} of its max at the {off[1]} "
                 f"Dirichlet end")
         B = inv.coords  # column i holds coordinates of A v_i
@@ -645,7 +642,7 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
             resid = space_norm(V.space, vec - V.from_coords(coords)) / scale
         if resid > tol_project:
             raise SigmaEscapesV(
-                f"volatility component {k} leaves {V.label} "
+                f"volatility component {k} leaves V "
                 f"(relative residual {resid:.3e})")
         vol_coords.append(VolCoord(np.asarray(coords, dtype=float), scale_fn))
     clauses["volatility_in_V"] = {"ok": True, "components": len(vol_coords)}

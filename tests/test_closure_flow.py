@@ -82,7 +82,7 @@ def test_psi_rows_match_per_time_shift_on_ray_bundles():
     drift = RayBundle.make([
         ("base", funalg.parse_qexp("0.2*x*exp(-1*x) + 0.1*exp(-0.5*x)")),
         ("trend", funalg.parse_qexp("0.1*exp(-0.3*x)*cos(2*x)"))])
-    real = rz.build_realization(Transport("mortality_wedge"), drift, [], V)
+    real = rz.build_realization(Transport(), drift, [], V)
     assert isinstance(real.drift.remainder, RayBundle)
     h0 = RayBundle.make([
         ("base", funalg.parse_qexp("0.7*exp(-0.3*x) + 0.3*x^2*exp(-0.8*x)")),

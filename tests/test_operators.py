@@ -185,7 +185,7 @@ def test_ray_bundle_shift_and_apply():
     for (lbl, fn), (lbl2, fn2) in zip(bundle.parts, shifted.parts):
         assert lbl == lbl2
         assert funalg.allclose(fn2, funalg.shift(fn, 0.7))
-    out = operators.apply_exact(Transport("mortality_wedge"), bundle)
+    out = operators.apply_exact(Transport(), bundle)
     for (lbl, fn), (_lbl, dfn) in zip(bundle.parts, out.parts):
         assert funalg.allclose(dfn, funalg.differentiate(fn))
 

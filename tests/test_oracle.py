@@ -13,7 +13,7 @@ import pytest
 
 from affinespde import cli, config, funalg, levy, operators, oracle
 from affinespde import realization as rz
-from affinespde.errors import GridMismatch, UnstableConfig, UnsupportedOperator
+from affinespde.errors import GridMismatch, UnstableConfig
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
@@ -127,14 +127,6 @@ def test_grid_stepping_holds_exactly_the_pinned_rows(op, pins):
     inc = levy.IncrementMatrix(0.01, np.full((3, 1), 0.5), seed=0)
     last = _grid_solution(op, grid, None, [np.ones(grid.n)], h0, inc).values[-1]
     assert tuple(np.flatnonzero(last == h0)) == pins
-
-
-def test_grid_stepping_refuses_the_mortality_wedge():
-    # the wedge is stepped along its rays, never as one 1-D stencil
-    grid = Grid1D.from_interval(0.0, 10.0, 101)
-    with pytest.raises(UnsupportedOperator):
-        _grid_solution(operators.Transport("mortality_wedge"), grid, None, [],
-                       Q.exponential(-1.0), _zero_driver(0.01, 2))
 
 
 def test_stability_guards():

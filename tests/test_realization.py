@@ -80,7 +80,7 @@ def test_invariance_verdict_ignores_the_scale_of_other_elements(s):
 
 def test_ray_bundle_basis_leaving_its_span_is_not_invariant():
     # d/dx keeps the base ray exp(-x/2) and maps the trend ray x e^{-x} out
-    wedge = operators.Transport("mortality_wedge")
+    wedge = operators.Transport()
     basis = [operators.RayBundle.make([("base", Q.exponential(-0.5))]),
              operators.RayBundle.make([("trend", funalg.parse_qexp("x*exp(-1*x)"))])]
     inv = rz.check_invariant(wedge, basis)

@@ -127,7 +127,7 @@ def test_mode_index_and_volatility_forms_match_jsonschema(where, mode, form):
 
 
 BOUNDED = [("time", "horizon"), ("time", "n_t"), ("space", "n_x"),
-           ("seed",), ("verify", "ratio_bound"),
+           ("seed",), ("driver", "components", 0, "jump_intensity"),
            ("driver", "components", 0, "brownian_vol"),
            ("driver", "components", 0, "two_sided_exp", "p_up"),
            ("driver", "components", 0, "two_sided_exp", "rate_up")]
@@ -203,3 +203,24 @@ def test_commands_load_no_schema_library_or_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "0 []"
+
+
+def _property_schemas(node, path=()):
+    """Every (path, schema) of a named property below `node`."""
+    for name, sub in node.get("properties", {}).items():
+        yield path + (name,), sub
+    items = node.get("items", [])
+    for key, sub in [*node.get("properties", {}).items(),
+                     *node.get("definitions", {}).items(),
+                     *enumerate(items if isinstance(items, list) else [items]),
+                     *enumerate(node.get("oneOf", []))]:
+        yield from _property_schemas(sub, path + (key,))
+
+
+def test_every_scenario_property_constrains_its_value():
+    # a property schema without type, enum, $ref or oneOf accepts any
+    # value, which then reaches the parser unchecked
+    loose = ["/".join(map(str, path)) for path, sub
+             in _property_schemas(cfgmod.scenario_schema())
+             if not {"type", "enum", "$ref", "oneOf"} & set(sub)]
+    assert loose == []

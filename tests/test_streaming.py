@@ -57,7 +57,7 @@ def _leaf_distances(states, bases, V):
 def _materialised_oracle(rt, real, inc):
     """The reference path built whole, one public solver call per profile."""
     t_grid = np.arange(inc.n_steps + 1) * inc.dt
-    kind = rt.verify.oracle
+    kind = rt.oracle
     drift = cfgmod.assemble_drift(rt)
     alpha = None if drift is None else rt.space.sample(drift)
     if kind == "grid":
