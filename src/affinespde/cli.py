@@ -197,6 +197,9 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     if paths > 1:  # its set-up checks raise before the first write
         moments = rz.ensemble_moments(real, t_grid, v0, rt.driver,
                                       range(seed, seed + paths))
+    # before the fork: its correction norm's LAPACK calls would otherwise
+    # share the cores with the r.csv writer
+    report = _realization_report(rt, real, v0, curve_meta, seed)
     axis = rt.space.axis()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -211,8 +214,7 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
         oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
         levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
-        _write_json(os.path.join(out_dir, "realization.json"),
-                    _realization_report(rt, real, v0, curve_meta, seed))
+        _write_json(os.path.join(out_dir, "realization.json"), report)
 
     forked.alongside(write_r, write_rest)
 
@@ -322,8 +324,8 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
     n_prof = len(rt.space.profiles)  # ray_grid
 
     def by_ray(vec):
-        # profile-major blocks -> one column per profile
-        return vec.reshape(n_prof, rt.space.ray.size).T
+        # profile-major blocks -> one row per profile, a view
+        return vec.reshape(n_prof, rt.space.ray.size)
 
     alpha_vec = _scenario_drift(rt)
     sig_vecs = _sigma_for_oracle(rt, V)
@@ -334,7 +336,7 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
         None if alpha_vec is None else by_ray(alpha_vec),
         [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
         inc)
-    return (r.T.ravel() for r in rows)
+    return (r.ravel() for r in rows)  # C-contiguous: views, not copies
 
 
 def _reference_blocks(rows: Iterator[np.ndarray], n_rows: int, size: int):
@@ -413,13 +415,15 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
 def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                refine: int = 1, mutate=None) -> int:
     """Check the reduced model against the reference solver at refinement
-    levels 0..refine, each by `_verify_level`.  For refine >= 1 the finest
-    level, the most costly, runs in a forked child (`forked.alongside`)
-    while this process runs the coarser ones in turn.  Only that level
-    computes its reference rows ahead in a child of its own: it bounds the
-    command, and the coarser levels already run alongside it.  The report
-    bytes and exit codes are those of running every level here in order,
-    which is what happens at refine 0 and where os.fork does not exist."""
+    levels 0..refine, each by `_verify_level`.  For refine >= 1 one forked
+    child runs the finest level, the most costly, and another the coarser
+    ones in turn, while this process only waits (`forked.apart`).  Only
+    the finest level computes its reference rows ahead in a child of its
+    own, and only when its oracle steps (grid or ray_grid): it bounds the
+    command, and the coarser levels already run alongside it; the modal
+    oracle computes its amplitudes before any row.  The report bytes and
+    exit codes are those of running every level here in order, which is
+    what happens at refine 0 and where os.fork does not exist."""
     axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
     cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
     limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
@@ -428,6 +432,8 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
             f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
             f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
     seed = rt.seed if seed is None else seed
+    # symbolic: one sweep for all levels, and a refused scenario draws no noise
+    v_basis = cfgmod.assemble_basis(rt)
     n_fine = rt.n_t * 2 ** refine
     inc_fine = levy.sample_increments(rt.driver, rt.horizon / n_fine,
                                       n_fine, seed)
@@ -436,17 +442,15 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         chain.append(levy.aggregate_increments(chain[-1], 2))
     chain.reverse()  # chain[l] matches refinement level l
 
-    v_basis = cfgmod.assemble_basis(rt)  # symbolic: one sweep for all levels
-
     def level(lvl, ahead=False):
         return _verify_level(rt, lvl, chain, v_basis, mutate, ahead)
 
     if refine == 0:
         results = [level(0)]
     else:
-        coarse, finest = forked.alongside(
-            lambda: level(refine, ahead=True),
-            lambda: [level(lvl) for lvl in range(refine)])
+        coarse, finest = forked.apart(
+            lambda: [level(lvl) for lvl in range(refine)],
+            lambda: level(refine, ahead=rt.oracle != "modal"))
         results = coarse + [finest]
     levels = [lv for lv, _norm, _fol in results]
     _lv0, h0_norm, fol_max = results[0]

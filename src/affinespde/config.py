@@ -482,8 +482,32 @@ def _parse_h0(d: dict, op: OperatorSpec, base_dir: str):
     return parse_field(d, op)
 
 
+# the one field form each space kind samples (see its `sample`)
+_SPACE_FORMS = {"grid": "qexp", "modal": "modal", "profile_ray": "rays"}
+
+
+def _check_forms(raw: dict) -> None:
+    """Refuse a field entry whose form the scenario's space cannot sample:
+    the initial curve (a csv file aside), a constant drift, each
+    volatility entry and each explicit basis entry."""
+    kind = raw["space"]["kind"]  # one of _SPACE_FORMS, by the schema
+    form = _SPACE_FORMS[kind]
+    fields = [("initial_curve", raw["initial_curve"]),
+              ("drift", raw.get("drift", {}))]
+    fields += [(f"volatility entry {k}", d)
+               for k, d in enumerate(raw.get("volatility", []))]
+    fields += [(f"subspace basis entry {k}", d)
+               for k, d in enumerate(raw.get("subspace", {}).get("basis", []))]
+    for name, d in fields:
+        for other in _SPACE_FORMS.values():
+            if other != form and other in d:
+                raise ConfigError(f"{name}: a {kind} space samples {form} "
+                                  f"fields, not {other}")
+
+
 def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     validate_config(raw)
+    _check_forms(raw)
     op = parse_operator(raw["operator"])
     driver = parse_driver(raw.get("driver"))
     sigma = parse_volatility(raw.get("volatility", []), op)

@@ -1,14 +1,15 @@
 """Work in a forked child while this process does its own.
 
-`alongside(child, parent)` runs one call in a child; `ahead(fill, shapes)`
-has a child fill a sequence of arrays (blocks of noise, a solver's rows)
-one ahead of their consumer.  Both use one kind of child.  It leaves by
-os._exit, never returning into the caller's stack.  An exception it
-raises comes back pickled through a pipe and is raised again here with its
-class and message, after a stderr line naming the child's exit status.
-One `finally` closes this process's pipe ends, so a child waiting on a
-read sees EOF and ends, and reaps it: a failure here wins and leaves no
-child behind.  Without os.fork the work runs inline.
+`alongside(child, parent)` runs one call in a child; `apart(first, second)`
+runs two calls, each in a child, while this process only waits;
+`ahead(fill, shapes)` has a child fill a sequence of arrays (blocks of
+noise, a solver's rows) one ahead of their consumer.  All use one kind of
+child.  It leaves by os._exit, never returning into the caller's stack.
+An exception it raises comes back pickled through a pipe and is raised
+again here with its class and message, after a stderr line naming the
+child's exit status.  One `finally` closes this process's pipe ends, so a
+child waiting on a read sees EOF and ends, and reaps it: a failure here
+wins and leaves no child behind.  Without os.fork the work runs inline.
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ def alongside(child: Callable, parent: Callable):
     with _forked(body) as proc:
         own = parent()
         return own, proc.receive()
+
+
+def apart(first: Callable, second: Callable):
+    """Return (first(), second()), each run in a forked child of its own
+    while this process only waits.  first's value, or its failure, is read
+    before second's, so a failure of first wins over one of second, as it
+    does inline.  Without os.fork first() and then second() run inline."""
+    return alongside(second, lambda: alongside(first, lambda: None)[1])
 
 
 @contextmanager

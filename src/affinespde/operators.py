@@ -576,10 +576,10 @@ def _scan_passes(a: np.ndarray) -> list:
     a, one per pair of neighbouring rows.  The pass with shift s adds to
     each row the state s rows away times the product of the s links
     between them; that product is a float when all links are equal, else
-    an (n - s, 1) column.  At most ceil(log2 n) passes."""
+    an (n - s,) vector.  At most ceil(log2 n) passes."""
     n = a.size + 1
     bound = float(np.max(np.abs(a)))
-    coef = float(a[0]) if np.all(a == a[0]) else a[:, None]
+    coef = float(a[0]) if np.all(a == a[0]) else a
     passes, s = [], 1
     while s < n and bound >= _NEGLIGIBLE:
         passes.append((s, coef))
@@ -592,8 +592,9 @@ def _scan_passes(a: np.ndarray) -> list:
 def implicit_solver(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray],
                     theta_dt: float):
     """Factor M = I - theta_dt A once, for A given by its (lower, main,
-    upper) diagonals, and return solve(b), which solves M y = b along axis
-    0 of a vector or an (n, k) block into a new array.
+    upper) diagonals, and return solve(b), which solves M y = b along the
+    last axis of a vector or a (k, n) block into a new array: each of the
+    k rows takes the bits of its own solve.
 
     M is diagonally dominant for theta_dt >= 0, so LU without pivoting is
     stable: M = L U with L lower bidiagonal (diagonal p, M's subdiagonal
@@ -610,14 +611,13 @@ def implicit_solver(diagonals: tuple[np.ndarray, np.ndarray, np.ndarray],
     p = np.array(p)
     forward = _scan_passes(lo / p[1:])
     backward = _scan_passes(up / p[:-1])
-    p = p[:, None]
 
     def solve(b: np.ndarray) -> np.ndarray:
-        y = b.reshape(p.shape[0], -1) / p
+        y = b / p
         for s, c in forward:
-            y[s:] += c * y[:-s]
+            y[..., s:] += c * y[..., :-s]
         for s, c in backward:
-            y[:-s] += c * y[s:]
-        return y.reshape(b.shape)
+            y[..., :-s] += c * y[..., s:]
+        return y
 
     return solve

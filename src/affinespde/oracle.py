@@ -20,20 +20,18 @@ from .errors import GridMismatch, LinearSolveFailure
 from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
-from .realization import GridPath, Subspace, space_norm
+from .realization import GridPath, long_dot
 
 
 def _normalize_field(f, grid: Grid1D):
-    """Drift/volatility input -> vector on the grid (or (n, k) block of k
-    columns) or callable on vectors."""
-    if f is None:
-        return np.zeros(grid.n)
+    """Drift/volatility input -> vector on the grid (or (k, n) block of k
+    rows) or callable on vectors."""
     if isinstance(f, QExpFunction):
         return funalg.evaluate(f, grid.points())
     if callable(f):
         return f
     arr = np.asarray(f, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != grid.n:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != grid.n:
         raise GridMismatch(f"field of shape {arr.shape} on a {grid.n}-point grid")
     return arr
 
@@ -53,21 +51,31 @@ def _pinned_rows(stencil) -> np.ndarray:
 
 
 def _theta_halves(op: OperatorSpec, stencil, dt: float):
-    """(explicit, implicit) halves of one theta step: explicit(r, b) returns
-    a new array (I + (1-theta) dt A) r + b, implicit(rhs) solves
-    (I - theta dt A) y = rhs.  Theta follows the operator: Crank-Nicolson
-    (0.5) for the cable, backward Euler (1) for transport, whose explicit
-    half is then r + b."""
+    """(explicit, implicit) halves of one theta step, both along the last
+    axis: explicit(r, terms) returns (I + (1-theta) dt A) r plus each of
+    terms in turn, implicit(rhs) solves (I - theta dt A) y = rhs into a new
+    array.  Theta follows the operator: Crank-Nicolson (0.5) for the cable,
+    backward Euler (1) for transport, whose explicit half is then r plus
+    the terms: r itself, not a copy, when there are none."""
     if not isinstance(op, operators.Cable):
-        return np.add, operators.implicit_solver(stencil, dt)
+        def explicit(r, terms):
+            if not terms:
+                return r
+            out = r + terms[0]
+            for t in terms[1:]:
+                out += t
+            return out
+
+        return explicit, operators.implicit_solver(stencil, dt)
     lower, main, upper = (0.5 * dt * d for d in stencil)
     main += 1.0
 
-    def explicit(r, b):
+    def explicit(r, terms):
         out = main * r
-        out[1:] += lower * r[:-1]
-        out[:-1] += upper * r[1:]
-        out += b
+        out[..., 1:] += lower * r[..., :-1]
+        out[..., :-1] += upper * r[..., 1:]
+        for t in terms:
+            out += t
         return out
 
     return explicit, operators.implicit_solver(stencil, 0.5 * dt)
@@ -84,10 +92,11 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     with theta = 0.5 for the cable and 1 for transport, and the
     Dirichlet/far-field rows re-pinned to the initial samples after every
     step.  Noise and drift enter at the left endpoint, matching the
-    left-limit convention of the jump integral.  An (n, k) initial block
-    (with (n, k) or absent drift and volatility blocks) steps k independent
-    states together, one multi-column solve per step.  Set-up checks and
-    the factorization happen here, before the first row."""
+    left-limit convention of the jump integral; a zero drift (None) adds
+    no term.  A (k, n) initial block (with (k, n) or absent drift and
+    volatility blocks) steps k independent states together, one row each,
+    and each row takes the bits of its own single-state run.  Set-up checks
+    and the factorization happen here, before the first row."""
     dt = increments.dt
     stencil = operators.operator_matrix(op, grid)
     pins = _pinned_rows(stencil)
@@ -96,26 +105,25 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
     h0_vec = _normalize_field(h0, grid)
     if callable(h0_vec):
         raise GridMismatch("initial curve must be a function or vector")
-    alpha_f = (np.zeros(h0_vec.shape) if alpha is None
-               else _normalize_field(alpha, grid))
+    alpha_f = None if alpha is None else _normalize_field(alpha, grid)
     sigma_f = [_normalize_field(s, grid) for s in sigma]
     if len(sigma_f) != increments.m:
         raise GridMismatch(f"{len(sigma_f)} volatility components vs "
                            f"{increments.m} driver columns")
 
-    dt_alpha = None if callable(alpha_f) else dt * alpha_f
+    dt_alpha = (None if alpha_f is None or callable(alpha_f)
+                else dt * alpha_f)
 
     def rows():
         r = h0_vec.copy()
-        pin_vals = h0_vec[pins]
+        pin_vals = h0_vec[..., pins]
         yield r
-        for n in range(increments.n_steps):
-            rhs = explicit(r, dt * alpha_f(r) if dt_alpha is None
-                           else dt_alpha)
-            for k, s in enumerate(sigma_f):
-                rhs += _field_at(s, r) * increments.values[n, k]
-            r = implicit(rhs)
-            r[pins] = pin_vals
+        for dx in increments.values:
+            terms = [] if alpha_f is None else [
+                dt * alpha_f(r) if dt_alpha is None else dt_alpha]
+            terms += [_field_at(s, r) * dx[k] for k, s in enumerate(sigma_f)]
+            r = implicit(explicit(r, terms))
+            r[..., pins] = pin_vals
             yield r
 
     return rows()
@@ -179,12 +187,6 @@ class PathMetrics:
     foliation: np.ndarray | None = None  # per-time leaf distance, if asked
 
 
-def _leaf_distance(V: Subspace, state: np.ndarray, base: np.ndarray) -> float:
-    """Distance of state from the affine leaf base + V: the norm of the
-    component of state - base orthogonal to V in the working product."""
-    return space_norm(V.space, V.complement_residual(state - base))
-
-
 def _path_metrics(per_time, mag_a, mag_b, fol) -> PathMetrics:
     """PathMetrics from per-time squared distances and squared magnitudes;
     a NaN anywhere reaches the sup error."""
@@ -197,57 +199,15 @@ def _path_metrics(per_time, mag_a, mag_b, fol) -> PathMetrics:
                        None if fol is None else np.array(fol))
 
 
-def compare_streams(steps: Iterable[tuple], weights: np.ndarray | None = None,
-                    leaf: Subspace | None = None) -> PathMetrics:
-    """Sup over time of the weighted-L2 spatial distance of two paths given
-    one time at a time, its relative version (normalized by the larger path
-    magnitude, hence symmetric), and the full per-time series.  steps yields
-    (a_n, b_n) pairs, or (a_n, b_n, base_n) triples when leaf is given, and
-    then the per-time distance of b_n from the leaf base_n + leaf is
-    recorded as .foliation.  Only O(n_x + n_t) memory is held."""
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    buf = None  # every step's products go through this one array
-    per_time, mag_a, mag_b, fol = [], [], [], []
-    for step in steps:
-        a, b = step[0], step[1]
-        if a.shape != b.shape:
-            raise GridMismatch(f"states of shape {a.shape} vs {b.shape}")
-        if w is None:
-            w = np.ones(a.shape[0])
-        if w.shape != a.shape:
-            raise GridMismatch(f"weight vector shape {w.shape} for "
-                               f"{a.shape[0]} spatial nodes")
-        if buf is None:
-            buf = np.empty(w.shape)
-        np.subtract(a, b, out=buf)
-        np.multiply(buf, buf, out=buf)
-        per_time.append(np.multiply(buf, w, out=buf).sum())
-        for x, sink in ((a, mag_a), (b, mag_b)):
-            np.multiply(x, x, out=buf)
-            sink.append(np.multiply(buf, w, out=buf).sum())
-        if leaf is not None:
-            fol.append(_leaf_distance(leaf, b, step[2]))
-    return _path_metrics(per_time, mag_a, mag_b,
-                         fol if leaf is not None else None)
-
-
 # a block of reduced states in compare_coordinates holds at most
 # BLOCK_VALUES float64 (256 KB, so it stays in cache while the reference
 # rows stream past) and at most BLOCK_ROWS times
 BLOCK_VALUES = 2 ** 15
 BLOCK_ROWS = 256
-# OpenBLAS spreads a dot product of more than 10000 values over its
-# threads, whose hand-off costs more than the product at these sizes (three
-# times the time at n_x = 10002 on two cores): longer vectors are dotted in
-# pieces of at most DOT_PIECE values
-DOT_PIECE = 8192
 
 
 def _square_norm(x: np.ndarray) -> float:
-    if len(x) <= DOT_PIECE:
-        return np.dot(x, x)
-    return sum(np.dot(x[i:i + DOT_PIECE], x[i:i + DOT_PIECE])
-               for i in range(0, len(x), DOT_PIECE))
+    return long_dot(x, x)
 
 
 def compare_coordinates(reference: Iterable[np.ndarray],
@@ -255,16 +215,17 @@ def compare_coordinates(reference: Iterable[np.ndarray],
                         weights: np.ndarray | None = None,
                         sampled: Iterable[np.ndarray] | None = None,
                         leaf: bool = False) -> PathMetrics:
-    """compare_streams of a reference path against a reduced path given in
-    coordinates, without building the reduced states one by one.  Each part
-    is (coordinate stream, samples): the stream yields (k,) rows over the
-    (k, n_x) sampled span.  The reduced state at t_n is the sum over parts
-    of coords_n @ samples, plus the row sampled_n when sampled is given;
-    the metrics are those of compare_streams(zip(reduced, reference)), up
-    to rounding.  With leaf, the last part spans the leaf directions and
-    .foliation records the distance of each reference state from its
-    reduced state's leaf: the reduced state minus its last part, plus that
-    part's span.
+    """Sup over time of the weighted-L2 distance between a reference path,
+    given one state at a time, and a reduced path given in coordinates,
+    without building the reduced states one by one; its relative version
+    (normalized by the larger path magnitude, hence symmetric) and the
+    per-time series.  Each part is (coordinate stream, samples): the stream
+    yields (k,) rows over the (k, n_x) sampled span.  The reduced state at
+    t_n is the sum over parts of coords_n @ samples, plus the row sampled_n
+    when sampled is given.  With leaf, the last part spans the leaf
+    directions and .foliation records the distance of each reference state
+    from its reduced state's leaf: the reduced state minus its last part,
+    plus that part's span.
 
     Everything runs in sqrt(w)-scaled coordinates, where the weighted norm
     is the Euclidean one.  The parts are stacked once into S' = S sqrt(w)

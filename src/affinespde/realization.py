@@ -181,9 +181,28 @@ class ProfileRaySpace:
 SpaceSpec = GridSpace | ModalSpace | ProfileRaySpace
 
 
+# OpenBLAS spreads a dot product of more than 10000 values over its
+# threads, whose hand-off costs more than the product at these sizes (three
+# times the time at n_x = 10002 on two cores, and more in a forked process,
+# whose threads wait for a free core): longer vectors are dotted in pieces
+# of at most DOT_PIECE values
+DOT_PIECE = 8192
+
+
+def long_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot of two vectors, bit for bit up to DOT_PIECE values, else the
+    sum of the dots of their pieces of DOT_PIECE values in order."""
+    if len(a) <= DOT_PIECE:
+        return np.dot(a, b)
+    total = 0
+    for i in range(0, len(a), DOT_PIECE):
+        total += np.dot(a[i:i + DOT_PIECE], b[i:i + DOT_PIECE])
+    return total
+
+
 def space_norm(space: SpaceSpec, vec: np.ndarray) -> float:
     w = space.weights()
-    return float(math.sqrt(max(np.dot(w * vec, vec), 0.0)))
+    return float(math.sqrt(max(long_dot(w * vec, vec), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +581,20 @@ class Realization:
     drift: DriftSplit
     mode_indices: tuple | None = None
     clauses: dict = field(default_factory=dict)
-    correction_norm: float = 0.0
+    images: tuple = field(default=(), repr=False)  # A V.basis[i], from clause 1
 
     @property
     def dim(self) -> int:
         return self.V.dim
+
+    @property
+    def correction_norm(self) -> float:
+        """The norm of the semi-invariance correction over V (rounding on a
+        certified V), computed when read: only the reports carry it."""
+        if not self.dim:
+            return 0.0
+        return float(semiinvariant_correction(self.op, self.V, self.images)
+                     .operator_norm())
 
     @property
     def psi_method(self) -> str:
@@ -607,8 +635,10 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
 
     # clause 1: invariance, plus the coordinate matrix of A on V
     clauses: dict = {}
+    images: tuple = ()
     if V.dim:
         inv = check_invariant(op, V.basis)
+        images = inv.images
         if inv.residual > tol_project:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside V "
@@ -660,15 +690,10 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
             u = None
         split = DriftSplit("constant", coords, u)
 
-    correction_norm = 0.0
-    if V.dim:
-        correction_norm = semiinvariant_correction(op, V, inv.images).operator_norm()
-
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
                        vols=tuple(vol_coords), drift=split,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
-                       clauses=clauses,
-                       correction_norm=float(correction_norm))
+                       clauses=clauses, images=images)
 
 
 def _off_domain(op: OperatorSpec, space: SpaceSpec,

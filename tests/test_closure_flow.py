@@ -2,6 +2,8 @@
 symbolic shift and against a per-time shift + evaluate reference, and no
 symbolic shift left in the verify loop."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +166,26 @@ def test_a_build_applies_the_generator_once_per_basis_element(name, monkeypatch)
     monkeypatch.setattr(operators, "apply_exact", counted)
     real = cfgmod.build_scenario_realization(rt, basis)
     assert len(calls) == real.dim
+
+
+@pytest.mark.parametrize("name", ["cable", "heat-disk", "hjmm-linear",
+                                  "transport-mortality-2d"])
+def test_only_the_reports_compute_the_correction_norm(name, tmp_path,
+                                                      monkeypatch):
+    # analyze reads the norm of the correction built from clause 1's
+    # images, bit for bit as from images of its own; verify never builds it
+    rt = cli._load_runtime(name)
+    real = cfgmod.build_scenario_realization(rt)
+    direct = rz.semiinvariant_correction(rt.op, real.V).operator_norm()
+    assert cli.run_analyze(rt, str(tmp_path / "a")) == 0
+    report = json.loads((tmp_path / "a" / "analysis.json").read_text())
+    assert report["correction_norm"] == direct
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("verify built the semi-invariance correction")
+
+    monkeypatch.setattr(rz, "semiinvariant_correction", refused)
+    assert cli.run_verify(rt, str(tmp_path / "v"), seed=0, refine=1) == 0
 
 
 @pytest.mark.parametrize("name", ["heat-disk", "hjmm-linear",

@@ -640,3 +640,57 @@ def test_simulate_jobs_is_an_unknown_option(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _cable_on_modes(raw):
+    # modal data throughout, but cable's explicit basis stays qexp
+    raw["space"] = {"kind": "modal", "indices": [1, 2, 3]}
+    raw["volatility"] = [{"modal": [[2, 0.2]]}]
+    raw["drift"] = {"mode": "constant", "modal": [[1, 0.3]]}
+    raw["initial_curve"] = {"modal": [[1, 0.6], [3, 0.25]]}
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("hjmm-linear", lambda raw: raw.update(drift={
+        "mode": "constant", "rays": [["a", "exp(-1*x)"]]}),
+        "drift: a grid space samples qexp fields, not rays", id="grid-rays"),
+    pytest.param("cable", _cable_on_modes,
+                 "subspace basis entry 0: a modal space samples modal "
+                 "fields, not qexp", id="modal-qexp"),
+    pytest.param("cable", lambda raw: raw.update(volatility=[
+        {"modal": [[2, 0.2]]}]),
+        "volatility entry 0: a grid space samples qexp fields, not modal",
+        id="grid-modal"),
+    pytest.param("transport-mortality-2d", lambda raw: raw.update(
+        initial_curve={"qexp": "exp(-1*x)"}),
+        "initial_curve: a profile_ray space samples rays fields, not qexp",
+        id="rays-qexp"),
+])
+def test_a_field_form_the_space_cannot_sample_exits_2(tmp_path, capsys,
+                                                      name, edit, message):
+    raw = copy.deepcopy(_load(name))
+    edit(raw)
+    cfg = tmp_path / "form.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("analyze", "simulate", "verify"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["neg-gauss-taylor", "neg-rational-taylor"])
+def test_verify_refuses_a_scenario_before_drawing_its_noise(
+        tmp_path, capsys, monkeypatch, name):
+    def drawn(*_args, **_kwargs):
+        raise AssertionError("verify drew noise for a refused scenario")
+
+    monkeypatch.setattr(levy, "sample_increments", drawn)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", name, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("build failed (NotQuasiExponential): volatility "
+                          "span not detected as finite dimensional below "
+                          "cap 50 (dims (1, 2, 3,")
+    assert not out.exists()

@@ -17,6 +17,7 @@ from affinespde.errors import GridMismatch, UnstableConfig
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
+from test_streaming import compare_streams
 
 
 def _zero_driver(dt, n_steps):
@@ -32,7 +33,7 @@ def _grid_solution(op, grid, alpha, sigma, h0, inc):
 
 def _foliation(path, psi, V):
     """Per-time distance of path from the leaf psi + V."""
-    return oracle.compare_streams(zip(path.values, path.values, psi.values),
+    return compare_streams(zip(path.values, path.values, psi.values),
                                   leaf=V).foliation
 
 
@@ -50,7 +51,7 @@ def test_grid_solver_cable_second_order_decay():
         exact = np.exp(g2 * path.t_grid)[:, None] * np.sin(2 * grid.points())
         ref = GridPath(path.t_grid, grid.points(), exact)
         errs.append(
-            oracle.compare_streams(zip(path.values, ref.values)).sup_error)
+            compare_streams(zip(path.values, ref.values)).sup_error)
     assert errs[0] < 2e-4
     assert errs[1] < 0.37 * errs[0]
 
@@ -66,7 +67,7 @@ def test_grid_solver_translation_first_order_shift():
         exact = np.exp(-(x[None, :] + path.t_grid[:, None]))
         ref = GridPath(path.t_grid, x, exact)
         errs.append(
-            oracle.compare_streams(zip(path.values, ref.values)).sup_error)
+            compare_streams(zip(path.values, ref.values)).sup_error)
     assert errs[1] < 0.72 * errs[0]
 
 
@@ -78,17 +79,19 @@ def _dense(stencil):
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("c", [0.05, 0.1, 1.0, 10.0])
-@pytest.mark.parametrize("cols", [None, 3])
-def test_transport_step_matches_dense_pinned_solve(theta, c, cols):
+@pytest.mark.parametrize("rows", [None, 3])
+def test_transport_step_matches_dense_pinned_solve(theta, c, rows):
     # the tridiagonal scan solves (I - theta dt A) y = r on the pinned
-    # upwind stencil, vector or block, with dt = c dx; at theta c = 10 the
-    # recurrence factor is ~0.91, so the scan runs all ceil(log2 n) passes
+    # upwind stencil, vector or (rows, n) block, with dt = c dx; at theta c
+    # = 10 the recurrence factor is ~0.91, so the scan runs all
+    # ceil(log2 n) passes
     grid = Grid1D.from_interval(0.0, 3.0, 301)
     dt = c * grid.dx
     rng = np.random.default_rng(17)
-    r = rng.standard_normal(grid.n if cols is None else (grid.n, cols))
+    r = rng.standard_normal(grid.n if rows is None else (rows, grid.n))
     stencil = operators.operator_matrix(operators.Translation(), grid)
-    expect = np.linalg.solve(np.eye(grid.n) - theta * dt * _dense(stencil), r)
+    expect = np.linalg.solve(np.eye(grid.n) - theta * dt * _dense(stencil),
+                             r.T).T
     got = operators.implicit_solver(stencil, theta * dt)(r)
     assert got.shape == r.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(r))
@@ -107,11 +110,33 @@ def test_implicit_solver_matches_dense_cable_step(dt):
     rng = np.random.default_rng(23)
     lhs = np.eye(grid.n) - 0.5 * dt * _dense(stencil)
     solve = operators.implicit_solver(stencil, 0.5 * dt)
-    for b in (rng.standard_normal(grid.n), rng.standard_normal((grid.n, 3))):
+    for b in (rng.standard_normal(grid.n), rng.standard_normal((3, grid.n))):
         got = solve(b)
         assert got.shape == b.shape
-        assert np.max(np.abs(got - np.linalg.solve(lhs, b))) <= \
+        assert np.max(np.abs(got - np.linalg.solve(lhs, b.T).T)) <= \
             1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("op, theta_dt", [(operators.Translation(), 0.05),
+                                          (operators.Cable(), 0.01)])
+def test_a_block_solve_equals_one_solve_per_row(op, theta_dt):
+    # each row of a (k, n) block takes the bits of its own vector solve,
+    # on the transport and the cable stencils; the grid oracle steps the
+    # ray profiles of transport-mortality-2d as one block
+    grid = Grid1D.from_interval(0.0, 3.0, 301)
+    stencil = operators.operator_matrix(op, grid)
+    solve = operators.implicit_solver(stencil, theta_dt)
+    block = np.random.default_rng(29).standard_normal((4, grid.n))
+    got = solve(block)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.vstack([solve(b) for b in block]).tobytes()
+    sigma = np.random.default_rng(30).standard_normal((4, grid.n))
+    inc = levy.IncrementMatrix(0.01, np.full((5, 1), 0.3), seed=0)
+    rows = oracle.spde_grid_rows(op, grid, None, [sigma], block, inc)
+    alone = [list(oracle.spde_grid_rows(op, grid, None, [s], b, inc))
+             for s, b in zip(sigma, block)]
+    for n, r in enumerate(rows):
+        assert r.tobytes() == np.vstack([a[n] for a in alone]).tobytes()
 
 
 @pytest.mark.parametrize("op, pins", [
@@ -214,21 +239,21 @@ def test_compare_paths_metric_properties():
     a = GridPath(t, x, rng.standard_normal((5, 4)))
     b = GridPath(t, x, rng.standard_normal((5, 4)))
     w = np.array([0.5, 1.0, 1.0, 0.5])
-    m_ab = oracle.compare_streams(zip(a.values, b.values), w)
-    m_ba = oracle.compare_streams(zip(b.values, a.values), w)
+    m_ab = compare_streams(zip(a.values, b.values), w)
+    m_ba = compare_streams(zip(b.values, a.values), w)
     assert m_ab.sup_error == m_ba.sup_error
     assert m_ab.relative == m_ba.relative
-    assert oracle.compare_streams(zip(a.values, a.values), w).sup_error == 0.0
+    assert compare_streams(zip(a.values, a.values), w).sup_error == 0.0
 
     shifted = GridPath(t, x, a.values + 1.0)
-    m = oracle.compare_streams(zip(a.values, shifted.values), w)
+    m = compare_streams(zip(a.values, shifted.values), w)
     assert np.allclose(m.per_time, math.sqrt(w.sum()))
 
     with pytest.raises(GridMismatch):
-        oracle.compare_streams(
+        compare_streams(
             zip(a.values, GridPath(t, x, rng.standard_normal((5, 3))).values))
     with pytest.raises(GridMismatch):
-        oracle.compare_streams(zip(a.values, b.values), np.ones(3))
+        compare_streams(zip(a.values, b.values), np.ones(3))
 
 
 def _cable_setup():

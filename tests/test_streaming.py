@@ -1,6 +1,7 @@
 """Streamed verification: the time loop of `verify` against the materialised
-paths, its memory bound, the finest level run in a forked child and that
-level's reference rows computed one block ahead in a child of its own."""
+paths, its memory bound, the levels run in two forked children and the
+finest level's reference rows computed one block ahead in a child of its
+own."""
 
 import copy
 import functools
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinespde import cli, levy, operators, oracle
+from affinespde import cli, forked, levy, operators, oracle
 from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import (ConfigError, GridMismatch, LinearSolveFailure,
@@ -52,6 +53,33 @@ def _leaf_distances(states, bases, V):
     the component of state - base orthogonal to V."""
     return np.array([rz.space_norm(V.space, V.complement_residual(s - b))
                      for s, b in zip(states, bases)])
+
+
+def compare_streams(steps, weights=None, leaf=None):
+    """The reference for oracle.compare_coordinates, one state at a time:
+    sup over time of the weighted-L2 spatial distance of two paths given as
+    (a_n, b_n) pairs, its relative version (normalized by the larger path
+    magnitude, hence symmetric) and the per-time series.  With leaf, steps
+    yields (a_n, b_n, base_n) triples and .foliation records the distance
+    of b_n from the leaf base_n + leaf."""
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    per_time, mag_a, mag_b, fol = [], [], [], []
+    for step in steps:
+        a, b = step[0], step[1]
+        if a.shape != b.shape:
+            raise GridMismatch(f"states of shape {a.shape} vs {b.shape}")
+        if w is None:
+            w = np.ones(a.shape[0])
+        if w.shape != a.shape:
+            raise GridMismatch(f"weight vector shape {w.shape} for "
+                               f"{a.shape[0]} spatial nodes")
+        per_time.append(((a - b) ** 2 * w).sum())
+        mag_a.append((a * a * w).sum())
+        mag_b.append((b * b * w).sum())
+        if leaf is not None:
+            fol.extend(_leaf_distances([b], [step[2]], leaf))
+    return oracle._path_metrics(per_time, mag_a, mag_b,
+                                fol if leaf is not None else None)
 
 
 def _materialised_oracle(rt, real, inc):
@@ -132,8 +160,8 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x,
         coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc))
         rec = GridPath(t_grid, rt_l.space.axis(), psi + coords @ real.V.samples)
         ref = _materialised_oracle(rt_l, real, inc)
-        whole = oracle.compare_streams(zip(rec.values, ref.values),
-                                       rt_l.space.weights())
+        whole = compare_streams(zip(rec.values, ref.values),
+                                rt_l.space.weights())
 
         # within 1e-12 of the path magnitude: the modal oracles are exact, so
         # their sup errors are themselves rounding noise of that magnitude
@@ -158,8 +186,8 @@ def test_compare_streams_equals_compare_paths_and_foliation():
     b = GridPath(t, space.axis(), rng.standard_normal((6, 9)))
     base = rng.standard_normal((6, 9))
     w = space.weights()
-    streamed = oracle.compare_streams(zip(a.values, b.values, base), w, leaf=V)
-    whole = oracle.compare_streams(zip(a.values, b.values), w)
+    streamed = compare_streams(zip(a.values, b.values, base), w, leaf=V)
+    whole = compare_streams(zip(a.values, b.values), w)
     assert streamed.sup_error == whole.sup_error
     assert streamed.scale == whole.scale
     assert np.array_equal(streamed.per_time, whole.per_time)
@@ -189,7 +217,7 @@ def test_compare_coordinates_equals_compare_streams(sampled, n, n_t):
     ref = states + 0.01 * rng.standard_normal(states.shape)
     V = rz.Subspace((0, 1), space, spans[-1], (spans[-1] * w) @ spans[-1].T)
     bases = states - coords[-1] @ spans[-1]
-    whole = oracle.compare_streams(zip(states, ref, bases), w, leaf=V)
+    whole = compare_streams(zip(states, ref, bases), w, leaf=V)
     got = oracle.compare_coordinates(
         iter(ref), [(iter(c), sp) for c, sp in zip(coords, spans)], w,
         sampled=None if term is None else iter(term), leaf=True)
@@ -331,7 +359,8 @@ def test_a_parent_level_failure_wins_and_reaps_the_child(tmp_path,
 
     rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
     assert rc == 4
-    assert err == "GridMismatch: level 0 broke on purpose\n"
+    assert err == ("forked writer ended with status 1\n"
+                   "GridMismatch: level 0 broke on purpose\n")
 
 
 @needs_fork
@@ -401,15 +430,17 @@ def _counting_forks(monkeypatch, run):
 ])
 def test_forked_and_inline_verify_over_oracle_blocks_give_the_same_bytes(
         tmp_path, monkeypatch, name, n_t, n_x, refine):
-    # three reference rows a block at the finest level, whose oracle then
-    # runs one block ahead in a child of the finest level's child
+    # three reference rows a block at the finest level, whose stepping
+    # oracle then runs one block ahead in a child of the finest level's
+    # child; the coarser levels run in a second child of the command, and
+    # a modal oracle runs inline
     rt = _small_runtime(name, n_t, n_x)
     finest = cli._refine_runtime(rt, 2 ** refine).space.size
     monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * finest)
     with _no_process_left():
         rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
             rt, str(tmp_path / "forked"), seed=3, refine=refine))
-    assert forks == 2
+    assert forks == (2 if rt.oracle == "modal" else 3)
     monkeypatch.delattr(os, "fork")
     assert cli.run_verify(rt, str(tmp_path / "inline"), seed=3,
                           refine=refine) == rc
@@ -420,11 +451,34 @@ def test_forked_and_inline_verify_over_oracle_blocks_give_the_same_bytes(
 @needs_fork
 def test_a_one_block_finest_level_computes_its_rows_itself(tmp_path,
                                                            monkeypatch):
+    # one child per side of the command, none for the oracle
     rt = _small_runtime("heat-disk", 40)  # 161 rows of 4 modes: one block
     with _no_process_left():
         rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
             rt, str(tmp_path), seed=3, refine=2))
-    assert (rc, forks) == (0, 1)
+    assert (rc, forks) == (0, 2)
+
+
+@needs_fork
+def test_a_modal_oracle_on_a_grid_runs_inline(tmp_path, monkeypatch):
+    # term-structure-2's modal oracle computes every amplitude before its
+    # first row, so no block of it is computed ahead: only the command's
+    # two children fork
+    def refused(*_args):
+        raise AssertionError("a modal oracle ran ahead")
+
+    monkeypatch.setattr(forked, "ahead", refused)
+    rt = cli._load_runtime("term-structure-2")
+    assert rt.oracle == "modal" and isinstance(rt.space, rz.GridSpace)
+    with _no_process_left():
+        rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
+            rt, str(tmp_path / "forked"), seed=3, refine=2))
+    assert forks == 2
+    monkeypatch.delattr(os, "fork")
+    assert cli.run_verify(rt, str(tmp_path / "inline"), seed=3,
+                          refine=2) == rc == 0
+    assert (tmp_path / "forked" / "verify.json").read_bytes() == \
+        (tmp_path / "inline" / "verify.json").read_bytes()
 
 
 def _finest_solve_failing(monkeypatch, call, fail):
@@ -484,7 +538,8 @@ def test_a_level_0_failure_wins_over_the_oracle_ahead(tmp_path, monkeypatch,
     monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * _SMALL_CABLE_FINEST)
     rc, err = _verify_small_cable(tmp_path, monkeypatch, capfd, 2, fail)
     assert rc == 4
-    assert err == "GridMismatch: level 0 broke on purpose\n"
+    assert err == ("forked writer ended with status 1\n"
+                   "GridMismatch: level 0 broke on purpose\n")
 
 
 @needs_fork
