@@ -128,7 +128,7 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
         state_dependent=[v.scale_fn is not None for v in real.vols],
         drift_mode=rt.drift_mode,
         clauses=real.clauses,
-        correction_norm=real.correction_norm,
+        correction_norm=rz.semiinvariant_correction(real.op, real.V).operator_norm(),
         psi_method=real.psi_method,
         exit_code=0,
     )
@@ -163,7 +163,7 @@ def _realization_report(rt: cfgmod.Runtime, real: rz.Realization,
         "seed": seed,
         "scheme": rt.scheme,
         "psi_method": real.psi_method,
-        "correction_norm": real.correction_norm,
+        "correction_norm": rz.semiinvariant_correction(real.op, real.V).operator_norm(),
         "clauses": real.clauses,
         "curve_meta": curve_meta,
     }

@@ -320,12 +320,20 @@ def _parse_index(op: OperatorSpec, raw):
         raise ConfigError(f"mode index {raw!r}: {exc}") from exc
 
 
-def parse_field(d: dict, op: OperatorSpec):
+# the one field form each space kind samples (see its `sample`)
+_SPACE_FORMS = {"grid": "qexp", "modal": "modal", "profile_ray": "rays"}
+
+
+def parse_field(d: dict, op: OperatorSpec, kind: str, name: str):
     """One function-valued entry: {"qexp": text} | {"modal": [[idx, c], ...]}
-    | {"rays": [[label, text], ...]}."""
+    | {"rays": [[label, text], ...]}, in the form a `kind` space samples;
+    `name` names the entry when it is refused."""
     forms = [k for k in ("qexp", "modal", "rays") if k in d]
     if len(forms) != 1:
         raise ConfigError(f"field needs exactly one of qexp/modal/rays, got {d}")
+    if forms[0] != _SPACE_FORMS[kind]:
+        raise ConfigError(f"{name}: a {kind} space samples {_SPACE_FORMS[kind]} "
+                          f"fields, not {forms[0]}")
     if "qexp" in d:
         try:
             return parse_qexp(d["qexp"])
@@ -365,10 +373,11 @@ def _parse_state_scale(d: dict) -> StateScale:
                       np.asarray(d.get("coeffs", []), dtype=float))
 
 
-def parse_volatility(entries: Sequence[dict], op: OperatorSpec) -> list:
+def parse_volatility(entries: Sequence[dict], op: OperatorSpec,
+                     kind: str) -> list:
     out = []
-    for d in entries:
-        base = parse_field(d, op)
+    for k, d in enumerate(entries):
+        base = parse_field(d, op, kind, f"volatility entry {k}")
         if "state_scale" in d:
             out.append(rz.StateVol(base, _parse_state_scale(d["state_scale"])))
         else:
@@ -466,7 +475,7 @@ class Runtime:
         return np.linspace(0.0, self.horizon, n + 1)
 
 
-def _parse_h0(d: dict, op: OperatorSpec, base_dir: str):
+def _parse_h0(d: dict, op: OperatorSpec, kind: str, base_dir: str):
     if "csv" in d:
         if len(d) > 1:
             raise ConfigError(f"initial curve needs exactly one of "
@@ -479,38 +488,15 @@ def _parse_h0(d: dict, op: OperatorSpec, base_dir: str):
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError(f"initial curve file {path} must have x,value rows")
         return data[:, 1]
-    return parse_field(d, op)
-
-
-# the one field form each space kind samples (see its `sample`)
-_SPACE_FORMS = {"grid": "qexp", "modal": "modal", "profile_ray": "rays"}
-
-
-def _check_forms(raw: dict) -> None:
-    """Refuse a field entry whose form the scenario's space cannot sample:
-    the initial curve (a csv file aside), a constant drift, each
-    volatility entry and each explicit basis entry."""
-    kind = raw["space"]["kind"]  # one of _SPACE_FORMS, by the schema
-    form = _SPACE_FORMS[kind]
-    fields = [("initial_curve", raw["initial_curve"]),
-              ("drift", raw.get("drift", {}))]
-    fields += [(f"volatility entry {k}", d)
-               for k, d in enumerate(raw.get("volatility", []))]
-    fields += [(f"subspace basis entry {k}", d)
-               for k, d in enumerate(raw.get("subspace", {}).get("basis", []))]
-    for name, d in fields:
-        for other in _SPACE_FORMS.values():
-            if other != form and other in d:
-                raise ConfigError(f"{name}: a {kind} space samples {form} "
-                                  f"fields, not {other}")
+    return parse_field(d, op, kind, "initial_curve")
 
 
 def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     validate_config(raw)
-    _check_forms(raw)
+    kind = raw["space"]["kind"]  # one of _SPACE_FORMS, by the schema
     op = parse_operator(raw["operator"])
     driver = parse_driver(raw.get("driver"))
-    sigma = parse_volatility(raw.get("volatility", []), op)
+    sigma = parse_volatility(raw.get("volatility", []), op, kind)
     if len(sigma) != driver.m:
         raise ConfigError(f"{len(sigma)} volatility entries but the driver "
                           f"has {driver.m} components")
@@ -522,7 +508,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     if drift_mode == "constant":
         if not any(k in drift_raw for k in ("qexp", "modal", "rays")):
             raise ConfigError("constant drift needs a function entry")
-        drift_element = parse_field(drift_raw, op)
+        drift_element = parse_field(drift_raw, op, kind, "drift")
     elif drift_mode == "hjm_wiener":
         if any(c.jump_intensity for c in driver.components):
             raise ConfigError("closed-form forward-curve drift needs a "
@@ -539,7 +525,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     elif drift_mode != "zero":
         raise ConfigError(f"unknown drift mode {drift_mode!r}")
 
-    h0 = _parse_h0(raw["initial_curve"], op, base_dir)
+    h0 = _parse_h0(raw["initial_curve"], op, kind, base_dir)
 
     sub_raw = raw.get("subspace", {"mode": "volatility_invariant_span"})
     sub_mode = sub_raw["mode"]
@@ -547,7 +533,8 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     if sub_mode == "explicit":
         if "basis" not in sub_raw:
             raise ConfigError("explicit subspace needs a basis list")
-        sub_basis = tuple(parse_field(b, op) for b in sub_raw["basis"])
+        sub_basis = tuple(parse_field(b, op, kind, f"subspace basis entry {k}")
+                          for k, b in enumerate(sub_raw["basis"]))
     elif sub_mode not in ("volatility_invariant_span", "hjm_product_closure"):
         raise ConfigError(f"unknown subspace mode {sub_mode!r}")
 

@@ -464,23 +464,22 @@ class InvarianceCheck:
     offender: int
     residual: float
     coords: np.ndarray = field(repr=False)
-    images: tuple = field(repr=False)
 
 
 def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
     """Does span(basis) absorb its image under A?  The certificate carries
     the basis index whose image leaves the span the most, that image's
     relative residual after projecting it back onto the span (coefficient
-    level), the coordinates of A on the span: column i of coords holds
-    those of A basis[i], and the images A basis[i] themselves.  It passes
-    when the residual is within TOL_PROJECT."""
+    level) and the coordinates of A on the span: column i of coords holds
+    those of A basis[i].  It passes when the residual is within
+    TOL_PROJECT."""
     basis = list(basis)
     images = tuple(operators.apply_exact(op, f) for f in basis)
     coords, rel = span_coords(basis, images)
     offender = int(np.argmax(rel))
     residual = float(rel[offender])
     return InvarianceCheck(residual <= TOL_PROJECT, len(basis), offender,
-                           residual, coords, images)
+                           residual, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +520,16 @@ class CorrectionOperator:
         return float(s[0]) if s.size else 0.0
 
 
-def semiinvariant_correction(op: OperatorSpec, V: Subspace,
-                             images: Sequence | None = None) -> CorrectionOperator:
+def semiinvariant_correction(op: OperatorSpec, V: Subspace) -> CorrectionOperator:
     """Correction making the complement projection of (A + T) vanish on V.
     The basis functions are assumed inside the generator's domain (true for
     every symbolic family here), so the extension of A used off the domain is
-    immaterial: T acts through the projection onto V.  `images` are the
-    A V.basis[i] when the caller has them already (`check_invariant`)."""
+    immaterial: T acts through the projection onto V."""
     if V.dim == 0:
         n = V.space.size
         return CorrectionOperator(np.zeros((n, 0)), np.zeros((0, n)), V.space)
-    if images is None:
-        images = [operators.apply_exact(op, b) for b in V.basis]
-    images = np.vstack([V.space.sample(img) for img in images])
+    images = np.vstack([V.space.sample(operators.apply_exact(op, b))
+                        for b in V.basis])
     w = V.space.weights()
     phi_w = V.samples * w
     try:
@@ -581,20 +577,10 @@ class Realization:
     drift: DriftSplit
     mode_indices: tuple | None = None
     clauses: dict = field(default_factory=dict)
-    images: tuple = field(default=(), repr=False)  # A V.basis[i], from clause 1
 
     @property
     def dim(self) -> int:
         return self.V.dim
-
-    @property
-    def correction_norm(self) -> float:
-        """The norm of the semi-invariance correction over V (rounding on a
-        certified V), computed when read: only the reports carry it."""
-        if not self.dim:
-            return 0.0
-        return float(semiinvariant_correction(self.op, self.V, self.images)
-                     .operator_norm())
 
     @property
     def psi_method(self) -> str:
@@ -635,10 +621,8 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
 
     # clause 1: invariance, plus the coordinate matrix of A on V
     clauses: dict = {}
-    images: tuple = ()
     if V.dim:
         inv = check_invariant(op, V.basis)
-        images = inv.images
         if inv.residual > tol_project:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside V "
@@ -693,7 +677,7 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
                        vols=tuple(vol_coords), drift=split,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
-                       clauses=clauses, images=images)
+                       clauses=clauses)
 
 
 def _off_domain(op: OperatorSpec, space: SpaceSpec,

@@ -345,12 +345,15 @@ def test_zero_column_coordinate_csv_round_trip():
 
 def test_commands_load_no_scipy_module(tmp_path):
     # the package runs on numpy alone: analyze, simulate and verify load no
-    # scipy module, on a grid scenario (cable) and a modal one (heat-disk)
+    # scipy module, on a grid scenario (cable) and a modal one (heat-disk).
+    # A module imported in a forked child would not show in this process's
+    # sys.modules, so without os.fork every level and writer runs here
     runs = [[*cmd, "--config", name, "--out", str(tmp_path / f"{name}-{cmd[0]}")]
             for name in ("cable", "heat-disk")
             for cmd in (["analyze"], ["simulate", "--seed", "1"],
                         ["verify", "--refine", "1"])]
-    code = ("import sys\n"
+    code = ("import os, sys\n"
+            "del os.fork\n"
             "from affinespde import cli\n"
             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
             "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
