@@ -34,7 +34,7 @@ from .errors import (
 )
 from .funalg import QExpFunction
 from .grids import Grid1D
-from .operators import EigenExpansion, RayBundle
+from .operators import EigenExpansion
 
 _CLAUSE_ERRORS = (NotQuasiExponential, NotInvariant, SigmaEscapesV)
 
@@ -56,15 +56,15 @@ def _load_runtime(ref: str) -> cfgmod.Runtime:
 
 
 def _serialize_field(f) -> dict:
+    """A basis field in the scenario file's form: build_realization refuses
+    a basis that is not symbolic, so the last kind is a ray bundle."""
     if isinstance(f, QExpFunction):
         return {"qexp": funalg.serialize(f)}
     if isinstance(f, EigenExpansion):
         return {"modal": [[list(np.atleast_1d(i).tolist())
                            if isinstance(i, tuple) else i, c]
                           for i, c in f.items]}
-    if isinstance(f, RayBundle):
-        return {"rays": [[lbl, funalg.serialize(fn)] for lbl, fn in f.parts]}
-    return {"samples": np.asarray(f).tolist()}
+    return {"rays": [[lbl, funalg.serialize(fn)] for lbl, fn in f.parts]}
 
 
 def _finite_or_null(value):
@@ -85,6 +85,19 @@ def _write_json(path: str, payload: dict) -> None:
         json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
+
+
+def _realization_keys(real: rz.Realization) -> dict:
+    """The keys that analysis.json and realization.json both report."""
+    return {
+        "dim_V": real.dim,
+        "basis": [_serialize_field(b) for b in real.V.basis],
+        "B": real.B.tolist(),
+        "sigma_coords": [v.coords.tolist() for v in real.vols],
+        "psi_method": real.psi_method,
+        "correction_norm": rz.semiinvariant_correction(real.op, real.V).operator_norm(),
+        "clauses": real.clauses,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +133,10 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
         return 3
 
     report.update(
+        _realization_keys(real),
         status="certified",
-        dim_V=real.dim,
-        basis=[_serialize_field(b) for b in real.V.basis],
-        B=real.B.tolist(),
-        sigma_coords=[v.coords.tolist() for v in real.vols],
         state_dependent=[v.scale_fn is not None for v in real.vols],
         drift_mode=rt.drift_mode,
-        clauses=real.clauses,
-        correction_norm=rz.semiinvariant_correction(real.op, real.V).operator_norm(),
-        psi_method=real.psi_method,
         exit_code=0,
     )
     _write_json(os.path.join(out_dir, "analysis.json"), report)
@@ -149,22 +156,16 @@ def _realization_report(rt: cfgmod.Runtime, real: rz.Realization,
     u_norm = (0.0 if drift.remainder is None
               else rz.space_norm(space, space.sample(drift.remainder)))
     return {
+        **_realization_keys(real),
         "scenario": rt.name,
         "operator": type(rt.op).__name__,
         "space_size": space.size,
-        "dim_V": real.dim,
-        "basis": [_serialize_field(b) for b in real.V.basis],
-        "B": real.B.tolist(),
-        "sigma_coords": [v.coords.tolist() for v in real.vols],
         "drift": {"mode": rt.drift_mode, "kind": drift.kind,
                   "v_coords": drift.v_coords.tolist(),
                   "complement_norm": u_norm},
         "v0": v0.tolist(),
         "seed": seed,
         "scheme": rt.scheme,
-        "psi_method": real.psi_method,
-        "correction_norm": rz.semiinvariant_correction(real.op, real.V).operator_norm(),
-        "clauses": real.clauses,
         "curve_meta": curve_meta,
     }
 

@@ -354,15 +354,16 @@ def parse_field(d: dict, op: OperatorSpec, kind: str, name: str):
 @dataclass(frozen=True)
 class StateScale:
     """The scale c0 + coeffs . y of a state-dependent volatility, or its
-    square root floored at zero, in the leading coordinates y of the state."""
+    square root floored at zero, in the leading coordinates y of the state:
+    a scalar at a (d,) state, a (P,) row at a (d, P) block of states."""
 
     sqrt: bool
     c0: float
     coeffs: np.ndarray
 
-    def __call__(self, y: np.ndarray) -> float:
-        value = self.c0 + float(np.dot(self.coeffs, y[:len(self.coeffs)]))
-        return math.sqrt(max(value, 0.0)) if self.sqrt else value
+    def __call__(self, y: np.ndarray):
+        value = self.c0 + self.coeffs @ y[:len(self.coeffs)]
+        return np.sqrt(np.maximum(value, 0.0)) if self.sqrt else value
 
 
 def _parse_state_scale(d: dict) -> StateScale:
@@ -470,9 +471,8 @@ class Runtime:
     def dt(self) -> float:
         return self.horizon / self.n_t
 
-    def t_grid(self, n_t: int | None = None) -> np.ndarray:
-        n = self.n_t if n_t is None else n_t
-        return np.linspace(0.0, self.horizon, n + 1)
+    def t_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.horizon, self.n_t + 1)
 
 
 def _parse_h0(d: dict, op: OperatorSpec, kind: str, base_dir: str):

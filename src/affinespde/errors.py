@@ -68,10 +68,6 @@ class TruncationTailTooLarge(AffineSpdeError):
     above the bound."""
 
 
-class SchemeUnsupported(AffineSpdeError):
-    """Time stepping scheme incompatible with state-dependent coefficients."""
-
-
 class GridMismatch(AffineSpdeError):
     """Two paths or curves do not share the same grid."""
 

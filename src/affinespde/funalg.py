@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, LinearSolveFailure
 
 KEY_TOL = 1e-12       # absolute tolerance for merging rate/frequency keys
 TOL_RANK = 1e-9       # relative singular value cutoff for span dimension
@@ -342,7 +342,12 @@ def rank_and_pivots(mat: np.ndarray):
         return 0, []
     scale = np.max(np.abs(mat), axis=1, keepdims=True)
     scaled = mat / np.where(scale == 0.0, 1.0, scale)
-    s = np.linalg.svd(scaled, compute_uv=False)
+    try:
+        s = np.linalg.svd(scaled, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(f"rank decision failed: {exc}") from exc
+    if not math.isfinite(s[0]):  # a coefficient overflowed
+        raise LinearSolveFailure("rank decision failed: non-finite singular value")
     rank = int(np.sum(s > TOL_RANK * s[0]))
     if rank == 0:
         return 0, []

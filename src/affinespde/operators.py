@@ -154,10 +154,6 @@ class RayBundle:
     def __sub__(self, other):
         return self + other * (-1.0)
 
-    def shift_rays(self, t: float) -> "RayBundle":
-        from .funalg import shift
-        return RayBundle.make((lbl, shift(fn, t)) for lbl, fn in self.parts)
-
 
 @dataclass(frozen=True)
 class EigenExpansion:

@@ -44,7 +44,6 @@ from .errors import (
     LinearSolveFailure,
     MethodUnsupported,
     NotInvariant,
-    SchemeUnsupported,
     SigmaEscapesV,
     TruncationTailTooLarge,
 )
@@ -86,8 +85,9 @@ class GridSpace:
         w = trapezoid_weights(self.grid.n, self.grid.dx)
         if self.weight is not None:
             wv = funalg.evaluate(self.weight, self.grid.points())
-            if np.any(wv <= 0):
-                raise ConfigError("inner product weight must be positive on the grid")
+            if not np.all((wv > 0) & (wv < np.inf)):  # nan fails both
+                raise ConfigError("inner product weight must be finite and "
+                                  "positive on the grid")
             w = w * wv
         w.flags.writeable = False
         return w
@@ -488,10 +488,12 @@ def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
 
 @dataclass(frozen=True)
 class StateVol:
-    """sigma^k(h) = scale(coordinates of P_V h) * base with base in V."""
+    """sigma^k(h) = scale(coordinates of P_V h) * base with base in V.  The
+    scale takes a (d,) state to a scalar and a (d, P) block of states, one
+    column per path, to a (P,) row."""
 
     base: object
-    scale_fn: Callable[[np.ndarray], float]
+    scale_fn: Callable[[np.ndarray], float | np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +549,10 @@ def semiinvariant_correction(op: OperatorSpec, V: Subspace) -> CorrectionOperato
 
 @dataclass(frozen=True)
 class VolCoord:
-    coords: np.ndarray
-    scale_fn: Callable[[np.ndarray], float] | None = None
+    """A volatility's V-coordinates; scale_fn is None when it is constant."""
 
-    def at(self, y: np.ndarray) -> np.ndarray:
-        if self.scale_fn is None:
-            return self.coords
-        return self.scale_fn(y) * self.coords
+    coords: np.ndarray
+    scale_fn: Callable[[np.ndarray], float | np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -831,7 +830,7 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     coords = iter(span_coords(W, data)[0].T)
     c0, a = (next(coords) if g else np.zeros(len(W)) for g in given)
     e_mat, j_mat = _expm_with_integral(check_invariant(real.op, W).coords, dt)
-    c_rows = _affine_rows(c0, (e_mat, j_mat @ a, None),
+    c_rows = _affine_rows(c0, (e_mat, j_mat @ a, None, None),
                           itertools.repeat(None, len(t_grid) - 1))
     return c_rows, samples
 
@@ -978,36 +977,48 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     return full[:d, :d], full[:d, d:]
 
 
-def _constant_coefficients(real: Realization) -> bool:
-    return all(v.scale_fn is None for v in real.vols)
-
-
-def _constant_step(real: Realization, dt: float):
-    """(E, c, S) of the exact affine step y -> E y + c + S.T dX for
-    constant coefficients: E = e^{B dt} and c = int_0^dt e^{B s} ds a."""
-    if not _constant_coefficients(real):
-        raise SchemeUnsupported(
-            "ensemble stepping needs additive noise; only a single euler "
-            "path takes state-dependent coefficients")
+def _coordinate_step(real: Realization, dt: float):
+    """(E, c, S, scales) of one step y -> E y + c + S.T (scales(y) dX) of
+    the coordinates.  With constant coefficients it is the exact affine
+    step, E = e^{B dt} and c = int_0^dt e^{B s} ds a, and scales is None.
+    A state-scaled volatility takes the left-point euler step instead,
+    E = I + dt B and c = dt a, and scales(y) gives each volatility's scale
+    at a (d,) state or a (d, P) block, shaped (m,) or (m, P); a constant
+    volatility's scale is 1."""
     sig = (np.vstack([v.coords for v in real.vols])
            if real.vols else np.zeros((0, real.dim)))
-    e_mat, j_mat = _expm_with_integral(real.B, dt)
-    return e_mat, j_mat @ real.drift.v_coords, sig
+    fns = [v.scale_fn for v in real.vols]
+    if all(f is None for f in fns):
+        e_mat, j_mat = _expm_with_integral(real.B, dt)
+        return e_mat, j_mat @ real.drift.v_coords, sig, None
+
+    def scales(y):
+        out = np.ones((len(fns), *y.shape[1:]))
+        for k, f in enumerate(fns):
+            if f is not None:
+                out[k] = f(y)
+        return out
+
+    return (np.eye(real.dim) + dt * real.B, dt * real.drift.v_coords, sig,
+            scales)
 
 
 def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
-    """The one stepping kernel, y <- E y + c + S.T dX: y is a (d,) state or
-    a (d, P) block of states, one column per path, and each increment a
-    (m,) row or an (m, P) block, or None for a step without noise (the
-    carrier curve's coordinates).  In a block every elementwise op runs
-    along the paths, and E y is one matrix product on a contiguous
-    operand."""
-    e_mat, drift_term, sig = step
+    """The one stepping kernel, y <- E y + c + S.T dX, with dX scaled by
+    scales(y) at the left point when the step has scales (see
+    _coordinate_step): y is a (d,) state or a (d, P) block of states, one
+    column per path, and each increment a (m,) row or an (m, P) block, or
+    None for a step without noise (the carrier curve's coordinates).  In a
+    block every elementwise op runs along the paths, and E y is one matrix
+    product on a contiguous operand."""
+    e_mat, drift_term, sig, scales = step
     if y.ndim == 2:
         drift_term = drift_term[:, None]
     sig_t = None if sig is None else sig.T
     yield y
     for dx in increments:
+        if scales is not None:
+            dx = scales(y) * dx
         y = e_mat @ y
         y += drift_term
         if dx is not None:
@@ -1027,13 +1038,13 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     against the provided increments (noise enters at the left endpoint),
     yielding Y at every time of the uniform grid.  Set-up checks raise here.
 
-    Additive noise takes the exact affine update through the same kernel
-    as ensemble_moments; state-scaled volatility takes explicit
-    first-order euler steps.  For d >= 2 the rows agree with path s of
-    ensemble_moments over the same seed to rounding, not always bit for
-    bit: numpy steps this (d,) state by a matrix-vector product and a
-    (d, P) block of paths by a matrix product, which can round
-    differently."""
+    Both schemes step through the kernel of ensemble_moments: additive
+    noise takes the exact affine update, state-scaled volatility the
+    explicit first-order euler step (_coordinate_step).  For d >= 2 the
+    rows agree with path s of ensemble_moments over the same seed to
+    rounding, not always bit for bit: numpy steps this (d,) state by a
+    matrix-vector product and a (d, P) block of paths by a matrix
+    product, which can round differently."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
     if increments.n_steps != len(t_grid) - 1:
@@ -1042,24 +1053,9 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     if not math.isclose(increments.dt, dt, rel_tol=1e-9, abs_tol=1e-14):
         raise GridMismatch(f"increment dt {increments.dt} vs time grid dt {dt}")
     _check_driver(real, increments.m)
-    d = real.dim
-    v0 = np.asarray(v0, dtype=float).reshape(d)
-    if _constant_coefficients(real):
-        return _affine_rows(v0.copy(), _constant_step(real, dt),
-                            increments.values)
-
-    def rows():
-        y = v0.copy()
-        yield y
-        for n in range(increments.n_steps):
-            a = real.B @ y + real.drift.v_coords
-            noise = np.zeros(d)
-            for k, vol in enumerate(real.vols):
-                noise += vol.at(y) * increments.values[n, k]
-            y = y + dt * a + noise
-            yield y
-
-    return rows()
+    v0 = np.asarray(v0, dtype=float).reshape(real.dim)
+    return _affine_rows(v0.copy(), _coordinate_step(real, dt),
+                        increments.values)
 
 
 # seeds per path block of ensemble_moments: BLOCK_VALUES // (n_t m), about
@@ -1074,8 +1070,8 @@ _WINDOW = 8
 def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
                      spec: levy.LevySpec, seeds: Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo over per-seed driver streams, constant coefficients only:
-    the sample mean and variance (ddof=1) of the coordinates at every time
+    """Monte Carlo over per-seed driver streams, in either scheme: the
+    sample mean and variance (ddof=1) of the coordinates at every time
     of the uniform grid, each (n_t+1, dim).  Path p is driven by the same
     increments as seed seeds[p].  Paths are drawn, stepped and reduced one
     block of seeds at a time, so memory does not grow with their number:
@@ -1094,7 +1090,7 @@ def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     ddof=1), beyond it they differ by rounding."""
     dt = _uniform_dt(t_grid)
     _check_driver(real, spec.m)
-    step = _constant_step(real, dt)
+    step = _coordinate_step(real, dt)
     n_steps = len(t_grid) - 1
     per_block = max(2, BLOCK_VALUES // (n_steps * spec.m))
     # a lone last path joins the block before it: numpy steps a (d, 1)

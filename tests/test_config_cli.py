@@ -524,24 +524,51 @@ def test_state_scale_longer_than_dim_v_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_ensemble_check_precedes_every_write(tmp_path, capsys):
-    # euler steps a state-dependent volatility on one path, but the ensemble
-    # kernel needs constant coefficients: --paths 2 must fail before any
-    # artifact is written
+def test_state_scaled_ensemble_writes_stats(tmp_path):
+    # euler steps a state-dependent volatility through the ensemble kernel
+    # too, so --paths 2 runs where it once refused
     with open(_fast_cable(tmp_path)) as fh:
         raw = json.load(fh)
     raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
                                            "coeffs": [0.1]}
     cfg = tmp_path / "cable-state.json"
     cfg.write_text(json.dumps(raw))
-    one = tmp_path / "one"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(one)]) == 0
-    assert (one / "psi.csv").exists()
     ens = tmp_path / "ens"
     assert cli.main(["simulate", "--config", str(cfg), "--paths", "2",
-                     "--out", str(ens)]) == 4
-    assert "SchemeUnsupported" in capsys.readouterr().err
-    assert not ens.exists()
+                     "--out", str(ens)]) == 0
+    assert json.loads((ens / "realization.json").read_text())["scheme"] == "euler"
+    head = (ens / "ensemble_stats.csv").read_text().splitlines()[0]
+    assert head == "t,mean_1,mean_2,var_1,var_2"
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
+@pytest.mark.parametrize("weight", ["exp(40*x)", "0", "-1"])
+def test_weight_not_finite_and_positive_exits_2(tmp_path, capsys, command,
+                                                weight):
+    # exp(40 x) overflows on the grid (x up to 20): an infinite weight is
+    # refused with the others, before any output
+    raw = copy.deepcopy(_load("transport-1d"))
+    raw["space"]["weight"] = weight
+    cfg = tmp_path / "transport-weight.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_overflowing_curve_coefficient_exits_4(tmp_path, capsys, command):
+    # the curve's closure sweep meets coefficients that overflow: its rank
+    # decision fails as a LinearSolveFailure, before any output
+    raw = copy.deepcopy(_load("transport-1d"))
+    raw["initial_curve"] = {"qexp": "1e308*exp(-x)"}
+    cfg = tmp_path / "transport-huge.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert "LinearSolveFailure: rank decision failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_table():

@@ -10,7 +10,7 @@ from affinespde import cli, funalg, levy, operators
 from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import (DomainError, GridMismatch, LinearSolveFailure,
-                               NotInvariant, SchemeUnsupported, SigmaEscapesV,
+                               NotInvariant, SigmaEscapesV,
                                TruncationTailTooLarge)
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
@@ -310,7 +310,7 @@ def test_exp_exact_matches_affine_closed_form():
 
 def test_euler_first_order_toward_exact_update():
     real = _ou_realization()
-    # a state-scaled volatility, of constant scale here, takes the euler loop
+    # a state-scaled volatility, of constant scale here, takes the euler step
     euler = _ou_realization(rz.StateVol(Q.exponential(-1.0), lambda y: 1.0))
     errs = []
     for n_t in (100, 200):
@@ -354,13 +354,16 @@ def test_ensemble_matches_per_seed_paths():
 
 
 def test_state_vol_needs_euler():
+    # the scale takes a (d,) state or a (d, P) block, so one path and the
+    # ensemble step through the same kernel
     V = rz.Subspace.build([Q.exponential(-1.0)], HALF_LINE)
-    vol = rz.StateVol(Q.exponential(-1.0), lambda y: 1.0 + 0.5 * float(y[0]) ** 2)
+    vol = rz.StateVol(Q.exponential(-1.0), lambda y: 1.0 + 0.5 * y[0] ** 2)
     real = rz.build_realization(Translation(), None, [vol], V)
     t_grid = np.linspace(0.0, 0.2, 21)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     inc = levy.sample_increments(spec, t_grid[1] - t_grid[0], 20, 9)
     coords = _coords(real, t_grid, np.array([0.5]), inc)
     assert coords.shape == (21, 1)
-    with pytest.raises(SchemeUnsupported):
-        rz.ensemble_moments(real, t_grid, np.array([0.5]), spec, [9])
+    mean, var = rz.ensemble_moments(real, t_grid, np.array([0.5]), spec, [9, 10])
+    assert mean.shape == var.shape == (21, 1)
+    assert np.all(np.isfinite(mean)) and np.all(var[1:] > 0.0)

@@ -1,4 +1,4 @@
-"""Streamed simulation: the one constant-coefficient stepping kernel, the
+"""Streamed simulation: the one stepping kernel of both schemes, the
 ensemble's path blocks and moments, the memory `simulate` holds, the forked
 r.csv writer and ensemble sampler, the README example, and an import of the
 CLI that pulls in no process pool."""
@@ -36,9 +36,21 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="r.csv is written inline without fork")
 
 
+# a bundled scenario with its first volatility scaled by the state, so its
+# coordinates take euler steps
+STATE_SCALED = {
+    "cable-state": ("cable", {"kind": "affine", "c0": 1.0, "coeffs": [0.1]}),
+    "transport-1d-state": ("transport-1d", {"kind": "sqrt_affine", "c0": 1.0,
+                                            "coeffs": [0.5, 0.5]}),
+}
+
+
 def _runtime(name, n_t=None):
+    name, scale = STATE_SCALED.get(name, (name, None))
     path = cfgmod.resolve_config_path(name)
     raw = copy.deepcopy(cfgmod.load_config(path))
+    if scale is not None:
+        raw["volatility"][0]["state_scale"] = scale
     if n_t is not None:
         raw["time"]["n_t"] = n_t
     return cfgmod.build_runtime(raw, os.path.dirname(path))
@@ -74,13 +86,62 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
     assert np.array_equal(got, np.array(expect))
 
 
+def _euler_loop_rows(real, dt, v0, inc):
+    """The per-path euler loop that stepped a state-scaled volatility before
+    the kernel did: y <- y + dt (B y + a) + sum_k scale_k(y) sigma_k dX_k."""
+    y = v0.copy()
+    yield y
+    for dx in inc.values:
+        a = real.B @ y + real.drift.v_coords
+        noise = np.zeros(real.dim)
+        for k, vol in enumerate(real.vols):
+            scale = 1.0 if vol.scale_fn is None else vol.scale_fn(y)
+            noise += scale * vol.coords * dx[k]
+        y = y + dt * a + noise
+        yield y
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SCALED))
+@pytest.mark.parametrize("seed", [5, 6])
+def test_euler_rows_equal_the_per_path_loop(name, seed):
+    rt = _runtime(name)
+    assert rt.scheme == "euler"
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
+    got = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
+    expect = np.array(list(_euler_loop_rows(real, rt.dt, v0, inc)))
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SCALED))
+def test_euler_ensemble_equals_the_stacked_paths(name):
+    # on cable, whose B is diagonal, a (d,) state and a (d, P) block step
+    # with the same bits; on transport-1d they agree to rounding
+    rt = _runtime(name)
+    real = cfgmod.build_scenario_realization(rt)
+    _u0, v0 = rz.split_initial(real, rt.h0)
+    seeds = [5, 6, 7]
+    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
+    paths = np.stack([np.array(list(rz.coordinate_rows(
+        real, rt.t_grid(), v0,
+        levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed))))
+        for seed in seeds])
+    want_mean, want_var = paths.mean(axis=0), paths.var(axis=0, ddof=1)
+    if name == "cable-state":
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
+    assert np.all(np.abs(mean - want_mean) <= 1e-13 * np.max(np.abs(want_mean)))
+    assert np.all(np.abs(var - want_var) <= 1e-12 * np.max(want_var))
+
+
 def _whole_ensemble(rt, real, v0, seeds):
     """The (paths, n_t+1, d) array of every path: the per-seed increments
     stacked whole and stepped as one block."""
     inc = np.stack([levy.sample_increments(rt.driver, rt.dt, rt.n_t, s).values
                     for s in seeds])
     rows = rz._affine_rows(np.tile(v0[:, None], (1, len(seeds))),
-                           rz._constant_step(real, rt.dt),
+                           rz._coordinate_step(real, rt.dt),
                            inc.transpose(1, 2, 0))
     return np.stack([y.T for y in rows], axis=1)
 
@@ -170,7 +231,7 @@ def test_one_path_and_its_ensemble_path_agree_to_rounding():
     _u0, v0 = rz.split_initial(real, rt.h0)
     seeds = [11, 12, 13]
     block = rz._affine_rows(
-        np.tile(v0[:, None], (1, len(seeds))), rz._constant_step(real, rt.dt),
+        np.tile(v0[:, None], (1, len(seeds))), rz._coordinate_step(real, rt.dt),
         levy.sample_increment_ensemble(rt.driver, rt.dt, rt.n_t, seeds)
         .transpose(1, 2, 0))
     ensemble = np.stack([y.T for y in block], axis=1)  # (paths, times, d)
@@ -342,7 +403,8 @@ def test_forked_and_inline_writers_give_the_same_bytes(tmp_path, monkeypatch,
 @needs_fork
 @pytest.mark.parametrize("name, paths, per_block", [
     ("heat-disk", 3300, None),  # three shipped blocks, the last one ragged
-    ("hjmm-levy", 13, 5)])  # a jump driver, three blocks of five or fewer
+    ("hjmm-levy", 13, 5),  # a jump driver, three blocks of five or fewer
+    ("cable-state", 13, 5)])  # euler steps, three blocks of five or fewer
 def test_forked_and_inline_ensembles_give_the_same_bytes(tmp_path, monkeypatch,
                                                          name, paths, per_block):
     rt = _runtime(name)
