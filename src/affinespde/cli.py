@@ -252,27 +252,6 @@ def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
     return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor, h0=h0)
 
 
-def _scenario_drift(rt: cfgmod.Runtime) -> np.ndarray | None:
-    """The scenario's own drift sampled on its space, None for zero drift."""
-    drift = cfgmod.assemble_drift(rt)
-    return None if drift is None else rt.space.sample(drift)
-
-
-def _sigma_for_oracle(rt: cfgmod.Runtime, V: rz.Subspace) -> list:
-    out = []
-    for s in rt.sigma:
-        if isinstance(s, rz.StateVol):
-            base_vec = rt.space.sample(s.base)
-
-            def fn(r, base_vec=base_vec, scale=s.scale_fn):
-                return scale(V.coords(r)) * base_vec
-
-            out.append(fn)
-        else:
-            out.append(rt.space.sample(s))
-    return out
-
-
 def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
     """Amplitudes of f over the oracle's modes, exact or refused: numeric
     projection dust would be amplified by growing spectra."""
@@ -294,12 +273,7 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
     """The reference solution one time at a time, on the space axis.  It
     samples only the scenario's own data; V enters only as the coordinates
     that scale a state-dependent volatility."""
-    kind = rt.oracle
-    if kind == "grid":
-        return oracle.spde_grid_rows(
-            rt.op, rt.space.grid, _scenario_drift(rt),
-            _sigma_for_oracle(rt, V), rt.space.sample(rt.h0), inc)
-    if kind == "modal":
+    if rt.oracle == "modal":
         indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
                        else rt.modes)
         if not indices:
@@ -322,21 +296,24 @@ def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
         if isinstance(rt.space, rz.ModalSpace):
             return iter(amps)
         return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
-    n_prof = len(rt.space.profiles)  # ray_grid
+    # grid and ray_grid: one theta scheme on the axis grid, where a grid
+    # state is one vector and a ray state one row per profile
+    axis = rt.space.ray if rt.oracle == "ray_grid" else rt.space
+    shape = (-1, axis.size) if rt.oracle == "ray_grid" else (axis.size,)
 
-    def by_ray(vec):
-        # profile-major blocks -> one row per profile, a view
-        return vec.reshape(n_prof, rt.space.ray.size)
+    def sampled(f):
+        return rt.space.sample(f).reshape(shape)
 
-    alpha_vec = _scenario_drift(rt)
-    sig_vecs = _sigma_for_oracle(rt, V)
-    if any(callable(s) for s in sig_vecs):
-        raise MethodUnsupported("ray oracle needs additive volatility")
-    rows = oracle.spde_grid_rows(
-        operators.Translation(), rt.space.ray.grid,
-        None if alpha_vec is None else by_ray(alpha_vec),
-        [by_ray(s) for s in sig_vecs], by_ray(rt.space.sample(rt.h0)),
-        inc)
+    def vol(s):
+        if not isinstance(s, rz.StateVol):
+            return sampled(s)
+        base, scale = sampled(s.base), s.scale_fn
+        return lambda r: scale(V.coords(r.ravel())) * base
+
+    drift = cfgmod.assemble_drift(rt)
+    rows = oracle.spde_grid_rows(rt.op, axis.grid,
+                                 None if drift is None else sampled(drift),
+                                 [vol(s) for s in rt.sigma], sampled(rt.h0), inc)
     return (r.ravel() for r in rows)  # C-contiguous: views, not copies
 
 

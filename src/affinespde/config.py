@@ -386,38 +386,45 @@ def parse_volatility(entries: Sequence[dict], op: OperatorSpec,
     return out
 
 
+# the fields each space kind takes besides `kind`: (required, optional)
+_SPACE_FIELDS = {"grid": (("x_max", "n_x"), ("x_min", "weight")),
+                 "modal": (("indices",), ()),
+                 "profile_ray": (("profiles", "x_max", "n_x"), ("weight",))}
+
+
 def parse_space(d: dict, op: OperatorSpec) -> rz.SpaceSpec:
+    """A space takes exactly its kind's fields; a grid and a profile-ray
+    space share the parse of their axis grid and weight."""
     kind = d["kind"]
-    if kind == "grid":
-        try:
-            grid = Grid1D.from_interval(d.get("x_min", 0.0), d["x_max"], d["n_x"])
-        except Exception as exc:
-            raise ConfigError(f"space: {exc}") from exc
-        weight = None
-        if d.get("weight"):
-            try:
-                weight = parse_qexp(d["weight"])
-            except Exception as exc:
-                raise ConfigError(f"bad weight text {d['weight']!r}: {exc}") from exc
-        return rz.GridSpace(grid, weight)
+    required, optional = _SPACE_FIELDS[kind]  # a kind the schema names
+    for name in required:
+        if name not in d:
+            raise ConfigError(f"space: a {kind} space needs {name}")
+    for name in d:
+        if name not in ("kind", *required, *optional):
+            raise ConfigError(f"space: a {kind} space takes no {name}")
     if kind == "modal":
         idx = tuple(_parse_index(op, i) for i in d["indices"])
         if len(set(idx)) != len(idx):
             raise ConfigError("modal space indices repeat")
         return rz.ModalSpace(op, idx)
-    if kind == "profile_ray":
+    try:
+        grid = Grid1D.from_interval(d.get("x_min", 0.0), d["x_max"], d["n_x"])
+    except Exception as exc:
+        raise ConfigError(f"space: {exc}") from exc
+    weight = None
+    if d.get("weight"):
         try:
-            grid = Grid1D.from_interval(0.0, d["x_max"], d["n_x"])
-        except Exception as exc:
-            raise ConfigError(f"space: {exc}") from exc
-        weight = None
-        if d.get("weight"):
             weight = parse_qexp(d["weight"])
-        profiles = tuple(str(p) for p in d["profiles"])
-        if len(set(profiles)) != len(profiles):
-            raise ConfigError("profile labels repeat")
-        return rz.ProfileRaySpace(profiles, rz.GridSpace(grid, weight))
-    raise ConfigError(f"unknown space kind {kind!r}")
+        except Exception as exc:
+            raise ConfigError(f"bad weight text {d['weight']!r}: {exc}") from exc
+    axis = rz.GridSpace(grid, weight)
+    if kind == "grid":
+        return axis
+    profiles = tuple(str(p) for p in d["profiles"])
+    if len(set(profiles)) != len(profiles):
+        raise ConfigError("profile labels repeat")
+    return rz.ProfileRaySpace(profiles, axis)
 
 
 @dataclass(frozen=True)

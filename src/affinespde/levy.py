@@ -299,21 +299,20 @@ def _fill_component(comp: LevyComponent, gen: np.random.Generator,
 
 
 def sample_increments(spec: LevySpec, dt: float, n_steps: int, seed: int) -> IncrementMatrix:
-    """Exact compensated increments over n_steps steps of length dt."""
-    _check_steps(dt, n_steps)
-    cols = np.empty((spec.m, n_steps))
-    for k, comp in enumerate(spec.components):
-        _fill_component(comp, component_stream(seed, k), dt, cols[k])
-    return IncrementMatrix(dt=dt, values=cols.T.copy(), seed=int(seed))
+    """Exact compensated increments over n_steps steps of length dt: the
+    one-seed ensemble."""
+    values = sample_increment_ensemble(spec, dt, n_steps, [seed])[0].copy()
+    return IncrementMatrix(dt=dt, values=values, seed=int(seed))
 
 
 def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
                               seeds: Sequence[int],
                               out: np.ndarray | None = None) -> np.ndarray:
-    """Stack sample_increments over seeds: shape (n_paths, n_steps, m).
-    Path p reproduces sample_increments(spec, dt, n_steps, seeds[p]) exactly:
-    one Philox serves every path, and each (seed, component) resets its
-    state to that stream's key with a zero counter and an empty buffer.
+    """Exact compensated increments of n_paths paths, one per seed: shape
+    (n_paths, n_steps, m).  Path p draws component k from the stream
+    component_stream(seeds[p], k), and so does not depend on the other
+    seeds: one Philox serves every path, and each (seed, component) resets
+    its state to that stream's key with a zero counter and an empty buffer.
 
     The result is a transposed view of an (m, n_paths, n_steps) array,
     `out` when given (C-contiguous float), so each path's draws of one

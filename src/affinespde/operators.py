@@ -60,8 +60,9 @@ class Translation:
 
 
 @dataclass(frozen=True)
-class Transport:
-    pass
+class Transport(Translation):
+    """The unit-speed transport <v, grad>, v = 1: on the half line and on
+    each ray it is Translation's d/dx, with its own name in reports."""
 
 
 @dataclass(frozen=True)
@@ -473,7 +474,7 @@ def _enumerate_indices(op: OperatorSpec, count: int) -> list:
 def eigenpairs(op: OperatorSpec, count_or_indices) -> list[EigenPair]:
     """First `count` eigenpairs in increasing Sturm-Liouville order, or the
     pairs for an explicit index list."""
-    if isinstance(op, (Translation, Transport)):
+    if isinstance(op, Translation):
         raise UnsupportedOperator(
             "first-order transport has continuous spectrum; no eigenpair catalog")
     if isinstance(count_or_indices, int):
@@ -500,7 +501,7 @@ def apply_exact(op: OperatorSpec, f):
     the differential 1-D operators, RayBundle by the wedge transport, and
     EigenExpansion by every operator with a discrete eigenbasis."""
     if isinstance(f, QExpFunction):
-        if isinstance(op, (Translation, Transport)):
+        if isinstance(op, Translation):
             return differentiate(f)
         if isinstance(op, Cable):
             d2 = differentiate(differentiate(f))
@@ -512,7 +513,7 @@ def apply_exact(op: OperatorSpec, f):
             f"{type(op).__name__} does not act on raw quasi-exponential input; "
             "pass an eigen-expansion")
     if isinstance(f, RayBundle):
-        if not isinstance(op, (Translation, Transport)):
+        if not isinstance(op, Translation):
             raise DomainError("ray bundles only support transport generators")
         return RayBundle.make((lbl, differentiate(fn)) for lbl, fn in f.parts)
     if isinstance(f, EigenExpansion):
@@ -543,7 +544,7 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D
     n, dx = grid.n, grid.dx
     if n < 5:
         raise GridTooSmall(f"stencils need at least 5 points, got {n}")
-    if isinstance(op, (Translation, Transport)):
+    if isinstance(op, Translation):
         main = np.full(n, -1.0 / dx)
         main[-1] = 0.0
         return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)

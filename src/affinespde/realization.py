@@ -84,7 +84,8 @@ class GridSpace:
     def _weights(self) -> np.ndarray:
         w = trapezoid_weights(self.grid.n, self.grid.dx)
         if self.weight is not None:
-            wv = funalg.evaluate(self.weight, self.grid.points())
+            with np.errstate(over="ignore"):  # refused just below
+                wv = funalg.evaluate(self.weight, self.grid.points())
             if not np.all((wv > 0) & (wv < np.inf)):  # nan fails both
                 raise ConfigError("inner product weight must be finite and "
                                   "positive on the grid")
@@ -385,6 +386,9 @@ def invariant_span(op: OperatorSpec, generators: Sequence,
     return _closure_sweep(op, generators, dim_cap)
 
 
+# an overflowing coefficient is refused by rank_and_pivots, which every span
+# the sweep returns or grows passes through
+@np.errstate(over="ignore", invalid="ignore")
 def _closure_sweep(op: OperatorSpec, generators: Sequence,
                    dim_cap: int = DIM_CAP) -> ClosureResult:
     """Smallest A-invariant span containing the generators, as a Krylov
@@ -586,7 +590,7 @@ class Realization:
         """The curve method's label, which names the generator family:
         shift_exact for a transport generator, else spectral_truncation.
         psi_rows steps both on the A-closure of the curve data."""
-        if isinstance(self.op, (operators.Translation, operators.Transport)):
+        if isinstance(self.op, operators.Translation):
             return "shift_exact"
         return "spectral_truncation"
 
@@ -906,7 +910,7 @@ def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
     u0, _v0 = split_initial(real, h0)
     u = real.drift.remainder
     sampled = None
-    if isinstance(real.op, (operators.Translation, operators.Transport)):
+    if isinstance(real.op, operators.Translation):
         u0_vec, u_vec = (f if isinstance(f, np.ndarray) else None for f in (u0, u))
         if u0_vec is not None or u_vec is not None:
             sampled = _shifted_samples(real.V.space, u0_vec, u_vec, t_grid, dt)

@@ -541,9 +541,23 @@ def test_state_scaled_ensemble_writes_stats(tmp_path):
     assert head == "t,mean_1,mean_2,var_1,var_2"
 
 
+def _refusal_lines(capfd, command) -> str:
+    """The one message line of a refused command, after checking that
+    stderr holds nothing else but, under verify, the status line of its
+    forked child, which met the same refusal.  Read at the file
+    descriptor, so a forked child's output counts."""
+    *before, message = capfd.readouterr().err.splitlines()
+    assert before == (["forked writer ended with status 1"]
+                      if command == "verify" else [])
+    return message
+
+
+# a numpy warning raises, in this process and in its forked children: the
+# refusals below come from checks on the results, not from warnings
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
 @pytest.mark.parametrize("weight", ["exp(40*x)", "0", "-1"])
-def test_weight_not_finite_and_positive_exits_2(tmp_path, capsys, command,
+def test_weight_not_finite_and_positive_exits_2(tmp_path, capfd, command,
                                                 weight):
     # exp(40 x) overflows on the grid (x up to 20): an infinite weight is
     # refused with the others, before any output
@@ -553,12 +567,15 @@ def test_weight_not_finite_and_positive_exits_2(tmp_path, capsys, command,
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "finite and positive" in capsys.readouterr().err
+    assert _refusal_lines(capfd, command) == (
+        "config error: inner product weight must be finite and positive "
+        "on the grid")
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_overflowing_curve_coefficient_exits_4(tmp_path, capsys, command):
+def test_overflowing_curve_coefficient_exits_4(tmp_path, capfd, command):
     # the curve's closure sweep meets coefficients that overflow: its rank
     # decision fails as a LinearSolveFailure, before any output
     raw = copy.deepcopy(_load("transport-1d"))
@@ -567,7 +584,41 @@ def test_overflowing_curve_coefficient_exits_4(tmp_path, capsys, command):
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
-    assert "LinearSolveFailure: rank decision failed" in capsys.readouterr().err
+    assert _refusal_lines(capfd, command).startswith(
+        "LinearSolveFailure: rank decision failed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("transport-mortality-2d", lambda sp: sp.pop("profiles"),
+     "a profile_ray space needs profiles"),
+    ("heat-disk", lambda sp: sp.pop("indices"), "a modal space needs indices"),
+    ("transport-mortality-2d", lambda sp: sp.update(x_min=0.0),
+     "a profile_ray space takes no x_min"),
+    ("heat-disk", lambda sp: sp.update(x_max=1.0),
+     "a modal space takes no x_max"),
+    ("heat-disk", lambda sp: sp.update(weight="1"),
+     "a modal space takes no weight"),
+    ("transport-1d", lambda sp: sp.update(profiles=["base"]),
+     "a grid space takes no profiles"),
+    ("transport-1d", lambda sp: sp.update(indices=[1]),
+     "a grid space takes no indices"),
+    ("transport-mortality-2d", lambda sp: sp.update(weight="exp(("),
+     "bad weight text 'exp(('"),
+], ids=["ray-without-profiles", "modal-without-indices", "ray-x_min",
+        "modal-x_max", "modal-weight", "grid-profiles", "grid-indices",
+        "ray-bad-weight"])
+def test_a_space_takes_exactly_its_kinds_fields(tmp_path, capsys, name, edit,
+                                                message):
+    # a missing field, or one of another kind's, is refused by name before
+    # any output; a profile-ray weight is parsed as a grid's is
+    raw = copy.deepcopy(_load(name))
+    edit(raw["space"])
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -133,12 +133,22 @@ def test_brownian_variance_scales_with_dt():
     assert abs(var - expect) < 5 * expect * math.sqrt(2.0 / inc.n_steps)
 
 
+def _per_seed_path(spec, dt, n_steps, seed):
+    """The documented stream layout drawn directly: each component from a
+    fresh component_stream(seed, k), one path at a time."""
+    cols = np.empty((spec.m, n_steps))
+    for k, comp in enumerate(spec.components):
+        levy._fill_component(comp, levy.component_stream(seed, k), dt, cols[k])
+    return cols.T.copy()
+
+
 def test_ensemble_reproduces_per_seed_paths():
     # the ensemble re-keys one generator per (seed, component); each path
     # must still be the fresh per-seed stream, bit for bit, whatever the
     # previous path left in the generator's counter and buffer; a jump-only
-    # component draws no normals, and a one-seed block is a path of its own;
-    # drawn into a given (m, paths, steps) array, the bits are the same
+    # component draws no normals, and a one-seed block, as sample_increments
+    # draws it, is a path of its own; drawn into a given (m, paths, steps)
+    # array, the bits are the same
     seeds = [3, 9, 27, 0, 2 ** 64 - 1]
     b, a, t = (s.components[0] for s in (brownian(0.7), atoms_spec(), tse_spec()))
     jumps_only = levy.LevyComponent(jump_intensity=t.jump_intensity,
@@ -153,10 +163,11 @@ def test_ensemble_reproduces_per_seed_paths():
         assert np.shares_memory(into, out)
         assert into.tobytes() == ens.tobytes()
         for p, seed in enumerate(seeds):
-            single = levy.sample_increments(spec, 0.1, 25, seed)
-            assert ens[p].tobytes() == single.values.tobytes()
-            one = levy.sample_increment_ensemble(spec, 0.1, 25, [seed])
-            assert one[0].tobytes() == single.values.tobytes()
+            single = _per_seed_path(spec, 0.1, 25, seed)
+            assert ens[p].tobytes() == single.tobytes()
+            one = levy.sample_increments(spec, 0.1, 25, seed)
+            assert one.values.tobytes() == single.tobytes()
+            assert one.values.flags.c_contiguous
 
 
 def test_ensemble_into_a_mismatched_array_raises_grid_mismatch():

@@ -44,6 +44,14 @@ def _state_scaled(raw):
                                            "coeffs": [0.1]}
 
 
+def _state_scaled_rays(raw):
+    # the volatility scaled by its first V-coordinate, from a curve inside V
+    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
+                                           "coeffs": [0.5]}
+    raw["initial_curve"] = {"rays": [["base", "0.7*exp(-0.5*x)"],
+                                     ["trend", "0.4*exp(-0.4*x)"]]}
+
+
 def _collect(rows):
     return np.array(list(rows))
 
@@ -82,6 +90,19 @@ def compare_streams(steps, weights=None, leaf=None):
                                 fol if leaf is not None else None)
 
 
+def _sampled_sigma(rt, V):
+    """Each volatility sampled on the scenario's space, a state-scaled one
+    as a function of the whole sampled state."""
+    out = []
+    for s in rt.sigma:
+        if isinstance(s, rz.StateVol):
+            out.append(lambda r, base=rt.space.sample(s.base),
+                       scale=s.scale_fn: scale(V.coords(r)) * base)
+        else:
+            out.append(rt.space.sample(s))
+    return out
+
+
 def _materialised_oracle(rt, real, inc):
     """The reference path built whole, one public solver call per profile."""
     t_grid = np.arange(inc.n_steps + 1) * inc.dt
@@ -90,11 +111,11 @@ def _materialised_oracle(rt, real, inc):
     alpha = None if drift is None else rt.space.sample(drift)
     if kind == "grid":
         return GridPath(t_grid, rt.space.axis(), _collect(oracle.spde_grid_rows(
-            rt.op, rt.space.grid, alpha, cli._sigma_for_oracle(rt, real.V),
+            rt.op, rt.space.grid, alpha, _sampled_sigma(rt, real.V),
             rt.space.sample(rt.h0), inc)), inc.seed)
     if kind == "ray_grid":
         n = rt.space.ray.size
-        sigma = cli._sigma_for_oracle(rt, real.V)
+        sigma = _sampled_sigma(rt, real.V)
         h0 = rt.space.sample(rt.h0)
         blocks = []
         for i in range(len(rt.space.profiles)):
@@ -421,20 +442,36 @@ def _counting_forks(monkeypatch, run):
     return out, forks
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ray_oracle_verifies_a_state_scaled_volatility(tmp_path, seed):
+    # the ray profiles step as one block through the scenario's own
+    # transport, the volatility scaled at the V-coordinates of the whole
+    # state; from a curve inside V those are the reduced model's Y
+    rt = _small_runtime("transport-mortality-2d", 500, edit=_state_scaled_rays)
+    assert rt.oracle == "ray_grid" and rt.scheme == "euler"
+    assert cli.run_verify(rt, str(tmp_path), seed=seed, refine=2) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["passed"] and report["oracle"] == "ray_grid"
+
+
 @needs_fork
 @pytest.mark.parametrize("refine", [1, 2])
-@pytest.mark.parametrize("name, n_t, n_x", [
-    ("cable", 40, 64),  # grid oracle
-    ("heat-disk", 40, None),  # modal oracle on a modal space
-    ("transport-mortality-2d", 40, 126),  # ray_grid oracle
+@pytest.mark.parametrize("name, n_t, n_x, edit", [
+    pytest.param("cable", 40, 64, None, id="cable-40-64"),  # grid oracle
+    # modal oracle on a modal space
+    pytest.param("heat-disk", 40, None, None, id="heat-disk-40-None"),
+    pytest.param("transport-mortality-2d", 40, 126, None,  # ray_grid oracle
+                 id="transport-mortality-2d-40-126"),
+    pytest.param("transport-mortality-2d", 40, 126, _state_scaled_rays,
+                 id="transport-mortality-2d-state_scale"),
 ])
 def test_forked_and_inline_verify_over_oracle_blocks_give_the_same_bytes(
-        tmp_path, monkeypatch, name, n_t, n_x, refine):
+        tmp_path, monkeypatch, name, n_t, n_x, edit, refine):
     # three reference rows a block at the finest level, whose stepping
     # oracle then runs one block ahead in a child of the finest level's
     # child; the coarser levels run in a second child of the command, and
     # a modal oracle runs inline
-    rt = _small_runtime(name, n_t, n_x)
+    rt = _small_runtime(name, n_t, n_x, edit)
     finest = cli._refine_runtime(rt, 2 ** refine).space.size
     monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * finest)
     with _no_process_left():
