@@ -307,15 +307,27 @@ def _synthesize(row: np.ndarray, keys: tuple) -> QExpFunction:
         (c, k[0], k[1], k[2], k[3]) for c, k in zip(row, keys) if abs(c) > 1e-14)
 
 
+def _project_out(kept: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return rows - (rows @ kept.T) @ kept
+
+
 def _orthonormal_rows(kept: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """`count` orthonormal coefficient rows spanning the part of span(rows)
     orthogonal to the orthonormal rows `kept`, each signed so that its
     largest entry is positive.  With nothing kept this is the QR of `rows`."""
-    scale = np.linalg.norm(rows, axis=1, keepdims=True)
+    # 2-norms over each row's max-abs entry: a subnormal row squares to 0
+    top = np.max(np.abs(rows), axis=1, keepdims=True)
+    scale = top * np.linalg.norm(rows / top, axis=1, keepdims=True)
     for _ in range(2):  # twice is enough against cancellation
-        rows = rows - (rows @ kept.T) @ kept
-    q, _ = np.linalg.qr(rows[funalg.qr_pivots((rows / scale).T, count)].T)
-    out = np.ascontiguousarray(q.T[:count])
+        rows = _project_out(kept, rows)
+    return _signed_qr(rows[funalg.qr_pivots((rows / scale).T, count)])
+
+
+def _signed_qr(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows from the QR of rows.T, each signed so that its
+    largest entry is positive."""
+    q, _ = np.linalg.qr(rows.T)
+    out = np.ascontiguousarray(q.T)
     for row in out:
         lead = np.argmax(np.abs(row))
         if row[lead] < 0.0:
@@ -386,8 +398,39 @@ def invariant_span(op: OperatorSpec, generators: Sequence,
     return _closure_sweep(op, generators, dim_cap)
 
 
+def _certain_growth(kept: np.ndarray, mat: np.ndarray) -> np.ndarray | None:
+    """Whether rank_and_pivots would certainly give `mat`, the orthonormal
+    rows `kept` stacked on one image row, full rank, decided without its
+    SVD.  Returns `mat` with `kept` projected out once if so, else None.
+
+    rank_and_pivots scales each row by its max-abs entry.  The scaled `kept`
+    then has sigma_min >= 1, so an image b (scaled) with residual r against
+    `kept` gives sigma_{k+1} >= |r| / sqrt(1 + |b|^2); the bound taken has
+    2 |b|^2, a margin for round-off.  sigma_0 is at most sqrt(rows * keys).
+    So a residual above TOL_RANK times both grows the span.  Below it lies
+    a band, down to |r| = TOL_RANK, where only the SVD decides (below the
+    band the image adds nothing, as sigma_{k+1} <= |r| and sigma_0 >= 1).
+    Several image rows, and a zero, subnormal or non-finite image, give
+    None too."""
+    if len(mat) != len(kept) + 1:
+        return None
+    top = float(np.max(np.abs(mat[-1])))
+    # a subnormal image has lost the bits its residual needs; a non-finite
+    # one is rank_and_pivots's to refuse
+    if not np.finfo(float).tiny <= top < math.inf:
+        return None
+    # every row, as _orthonormal_rows projects them: BLAS blocks by rows,
+    # so the image row alone would round differently
+    once = _project_out(kept, mat)
+    r = float(np.linalg.norm(once[-1] / top))
+    b = float(np.linalg.norm(mat[-1] / top))
+    if funalg.TOL_RANK * math.sqrt(mat.size * (1.0 + 2.0 * b * b)) < r < math.inf:
+        return once
+    return None
+
+
 # an overflowing coefficient is refused by rank_and_pivots, which every span
-# the sweep returns or grows passes through
+# the sweep returns passes through; a growth that skips it has finite rows
 @np.errstate(over="ignore", invalid="ignore")
 def _closure_sweep(op: OperatorSpec, generators: Sequence,
                    dim_cap: int = DIM_CAP) -> ClosureResult:
@@ -405,6 +448,16 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
     round-off.  Functions are synthesized once, from the rows of the span
     returned; a not_detected span carries its rows only.  Other spans keep
     the input functions and their images, as their returned basis does.
+
+    Once the span's rows are orthonormal, a step with one image row (every
+    step of a single generator's sweep after the second) first projects
+    the image out of them.  When that residual certainly grows the span
+    (_certain_growth), the step takes no SVD and its new direction is the
+    residual made unit.  Every other step calls rank_and_pivots on the
+    stacked rows: the first, one with several image rows, one whose
+    residual lies in the band below the cutoff, one that does not grow
+    (its basis is synthesized from the pivot rows) and one past the cap.
+    Both routes give the same dimensions and the same bits.
 
     A stabilized sweep certifies quasi-exponential volatility; blowing
     through the cap reports not_detected (the closure may be infinite
@@ -425,8 +478,13 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
         iterations += 1
         if qexp:
             mat = np.vstack([current.coefficient_matrix, frontier @ g_mat])
-            rank, piv = funalg.rank_and_pivots(mat)
-            combined = SpanBasis((), rank, mat[piv], keys)
+            once = (_certain_growth(current.coefficient_matrix, mat)
+                    if n_ortho and current.dim < dim_cap else None)
+            if once is None:
+                rank, piv = funalg.rank_and_pivots(mat)
+                combined = SpanBasis((), rank, mat[piv], keys)
+            else:  # full rank without an SVD, so every row is a pivot
+                combined = SpanBasis((), len(mat), mat, keys)
         else:
             combined = span_basis(list(current.functions)
                                   + [operators.apply_exact(op, f) for f in frontier])
@@ -438,8 +496,13 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
             return ClosureResult("not_detected", combined, iterations, tuple(dims))
         if qexp:
             kept = current.coefficient_matrix[:n_ortho]
-            frontier = _orthonormal_rows(kept, combined.coefficient_matrix,
-                                         combined.dim - n_ortho)
+            if once is None:
+                frontier = _orthonormal_rows(kept, combined.coefficient_matrix,
+                                             combined.dim - n_ortho)
+            else:  # _orthonormal_rows(kept, mat, 1): its pivot is the image,
+                # whose relative residual is above the cutoff, while a kept
+                # row's is round-off
+                frontier = _signed_qr(_project_out(kept, once)[-1:])
             current = SpanBasis((), combined.dim, np.vstack([kept, frontier]), keys)
             n_ortho = combined.dim
         else:

@@ -589,6 +589,24 @@ def test_overflowing_curve_coefficient_exits_4(tmp_path, capfd, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["analyze"], ["simulate"],
+                                     ["verify", "--refine", "1"]])
+def test_subnormal_volatility_coefficient_prints_no_warning(tmp_path, capfd,
+                                                            command):
+    # the span's row norms square a 1e-320 coefficient: a 2-norm taken
+    # without scaling first underflowed to 0 and printed a divide warning
+    raw = copy.deepcopy(_load("transport-1d"))
+    raw["volatility"] = [{"qexp": "1e-320*exp(-x)"}]
+    cfg = tmp_path / "transport-subnormal.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([*command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1 and out.startswith("transport-1d: ")
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("transport-mortality-2d", lambda sp: sp.pop("profiles"),
      "a profile_ray space needs profiles"),
