@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from typing import Iterator
 
 import numpy as np
 
@@ -24,16 +23,12 @@ from . import csvio, forked, funalg, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
-    GridMismatch,
-    MethodUnsupported,
     NotInvariant,
     NotQuasiExponential,
     SigmaEscapesV,
-    UnstableConfig,
     UnsupportedOperator,
 )
 from .funalg import QExpFunction
-from .grids import Grid1D
 from .operators import EigenExpansion
 
 _CLAUSE_ERRORS = (NotQuasiExponential, NotInvariant, SigmaEscapesV)
@@ -233,114 +228,6 @@ def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 # verify
 
 
-def _refine_runtime(rt: cfgmod.Runtime, factor: int) -> cfgmod.Runtime:
-    space = rt.space
-    h0 = rt.h0
-    axis = space.ray if isinstance(space, rz.ProfileRaySpace) else space
-    if isinstance(axis, rz.GridSpace) and factor > 1:
-        g = axis.grid
-        fine = rz.GridSpace(Grid1D.from_interval(g.x0, g.x0 + g.dx * (g.n - 1),
-                                                 (g.n - 1) * factor + 1),
-                            axis.weight)
-        if isinstance(h0, np.ndarray):
-            # a sampled curve is the piecewise-linear interpolant of its
-            # nodes, so every level starts from one function
-            x, x_fine = g.points(), fine.grid.points()
-            h0 = np.concatenate([np.interp(x_fine, x, block) for block
-                                 in space.sample(h0).reshape(-1, g.n)])
-        space = fine if axis is space else rz.ProfileRaySpace(space.profiles, fine)
-    return dataclasses.replace(rt, space=space, n_t=rt.n_t * factor, h0=h0)
-
-
-def _exact_mode_amplitudes(rt: cfgmod.Runtime, indices, f) -> np.ndarray:
-    """Amplitudes of f over the oracle's modes, exact or refused: numeric
-    projection dust would be amplified by growing spectra."""
-    if isinstance(rt.space, rz.ModalSpace):  # the oracle's modes are its own
-        return rt.space.sample(f)
-    if isinstance(f, QExpFunction):
-        coords, rel = rz.span_coords(
-            [operators.eigenfunction_qexp(rt.op, i) for i in indices], [f])
-        if rel[0] > rz.TOL_PROJECT:
-            raise UnstableConfig(
-                "modal oracle needs band-limited data; relative residual "
-                f"{rel[0]:.3e} outside the modes")
-        return coords[:, 0]
-    raise UnstableConfig("modal oracle needs symbolic data")
-
-
-def _oracle_rows(rt: cfgmod.Runtime, V: rz.Subspace,
-                 inc: levy.IncrementMatrix) -> Iterator[np.ndarray]:
-    """The reference solution one time at a time, on the space axis.  It
-    samples only the scenario's own data; V enters only as the coordinates
-    that scale a state-dependent volatility."""
-    if rt.oracle == "modal":
-        indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
-                       else rt.modes)
-        if not indices:
-            raise ConfigError("modal oracle needs modes")
-        gmax = max(abs(operators.generator_eigenvalue(rt.op, i)) for i in indices)
-        if gmax * rt.horizon > 700.0:
-            raise UnstableConfig(
-                f"modal oracle would overflow: max |eigenvalue| x horizon = "
-                f"{gmax * rt.horizon:.3g}")
-        a0 = _exact_mode_amplitudes(rt, indices, rt.h0)
-        drift = cfgmod.assemble_drift(rt)
-        alpha_vec = (None if drift is None
-                     else _exact_mode_amplitudes(rt, indices, drift))
-        if any(isinstance(s, rz.StateVol) for s in rt.sigma):
-            raise MethodUnsupported("modal oracle needs additive volatility")
-        sig_rows = [np.asarray(_exact_mode_amplitudes(rt, indices, s))
-                    for s in rt.sigma]
-        amps = oracle.solve_spde_modal(rt.op, indices, alpha_vec, sig_rows,
-                                       a0, inc)
-        if isinstance(rt.space, rz.ModalSpace):
-            return iter(amps)
-        return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
-    # grid and ray_grid: one theta scheme on the axis grid, where a grid
-    # state is one vector and a ray state one row per profile
-    axis = rt.space.ray if rt.oracle == "ray_grid" else rt.space
-    shape = (-1, axis.size) if rt.oracle == "ray_grid" else (axis.size,)
-
-    def sampled(f):
-        return rt.space.sample(f).reshape(shape)
-
-    def vol(s):
-        if not isinstance(s, rz.StateVol):
-            return sampled(s)
-        base, scale = sampled(s.base), s.scale_fn
-        return lambda r: scale(V.coords(r.ravel())) * base
-
-    drift = cfgmod.assemble_drift(rt)
-    rows = oracle.spde_grid_rows(rt.op, axis.grid,
-                                 None if drift is None else sampled(drift),
-                                 [vol(s) for s in rt.sigma], sampled(rt.h0), inc)
-    return (r.ravel() for r in rows)  # C-contiguous: views, not copies
-
-
-def _reference_blocks(rows: Iterator[np.ndarray], n_rows: int, size: int):
-    """(fill, shapes) for `forked.ahead`: n_rows reference rows of size
-    values each, in blocks of oracle.BLOCK_VALUES values (at least one
-    row), fill(b, out) copying the next rows of the stream into block b.  A
-    row of another shape, or a stream of another length, raises
-    GridMismatch, as compare_coordinates does."""
-    per = max(1, oracle.BLOCK_VALUES // size)
-    shapes = [(min(per, n_rows - i), size) for i in range(0, n_rows, per)]
-
-    def fill(b, out):
-        got = 0
-        for got, row in enumerate(itertools.islice(rows, len(out)), 1):
-            if np.shape(row) != (size,):
-                raise GridMismatch(f"states of shape {np.shape(row)} vs "
-                                   f"({size},)")
-            out[got - 1] = row
-        if got < len(out) or (b == len(shapes) - 1
-                              and next(rows, None) is not None):
-            raise GridMismatch("reference and reduced paths of different "
-                               "lengths")
-
-    return fill, shapes
-
-
 def _verify_level(rt: cfgmod.Runtime, lvl: int,
                   chain: list[levy.IncrementMatrix], v_basis, mutate,
                   ahead: bool = False):
@@ -351,7 +238,7 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
     block b (`forked.ahead`), with the same bits.  Returns the level's
     report, and at level 0 also the norm of h0 and the largest foliation
     distance (else None, None)."""
-    rt_l = _refine_runtime(rt, 2 ** lvl)
+    rt_l = rt.refined(2 ** lvl)
     real = cfgmod.build_scenario_realization(rt_l, v_basis)
     if mutate is not None:
         real = mutate(real)
@@ -359,7 +246,7 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
     carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
     _u0, v0 = rz.split_initial(real, rt_l.h0)
     coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
-    reference = _oracle_rows(rt_l, real.V, chain[lvl])
+    reference = cfgmod.reference_rows(rt_l, real.V, chain[lvl])
 
     def compare(rows):
         # the reduced r_n = c_n . W + Y_n . V (+ the sampled carrier row),
@@ -370,8 +257,9 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
                    (coords, real.V.samples)],
             rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
 
-    fill, shapes = _reference_blocks(reference, len(t_grid), rt_l.space.size)
-    if ahead and len(shapes) > 1:
+    if ahead:
+        fill, shapes = oracle.reference_blocks(reference, len(t_grid),
+                                               rt_l.space.size)
         with forked.ahead(fill, shapes) as blocks:
             metrics = compare(itertools.chain.from_iterable(blocks))
     else:
@@ -402,13 +290,7 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     oracle computes its amplitudes before any row.  The report bytes and
     exit codes are those of running every level here in order, which is
     what happens at refine 0 and where os.fork does not exist."""
-    axis = rt.space.ray if isinstance(rt.space, rz.ProfileRaySpace) else rt.space
-    cells = axis.grid.n - 1 if isinstance(axis, rz.GridSpace) else 0
-    limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
-    if rt.n_t > limit >> refine or cells > (limit - 1) >> refine:
-        raise ConfigError(
-            f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
-            f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
+    rt.check_refine(refine)
     seed = rt.seed if seed is None else seed
     # symbolic: one sweep for all levels, and a refused scenario draws no noise
     v_basis = cfgmod.assemble_basis(rt)
@@ -480,18 +362,16 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 
 
 def _eigen_samples(op, index) -> np.ndarray:
-    if isinstance(op, (operators.Cable, operators.TermStructure2)):
-        xs = np.linspace(0.0, math.pi if isinstance(op, operators.Cable) else 1.0, 9)
-        fn = operators.eigenfunction_qexp(op, index)
-        return funalg.evaluate(fn, xs)
+    """An eigenfunction's values at the catalog's nine sample points."""
     if isinstance(op, operators.HeatDisk):
         pts = [(r, phi) for r in (0.25, 0.5, 0.75)
                for phi in (0.0, math.pi / 4, math.pi / 2)]
-        return operators.SpectralFn(op, index).values(np.array(pts))
-    xs = np.linspace(-2.0, 2.0, 9) if isinstance(op, operators.Hermite) \
-        else np.linspace(0.0, 4.0, 9)
-    d = op.d
-    pts = np.tile(xs[:, None], (1, d))
+    elif isinstance(op, (operators.Cable, operators.TermStructure2)):
+        pts = np.linspace(0.0, math.pi if isinstance(op, operators.Cable) else 1.0, 9)
+    else:
+        xs = np.linspace(-2.0, 2.0, 9) if isinstance(op, operators.Hermite) \
+            else np.linspace(0.0, 4.0, 9)
+        pts = np.tile(xs[:, None], (1, op.d))
     return operators.SpectralFn(op, index).values(pts)
 
 
@@ -502,28 +382,11 @@ def _index_token(index) -> str:
 
 
 def run_eigen(args, out_dir: str) -> int:
-    if args.operator == "cable":
-        op = operators.Cable(args.tau, args.lambda_c)
-    elif args.operator == "heat_disk":
-        op = operators.HeatDisk(args.a)
-    elif args.operator == "hermite":
-        op = operators.Hermite(args.d)
-    elif args.operator == "laguerre":
-        op = operators.Laguerre(args.d)
-    elif args.operator == "term_structure_2":
-        op = operators.TermStructure2(args.kappa)
-    else:
-        raise UnsupportedOperator(
-            f"operator {args.operator!r} has no discrete eigen catalog")
-    if isinstance(op, operators.HeatDisk):
-        indices = [(p, q, parity)
-                   for p in range(args.p_max + 1)
-                   for q in range(1, args.q_max + 1)
-                   for parity in (("cos",) if p == 0 else ("cos", "sin"))]
-        indices.sort(key=lambda i: (operators.bessel_zero(i[0], i[1]), i[2]))
-        pairs = operators.eigenpairs(op, indices)
-    else:
-        pairs = operators.eigenpairs(op, args.count)
+    kind = operators.KINDS[args.operator]
+    op = kind(**{f.name: getattr(args, f.name) for f in dataclasses.fields(kind)})
+    pairs = operators.eigenpairs(
+        op, operators.disk_indices(args.p_max, args.q_max)
+        if isinstance(op, operators.HeatDisk) else args.count)
     path = os.path.join(out_dir, "eigen.csv")
     os.makedirs(out_dir, exist_ok=True)
     with open(path, "w") as fh:
@@ -589,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eigen", help="write an eigenvalue/eigenfunction catalog")
     pe.add_argument("--operator", required=True,
-                    choices=["cable", "heat_disk", "hermite", "laguerre",
-                             "term_structure_2"])
+                    choices=[name for name, kind in operators.KINDS.items()
+                             if not issubclass(kind, operators.Translation)])
     pe.add_argument("--count", type=_at_least(1), default=5)
     pe.add_argument("--tau", type=float, default=1.0)
     pe.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.0)

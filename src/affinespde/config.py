@@ -14,14 +14,19 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from . import hjmm, levy, operators, realization as rz
-from .errors import ConfigError, NotQuasiExponential
+from . import hjmm, levy, operators, oracle, realization as rz
+from .errors import (
+    ConfigError,
+    MethodUnsupported,
+    NotQuasiExponential,
+    UnstableConfig,
+)
 from .funalg import QExpFunction, parse_qexp
 from .grids import Grid1D
 from .operators import EigenExpansion, OperatorSpec, RayBundle
@@ -279,25 +284,17 @@ def resolve_config_path(ref: str) -> str:
 
 
 def parse_operator(d: dict) -> OperatorSpec:
-    kind = d["kind"]
+    """An operator takes exactly its kind's parameters (`operators.KINDS`)."""
+    kind, params = d["kind"], {k: v for k, v in d.items() if k != "kind"}
+    cls = operators.KINDS[kind]  # a kind the schema names
+    names = {f.name for f in fields(cls)}
+    for name in params:
+        if name not in names:
+            raise ConfigError(f"operator: a {kind} operator takes no {name}")
     try:
-        if kind == "translation":
-            return operators.Translation()
-        if kind == "transport":
-            return operators.Transport()
-        if kind == "cable":
-            return operators.Cable(d.get("tau", 1.0), d.get("lambda_c", 1.0))
-        if kind == "heat_disk":
-            return operators.HeatDisk(d.get("a", 1.0))
-        if kind == "hermite":
-            return operators.Hermite(d.get("d", 1))
-        if kind == "laguerre":
-            return operators.Laguerre(d.get("d", 1))
-        if kind == "term_structure_2":
-            return operators.TermStructure2(d.get("kappa", 1.0))
+        return cls(**params)
     except Exception as exc:
         raise ConfigError(f"operator: {exc}") from exc
-    raise ConfigError(f"unknown operator kind {kind!r}")
 
 
 def parse_driver(d: dict | None) -> levy.LevySpec:
@@ -481,6 +478,42 @@ class Runtime:
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_t + 1)
 
+    @property
+    def grid_axis(self) -> rz.GridSpace | None:
+        """The grid the state is sampled along: a profile-ray space's ray
+        grid, a grid space itself, None for a modal space."""
+        if isinstance(self.space, rz.ProfileRaySpace):
+            return self.space.ray
+        return self.space if isinstance(self.space, rz.GridSpace) else None
+
+    def check_refine(self, refine: int) -> None:
+        """Refuse `verify --refine` K when the finest level, refined(2^K),
+        would not fit a numpy index; builds no level."""
+        cells = 0 if self.grid_axis is None else self.grid_axis.grid.n - 1
+        limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
+        if self.n_t > limit >> refine or cells > (limit - 1) >> refine:
+            raise ConfigError(
+                f"--refine {refine}: the finest level's n_t * 2^{refine} time steps "
+                f"or (n_x - 1) * 2^{refine} + 1 points do not fit a numpy index")
+
+    def refined(self, factor: int) -> Runtime:
+        """A refinement level of `verify`: factor times the time steps and,
+        along a grid axis, (n_x - 1) * factor + 1 points on the same
+        interval."""
+        space, h0, axis = self.space, self.h0, self.grid_axis
+        if axis is not None and factor > 1:
+            g = axis.grid
+            fine = rz.GridSpace(Grid1D.from_interval(
+                g.x0, g.x_max, (g.n - 1) * factor + 1), axis.weight)
+            if isinstance(h0, np.ndarray):
+                # a sampled curve is the piecewise-linear interpolant of its
+                # nodes, so every level starts from one function
+                x, x_fine = g.points(), fine.grid.points()
+                h0 = np.concatenate([np.interp(x_fine, x, block) for block
+                                     in space.sample(h0).reshape(-1, g.n)])
+            space = fine if axis is space else rz.ProfileRaySpace(space.profiles, fine)
+        return replace(self, space=space, n_t=self.n_t * factor, h0=h0)
+
 
 def _parse_h0(d: dict, op: OperatorSpec, kind: str, base_dir: str):
     if "csv" in d:
@@ -510,12 +543,16 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     space = parse_space(raw["space"], op)
 
     drift_raw = raw.get("drift", {"mode": "zero"})
-    drift_mode = drift_raw["mode"]
+    drift_mode = drift_raw["mode"]  # a mode the schema names
+    drift_fields = [k for k in drift_raw if k != "mode"]
     drift_element = None
     if drift_mode == "constant":
-        if not any(k in drift_raw for k in ("qexp", "modal", "rays")):
+        if not drift_fields:
             raise ConfigError("constant drift needs a function entry")
         drift_element = parse_field(drift_raw, op, kind, "drift")
+    elif drift_fields:
+        raise ConfigError(f"drift: a {drift_mode} drift takes no "
+                          f"{drift_fields[0]}")
     elif drift_mode == "hjm_wiener":
         if any(c.jump_intensity for c in driver.components):
             raise ConfigError("closed-form forward-curve drift needs a "
@@ -529,21 +566,19 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
         if not all(isinstance(s, QExpFunction) for s in sigma):
             raise ConfigError("sampled forward-curve drift needs "
                               "quasi-exponential volatility entries")
-    elif drift_mode != "zero":
-        raise ConfigError(f"unknown drift mode {drift_mode!r}")
 
     h0 = _parse_h0(raw["initial_curve"], op, kind, base_dir)
 
     sub_raw = raw.get("subspace", {"mode": "volatility_invariant_span"})
-    sub_mode = sub_raw["mode"]
+    sub_mode = sub_raw["mode"]  # a mode the schema names
     sub_basis = ()
     if sub_mode == "explicit":
         if "basis" not in sub_raw:
             raise ConfigError("explicit subspace needs a basis list")
         sub_basis = tuple(parse_field(b, op, kind, f"subspace basis entry {k}")
                           for k, b in enumerate(sub_raw["basis"]))
-    elif sub_mode not in ("volatility_invariant_span", "hjm_product_closure"):
-        raise ConfigError(f"unknown subspace mode {sub_mode!r}")
+    elif "basis" in sub_raw:
+        raise ConfigError(f"subspace: a {sub_mode} subspace takes no basis")
 
     time_raw = raw["time"]
     modes = tuple(_parse_index(op, i) for i in raw.get("modes", []))
@@ -611,6 +646,70 @@ def assemble_drift(rt: Runtime):
         return hjmm.hjm_drift_levy_grid(rt.driver, _sigma_bases(rt),
                                         rt.space.grid)
     return rt.drift_element
+
+
+def _exact_mode_amplitudes(rt: Runtime, indices, f) -> np.ndarray:
+    """Amplitudes of f over the oracle's modes, exact or refused: numeric
+    projection dust would be amplified by growing spectra."""
+    if isinstance(rt.space, rz.ModalSpace):  # the oracle's modes are its own
+        return rt.space.sample(f)
+    if isinstance(f, QExpFunction):
+        coords, rel = rz.span_coords(
+            [operators.eigenfunction_qexp(rt.op, i) for i in indices], [f])
+        if rel[0] > rz.TOL_PROJECT:
+            raise UnstableConfig(
+                "modal oracle needs band-limited data; relative residual "
+                f"{rel[0]:.3e} outside the modes")
+        return coords[:, 0]
+    raise UnstableConfig("modal oracle needs symbolic data")
+
+
+def reference_rows(rt: Runtime, V: rz.Subspace,
+                   inc: levy.IncrementMatrix) -> Iterator[np.ndarray]:
+    """The reference solution of `verify` by the solver `rt.oracle` names,
+    one time at a time, on the space axis.  It samples only the scenario's
+    own data; V enters only as the coordinates that scale a state-dependent
+    volatility.  Set-up checks raise here, before the first row."""
+    drift = assemble_drift(rt)
+    if rt.oracle == "modal":
+        indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
+                       else rt.modes)
+        if not indices:
+            raise ConfigError("modal oracle needs modes")
+        gmax = max(abs(operators.generator_eigenvalue(rt.op, i)) for i in indices)
+        if gmax * rt.horizon > 700.0:
+            raise UnstableConfig(
+                f"modal oracle would overflow: max |eigenvalue| x horizon = "
+                f"{gmax * rt.horizon:.3g}")
+        a0 = _exact_mode_amplitudes(rt, indices, rt.h0)
+        alpha_vec = (None if drift is None
+                     else _exact_mode_amplitudes(rt, indices, drift))
+        if any(isinstance(s, rz.StateVol) for s in rt.sigma):
+            raise MethodUnsupported("modal oracle needs additive volatility")
+        sig_rows = [_exact_mode_amplitudes(rt, indices, s) for s in rt.sigma]
+        amps = oracle.solve_spde_modal(rt.op, indices, alpha_vec, sig_rows,
+                                       a0, inc)
+        if isinstance(rt.space, rz.ModalSpace):
+            return iter(amps)
+        return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
+    # grid and ray_grid: one theta scheme on the axis grid, where a grid
+    # state is one vector and a ray state one row per profile
+    axis = rt.grid_axis
+    shape = (-1, axis.size) if rt.oracle == "ray_grid" else (axis.size,)
+
+    def sampled(f):
+        return rt.space.sample(f).reshape(shape)
+
+    def vol(s):
+        if not isinstance(s, rz.StateVol):
+            return sampled(s)
+        base, scale = sampled(s.base), s.scale_fn
+        return lambda r: scale(V.coords(r.ravel())) * base
+
+    rows = oracle.spde_grid_rows(rt.op, axis.grid,
+                                 None if drift is None else sampled(drift),
+                                 [vol(s) for s in rt.sigma], sampled(rt.h0), inc)
+    return (r.ravel() for r in rows)  # C-contiguous: views, not copies
 
 
 def build_scenario_realization(rt: Runtime, basis: tuple | None = None

@@ -174,14 +174,18 @@ class LevySpec:
 def make_levy_spec(components: Sequence[LevyComponent | dict]) -> LevySpec:
     """Validate and freeze a driver specification.
 
-    Dict entries take keys brownian_vol, jump_intensity and one of
+    Dict entries take keys brownian_vol, jump_intensity and at most one of
     atoms = [[size, prob], ...] or two_sided_exp = {p_up, rate_up, rate_down}.
+    A jump law and a positive jump intensity come together or not at all.
     """
     if not components:
         raise ConfigError("driver needs at least one component")
     out = []
     for i, comp in enumerate(components):
         if isinstance(comp, dict):
+            if comp.get("atoms") is not None and comp.get("two_sided_exp") is not None:
+                raise ConfigError(f"component {i}: one jump law, atoms or "
+                                  f"two_sided_exp, not both")
             law = None
             if comp.get("atoms") is not None:
                 law = AtomicJumps(tuple((float(s), float(p)) for s, p in comp["atoms"]))
@@ -204,6 +208,9 @@ def make_levy_spec(components: Sequence[LevyComponent | dict]) -> LevySpec:
         if comp.brownian_vol == 0.0 and (
                 comp.jump_intensity == 0.0 or comp.jump_law is None):
             raise ZeroComponent(f"component {i} has no Brownian and no jump part")
+        if comp.jump_law is not None and comp.jump_intensity == 0:
+            raise ConfigError(f"component {i}: a jump law needs a positive "
+                              f"jump intensity")
         out.append(comp)
     return LevySpec(tuple(out))
 

@@ -114,6 +114,12 @@ class TermStructure2:
 OperatorSpec = Union[Translation, Transport, Cable, HeatDisk, Hermite,
                      Laguerre, TermStructure2]
 
+# The catalog by its scenario and `eigen --operator` names: a class's fields
+# are the kind's parameters, with their defaults.
+KINDS = {"translation": Translation, "transport": Transport, "cable": Cable,
+         "heat_disk": HeatDisk, "hermite": Hermite, "laguerre": Laguerre,
+         "term_structure_2": TermStructure2}
+
 
 # ---------------------------------------------------------------------------
 # function representations beyond plain QExpFunction
@@ -447,6 +453,15 @@ def _multi_indices(level: int, d: int) -> Iterator[tuple[int, ...]]:
         index[i + 1] = tail + 1
 
 
+def disk_indices(p_max: int, q_max: int) -> list:
+    """The disk indices (p, q, parity) with p <= p_max and q <= q_max, in
+    increasing order of the Bessel zero, cos before sin."""
+    out = [(p, q, parity) for p in range(p_max + 1) for q in range(1, q_max + 1)
+           for parity in (("cos",) if p == 0 else ("cos", "sin"))]
+    out.sort(key=lambda i: (bessel_zero(i[0], i[1]), i[2]))
+    return out
+
+
 def _enumerate_indices(op: OperatorSpec, count: int) -> list:
     if isinstance(op, (Cable, TermStructure2)):
         return list(range(1, count + 1))
@@ -455,19 +470,7 @@ def _enumerate_indices(op: OperatorSpec, count: int) -> list:
             _multi_indices(level, op.d) for level in itertools.count())
         return list(itertools.islice(by_degree, count))
     if isinstance(op, HeatDisk):
-        cap = count + 2
-        ranked = sorted(
-            ((bessel_zero(p, q), p, q)
-             for p in range(0, min(cap, 21)) for q in range(1, min(cap, 51))),
-        )
-        out = []
-        for _z, p, q in ranked:
-            out.append((p, q, "cos"))
-            if p > 0:
-                out.append((p, q, "sin"))
-            if len(out) >= count:
-                break
-        return out[:count]
+        return disk_indices(min(count + 1, 20), min(count + 1, 50))[:count]
     raise UnsupportedOperator(f"{type(op).__name__} has no discrete eigenbasis")
 
 

@@ -299,6 +299,30 @@ def compare_coordinates(reference: Iterable[np.ndarray],
     return _path_metrics(per_time, mag_red, mag_ref, fol if leaf else None)
 
 
+def reference_blocks(rows: Iterator[np.ndarray], n_rows: int, size: int):
+    """(fill, shapes) for `forked.ahead`: n_rows reference rows of size
+    values each, in blocks of BLOCK_VALUES values (at least one row),
+    fill(b, out) copying the next rows of the stream into block b.  A row
+    of another shape, or a stream of another length, raises GridMismatch,
+    as compare_coordinates does."""
+    per = max(1, BLOCK_VALUES // size)
+    shapes = [(min(per, n_rows - i), size) for i in range(0, n_rows, per)]
+
+    def fill(b, out):
+        got = 0
+        for got, row in enumerate(itertools.islice(rows, len(out)), 1):
+            if np.shape(row) != (size,):
+                raise GridMismatch(f"states of shape {np.shape(row)} vs "
+                                   f"({size},)")
+            out[got - 1] = row
+        if got < len(out) or (b == len(shapes) - 1
+                              and next(rows, None) is not None):
+            raise GridMismatch("reference and reduced paths of different "
+                               "lengths")
+
+    return fill, shapes
+
+
 def _outside_norms(x: np.ndarray, span: np.ndarray,
                    gram: np.ndarray) -> np.ndarray:
     """Norms of the rows of x minus their orthogonal projections onto the

@@ -486,7 +486,7 @@ def test_verify_refines_an_initial_curve_csv(tmp_path):
     raw["initial_curve"] = {"csv": "h0.csv"}
     cfg = tmp_path / "transport-csv.json"
     cfg.write_text(json.dumps(raw))
-    fine = cli._refine_runtime(cfgmod.build_runtime(raw, str(tmp_path)), 4)
+    fine = cfgmod.build_runtime(raw, str(tmp_path)).refined(4)
     assert np.array_equal(fine.h0, np.interp(fine.space.grid.points(), x, h0))
     assert cli.main(["verify", "--config", str(cfg), "--refine", "2",
                      "--out", str(tmp_path / "v")]) == 0
@@ -637,6 +637,68 @@ def test_a_space_takes_exactly_its_kinds_fields(tmp_path, capsys, name, edit,
     out = tmp_path / "out"
     assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+
+def _driver_edit(**fields):
+    def edit(raw):
+        raw["driver"]["components"][0].update(fields)
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("cable", lambda raw: raw["operator"].update(kappa=1.0),
+                 "operator: a cable operator takes no kappa", id="cable-kappa"),
+    pytest.param("cable", lambda raw: raw["operator"].update(d=2),
+                 "operator: a cable operator takes no d", id="cable-d"),
+    pytest.param("transport-1d", lambda raw: raw["operator"].update(tau=1.0),
+                 "operator: a transport operator takes no tau",
+                 id="transport-tau"),
+    pytest.param("laguerre", lambda raw: raw.update(drift={
+        "mode": "zero", "modal": [[[1], 0.1]]}),
+        "drift: a zero drift takes no modal", id="zero-drift-field"),
+    pytest.param("hjmm-linear", lambda raw: raw["drift"].update(
+        qexp="exp(-x)"), "drift: a hjm_wiener drift takes no qexp",
+        id="hjm_wiener-drift-field"),
+    pytest.param("hjmm-levy", lambda raw: raw["drift"].update(
+        qexp="exp(-x)"), "drift: a hjm_levy drift takes no qexp",
+        id="hjm_levy-drift-field"),
+    pytest.param("cable", lambda raw: raw["drift"].pop("qexp"),
+                 "constant drift needs a function entry",
+                 id="constant-drift-without-field"),
+    pytest.param("transport-1d", lambda raw: raw["subspace"].update(
+        basis=[{"qexp": "exp(-x)"}]),
+        "subspace: a volatility_invariant_span subspace takes no basis",
+        id="span-basis"),
+    pytest.param("hjmm-linear", lambda raw: raw["subspace"].update(
+        basis=[{"qexp": "exp(-x)"}]),
+        "subspace: a hjm_product_closure subspace takes no basis",
+        id="closure-basis"),
+    pytest.param("cable", _driver_edit(atoms=[[0.1, 1.0]]),
+                 "driver: component 0: a jump law needs a positive jump "
+                 "intensity", id="atoms-without-intensity"),
+    pytest.param("cable", _driver_edit(jump_intensity=0.0, two_sided_exp={
+        "p_up": 0.5, "rate_up": 8.0, "rate_down": 9.0}),
+        "driver: component 0: a jump law needs a positive jump intensity",
+        id="two_sided_exp-at-zero-intensity"),
+    pytest.param("hjmm-levy", _driver_edit(atoms=[[0.1, 1.0]]),
+                 "driver: component 0: one jump law, atoms or two_sided_exp, "
+                 "not both", id="two-jump-laws"),
+])
+def test_a_field_the_scenario_would_ignore_exits_2(tmp_path, capsys, name,
+                                                   edit, message):
+    # an operator takes only its kind's parameters, a drift mode or
+    # subspace mode only its own fields, a driver component one jump law
+    # and that only with a positive intensity: the rest is refused by name
+    # before any output, not dropped
+    raw = copy.deepcopy(_load(name))
+    edit(raw)
+    cfg = tmp_path / "ignored.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from affinespde import cli, funalg, hjmm, levy, operators
+from affinespde import funalg, hjmm, levy, operators
 from affinespde import config as cfgmod
 from affinespde import realization as rz
 from affinespde.errors import DomainError, MomentExplosion
@@ -84,8 +84,8 @@ def _drift_point_by_point(driver, sigma, grid):
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_levy_grid_drift_equals_the_point_by_point_drift_on_hjmm_levy(level):
     # the grids of verify --refine 2 on the bundled hjmm-levy scenario
-    rt = cli._refine_runtime(cfgmod.build_runtime(cfgmod.load_config(
-        cfgmod.resolve_config_path("hjmm-levy"))), 2 ** level)
+    rt = cfgmod.build_runtime(cfgmod.load_config(
+        cfgmod.resolve_config_path("hjmm-levy"))).refined(2 ** level)
     grid, sigma = rt.space.grid, cfgmod._sigma_bases(rt)
     fast = hjmm.hjm_drift_levy_grid(rt.driver, sigma, grid)
     slow = _drift_point_by_point(rt.driver, sigma, grid)

@@ -38,6 +38,17 @@ def test_component_validation():
                               "atoms": [[1.0, 0.7], [2.0, 0.7]]}])
     with pytest.raises(ConfigError):
         levy.make_levy_spec([])
+    # a jump law is not dropped: it needs a positive intensity, and a
+    # component takes one law
+    with pytest.raises(ConfigError, match="positive jump intensity"):
+        levy.make_levy_spec([{"brownian_vol": 1.0, "atoms": [[1.0, 1.0]]}])
+    with pytest.raises(ConfigError, match="positive jump intensity"):
+        levy.make_levy_spec([levy.LevyComponent(
+            brownian_vol=1.0, jump_law=tse_spec().components[0].jump_law)])
+    with pytest.raises(ConfigError, match="not both"):
+        levy.make_levy_spec([{"jump_intensity": 1.0, "atoms": [[1.0, 1.0]],
+                              "two_sided_exp": {"p_up": 0.5, "rate_up": 8.0,
+                                                "rate_down": 9.0}}])
 
 
 def test_cumulant_brownian_quadratic():

@@ -395,7 +395,7 @@ def test_modal_amplitudes_on_a_grid_are_exact_or_refused():
     assert modes == [1, 2, 3]
 
     def amp(f):
-        return cli._exact_mode_amplitudes(rt, modes, f)
+        return config._exact_mode_amplitudes(rt, modes, f)
 
     assert np.array_equal(amp(rt.h0), [0.4, 0.0, 0.05])
     assert np.array_equal(amp(config.assemble_drift(rt)), [0.0, 0.1, 0.0])

@@ -130,11 +130,11 @@ def _materialised_oracle(rt, real, inc):
                    else rt.modes)
     alpha = None
     if rt.drift_element is not None:
-        alpha = cli._exact_mode_amplitudes(rt, indices, rt.drift_element)
+        alpha = cfgmod._exact_mode_amplitudes(rt, indices, rt.drift_element)
     amps = oracle.solve_spde_modal(
         rt.op, indices, alpha,
-        [cli._exact_mode_amplitudes(rt, indices, s) for s in rt.sigma],
-        cli._exact_mode_amplitudes(rt, indices, rt.h0), inc)
+        [cfgmod._exact_mode_amplitudes(rt, indices, s) for s in rt.sigma],
+        cfgmod._exact_mode_amplitudes(rt, indices, rt.h0), inc)
     if isinstance(rt.space, rz.ModalSpace):
         cols = [indices.index(idx) for idx in rt.space.indices]
         return GridPath(t_grid, rt.space.axis(), amps[:, cols], inc.seed)
@@ -168,7 +168,7 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x,
     n_fine = rt.n_t * 2 ** refine
     inc = levy.sample_increments(rt.driver, rt.horizon / n_fine, n_fine, seed)
     for lvl in range(refine, -1, -1):
-        rt_l = cli._refine_runtime(rt, 2 ** lvl)
+        rt_l = rt.refined(2 ** lvl)
         real = cfgmod.build_scenario_realization(rt_l)
         t_grid = rt_l.t_grid()
         carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
@@ -472,7 +472,7 @@ def test_forked_and_inline_verify_over_oracle_blocks_give_the_same_bytes(
     # child; the coarser levels run in a second child of the command, and
     # a modal oracle runs inline
     rt = _small_runtime(name, n_t, n_x, edit)
-    finest = cli._refine_runtime(rt, 2 ** refine).space.size
+    finest = rt.refined(2 ** refine).space.size
     monkeypatch.setattr(oracle, "BLOCK_VALUES", 3 * finest)
     with _no_process_left():
         rc, forks = _counting_forks(monkeypatch, lambda: cli.run_verify(
@@ -607,7 +607,7 @@ def test_a_comparison_failure_stops_and_reaps_the_oracle(tmp_path,
 def _filled(rows, n_rows):
     """Blocks of three 4-value rows (BLOCK_VALUES 12) for n_rows reference
     rows, filled in order from the stream rows."""
-    fill, shapes = cli._reference_blocks(iter(rows), n_rows, 4)
+    fill, shapes = oracle.reference_blocks(iter(rows), n_rows, 4)
     blocks = [np.empty(shape) for shape in shapes]
     for b, out in enumerate(blocks):
         fill(b, out)
