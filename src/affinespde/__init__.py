@@ -12,13 +12,12 @@ from .realization import (
     ProfileRaySpace,
     Subspace,
     build_realization,
+    carrier_coords,
     check_invariant,
     coordinate_rows,
     ensemble_moments,
     invariant_span,
-    psi_rows,
     semiinvariant_correction,
-    split_initial,
 )
 
 __version__ = "0.1.0"
@@ -39,12 +38,11 @@ __all__ = [
     "ProfileRaySpace",
     "Subspace",
     "build_realization",
+    "carrier_coords",
     "check_invariant",
     "coordinate_rows",
     "ensemble_moments",
     "invariant_span",
-    "psi_rows",
     "semiinvariant_correction",
-    "split_initial",
     "__version__",
 ]

@@ -9,7 +9,6 @@ then ./affinespde-out/<name>.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -177,37 +176,36 @@ def _write_ensemble_stats(path: str, t_grid: np.ndarray, mean: np.ndarray,
 def run_simulate(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
                  paths: int = 1) -> int:
     """Stream psi, Y and r = psi + Y . V into their files one time at a
-    time; only Y (n_t+1 x d) is held whole.  r.csv is written by a forked
-    child at the same time as the parent writes the other files."""
+    time; only Y and the carrier's table are held whole.  A forked child
+    writes r.csv from its own psi stream while the parent writes the rest."""
     seed = rt.seed if seed is None else seed
     if seed + paths > levy.SEED_END:
         raise ConfigError(f"--paths {paths} from seed {seed} runs past the "
                           f"last seed 2^64 - 1")
     real = cfgmod.build_scenario_realization(rt)
     t_grid = rt.t_grid()
-    psi, curve_meta = rz.psi_rows(real, rt.h0, t_grid)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = rz.carrier_coords(real, rt.h0, t_grid)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-    coords = np.array(list(rz.coordinate_rows(real, t_grid, v0, inc)))
+    coords = np.array(list(rz.coordinate_rows(carrier, inc)))
     moments = None
     if paths > 1:  # its set-up checks raise before the first write
-        moments = rz.ensemble_moments(real, t_grid, v0, rt.driver,
+        moments = rz.ensemble_moments(carrier, rt.driver,
                                       range(seed, seed + paths))
     # before the fork: its correction norm's LAPACK calls would otherwise
     # share the cores with the r.csv writer
-    report = _realization_report(rt, real, v0, curve_meta, seed)
+    report = _realization_report(rt, real, carrier.v0, carrier.meta, seed)
     axis = rt.space.axis()
     os.makedirs(out_dir, exist_ok=True)
 
     def write_r():
         # its own psi stream: inline, this runs after psi.csv is written
-        psi_r, _meta = rz.psi_rows(real, rt.h0, t_grid)
         basis = real.V.samples
-        r_rows = (p + y @ basis for p, y in zip(psi_r, coords, strict=True))
+        r_rows = (p + y @ basis for p, y in zip(carrier.rows(), coords, strict=True))
         oracle.write_grid_path(r_rows, os.path.join(out_dir, "r.csv"), t_grid, axis)
 
     def write_rest():
-        oracle.write_grid_path(psi, os.path.join(out_dir, "psi.csv"), t_grid, axis)
+        oracle.write_grid_path(carrier.rows(), os.path.join(out_dir, "psi.csv"),
+                               t_grid, axis)
         oracle.write_coordinate_csv(t_grid, coords, os.path.join(out_dir, "Y.csv"))
         levy.write_increments_csv(inc, os.path.join(out_dir, "increments.csv"))
         _write_json(os.path.join(out_dir, "realization.json"), report)
@@ -242,10 +240,8 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
     real = cfgmod.build_scenario_realization(rt_l, v_basis)
     if mutate is not None:
         real = mutate(real)
-    t_grid = rt_l.t_grid()
-    carrier = rz.carrier_coords(real, rt_l.h0, t_grid)
-    _u0, v0 = rz.split_initial(real, rt_l.h0)
-    coords = rz.coordinate_rows(real, t_grid, v0, chain[lvl])
+    carrier = rz.carrier_coords(real, rt_l.h0, rt_l.t_grid())
+    coords = rz.coordinate_rows(carrier, chain[lvl])
     reference = cfgmod.reference_rows(rt_l, real.V, chain[lvl])
 
     def compare(rows):
@@ -255,10 +251,11 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
         return oracle.compare_coordinates(
             rows, [(carrier.coords, carrier.samples),
                    (coords, real.V.samples)],
-            rt_l.space.weights(), sampled=carrier.sampled, leaf=lvl == 0)
+            rt_l.space.weights(),
+            sampled=carrier.sampled and carrier.sampled(), leaf=lvl == 0)
 
     if ahead:
-        fill, shapes = oracle.reference_blocks(reference, len(t_grid),
+        fill, shapes = oracle.reference_blocks(reference, len(carrier.t_grid),
                                                rt_l.space.size)
         with forked.ahead(fill, shapes) as blocks:
             metrics = compare(itertools.chain.from_iterable(blocks))
@@ -382,11 +379,15 @@ def _index_token(index) -> str:
 
 
 def run_eigen(args, out_dir: str) -> int:
-    kind = operators.KINDS[args.operator]
-    op = kind(**{f.name: getattr(args, f.name) for f in dataclasses.fields(kind)})
+    """The catalog of the flags given: each is a size of the kind's catalog
+    or a parameter of the operator kind (config.parse_operator), else exit 2."""
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("command", "operator", "out")}
+    size = {"p_max": 2, "q_max": 3} if args.operator == "heat_disk" else {"count": 5}
+    size.update((k, given.pop(k)) for k in size.keys() & given.keys())
+    op = cfgmod.parse_operator({"kind": args.operator, **given})
     pairs = operators.eigenpairs(
-        op, operators.disk_indices(args.p_max, args.q_max)
-        if isinstance(op, operators.HeatDisk) else args.count)
+        op, operators.disk_indices(**size) if "p_max" in size else size["count"])
     path = os.path.join(out_dir, "eigen.csv")
     os.makedirs(out_dir, exist_ok=True)
     with open(path, "w") as fh:
@@ -450,18 +451,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="number of simultaneous halvings (default 1; 0 "
                          "checks the absolute bound only)")
 
-    pe = sub.add_parser("eigen", help="write an eigenvalue/eigenfunction catalog")
+    # a flag not given is absent, so run_eigen sees the flags given
+    pe = sub.add_parser("eigen", help="write an eigenvalue/eigenfunction catalog",
+                        argument_default=argparse.SUPPRESS)
     pe.add_argument("--operator", required=True,
                     choices=[name for name, kind in operators.KINDS.items()
                              if not issubclass(kind, operators.Translation)])
-    pe.add_argument("--count", type=_at_least(1), default=5)
-    pe.add_argument("--tau", type=float, default=1.0)
-    pe.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.0)
-    pe.add_argument("--kappa", type=float, default=1.0)
-    pe.add_argument("--a", type=float, default=1.0)
-    pe.add_argument("--d", type=int, default=1)
-    pe.add_argument("--p-max", dest="p_max", type=_at_least(0, 21), default=2)
-    pe.add_argument("--q-max", dest="q_max", type=_at_least(1, 51), default=3)
+    pe.add_argument("--count", type=_at_least(1))
+    pe.add_argument("--tau", type=float)
+    pe.add_argument("--lambda-c", dest="lambda_c", type=float)
+    pe.add_argument("--kappa", type=float)
+    pe.add_argument("--a", type=float)
+    pe.add_argument("--d", type=int)
+    pe.add_argument("--p-max", dest="p_max", type=_at_least(0, 21))
+    pe.add_argument("--q-max", dest="q_max", type=_at_least(1, 51))
     pe.add_argument("--out", default=None)
     return parser
 

@@ -515,7 +515,8 @@ class Runtime:
         return replace(self, space=space, n_t=self.n_t * factor, h0=h0)
 
 
-def _parse_h0(d: dict, op: OperatorSpec, kind: str, base_dir: str):
+def _parse_h0(d: dict, op: OperatorSpec, kind: str, space: rz.SpaceSpec,
+              base_dir: str):
     if "csv" in d:
         if len(d) > 1:
             raise ConfigError(f"initial curve needs exactly one of "
@@ -527,6 +528,12 @@ def _parse_h0(d: dict, op: OperatorSpec, kind: str, base_dir: str):
             raise ConfigError(f"initial curve file {path}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError(f"initial curve file {path} must have x,value rows")
+        # the x column is the x row `simulate` writes, to 1e-9 of a step
+        axis = space.axis()
+        tol = 1e-9 * np.ptp(axis) / max(len(axis) - 1, 1)
+        if len(data) != len(axis) or not np.all(np.abs(data[:, 0] - axis) <= tol):
+            raise ConfigError(f"initial curve file {path}: the x column is not "
+                              f"the space's {len(axis)} points")
         return data[:, 1]
     return parse_field(d, op, kind, "initial_curve")
 
@@ -567,7 +574,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
             raise ConfigError("sampled forward-curve drift needs "
                               "quasi-exponential volatility entries")
 
-    h0 = _parse_h0(raw["initial_curve"], op, kind, base_dir)
+    h0 = _parse_h0(raw["initial_curve"], op, kind, space, base_dir)
 
     sub_raw = raw.get("subspace", {"mode": "volatility_invariant_span"})
     sub_mode = sub_raw["mode"]  # a mode the schema names

@@ -391,9 +391,9 @@ class ClosureResult:
 def invariant_span(op: OperatorSpec, generators: Sequence,
                    dim_cap: int = DIM_CAP) -> ClosureResult:
     """Smallest A-invariant span containing the generators: the closure
-    sweep of a scenario's volatilities (config.volatility_closure).  psi_rows
-    sweeps its curve data through the core, _closure_sweep, directly, so
-    that what counts or times invariant_span (tests/test_one_sweep.py,
+    sweep of a scenario's volatilities (config.volatility_closure); the
+    carrier sweeps its curve data through the core, _closure_sweep, directly,
+    so that what counts or times invariant_span (tests/test_one_sweep.py,
     perfbench's span) sees a command's volatility sweeps only."""
     return _closure_sweep(op, generators, dim_cap)
 
@@ -652,7 +652,7 @@ class Realization:
     def psi_method(self) -> str:
         """The curve method's label, which names the generator family:
         shift_exact for a transport generator, else spectral_truncation.
-        psi_rows steps both on the A-closure of the curve data."""
+        carrier_coords steps both on the A-closure of the curve data."""
         if isinstance(self.op, operators.Translation):
             return "shift_exact"
         return "spectral_truncation"
@@ -774,12 +774,6 @@ def _complement_split(V: Subspace, f) -> tuple[object, np.ndarray]:
     return vec - V.from_coords(c), c
 
 
-def split_initial(real: Realization, h0) -> tuple[object, np.ndarray]:
-    """Decompose the initial curve by the complement: h0 = u0 + sum v0_i v_i.
-    Returns (u0, v0) with u0 symbolic whenever h0 and the basis are."""
-    return _complement_split(real.V, h0)
-
-
 # ---------------------------------------------------------------------------
 # the deterministic carrier curve psi
 
@@ -870,8 +864,8 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     drop out.  With B_W the coordinates of A on W and (c0, a) those of
     (u0, u), the coordinates c of psi take the noise-free step of
     _affine_rows, c <- E c + J a with (E, J) = _expm_with_integral(B_W, dt),
-    so psi and Y share one kernel.  Returns (coordinate rows, W sampled as
-    (dim W, space.size) rows); no data give dim W = 0.
+    so psi and Y share one kernel.  Returns (the (n_t+1, dim W) table of
+    c_n, W sampled as (dim W, space.size) rows); no data give dim W = 0.
 
     On the Dirichlet generators the flow on W is the semigroup only when W
     lies in the domain of A, so every element of W must vanish at both grid
@@ -880,7 +874,7 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     given = [f is not None and not f.is_zero for f in (u0, u)]
     data = [f for f, g in zip((u0, u), given) if g]
     if not data:
-        return _no_coords(t_grid), np.zeros((0, space.size))
+        return np.zeros((len(t_grid), 0)), np.zeros((0, space.size))
     closure = _closure_sweep(real.op, data)
     if closure.status != "quasi_exponential":
         raise MethodUnsupported(
@@ -899,18 +893,15 @@ def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
     e_mat, j_mat = _expm_with_integral(check_invariant(real.op, W).coords, dt)
     c_rows = _affine_rows(c0, (e_mat, j_mat @ a, None, None),
                           itertools.repeat(None, len(t_grid) - 1))
-    return c_rows, samples
-
-
-def _no_coords(t_grid: np.ndarray) -> Iterator[np.ndarray]:
-    return itertools.repeat(np.zeros(0), len(t_grid))
+    return np.fromiter(c_rows, (float, len(W)), len(t_grid)), samples
 
 
 def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
                      dt: float):
     """The transport flow of data known only as samples: a sampled u0
     shifted by _shift_interp row by row, plus int_0^t u(. + s) ds of a
-    sampled drift remainder accumulated by the trapezoid rule."""
+    sampled drift remainder accumulated by the trapezoid rule, as a function
+    whose every call starts a fresh stream."""
     if not isinstance(space, GridSpace):
         raise MethodUnsupported("shifting sampled data needs a grid space")
     x = space.grid.points()
@@ -925,43 +916,47 @@ def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
                 a_prev = a_cur
             yield acc if u0_vec is None else acc + _shift_interp(u0_vec, x, float(t))
 
-    return rows()
+    return rows
 
 
 @dataclass(frozen=True)
 class Carrier:
-    """The carrier curve in coordinates: psi(t_n) = coords_n @ samples
-    + sampled_n.  coords yields the (dim W,) coordinates c_n over W, the
-    A-closure of the symbolic curve data, samples is W sampled as
-    (dim W, space.size) rows, and sampled, None or a stream of
-    (space.size,) rows, is the part of the curve known only as samples (a
-    sampled drift remainder or initial curve on a transport generator).
-    meta is the curve metadata."""
+    """What a reduced path is built from: the realization, the uniform time
+    grid, v0 = Y_0 and the carrier curve psi(t_n) = coords[n] @ samples +
+    sampled_n.  coords is the (n_t+1, dim W) table of psi's coordinates
+    over W, the A-closure of the symbolic curve data, sampled as the
+    (dim W, space.size) rows of samples; sampled, None or a function that
+    starts a stream of (space.size,) rows, is the part known only as
+    samples (on a transport generator).  meta is the curve metadata."""
 
-    coords: Iterator[np.ndarray]
+    real: Realization
+    t_grid: np.ndarray
+    v0: np.ndarray
+    coords: np.ndarray
     samples: np.ndarray
-    sampled: Iterator[np.ndarray] | None
+    sampled: Callable[[], Iterator[np.ndarray]] | None
     meta: dict
 
     def rows(self) -> Iterator[np.ndarray]:
-        """psi(t_n) one time at a time, as a (space.size,) vector: each row
-        is one vector-matrix product c_n @ samples, plus the sampled row;
-        with W empty the sampled rows are psi as they are."""
-        if self.sampled is not None and not len(self.samples):
-            return self.sampled
-        rows = (c @ self.samples for c in self.coords)
+        """A fresh stream of psi(t_n), one (space.size,) row per time: each
+        is one vector-matrix product c_n @ samples (a block product would
+        round unlike it for dim W >= 2), plus the sampled row; with W empty
+        the sampled rows are psi as they are."""
         if self.sampled is None:
-            return rows
-        return (r + s for r, s in zip(rows, self.sampled, strict=True))
+            return (c @ self.samples for c in self.coords)
+        if not len(self.samples):
+            return self.sampled()
+        return (c @ self.samples + s
+                for c, s in zip(self.coords, self.sampled(), strict=True))
 
 
 def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
-    """The carrier curve psi on the uniform time grid, in coordinates (see
-    Carrier).  Set-up checks raise here, before the first row; stepping
-    holds O(space.size) memory.
+    """The Carrier of the initial curve h0 on the uniform time grid.  Set-up
+    checks raise here; a psi stream holds O(space.size) memory.
 
-    psi solves dpsi/dt = A psi + u, psi(0) = u0, for u0 the complement part
-    of h0 and u the drift's remainder.  Symbolic data step exactly on
+    h0 = u0 + v0 . V splits by the complement (u0 symbolic whenever h0 and
+    the basis are), and psi solves dpsi/dt = A psi + u, psi(0) = u0, for u
+    the drift's remainder.  Symbolic data step exactly on
     their A-closure (_closure_rows, meta {"closure_dim": dim W}), whatever
     the generator.  Data known only as samples keep a sampled route: on a
     transport generator they shift by interpolation into the sampled term;
@@ -970,7 +965,7 @@ def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
     space they are refused (ConfigError)."""
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_dt(t_grid)
-    u0, _v0 = split_initial(real, h0)
+    u0, v0 = _complement_split(real.V, h0)
     u = real.drift.remainder
     sampled = None
     if isinstance(real.op, operators.Translation):
@@ -982,20 +977,8 @@ def carrier_coords(real: Realization, h0, t_grid: np.ndarray) -> Carrier:
     else:
         u0, u, meta = _band_limited(real, h0, u0, u)
     coords, samples = _closure_rows(real, u0, u, t_grid, dt)
-    return Carrier(coords, samples, sampled,
+    return Carrier(real, t_grid, v0, coords, samples, sampled,
                    {"closure_dim": len(samples), **meta})
-
-
-def psi_rows(real: Realization, h0,
-             t_grid: np.ndarray) -> tuple[Iterator[np.ndarray], dict]:
-    """The carrier curve one time at a time: returns (rows, meta), where rows
-    yields psi(t_n) for every t_n of the uniform grid as a (space.size,)
-    vector and meta is the curve metadata; carrier_coords(...).rows().
-    Each row is built on its own, a vector-matrix product plus the sampled
-    row, so the rows do not depend on how many are taken at once: a block
-    matrix product would round unlike the row product for dim W >= 2."""
-    car = carrier_coords(real, h0, t_grid)
-    return car.rows(), car.meta
 
 
 # ---------------------------------------------------------------------------
@@ -1044,26 +1027,34 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     return full[:d, :d], full[:d, d:]
 
 
-def _coordinate_step(real: Realization, dt: float):
-    """(E, c, S, scales) of one step y -> E y + c + S.T (scales(y) dX) of
-    the coordinates.  With constant coefficients it is the exact affine
-    step, E = e^{B dt} and c = int_0^dt e^{B s} ds a, and scales is None.
-    A state-scaled volatility takes the left-point euler step instead,
-    E = I + dt B and c = dt a, and scales(y) gives each volatility's scale
-    at a (d,) state or a (d, P) block, shaped (m,) or (m, P); a constant
-    volatility's scale is 1."""
+def _coordinate_step(carrier: Carrier, dt: float):
+    """(E, c, S, scales) of step n, y -> E y + c + S.T (scales(y, n) dX).
+    With constant coefficients it is the exact affine step, E = e^{B dt}
+    and c = int_0^dt e^{B s} ds a, and scales is None.  A state-scaled
+    volatility takes the left-point euler step instead, E = I + dt B and
+    c = dt a, and scales(y, n) gives each volatility's scale at a (d,)
+    state or a (d, P) block, shaped (m,) or (m, P), read at the whole state
+    psi_n + y . V: at y + V.coords(psi_n), whose (n_t+1, d) table is the
+    carrier's times P, V.coords of W's rows, plus V.coords of its sampled
+    rows.  A constant volatility's scale is 1."""
+    real = carrier.real
     sig = (np.vstack([v.coords for v in real.vols])
            if real.vols else np.zeros((0, real.dim)))
     fns = [v.scale_fn for v in real.vols]
     if all(f is None for f in fns):
         e_mat, j_mat = _expm_with_integral(real.B, dt)
         return e_mat, j_mat @ real.drift.v_coords, sig, None
+    psi_v = carrier.coords @ np.reshape(
+        [real.V.coords(w) for w in carrier.samples], (-1, real.dim))
+    if carrier.sampled is not None:
+        psi_v += [real.V.coords(s) for s in carrier.sampled()]
 
-    def scales(y):
+    def scales(y, n):
+        at = (y.T + psi_v[n]).T
         out = np.ones((len(fns), *y.shape[1:]))
         for k, f in enumerate(fns):
             if f is not None:
-                out[k] = f(y)
+                out[k] = f(at)
         return out
 
     return (np.eye(real.dim) + dt * real.B, dt * real.drift.v_coords, sig,
@@ -1072,7 +1063,7 @@ def _coordinate_step(real: Realization, dt: float):
 
 def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
     """The one stepping kernel, y <- E y + c + S.T dX, with dX scaled by
-    scales(y) at the left point when the step has scales (see
+    scales(y, n) at the left point of step n when the step has scales (see
     _coordinate_step): y is a (d,) state or a (d, P) block of states, one
     column per path, and each increment a (m,) row or an (m, P) block, or
     None for a step without noise (the carrier curve's coordinates).  In a
@@ -1083,9 +1074,9 @@ def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
         drift_term = drift_term[:, None]
     sig_t = None if sig is None else sig.T
     yield y
-    for dx in increments:
+    for n, dx in enumerate(increments):
         if scales is not None:
-            dx = scales(y) * dx
+            dx = scales(y, n) * dx
         y = e_mat @ y
         y += drift_term
         if dx is not None:
@@ -1099,11 +1090,12 @@ def _check_driver(real: Realization, m: int) -> None:
             f"{len(real.vols)} volatility components vs {m} driver columns")
 
 
-def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
+def coordinate_rows(carrier: Carrier,
                     increments: levy.IncrementMatrix) -> Iterator[np.ndarray]:
-    """Integrate dY = (B Y + alpha_V) dt + sum_k sigma_V^k(Y_-) dX^k
-    against the provided increments (noise enters at the left endpoint),
-    yielding Y at every time of the uniform grid.  Set-up checks raise here.
+    """Integrate dY = (B Y + alpha_V) dt + sum_k sigma_V^k(r_-) dX^k from
+    Y_0 = v0 against the provided increments (noise enters at the left
+    endpoint), yielding Y at every time of the carrier's grid; r = psi +
+    Y . V is the whole state.  Set-up checks raise here.
 
     Both schemes step through the kernel of ensemble_moments: additive
     noise takes the exact affine update, state-scaled volatility the
@@ -1112,16 +1104,15 @@ def coordinate_rows(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     rounding, not always bit for bit: numpy steps this (d,) state by a
     matrix-vector product and a (d, P) block of paths by a matrix
     product, which can round differently."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _uniform_dt(t_grid)
-    if increments.n_steps != len(t_grid) - 1:
+    n_steps = len(carrier.t_grid) - 1
+    dt = _uniform_dt(carrier.t_grid)
+    if increments.n_steps != n_steps:
         raise GridMismatch(
-            f"{increments.n_steps} increments for {len(t_grid) - 1} time steps")
+            f"{increments.n_steps} increments for {n_steps} time steps")
     if not math.isclose(increments.dt, dt, rel_tol=1e-9, abs_tol=1e-14):
         raise GridMismatch(f"increment dt {increments.dt} vs time grid dt {dt}")
-    _check_driver(real, increments.m)
-    v0 = np.asarray(v0, dtype=float).reshape(real.dim)
-    return _affine_rows(v0.copy(), _coordinate_step(real, dt),
+    _check_driver(carrier.real, increments.m)
+    return _affine_rows(carrier.v0.copy(), _coordinate_step(carrier, dt),
                         increments.values)
 
 
@@ -1134,12 +1125,11 @@ BLOCK_VALUES = 2 ** 18
 _WINDOW = 8
 
 
-def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
-                     spec: levy.LevySpec, seeds: Sequence[int]
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def ensemble_moments(carrier: Carrier, spec: levy.LevySpec,
+                     seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo over per-seed driver streams, in either scheme: the
     sample mean and variance (ddof=1) of the coordinates at every time
-    of the uniform grid, each (n_t+1, dim).  Path p is driven by the same
+    of the carrier's grid, each (n_t+1, dim).  Path p is driven by the same
     increments as seed seeds[p].  Paths are drawn, stepped and reduced one
     block of seeds at a time, so memory does not grow with their number:
     with two or more blocks a forked child draws block b + 1 into shared
@@ -1155,16 +1145,17 @@ def ensemble_moments(real: Realization, t_grid: np.ndarray, v0: np.ndarray,
     mean(axis=0).  Block variances merge by the pairwise update of Chan,
     Golub & LeVeque (1979): within one block the bits are var(axis=0,
     ddof=1), beyond it they differ by rounding."""
-    dt = _uniform_dt(t_grid)
+    real = carrier.real
+    dt = _uniform_dt(carrier.t_grid)
     _check_driver(real, spec.m)
-    step = _coordinate_step(real, dt)
-    n_steps = len(t_grid) - 1
+    step = _coordinate_step(carrier, dt)
+    n_steps = len(carrier.t_grid) - 1
     per_block = max(2, BLOCK_VALUES // (n_steps * spec.m))
     # a lone last path joins the block before it: numpy steps a (d, 1)
     # block by a matrix-vector product, which rounds unlike the matrix
     # product that steps the columns of a wider block
     stops = [*range(per_block, len(seeds) - 1, per_block), len(seeds)]
-    y0 = np.asarray(v0, dtype=float).reshape(real.dim, 1)
+    y0 = carrier.v0.reshape(real.dim, 1)
     total = np.zeros((n_steps + 1, real.dim))
     m2 = np.zeros_like(total)
     bounds = list(zip([0, *stops], stops))

@@ -200,12 +200,11 @@ def test_criterion_5_reconstruction_ignores_complement_choice():
         assert V.dim == 2
         real = rz.build_realization(rt.op, drift, list(rt.sigma), V,
                                     mode_indices=rt.modes or None)
-        psi, _meta = rz.psi_rows(real, rt.h0, t_grid)
-        _u0, v0 = rz.split_initial(real, rt.h0)
-        coords = rz.coordinate_rows(real, t_grid, v0, inc)
-        results.append(np.array([p + y @ V.samples
-                                 for p, y in zip(psi, coords, strict=True)]))
-        v0s.append(v0)
+        carrier = rz.carrier_coords(real, rt.h0, t_grid)
+        coords = rz.coordinate_rows(carrier, inc)
+        results.append(np.array([p + y @ V.samples for p, y in
+                                 zip(carrier.rows(), coords, strict=True)]))
+        v0s.append(carrier.v0)
 
     # the two weights genuinely split the state differently ...
     assert np.max(np.abs(v0s[0] - v0s[1])) > 1e-3
@@ -273,8 +272,8 @@ def test_criterion_8_reduced_model_moments():
     n_t, dt, n_paths = 1000, 1e-3, 10_000
     t_grid = np.linspace(0.0, 1.0, n_t + 1)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
-    _mean, ens_var = rz.ensemble_moments(real, t_grid, np.zeros(1), spec,
-                                         range(n_paths))
+    _mean, ens_var = rz.ensemble_moments(rz.carrier_coords(real, Q(), t_grid),
+                                         spec, range(n_paths))
     for t in (0.5, 1.0):
         idx = int(round(t / dt))
         var = ens_var[idx, 0]

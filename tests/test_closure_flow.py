@@ -35,8 +35,8 @@ def _translation_of(h0, t_grid):
     h0 itself and psi(t) = h0(. + t)."""
     V = rz.Subspace.build([], XS_SPACE)
     real = rz.build_realization(Translation(), None, [], V)
-    rows, meta = rz.psi_rows(real, h0, t_grid)
-    return np.array(list(rows)), meta
+    carrier = rz.carrier_coords(real, h0, t_grid)
+    return np.array(list(carrier.rows())), carrier.meta
 
 
 @settings(max_examples=150, deadline=None)
@@ -66,7 +66,7 @@ def test_psi_rows_of_zero_data_are_zero():
 
 
 def _assert_rows_match(real, h0, t_grid, reference):
-    rows, _meta = rz.psi_rows(real, h0, t_grid)
+    rows = rz.carrier_coords(real, h0, t_grid).rows()
     count = 0
     for n, (row, ref) in enumerate(zip(rows, reference, strict=True)):
         scale = max(float(np.max(np.abs(ref))), 1e-300)
@@ -97,7 +97,7 @@ def test_psi_rows_match_per_time_shift_on_ray_bundles():
         ("trend", funalg.parse_qexp("0.4*exp(-0.6*x) + 0.2*exp(-0.5*x)*sin(1.5*x)"))])
     t_grid = np.linspace(0.0, 0.9, 31)
 
-    u0, _v0 = rz.split_initial(real, h0)
+    u0, _v0 = rz._complement_split(real.V, h0)
     big_g = RayBundle.make((lbl, funalg.integrate_from_zero(fn))
                            for lbl, fn in real.drift.remainder.parts)
     g0 = space.sample(big_g)
@@ -118,7 +118,7 @@ def test_psi_rows_match_per_time_shift_with_sampled_remainder():
     t_grid = np.linspace(0.0, 0.8, 41)
     dt = float(t_grid[1] - t_grid[0])
     x = space.axis()
-    u0, _v0 = rz.split_initial(real, h0)
+    u0, _v0 = rz._complement_split(real.V, h0)
     u_vec = real.drift.remainder
 
     def reference():

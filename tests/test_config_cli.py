@@ -251,6 +251,39 @@ def test_cli_eigen_outputs_reparse(tmp_path):
     assert eigs == [1.0, 4.0, 9.0, 16.0, 25.0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hermite", "--tau", "5", "--kappa", "9"],
+     "operator: a hermite operator takes no tau"),
+    (["cable", "--kappa", "2"], "operator: a cable operator takes no kappa"),
+    (["laguerre", "--a", "2"], "operator: a laguerre operator takes no a"),
+    (["term_structure_2", "--d", "2"],
+     "operator: a term_structure_2 operator takes no d"),
+    # a catalog size of another kind
+    (["heat_disk", "--count", "9"], "operator: a heat_disk operator takes no count"),
+    (["cable", "--p-max", "7"], "operator: a cable operator takes no p_max"),
+    (["hermite", "--q-max", "2"], "operator: a hermite operator takes no q_max"),
+])
+def test_eigen_refuses_a_flag_the_operator_does_not_take(tmp_path, capsys,
+                                                         argv, message):
+    out = tmp_path / "eig"
+    assert cli.main(["eigen", "--operator", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_eigen_defaults_are_the_operator_fields(tmp_path):
+    # a flag not given takes the dataclass default, as a scenario does
+    for argv, given in ((["cable"], ["--tau", "1", "--lambda-c", "1",
+                                     "--count", "5"]),
+                        (["heat_disk"], ["--a", "1", "--p-max", "2",
+                                         "--q-max", "3"])):
+        paths = [tmp_path / f"{argv[0]}-{k}" / "eigen.csv" for k in (0, 1)]
+        for extra, path in zip(([], given), paths):
+            assert cli.main(["eigen", "--operator", *argv, *extra,
+                             "--out", str(path.parent)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--config", "cable", "--refine", "-1"],
     ["simulate", "--config", "cable", "--paths", "-3"],
@@ -471,6 +504,29 @@ def test_initial_curve_csv_with_a_text_field_is_a_config_error(
     assert cli.main(["analyze", "--config", str(cfg),
                      "--out", str(tmp_path / "a")]) == 2
     assert "initial curve file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_of", [
+    pytest.param(lambda x: 3.0 + 7.0 * x, id="2001-rows-off-axis"),
+    pytest.param(lambda x: x[::2], id="1001-rows"),
+])
+def test_initial_curve_csv_off_the_space_axis_exits_2(tmp_path, capsys, x_of):
+    # the x column is read: it must be the grid's x row, in length and value
+    raw = copy.deepcopy(_load("transport-1d"))
+    x = np.linspace(0.0, raw["space"]["x_max"], raw["space"]["n_x"])
+    x_csv = x_of(x)
+    np.savetxt(tmp_path / "h0.csv", np.column_stack([x_csv, np.exp(-x_csv)]),
+               delimiter=",", fmt="%.17g")
+    raw["initial_curve"] = {"csv": "h0.csv"}
+    cfg = tmp_path / "transport-csv.json"
+    cfg.write_text(json.dumps(raw))
+    for command in (["analyze"], ["simulate"], ["verify", "--refine", "1"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "h0.csv" in err and "x column" in err
+        assert not out.exists()
 
 
 def test_verify_refines_an_initial_curve_csv(tmp_path):

@@ -62,7 +62,7 @@ def test_sampled_initial_curve_shifts_on_hjmm_linear(tmp_path):
     for rt in (csv_rt, sym_rt):
         real = cfgmod.build_scenario_realization(rt, closure)
         assert real.psi_method == "shift_exact"
-        psi.append(np.array(list(rz.psi_rows(real, rt.h0, t_grid)[0])))
+        psi.append(np.array(list(rz.carrier_coords(real, rt.h0, t_grid).rows())))
     _check_against_symbolic(psi[0], psi[1], t_grid, sym_rt.space.axis())
 
 
@@ -81,7 +81,8 @@ def test_simulate_shifts_a_csv_initial_curve(tmp_path):
 
     sym_rt = _runtime(raw, tmp_path)
     real = cfgmod.build_scenario_realization(sym_rt)
-    symbolic = np.array(list(rz.psi_rows(real, sym_rt.h0, path.t_grid)[0]))
+    symbolic = np.array(list(
+        rz.carrier_coords(real, sym_rt.h0, path.t_grid).rows()))
     _check_against_symbolic(path.values, symbolic, path.t_grid, path.x_grid)
 
 

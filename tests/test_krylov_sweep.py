@@ -81,7 +81,7 @@ def _svd_sweep(op, generators, dim_cap=rz.DIM_CAP):
 def _scenario_sweeps(name):
     """(op, generators) of each closure sweep that building a bundled
     scenario and its carrier runs: the volatilities' sweep, then the
-    curve data's (psi_rows) where there are symbolic data."""
+    curve data's (carrier_coords) where there are symbolic data."""
     sweeps = []
     sweep = rz._closure_sweep
 
@@ -93,7 +93,8 @@ def _scenario_sweeps(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rz, "_closure_sweep", recorded)
         try:
-            rz.psi_rows(cfgmod.build_scenario_realization(rt), rt.h0, rt.t_grid())
+            rz.carrier_coords(cfgmod.build_scenario_realization(rt), rt.h0,
+                              rt.t_grid())
         except NotQuasiExponential:
             assert name.startswith("neg-")
     return sweeps

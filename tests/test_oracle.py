@@ -264,7 +264,7 @@ def _cable_setup():
         mode_indices=(1, 2, 3))
     h0 = funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(3*x)")
     t_grid = np.linspace(0.0, 0.5, 51)
-    rows, _meta = rz.psi_rows(real, h0, t_grid)
+    rows = rz.carrier_coords(real, h0, t_grid).rows()
     psi = GridPath(t_grid, space.axis(), np.array(list(rows)))
     return space, V, real, psi
 

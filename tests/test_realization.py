@@ -22,14 +22,14 @@ CABLE_SPACE = rz.GridSpace(Grid1D.from_interval(0.0, math.pi, 315))
 
 
 def _psi(real, h0, t_grid):
-    """The rows of psi_rows, one per time."""
-    rows, _meta = rz.psi_rows(real, h0, t_grid)
-    return np.array(list(rows))
+    """The rows of the carrier curve psi, one per time."""
+    return np.array(list(rz.carrier_coords(real, h0, t_grid).rows()))
 
 
-def _coords(real, t_grid, v0, inc):
-    """The rows of coordinate_rows, one per time."""
-    return np.array(list(rz.coordinate_rows(real, t_grid, v0, inc)))
+def _coords(real, h0, t_grid, inc):
+    """The rows of coordinate_rows from the initial curve h0, one per time."""
+    carrier = rz.carrier_coords(real, h0, t_grid)
+    return np.array(list(rz.coordinate_rows(carrier, inc)))
 
 
 def test_invariant_span_dimensions():
@@ -207,10 +207,15 @@ def _cable_realization(h0_text="0.6*sin(1*x) + 0.25*sin(3*x)",
 
 
 def test_split_initial_symbolic():
+    # h0 = u0 + v0 . V: the carrier keeps v0 and starts psi at u0
     real, h0 = _cable_realization()
-    u0, v0 = rz.split_initial(real, h0)
+    u0, v0 = rz._complement_split(real.V, h0)
     assert np.allclose(v0, [0.6, 0.0], atol=1e-9)
     assert funalg.allclose(u0, funalg.parse_qexp("0.25*sin(3*x)"), tol=1e-9)
+    carrier = rz.carrier_coords(real, h0, np.linspace(0.0, 1.0, 3))
+    assert np.array_equal(carrier.v0, v0)
+    assert np.allclose(next(carrier.rows()), CABLE_SPACE.sample(u0),
+                       atol=1e-12)
 
 
 def test_solve_psi_spectral_closed_form():
@@ -236,7 +241,7 @@ def test_solve_psi_truncation_guard(tmp_path):
     # cos 3x does not vanish at the Dirichlet ends: refused before any row
     off_domain = "0.6*sin(1*x) + 0.25*cos(3*x)"
     with pytest.raises(DomainError):
-        rz.psi_rows(real, funalg.parse_qexp(off_domain), t_grid)
+        rz.carrier_coords(real, funalg.parse_qexp(off_domain), t_grid)
     raw = cfgmod.load_config(cfgmod.resolve_config_path("cable"))
     raw["initial_curve"] = {"qexp": off_domain}
     # without `modes` the curve takes the same closure route and is refused
@@ -256,14 +261,15 @@ def test_sampled_curve_is_projected_onto_the_modes():
     real, _ = _cable_realization()
     t_grid = np.linspace(0.0, 1.0, 11)
     x = CABLE_SPACE.grid.points()
-    rows, meta = rz.psi_rows(real, 0.6 * np.sin(x) + 0.25 * np.sin(3 * x),
-                             t_grid)
+    carrier = rz.carrier_coords(
+        real, 0.6 * np.sin(x) + 0.25 * np.sin(3 * x), t_grid)
     g3 = operators.generator_eigenvalue(Cable(), 3)
     exact = 0.25 * np.exp(g3 * t_grid)[:, None] * np.sin(3 * x)[None, :]
-    assert np.max(np.abs(np.array(list(rows)) - exact)) < 1e-10
+    assert np.max(np.abs(np.array(list(carrier.rows())) - exact)) < 1e-10
+    meta = carrier.meta
     assert meta["modes"] == 3 and meta["truncation_tail"] < 1e-12
     with pytest.raises(TruncationTailTooLarge):
-        rz.psi_rows(real, 0.6 * np.sin(x) + 0.25 * np.sin(9 * x), t_grid)
+        rz.carrier_coords(real, 0.6 * np.sin(x) + 0.25 * np.sin(9 * x), t_grid)
 
 
 def test_solve_psi_shift_exact_against_direct_evaluation():
@@ -302,7 +308,7 @@ def test_exp_exact_matches_affine_closed_form():
     t_grid = np.linspace(0.0, 2.0, 201)
     dt = t_grid[1] - t_grid[0]
     zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)), seed=0)
-    coords = _coords(real, t_grid, np.array([1.0]), zeros)
+    coords = _coords(real, Q.exponential(-1.0), t_grid, zeros)
     a = 0.3
     exact = np.exp(-t_grid) * 1.0 + a * (1.0 - np.exp(-t_grid))
     assert np.max(np.abs(coords[:, 0] - exact)) < 1e-12
@@ -317,23 +323,23 @@ def test_euler_first_order_toward_exact_update():
         t_grid = np.linspace(0.0, 1.0, n_t + 1)
         dt = t_grid[1] - t_grid[0]
         zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)), seed=0)
-        eu = _coords(euler, t_grid, np.array([1.0]), zeros)
-        ex = _coords(real, t_grid, np.array([1.0]), zeros)
+        eu = _coords(euler, Q.exponential(-1.0), t_grid, zeros)
+        ex = _coords(real, Q.exponential(-1.0), t_grid, zeros)
         errs.append(np.max(np.abs(eu - ex)))
     assert errs[1] < 0.6 * errs[0]
 
 
 def test_simulate_coordinates_grid_mismatches():
-    real = _ou_realization()
-    t_grid = np.linspace(0.0, 1.0, 11)
+    carrier = rz.carrier_coords(_ou_realization(), Q(),
+                                np.linspace(0.0, 1.0, 11))
     with pytest.raises(GridMismatch):
-        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+        rz.coordinate_rows(carrier,
                            levy.IncrementMatrix(0.1, np.zeros((7, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+        rz.coordinate_rows(carrier,
                            levy.IncrementMatrix(0.2, np.zeros((10, 1)), 0))
     with pytest.raises(GridMismatch):
-        rz.coordinate_rows(real, t_grid, np.array([0.0]),
+        rz.coordinate_rows(carrier,
                            levy.IncrementMatrix(0.1, np.zeros((10, 2)), 0))
 
 
@@ -343,11 +349,12 @@ def test_ensemble_matches_per_seed_paths():
     dt = t_grid[1] - t_grid[0]
     spec = levy.make_levy_spec([{"brownian_vol": 0.4}])
     seeds = [5, 6, 7]
-    mean, var = rz.ensemble_moments(real, t_grid, np.array([1.0]), spec, seeds)
+    carrier = rz.carrier_coords(real, Q.exponential(-1.0), t_grid)
+    mean, var = rz.ensemble_moments(carrier, spec, seeds)
     # (paths, times, d) from the three single paths
     paths = np.stack([
-        _coords(real, t_grid, np.array([1.0]),
-                levy.sample_increments(spec, dt, 25, seed))
+        np.array(list(rz.coordinate_rows(
+            carrier, levy.sample_increments(spec, dt, 25, seed))))
         for seed in seeds])
     assert np.array_equal(mean, paths.mean(axis=0))
     assert np.array_equal(var, paths.var(axis=0, ddof=1))
@@ -362,8 +369,10 @@ def test_state_vol_needs_euler():
     t_grid = np.linspace(0.0, 0.2, 21)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
     inc = levy.sample_increments(spec, t_grid[1] - t_grid[0], 20, 9)
-    coords = _coords(real, t_grid, np.array([0.5]), inc)
+    h0 = 0.5 * Q.exponential(-1.0)
+    coords = _coords(real, h0, t_grid, inc)
     assert coords.shape == (21, 1)
-    mean, var = rz.ensemble_moments(real, t_grid, np.array([0.5]), spec, [9, 10])
+    mean, var = rz.ensemble_moments(rz.carrier_coords(real, h0, t_grid), spec,
+                                    [9, 10])
     assert mean.shape == var.shape == (21, 1)
     assert np.all(np.isfinite(mean)) and np.all(var[1:] > 0.0)

@@ -36,24 +36,48 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="r.csv is written inline without fork")
 
 
-# a bundled scenario with its first volatility scaled by the state, so its
-# coordinates take euler steps
+def state_scaled(kind, coeffs, **fields):
+    """An edit of a raw scenario: its first volatility scaled by the state,
+    `kind` with c0 1 and `coeffs`, so its coordinates take euler steps, and
+    each top-level field given replaced."""
+    def edit(raw):
+        raw["volatility"][0]["state_scale"] = {"kind": kind, "c0": 1.0,
+                                               "coeffs": list(coeffs)}
+        raw.update(copy.deepcopy(fields))
+    return edit
+
+
+# bundled scenarios edited by state_scaled; in the whole-state ones psi is
+# far from orthogonal to V, so the scale's reading of V.coords(psi_n) counts
 STATE_SCALED = {
-    "cable-state": ("cable", {"kind": "affine", "c0": 1.0, "coeffs": [0.1]}),
-    "transport-1d-state": ("transport-1d", {"kind": "sqrt_affine", "c0": 1.0,
-                                            "coeffs": [0.5, 0.5]}),
+    "cable-state": ("cable", state_scaled("affine", [0.1])),
+    "transport-1d-state": ("transport-1d",
+                           state_scaled("sqrt_affine", [0.5, 0.5])),
+    "transport-1d-whole-state": ("transport-1d", state_scaled(
+        "affine", [1.0, 1.0],
+        initial_curve={"qexp": "1.0*exp(-1.0*x) + 0.5*exp(-2.0*x)"})),
+    "transport-mortality-2d-whole-state": ("transport-mortality-2d", state_scaled(
+        "affine", [0.5, 0.5], initial_curve={"rays": [
+            ["base", "0.7*exp(-0.3*x)+0.3*exp(-0.5*x)"],
+            ["trend", "0.4*exp(-0.6*x)"]]})),
 }
 
 
 def _runtime(name, n_t=None):
-    name, scale = STATE_SCALED.get(name, (name, None))
+    name, edit = STATE_SCALED.get(name, (name, None))
     path = cfgmod.resolve_config_path(name)
     raw = copy.deepcopy(cfgmod.load_config(path))
-    if scale is not None:
-        raw["volatility"][0]["state_scale"] = scale
+    if edit is not None:
+        edit(raw)
     if n_t is not None:
         raw["time"]["n_t"] = n_t
     return cfgmod.build_runtime(raw, os.path.dirname(path))
+
+
+def _carrier(rt):
+    """The carrier of the scenario's realization and initial curve."""
+    real = cfgmod.build_scenario_realization(rt)
+    return rz.carrier_coords(real, rt.h0, rt.t_grid())
 
 
 def _traced_peak(fn):
@@ -69,10 +93,10 @@ def _traced_peak(fn):
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_exp_exact_rows_equal_per_path_recursion(name):
     rt = _runtime(name)
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
+    real, v0 = carrier.real, carrier.v0
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, 11)
-    got = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
+    got = np.array(list(rz.coordinate_rows(carrier, inc)))
 
     # reference: the per-path recursion y <- E y + J a + dX S
     e_mat, j_mat = rz._expm_with_integral(real.B, rt.dt)
@@ -86,16 +110,19 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
     assert np.array_equal(got, np.array(expect))
 
 
-def _euler_loop_rows(real, dt, v0, inc):
-    """The per-path euler loop that stepped a state-scaled volatility before
-    the kernel did: y <- y + dt (B y + a) + sum_k scale_k(y) sigma_k dX_k."""
-    y = v0.copy()
+def _euler_loop_rows(carrier, dt, inc):
+    """The per-path euler loop of a state-scaled volatility: y <- y + dt
+    (B y + a) + sum_k scale_k(y + V.coords(psi_n)) sigma_k dX_k, each scale
+    read at the V-coordinates of the whole state psi_n + y . V."""
+    real = carrier.real
+    y = carrier.v0.copy()
     yield y
-    for dx in inc.values:
+    for dx, psi in zip(inc.values, carrier.rows()):
+        at = y + real.V.coords(psi)
         a = real.B @ y + real.drift.v_coords
         noise = np.zeros(real.dim)
         for k, vol in enumerate(real.vols):
-            scale = 1.0 if vol.scale_fn is None else vol.scale_fn(y)
+            scale = 1.0 if vol.scale_fn is None else vol.scale_fn(at)
             noise += scale * vol.coords * dx[k]
         y = y + dt * a + noise
         yield y
@@ -106,11 +133,10 @@ def _euler_loop_rows(real, dt, v0, inc):
 def test_euler_rows_equal_the_per_path_loop(name, seed):
     rt = _runtime(name)
     assert rt.scheme == "euler"
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-    got = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
-    expect = np.array(list(_euler_loop_rows(real, rt.dt, v0, inc)))
+    got = np.array(list(rz.coordinate_rows(carrier, inc)))
+    expect = np.array(list(_euler_loop_rows(carrier, rt.dt, inc)))
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -119,13 +145,11 @@ def test_euler_ensemble_equals_the_stacked_paths(name):
     # on cable, whose B is diagonal, a (d,) state and a (d, P) block step
     # with the same bits; on transport-1d they agree to rounding
     rt = _runtime(name)
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     seeds = [5, 6, 7]
-    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
+    mean, var = rz.ensemble_moments(carrier, rt.driver, seeds)
     paths = np.stack([np.array(list(rz.coordinate_rows(
-        real, rt.t_grid(), v0,
-        levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed))))
+        carrier, levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed))))
         for seed in seeds])
     want_mean, want_var = paths.mean(axis=0), paths.var(axis=0, ddof=1)
     if name == "cable-state":
@@ -135,13 +159,13 @@ def test_euler_ensemble_equals_the_stacked_paths(name):
     assert np.all(np.abs(var - want_var) <= 1e-12 * np.max(want_var))
 
 
-def _whole_ensemble(rt, real, v0, seeds):
+def _whole_ensemble(rt, carrier, seeds):
     """The (paths, n_t+1, d) array of every path: the per-seed increments
     stacked whole and stepped as one block."""
     inc = np.stack([levy.sample_increments(rt.driver, rt.dt, rt.n_t, s).values
                     for s in seeds])
-    rows = rz._affine_rows(np.tile(v0[:, None], (1, len(seeds))),
-                           rz._coordinate_step(real, rt.dt),
+    rows = rz._affine_rows(np.tile(carrier.v0[:, None], (1, len(seeds))),
+                           rz._coordinate_step(carrier, rt.dt),
                            inc.transpose(1, 2, 0))
     return np.stack([y.T for y in rows], axis=1)
 
@@ -152,10 +176,9 @@ def test_streamed_ensemble_stats_equal_whole_array_reductions(tmp_path):
     assert cli.run_simulate(rt, str(tmp_path), seed=11, paths=paths) == 0
     _head, t, stats = csvio.read_rows(str(tmp_path / "ensemble_stats.csv"), "t")
 
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
-    coords = _whole_ensemble(rt, real, v0, range(11, 11 + paths))
-    d = real.dim
+    carrier = _carrier(rt)
+    coords = _whole_ensemble(rt, carrier, range(11, 11 + paths))
+    d = carrier.real.dim
     assert np.array_equal(t, rt.t_grid())
     assert np.array_equal(stats[:, :d], coords.mean(axis=0))
     assert np.array_equal(stats[:, d:], coords.var(axis=0, ddof=1))
@@ -170,15 +193,14 @@ def test_ensemble_moments_match_whole_array_reductions(paths, per_block,
     # keeps them within one block, where a lone last path joins the block
     # before it, and its value to rounding across blocks
     rt = _runtime("heat-disk")
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     if per_block is not None:
         monkeypatch.setattr(rz, "BLOCK_VALUES",
                             per_block * rt.n_t * rt.driver.m)
     per_block = rz.BLOCK_VALUES // (rt.n_t * rt.driver.m)
     seeds = range(11, 11 + paths)
-    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
-    coords = _whole_ensemble(rt, real, v0, seeds)
+    mean, var = rz.ensemble_moments(carrier, rt.driver, seeds)
+    coords = _whole_ensemble(rt, carrier, seeds)
     want = coords.var(axis=0, ddof=1)
     assert np.array_equal(mean, coords.mean(axis=0))
     if paths <= per_block + 1:
@@ -194,12 +216,11 @@ def test_ensemble_moments_off_heat_disk_match_whole_array_reductions(
     # five paths: the mean keeps the whole array's bits, the variance
     # keeps them within one block and its value to rounding across blocks
     rt = _runtime(name)
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     monkeypatch.setattr(rz, "BLOCK_VALUES", 5 * rt.n_t * rt.driver.m)
     seeds = range(11, 11 + paths)
-    mean, var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
-    coords = _whole_ensemble(rt, real, v0, seeds)
+    mean, var = rz.ensemble_moments(carrier, rt.driver, seeds)
+    coords = _whole_ensemble(rt, carrier, seeds)
     want = coords.var(axis=0, ddof=1)
     assert np.array_equal(mean, coords.mean(axis=0))
     if paths == 6:
@@ -213,12 +234,12 @@ def test_ensemble_rows_driver_mismatch_raises_grid_mismatch():
     vols = [Q.exponential(-1.0)]
     real = rz.build_realization(Translation(), None, vols * 2, V)
     spec = levy.make_levy_spec([{"brownian_vol": 1.0}])
-    t_grid = np.linspace(0.0, 1.0, 11)
+    carrier = rz.carrier_coords(real, Q(), np.linspace(0.0, 1.0, 11))
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
-        rz.ensemble_moments(real, t_grid, np.zeros(1), spec, [1, 2, 3])
+        rz.ensemble_moments(carrier, spec, [1, 2, 3])
     inc = levy.sample_increments(spec, 0.1, 10, 1)
     with pytest.raises(GridMismatch, match="2 volatility components vs 1"):
-        rz.coordinate_rows(real, t_grid, np.zeros(1), inc)
+        rz.coordinate_rows(carrier, inc)
 
 
 def test_one_path_and_its_ensemble_path_agree_to_rounding():
@@ -227,18 +248,54 @@ def test_one_path_and_its_ensemble_path_agree_to_rounding():
     # d = 2): simulate --seed s and ensemble path s agree to rounding, not
     # necessarily bit for bit
     rt = cli._load_runtime("heat-disk")
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     seeds = [11, 12, 13]
     block = rz._affine_rows(
-        np.tile(v0[:, None], (1, len(seeds))), rz._coordinate_step(real, rt.dt),
+        np.tile(carrier.v0[:, None], (1, len(seeds))),
+        rz._coordinate_step(carrier, rt.dt),
         levy.sample_increment_ensemble(rt.driver, rt.dt, rt.n_t, seeds)
         .transpose(1, 2, 0))
     ensemble = np.stack([y.T for y in block], axis=1)  # (paths, times, d)
     for path, seed in zip(ensemble, seeds):
         inc = levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed)
-        one = np.array(list(rz.coordinate_rows(real, rt.t_grid(), v0, inc)))
+        one = np.array(list(rz.coordinate_rows(carrier, inc)))
         assert np.max(np.abs(path - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_simulate_sweeps_the_curve_data_once(tmp_path, monkeypatch):
+    # the r.csv writer, inline here, streams psi from the parent's carrier
+    # and builds none of its own
+    monkeypatch.delattr(os, "fork", raising=False)
+    sweep = rz._closure_sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(rz, "_closure_sweep", counted)
+    rt = _runtime("hjmm-linear", n_t=100)
+    cfgmod.build_scenario_realization(rt)
+    volatility_sweeps = len(calls)
+    calls.clear()
+    assert cli.run_simulate(rt, str(tmp_path), seed=11) == 0
+    assert (tmp_path / "r.csv").exists()
+    assert len(calls) == volatility_sweeps + 1
+
+
+def test_simulate_paths_scales_at_the_whole_state(tmp_path):
+    rt = _runtime("transport-1d-whole-state")
+    assert rt.scheme == "euler"
+    assert cli.run_simulate(rt, str(tmp_path), seed=11, paths=3) == 0
+    _head, t, stats = csvio.read_rows(str(tmp_path / "ensemble_stats.csv"), "t")
+    carrier = _carrier(rt)
+    paths = np.stack([np.array(list(rz.coordinate_rows(
+        carrier, levy.sample_increments(rt.driver, rt.dt, rt.n_t, seed))))
+        for seed in (11, 12, 13)])
+    d = carrier.real.dim
+    assert np.array_equal(t, rt.t_grid())
+    assert np.max(np.abs(stats[:, :d] - paths.mean(axis=0))) <= \
+        1e-13 * np.max(np.abs(paths))
 
 
 def test_run_simulate_holds_no_full_curve(tmp_path):
@@ -515,11 +572,10 @@ def test_a_one_block_ensemble_never_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     rt = _runtime("heat-disk")
-    real = cfgmod.build_scenario_realization(rt)
-    _u0, v0 = rz.split_initial(real, rt.h0)
+    carrier = _carrier(rt)
     seeds = range(11, 11 + rz.BLOCK_VALUES // (rt.n_t * rt.driver.m))
-    mean, _var = rz.ensemble_moments(real, rt.t_grid(), v0, rt.driver, seeds)
-    assert mean.shape == (rt.n_t + 1, real.dim)
+    mean, _var = rz.ensemble_moments(carrier, rt.driver, seeds)
+    assert mean.shape == (rt.n_t + 1, carrier.real.dim)
 
 
 def _package_imports() -> set[str]:

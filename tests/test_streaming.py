@@ -20,8 +20,9 @@ from affinespde.errors import (ConfigError, GridMismatch, LinearSolveFailure,
 from affinespde.funalg import QExpFunction as Q
 from affinespde.grids import Grid1D
 from affinespde.oracle import GridPath
-from test_simulate_streams import (_alarm, _assert_no_child_left,
-                                   _no_process_left, needs_fork)
+from test_simulate_streams import (_alarm, _assert_no_child_left, _carrier,
+                                   _no_process_left, _runtime, needs_fork,
+                                   state_scaled)
 
 
 def _small_runtime(name, n_t, n_x=None, edit=None):
@@ -39,17 +40,11 @@ def _without_modes(raw):
     del raw["modes"]  # symbolic data take the closure route all the same
 
 
-def _state_scaled(raw):
-    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
-                                           "coeffs": [0.1]}
-
-
-def _state_scaled_rays(raw):
-    # the volatility scaled by its first V-coordinate, from a curve inside V
-    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
-                                           "coeffs": [0.5]}
-    raw["initial_curve"] = {"rays": [["base", "0.7*exp(-0.5*x)"],
-                                     ["trend", "0.4*exp(-0.4*x)"]]}
+_state_scaled = state_scaled("affine", [0.1])
+# the volatility scaled by its first V-coordinate, from a curve inside V
+_state_scaled_rays = state_scaled(
+    "affine", [0.5], initial_curve={"rays": [["base", "0.7*exp(-0.5*x)"],
+                                             ["trend", "0.4*exp(-0.4*x)"]]})
 
 
 def _collect(rows):
@@ -177,8 +172,7 @@ def test_streamed_verify_matches_materialised_paths(tmp_path, name, n_t, n_x,
         if edit is _without_modes:
             assert carrier.sampled is None
         psi = _collect(carrier.rows())
-        _u0, v0 = rz.split_initial(real, rt_l.h0)
-        coords = _collect(rz.coordinate_rows(real, t_grid, v0, inc))
+        coords = _collect(rz.coordinate_rows(carrier, inc))
         rec = GridPath(t_grid, rt_l.space.axis(), psi + coords @ real.V.samples)
         ref = _materialised_oracle(rt_l, real, inc)
         whole = compare_streams(zip(rec.values, ref.values),
@@ -452,6 +446,21 @@ def test_ray_oracle_verifies_a_state_scaled_volatility(tmp_path, seed):
     assert cli.run_verify(rt, str(tmp_path), seed=seed, refine=2) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] and report["oracle"] == "ray_grid"
+
+
+@pytest.mark.parametrize("name, seed", [
+    *[("transport-1d-whole-state", s) for s in range(6)],
+    ("transport-mortality-2d-whole-state", 0),
+    ("transport-mortality-2d-whole-state", 3)])
+def test_a_state_scale_is_read_at_the_whole_state(tmp_path, name, seed):
+    # psi leaves V's complement, and the reduced model scales at Y +
+    # V.coords(psi_n), where the oracle scales at the whole state
+    rt = _runtime(name)
+    assert rt.scheme == "euler"
+    carrier = _carrier(rt)
+    psi_v = [carrier.real.V.coords(p) for p in carrier.rows()]
+    assert np.max(np.abs(psi_v)) > 0.1 * np.max(np.abs(carrier.v0))
+    assert cli.run_verify(rt, str(tmp_path), seed=seed, refine=2) == 0
 
 
 @needs_fork

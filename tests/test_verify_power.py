@@ -5,7 +5,10 @@ Each mutation first asserts that it changes the realization it is given,
 so a row cannot pass on a mutant that equals the original.  Left out for
 that reason: the drift V-coordinates of heat-disk, hermite and laguerre
 (all zero) and the drift remainder of laguerre, cable and
-term-structure-2 (none).
+term-structure-2 (none).  The state-scale mutant scales each state-dependent
+volatility by 1.05; it runs on state-scaled transport scenarios, two of
+them with psi far from orthogonal to V, which pass verify because the reduced
+model reads a state scale at the whole state psi + Y . V.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from affinespde import cli
+from test_simulate_streams import _runtime
 
 
 def _volatility(real):
@@ -39,7 +43,18 @@ def _drift_remainder(real):
         real.drift, remainder=None))
 
 
+def _state_scale(real):
+    assert any(v.scale_fn is not None for v in real.vols)
+    return dataclasses.replace(real, vols=tuple(
+        v if v.scale_fn is None else dataclasses.replace(
+            v, scale_fn=lambda y, f=v.scale_fn: 1.05 * f(y))
+        for v in real.vols))
+
+
 _MODELS = ["heat-disk", "hermite", "laguerre", "cable", "term-structure-2"]
+# state-scaled euler models (test_simulate_streams.STATE_SCALED)
+_STATE_SCALED = ["transport-1d-state", "transport-1d-whole-state",
+                 "transport-mortality-2d-whole-state"]
 
 
 @pytest.mark.parametrize("name, mutate", [
@@ -49,8 +64,12 @@ _MODELS = ["heat-disk", "hermite", "laguerre", "cable", "term-structure-2"]
       for n in ("cable", "term-structure-2")],
     *[pytest.param(n, _drift_remainder, id=f"{n}-drift-remainder")
       for n in ("heat-disk", "hermite")],
+    *[pytest.param(n, _state_scale, id=f"{n}-state-scale")
+      for n in _STATE_SCALED],
+    *[pytest.param(n, m, id=f"{n}-{label}") for n in _STATE_SCALED[1:]
+      for m, label in ((_volatility, "volatility"), (_generator, "B"))],
 ])
 def test_verify_fails_a_mutated_reduced_model(tmp_path, name, mutate):
-    rt = cli._load_runtime(name)
+    rt = _runtime(name)
     assert cli.run_verify(rt, str(tmp_path), seed=3, refine=2,
                           mutate=mutate) == 5
