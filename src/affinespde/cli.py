@@ -358,20 +358,6 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
 # eigen
 
 
-def _eigen_samples(op, index) -> np.ndarray:
-    """An eigenfunction's values at the catalog's nine sample points."""
-    if isinstance(op, operators.HeatDisk):
-        pts = [(r, phi) for r in (0.25, 0.5, 0.75)
-               for phi in (0.0, math.pi / 4, math.pi / 2)]
-    elif isinstance(op, (operators.Cable, operators.TermStructure2)):
-        pts = np.linspace(0.0, math.pi if isinstance(op, operators.Cable) else 1.0, 9)
-    else:
-        xs = np.linspace(-2.0, 2.0, 9) if isinstance(op, operators.Hermite) \
-            else np.linspace(0.0, 4.0, 9)
-        pts = np.tile(xs[:, None], (1, op.d))
-    return operators.SpectralFn(op, index).values(pts)
-
-
 def _index_token(index) -> str:
     if isinstance(index, tuple):
         return "-".join(str(p) for p in index)
@@ -394,7 +380,7 @@ def run_eigen(args, out_dir: str) -> int:
         fh.write("index,eigenvalue,generator_eigenvalue,"
                  + ",".join(f"v{i + 1}" for i in range(9)) + "\n")
         for pair in pairs:
-            samples = _eigen_samples(op, pair.index)
+            samples = op.values(pair.index, op.sample_points())
             fh.write(_index_token(pair.index) + csvio.comma_fields(
                 [pair.eigenvalue, pair.generator_eigenvalue, *samples]) + "\n")
     print(f"eigen catalog written to {path}")

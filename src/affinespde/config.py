@@ -308,11 +308,7 @@ def parse_driver(d: dict | None) -> levy.LevySpec:
 
 def _parse_index(op: OperatorSpec, raw):
     try:
-        if isinstance(raw, list) and raw and isinstance(raw[-1], str):
-            return operators._canonical_index(op, (raw[0], raw[1], raw[2]))
-        if isinstance(raw, list):
-            return operators._canonical_index(op, tuple(raw))
-        return operators._canonical_index(op, raw)
+        return op.canonical_index(tuple(raw) if isinstance(raw, list) else raw)
     except Exception as exc:
         raise ConfigError(f"mode index {raw!r}: {exc}") from exc
 
@@ -462,7 +458,7 @@ class Runtime:
         if isinstance(self.space, rz.ProfileRaySpace):
             return "ray_grid"
         return ("modal" if isinstance(self.space, rz.ModalSpace)
-                or isinstance(self.op, operators.TermStructure2) else "grid")
+                or self.op.modal_oracle else "grid")
 
     @property
     def scheme(self) -> str:
@@ -662,7 +658,7 @@ def _exact_mode_amplitudes(rt: Runtime, indices, f) -> np.ndarray:
         return rt.space.sample(f)
     if isinstance(f, QExpFunction):
         coords, rel = rz.span_coords(
-            [operators.eigenfunction_qexp(rt.op, i) for i in indices], [f])
+            [rt.op.eigenfunction(i) for i in indices], [f])
         if rel[0] > rz.TOL_PROJECT:
             raise UnstableConfig(
                 "modal oracle needs band-limited data; relative residual "
@@ -683,7 +679,7 @@ def reference_rows(rt: Runtime, V: rz.Subspace,
                        else rt.modes)
         if not indices:
             raise ConfigError("modal oracle needs modes")
-        gmax = max(abs(operators.generator_eigenvalue(rt.op, i)) for i in indices)
+        gmax = max(abs(rt.op.generator_eigenvalue(i)) for i in indices)
         if gmax * rt.horizon > 700.0:
             raise UnstableConfig(
                 f"modal oracle would overflow: max |eigenvalue| x horizon = "

@@ -12,20 +12,12 @@ Catalog (state space, generator A, boundary):
   Laguerre           -sum_i (x_i d_i^2 + (1 - x_i) d_i) on (0, inf)^d
   TermStructure2     -(kappa/2) d^2/dx^2 - d/dx, Dirichlet on (0, 1)
 
-Eigen data carries two numbers per mode.  `eigenvalue` is the classical
-Sturm-Liouville value of the separated problem (n^2 for the cable problem
-u'' + lambda u = 0, the q-th positive zero of J_p for the disk, n for the
-Hermite and Laguerre ladders, (1 + n^2 pi^2 kappa^2)/(2 kappa) for the term
-structure family).  `generator_eigenvalue` is the factor A actually applies
-to the eigenfunction:
-
-  Cable            -(lambda_c^2 n^2 + 1)/tau        on sin(n x)
-  HeatDisk         -a * zero^2                      on trig(p phi) J_p(zero r)
-  Hermite          +n                               on products of H_beta
-  Laguerre         +n                               on products of L_beta
-  TermStructure2   +(1 + n^2 pi^2 kappa^2)/(2 kappa) on e^{-x/kappa} sin(n pi x)
-
-Translation and Transport have continuous spectrum; eigenpairs refuses them.
+Each kind is a dataclass whose fields are its parameters and whose methods
+are the one place for its facts (see OperatorSpec).  A mode has two
+eigenvalues: `proof_eigenvalue`, the classical Sturm-Liouville value of the
+separated problem (n^2 for the cable's u'' + lambda u = 0), and
+`generator_eigenvalue`, the factor A applies to the eigenfunction
+(-(lambda_c^2 n^2 + 1)/tau on sin(n x)).
 """
 
 from __future__ import annotations
@@ -33,8 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -46,181 +38,8 @@ from .errors import (
     UnstableConfig,
     UnsupportedOperator,
 )
-from .funalg import QExpFunction, differentiate
+from .funalg import QExpFunction, differentiate, evaluate
 from .grids import Grid1D
-
-
-# ---------------------------------------------------------------------------
-# operator specifications
-
-
-@dataclass(frozen=True)
-class Translation:
-    pass
-
-
-@dataclass(frozen=True)
-class Transport(Translation):
-    """The unit-speed transport <v, grad>, v = 1: on the half line and on
-    each ray it is Translation's d/dx, with its own name in reports."""
-
-
-@dataclass(frozen=True)
-class Cable:
-    tau: float = 1.0
-    lambda_c: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.tau < math.inf and 0 < self.lambda_c < math.inf):
-            raise UnsupportedOperator("cable parameters must be finite and positive")
-
-
-@dataclass(frozen=True)
-class HeatDisk:
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise UnsupportedOperator("diffusivity must be finite and positive")
-
-
-@dataclass(frozen=True)
-class Hermite:
-    d: int = 1
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise UnsupportedOperator("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class Laguerre:
-    d: int = 1
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise UnsupportedOperator("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class TermStructure2:
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise UnsupportedOperator("kappa must be finite and positive")
-
-
-OperatorSpec = Union[Translation, Transport, Cable, HeatDisk, Hermite,
-                     Laguerre, TermStructure2]
-
-# The catalog by its scenario and `eigen --operator` names: a class's fields
-# are the kind's parameters, with their defaults.
-KINDS = {"translation": Translation, "transport": Transport, "cable": Cable,
-         "heat_disk": HeatDisk, "hermite": Hermite, "laguerre": Laguerre,
-         "term_structure_2": TermStructure2}
-
-
-# ---------------------------------------------------------------------------
-# function representations beyond plain QExpFunction
-
-
-@dataclass(frozen=True)
-class RayBundle:
-    """Function on the transport wedge written as sum_i profile_i (x) ray_i(t)
-    along characteristics: value at boundary point + t * v is
-    profile weight times ray(t).  Profiles are opaque labels; distinct labels
-    are treated as orthonormal directions of the boundary factor."""
-
-    parts: tuple[tuple[str, QExpFunction], ...] = ()
-
-    @classmethod
-    def make(cls, parts: Iterable[tuple[str, QExpFunction]]) -> "RayBundle":
-        merged: dict[str, QExpFunction] = {}
-        for label, fn in parts:
-            merged[label] = merged.get(label, QExpFunction()) + fn
-        return cls(tuple(sorted(
-            (lbl, fn) for lbl, fn in merged.items() if not fn.is_zero)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __add__(self, other):
-        if not isinstance(other, RayBundle):
-            return NotImplemented
-        return RayBundle.make(self.parts + other.parts)
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float)):
-            return NotImplemented
-        return RayBundle.make((lbl, fn * c) for lbl, fn in self.parts)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1.0)
-
-
-@dataclass(frozen=True)
-class EigenExpansion:
-    """Finite combination of catalog eigenfunctions, stored as coefficients."""
-
-    op: OperatorSpec
-    items: tuple[tuple[object, float], ...] = ()
-
-    @classmethod
-    def make(cls, op, items) -> "EigenExpansion":
-        merged: dict = {}
-        for idx, c in dict(items).items() if isinstance(items, dict) else items:
-            idx = _canonical_index(op, idx)
-            merged[idx] = merged.get(idx, 0.0) + float(c)
-        kept = tuple(sorted(
-            ((idx, c) for idx, c in merged.items() if c != 0.0),
-            key=lambda t: repr(t[0])))
-        return cls(op, kept)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def coefficients(self) -> dict:
-        return dict(self.items)
-
-    def __add__(self, other):
-        if not isinstance(other, EigenExpansion) or other.op != self.op:
-            return NotImplemented
-        return EigenExpansion.make(self.op, self.items + other.items)
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float)):
-            return NotImplemented
-        return EigenExpansion.make(self.op, tuple((i, v * c) for i, v in self.items))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1.0)
-
-
-def _canonical_index(op, idx):
-    if isinstance(op, (Cable, TermStructure2)):
-        n = int(idx)
-        if n < 1:
-            raise DomainError(f"mode index must be >= 1, got {idx}")
-        return n
-    if isinstance(op, (Hermite, Laguerre)):
-        beta = tuple(int(b) for b in idx)
-        if len(beta) != op.d or any(b < 0 for b in beta):
-            raise DomainError(f"bad multi-index {idx} for d = {op.d}")
-        return beta
-    if isinstance(op, HeatDisk):
-        p, q, parity = idx
-        p, q = int(p), int(q)
-        if p < 0 or q < 1 or parity not in ("cos", "sin") or (p == 0 and parity == "sin"):
-            raise DomainError(f"bad disk index {idx}")
-        return (p, q, parity)
-    raise UnsupportedOperator(f"{type(op).__name__} has no discrete eigenbasis")
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +107,16 @@ def bessel_j(p: int, x) -> float | np.ndarray:
 
 @functools.lru_cache(maxsize=16384)
 def bessel_zero(p: int, q: int) -> float:
-    """q-th positive zero of J_p via sign-change scan plus bisection."""
+    """q-th positive zero of J_p in the catalog's range p <= 20, q <= 50."""
     if not (0 <= p <= 20):
         raise DomainError(f"order out of the supported range [0, 20]: {p}")
     if not (1 <= q <= 50):
         raise DomainError(f"zero index out of the supported range [1, 50]: {q}")
+    return _zero_scan(p, q)
+
+
+def _zero_scan(p: int, q: int) -> float:
+    """q-th positive zero of J_p via sign-change scan plus bisection."""
     step = 0.25
     x = max(0.5, float(p))
     fx = bessel_j(p, x)
@@ -350,83 +174,346 @@ def laguerre_value(n: int, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# eigen data
+# operator specifications: each kind answers for itself
 
 
-def proof_eigenvalue(op: OperatorSpec, index) -> float:
-    """Classical Sturm-Liouville eigenvalue of the separated problem."""
-    index = _canonical_index(op, index)
-    if isinstance(op, Cable):
-        return float(index ** 2)
-    if isinstance(op, TermStructure2):
-        n = index
-        return (1.0 + n * n * math.pi ** 2 * op.kappa ** 2) / (2.0 * op.kappa)
-    if isinstance(op, (Hermite, Laguerre)):
-        return float(sum(index))
-    if isinstance(op, HeatDisk):
-        p, q, _parity = index
-        return bessel_zero(p, q)
-    raise UnsupportedOperator(f"{type(op).__name__} has no discrete eigenbasis")
+class OperatorSpec:
+    """A generator kind.  The defaults refuse as the transport family, of
+    continuous spectrum, does.  proof_eigenvalue(index), generator_eigenvalue
+    (index) and values(index, points) take an index canonical_index(idx)
+    returns; sample_points() are the nine points eigen.csv samples."""
 
+    theta: ClassVar[float] = 1.0          # theta of the grid oracle's steps
+    dirichlet: ClassVar[bool] = False     # a grid element must vanish at the ends
+    modal_oracle: ClassVar[bool] = False  # grid stepping is refused
+    bad_parameters: ClassVar[str] = ""    # the refusal of a field outside (0, inf)
 
-def generator_eigenvalue(op: OperatorSpec, index) -> float:
-    """Factor the catalog generator applies to the indexed eigenfunction."""
-    index = _canonical_index(op, index)
-    if isinstance(op, Cable):
-        return -(op.lambda_c ** 2 * index ** 2 + 1.0) / op.tau
-    if isinstance(op, TermStructure2):
-        return proof_eigenvalue(op, index)
-    if isinstance(op, (Hermite, Laguerre)):
-        return float(sum(index))
-    if isinstance(op, HeatDisk):
-        p, q, _parity = index
-        return -op.a * bessel_zero(p, q) ** 2
-    raise UnsupportedOperator(f"{type(op).__name__} has no discrete eigenbasis")
+    def __post_init__(self):
+        if not all(0 < getattr(self, f.name) < math.inf for f in fields(self)):
+            raise UnsupportedOperator(self.bad_parameters)
 
+    def _no_eigenbasis(self, *_):
+        raise UnsupportedOperator(f"{type(self).__name__} has no discrete eigenbasis")
 
-def eigenfunction_qexp(op: OperatorSpec, index) -> QExpFunction:
-    """Closed-form 1-D eigenfunctions (cable and term structure families)."""
-    index = _canonical_index(op, index)
-    if isinstance(op, Cable):
-        return QExpFunction.trig("sin", float(index))
-    if isinstance(op, TermStructure2):
-        return QExpFunction.trig("sin", index * math.pi, rate=-1.0 / op.kappa)
-    raise UnsupportedOperator(
-        f"{type(op).__name__} eigenfunctions are not quasi-exponential")
+    canonical_index = proof_eigenvalue = generator_eigenvalue = _no_eigenbasis
+    values = sample_points = _no_eigenbasis
+
+    def catalog(self, count: int) -> list:
+        """The first count indices in increasing Sturm-Liouville order."""
+        raise UnsupportedOperator(
+            "first-order transport has continuous spectrum; no eigenpair catalog")
+
+    def eigenfunction(self, index) -> QExpFunction:
+        """The eigenfunction as a quasi-exponential (the 1-D Dirichlet pair)."""
+        self.canonical_index(index)
+        raise UnsupportedOperator(
+            f"{type(self).__name__} eigenfunctions are not quasi-exponential")
+
+    def apply_qexp(self, f: QExpFunction) -> QExpFunction:
+        """A f, for the differential 1-D generators."""
+        raise DomainError(
+            f"{type(self).__name__} does not act on raw quasi-exponential input; "
+            "pass an eigen-expansion")
+
+    def diagonals(self, grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pinned stencil of operator_matrix on grid."""
+        raise UnsupportedOperator(f"no 1-D grid stencil for {type(self).__name__}; "
+                                  f"use the spectral route")
 
 
 @dataclass(frozen=True)
-class SpectralFn:
-    """Evaluatable eigenfunction for the multi-dimensional catalog entries."""
+class Translation(OperatorSpec):
+    def apply_qexp(self, f):
+        return differentiate(f)
+
+    def diagonals(self, grid):
+        """Forward differences (characteristics enter from the right), the
+        far end of the truncated half line pinned."""
+        n, dx = grid.n, grid.dx
+        main = np.full(n, -1.0 / dx)
+        main[-1] = 0.0
+        return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)
+
+
+@dataclass(frozen=True)
+class Transport(Translation):
+    """The unit-speed transport <v, grad>, v = 1: on the half line and on
+    each ray it is Translation's d/dx, with its own name in reports."""
+
+
+class _Dirichlet1D(OperatorSpec):
+    """A Sturm-Liouville generator on (0, length) with Dirichlet ends: modes
+    n >= 1 with quasi-exponential eigenfunctions phi_n, orthogonal under
+    sl_weight with norm length / 2 (w phi_n^2 = sin^2(n pi x / length))."""
+
+    dirichlet = True
+
+    def canonical_index(self, idx):
+        n = int(idx)
+        if n < 1:
+            raise DomainError(f"mode index must be >= 1, got {idx}")
+        return n
+
+    def catalog(self, count):
+        return list(range(1, count + 1))
+
+    def values(self, index, points):
+        return evaluate(self.eigenfunction(index), points)
+
+    def sample_points(self):
+        return np.linspace(0.0, self.length, 9)
+
+    @property
+    def sl_norm(self) -> float:
+        return self.length / 2.0
+
+
+@dataclass(frozen=True)
+class Cable(_Dirichlet1D):
+    tau: float = 1.0
+    lambda_c: float = 1.0
+    theta = 0.5  # Crank-Nicolson
+    length = math.pi
+    bad_parameters = "cable parameters must be finite and positive"
+
+    def proof_eigenvalue(self, n):
+        return float(n ** 2)
+
+    def generator_eigenvalue(self, n):
+        return -(self.lambda_c ** 2 * n ** 2 + 1.0) / self.tau
+
+    def eigenfunction(self, n):
+        return QExpFunction.trig("sin", float(n))
+
+    def apply_qexp(self, f):
+        d2 = differentiate(differentiate(f))
+        return (self.lambda_c ** 2 / self.tau) * d2 - (1.0 / self.tau) * f
+
+    def sl_weight(self, x):
+        return 1.0
+
+    def diagonals(self, grid):
+        """The central second difference, both ends pinned."""
+        n, dx = grid.n, grid.dx
+        c2 = self.lambda_c ** 2 / (self.tau * dx * dx)
+        lower, upper = np.full(n - 1, c2), np.full(n - 1, c2)
+        main = np.full(n, -2.0 * c2 - 1.0 / self.tau)
+        main[[0, -1]] = lower[-1] = upper[0] = 0.0
+        return lower, main, upper
+
+
+@dataclass(frozen=True)
+class TermStructure2(_Dirichlet1D):
+    kappa: float = 1.0
+    modal_oracle = True
+    length = 1.0
+    bad_parameters = "kappa must be finite and positive"
+
+    def proof_eigenvalue(self, n):
+        return (1.0 + n * n * math.pi ** 2 * self.kappa ** 2) / (2.0 * self.kappa)
+
+    generator_eigenvalue = proof_eigenvalue
+
+    def eigenfunction(self, n):
+        return QExpFunction.trig("sin", n * math.pi, rate=-1.0 / self.kappa)
+
+    def apply_qexp(self, f):
+        d1 = differentiate(f)
+        return (-0.5 * self.kappa) * differentiate(d1) - d1
+
+    def sl_weight(self, x):
+        return np.exp(2.0 * x / self.kappa)
+
+    def diagonals(self, grid):
+        raise UnstableConfig(
+            "term-structure generator has unbounded growing spectrum; grid "
+            "stepping is ill-posed, use the modal solver")
+
+
+class _Ladder(OperatorSpec):
+    """Products over d coordinates of a polynomial ladder: A multiplies the
+    product of degrees beta by |beta|; sample_range spans the sample axis."""
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise UnsupportedOperator("dimension must be >= 1")
+
+    def canonical_index(self, idx):
+        beta = tuple(int(b) for b in idx)
+        if len(beta) != self.d or any(b < 0 for b in beta):
+            raise DomainError(f"bad multi-index {idx} for d = {self.d}")
+        return beta
+
+    def proof_eigenvalue(self, beta):
+        return float(sum(beta))
+
+    generator_eigenvalue = proof_eigenvalue
+
+    def catalog(self, count):
+        by_degree = itertools.chain.from_iterable(
+            _multi_indices(level, self.d) for level in itertools.count())
+        return list(itertools.islice(by_degree, count))
+
+    def values(self, index, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.shape[1] != self.d:
+            raise GridMismatch(
+                f"points have dimension {pts.shape[1]}, operator has d = {self.d}")
+        out = np.ones(pts.shape[0])
+        for i, b in enumerate(index):
+            out = out * self.polynomial(b, pts[:, i])
+        return out
+
+    def sample_points(self):
+        return np.tile(np.linspace(*self.sample_range, 9)[:, None], (1, self.d))
+
+
+@dataclass(frozen=True)
+class Hermite(_Ladder):
+    d: int = 1
+    polynomial = staticmethod(hermite_value)
+    sample_range = (-2.0, 2.0)
+
+
+@dataclass(frozen=True)
+class Laguerre(_Ladder):
+    d: int = 1
+    polynomial = staticmethod(laguerre_value)
+    sample_range = (0.0, 4.0)
+
+
+@dataclass(frozen=True)
+class HeatDisk(OperatorSpec):
+    a: float = 1.0
+    bad_parameters = "diffusivity must be finite and positive"
+
+    def canonical_index(self, idx):
+        p, q, parity = idx
+        p, q = int(p), int(q)
+        if p < 0 or q < 1 or parity not in ("cos", "sin") or (p == 0 and parity == "sin"):
+            raise DomainError(f"bad disk index {idx}")
+        return (p, q, parity)
+
+    def proof_eigenvalue(self, index):
+        return bessel_zero(*index[:2])
+
+    def generator_eigenvalue(self, index):
+        return -self.a * bessel_zero(*index[:2]) ** 2
+
+    def catalog(self, count):
+        """Refused once the count-th zero reaches j_{21,1}: bessel_zero stops at p = 20."""
+        modes = disk_indices(min(count + 1, 20), min(count + 1, 50))[:count]
+        if modes and bessel_zero(*modes[-1][:2]) >= _zero_scan(21, 1):
+            raise DomainError(f"the first {count} disk modes reach order 21, "
+                              "beyond bessel_zero's p <= 20")
+        return modes
+
+    def values(self, index, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise GridMismatch("disk eigenfunctions expect (r, phi) pairs")
+        p, q, parity = index
+        trig = np.cos if parity == "cos" else np.sin
+        return bessel_j(p, bessel_zero(p, q) * pts[:, 0]) * trig(p * pts[:, 1])
+
+    def sample_points(self):
+        return [(r, phi) for r in (0.25, 0.5, 0.75)
+                for phi in (0.0, math.pi / 4, math.pi / 2)]
+
+
+# The catalog by its scenario and `eigen --operator` names: a class's fields
+# are the kind's parameters, with their defaults.
+KINDS = {"translation": Translation, "transport": Transport, "cable": Cable,
+         "heat_disk": HeatDisk, "hermite": Hermite, "laguerre": Laguerre,
+         "term_structure_2": TermStructure2}
+
+
+# ---------------------------------------------------------------------------
+# function representations beyond plain QExpFunction
+
+
+@dataclass(frozen=True)
+class RayBundle:
+    """Function on the transport wedge written as sum_i profile_i (x) ray_i(t)
+    along characteristics: value at boundary point + t * v is
+    profile weight times ray(t).  Profiles are opaque labels; distinct labels
+    are treated as orthonormal directions of the boundary factor."""
+
+    parts: tuple[tuple[str, QExpFunction], ...] = ()
+
+    @classmethod
+    def make(cls, parts: Iterable[tuple[str, QExpFunction]]) -> "RayBundle":
+        merged: dict[str, QExpFunction] = {}
+        for label, fn in parts:
+            merged[label] = merged.get(label, QExpFunction()) + fn
+        return cls(tuple(sorted(
+            (lbl, fn) for lbl, fn in merged.items() if not fn.is_zero)))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def __add__(self, other):
+        if not isinstance(other, RayBundle):
+            return NotImplemented
+        return RayBundle.make(self.parts + other.parts)
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, float)):
+            return NotImplemented
+        return RayBundle.make((lbl, fn * c) for lbl, fn in self.parts)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + other * (-1.0)
+
+
+@dataclass(frozen=True)
+class EigenExpansion:
+    """Finite combination of catalog eigenfunctions, stored as coefficients."""
 
     op: OperatorSpec
-    index: object
+    items: tuple[tuple[object, float], ...] = ()
 
-    def values(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if isinstance(self.op, (Cable, TermStructure2)):
-            from .funalg import evaluate
-            return evaluate(eigenfunction_qexp(self.op, self.index), pts)
-        if isinstance(self.op, (Hermite, Laguerre)):
-            if pts.ndim == 1:
-                pts = pts[:, None]
-            if pts.shape[1] != self.op.d:
-                raise GridMismatch(
-                    f"points have dimension {pts.shape[1]}, operator has d = {self.op.d}")
-            fn = hermite_value if isinstance(self.op, Hermite) else laguerre_value
-            out = np.ones(pts.shape[0])
-            for i, b in enumerate(self.index):
-                out = out * fn(b, pts[:, i])
-            return out
-        if isinstance(self.op, HeatDisk):
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise GridMismatch("disk eigenfunctions expect (r, phi) pairs")
-            p, q, parity = self.index
-            r, phi = pts[:, 0], pts[:, 1]
-            radial = bessel_j(p, bessel_zero(p, q) * r)
-            angular = np.cos(p * phi) if parity == "cos" else np.sin(p * phi)
-            return radial * angular
-        raise UnsupportedOperator(f"{type(self.op).__name__} has no eigenfunctions")
+    @classmethod
+    def make(cls, op, items) -> "EigenExpansion":
+        merged: dict = {}
+        for idx, c in dict(items).items() if isinstance(items, dict) else items:
+            idx = op.canonical_index(idx)
+            merged[idx] = merged.get(idx, 0.0) + float(c)
+        kept = tuple(sorted(
+            ((idx, c) for idx, c in merged.items() if c != 0.0),
+            key=lambda t: repr(t[0])))
+        return cls(op, kept)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.items
+
+    def coefficients(self) -> dict:
+        return dict(self.items)
+
+    def __add__(self, other):
+        if not isinstance(other, EigenExpansion) or other.op != self.op:
+            return NotImplemented
+        return EigenExpansion.make(self.op, self.items + other.items)
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, float)):
+            return NotImplemented
+        return EigenExpansion.make(self.op, tuple((i, v * c) for i, v in self.items))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + other * (-1.0)
+
+
+# ---------------------------------------------------------------------------
+# eigen data
 
 
 @dataclass(frozen=True)
@@ -434,7 +521,6 @@ class EigenPair:
     index: object
     eigenvalue: float
     generator_eigenvalue: float
-    eigenfunction: QExpFunction | SpectralFn
 
 
 def _multi_indices(level: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -462,37 +548,16 @@ def disk_indices(p_max: int, q_max: int) -> list:
     return out
 
 
-def _enumerate_indices(op: OperatorSpec, count: int) -> list:
-    if isinstance(op, (Cable, TermStructure2)):
-        return list(range(1, count + 1))
-    if isinstance(op, (Hermite, Laguerre)):
-        by_degree = itertools.chain.from_iterable(
-            _multi_indices(level, op.d) for level in itertools.count())
-        return list(itertools.islice(by_degree, count))
-    if isinstance(op, HeatDisk):
-        return disk_indices(min(count + 1, 20), min(count + 1, 50))[:count]
-    raise UnsupportedOperator(f"{type(op).__name__} has no discrete eigenbasis")
-
-
 def eigenpairs(op: OperatorSpec, count_or_indices) -> list[EigenPair]:
     """First `count` eigenpairs in increasing Sturm-Liouville order, or the
-    pairs for an explicit index list."""
-    if isinstance(op, Translation):
-        raise UnsupportedOperator(
-            "first-order transport has continuous spectrum; no eigenpair catalog")
+    pairs for an explicit index list; the kind's `values` evaluates their
+    eigenfunctions."""
     if isinstance(count_or_indices, int):
-        indices = _enumerate_indices(op, count_or_indices)
+        indices = op.catalog(count_or_indices)
     else:
-        indices = [_canonical_index(op, i) for i in count_or_indices]
-    out = []
-    for idx in indices:
-        if isinstance(op, (Cable, TermStructure2)):
-            fn: QExpFunction | SpectralFn = eigenfunction_qexp(op, idx)
-        else:
-            fn = SpectralFn(op, idx)
-        out.append(EigenPair(idx, proof_eigenvalue(op, idx),
-                             generator_eigenvalue(op, idx), fn))
-    return out
+        indices = [op.canonical_index(i) for i in count_or_indices]
+    return [EigenPair(i, op.proof_eigenvalue(i), op.generator_eigenvalue(i))
+            for i in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +569,7 @@ def apply_exact(op: OperatorSpec, f):
     the differential 1-D operators, RayBundle by the wedge transport, and
     EigenExpansion by every operator with a discrete eigenbasis."""
     if isinstance(f, QExpFunction):
-        if isinstance(op, Translation):
-            return differentiate(f)
-        if isinstance(op, Cable):
-            d2 = differentiate(differentiate(f))
-            return (op.lambda_c ** 2 / op.tau) * d2 - (1.0 / op.tau) * f
-        if isinstance(op, TermStructure2):
-            d1 = differentiate(f)
-            return (-0.5 * op.kappa) * differentiate(d1) - d1
-        raise DomainError(
-            f"{type(op).__name__} does not act on raw quasi-exponential input; "
-            "pass an eigen-expansion")
+        return op.apply_qexp(f)
     if isinstance(f, RayBundle):
         if not isinstance(op, Translation):
             raise DomainError("ray bundles only support transport generators")
@@ -523,7 +578,7 @@ def apply_exact(op: OperatorSpec, f):
         if f.op != op:
             raise GridMismatch("expansion belongs to a different operator")
         return EigenExpansion.make(
-            op, tuple((idx, c * generator_eigenvalue(op, idx)) for idx, c in f.items))
+            op, tuple((idx, c * op.generator_eigenvalue(idx)) for idx, c in f.items))
     raise DomainError(f"cannot apply generator to {type(f).__name__}")
 
 
@@ -535,34 +590,12 @@ def operator_matrix(op: OperatorSpec, grid: Grid1D
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pinned finite-difference generator on a uniform grid as its
     (lower, main, upper) diagonals, of lengths n-1, n and n-1: row i of A r
-    is lower[i-1] r[i-1] + main[i] r[i] + upper[i] r[i+1].
-
-    Translation and transport take the forward difference (their
-    characteristics enter from the right), the cable the central second
-    difference.  Pinned rows are zero: the Dirichlet ends of the cable and
-    the far end of the truncated half line, held at their initial values
-    while stepping.  The term-structure generator is refused: its spectrum
-    grows without bound, so grid stepping amplifies every resolved high
-    mode."""
-    n, dx = grid.n, grid.dx
-    if n < 5:
-        raise GridTooSmall(f"stencils need at least 5 points, got {n}")
-    if isinstance(op, Translation):
-        main = np.full(n, -1.0 / dx)
-        main[-1] = 0.0
-        return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)
-    if isinstance(op, Cable):
-        c2 = op.lambda_c ** 2 / (op.tau * dx * dx)
-        lower, upper = np.full(n - 1, c2), np.full(n - 1, c2)
-        main = np.full(n, -2.0 * c2 - 1.0 / op.tau)
-        main[[0, -1]] = lower[-1] = upper[0] = 0.0
-        return lower, main, upper
-    if isinstance(op, TermStructure2):
-        raise UnstableConfig(
-            "term-structure generator has unbounded growing spectrum; grid "
-            "stepping is ill-posed, use the modal solver")
-    raise UnsupportedOperator(f"no 1-D grid stencil for {type(op).__name__}; "
-                              f"use the spectral route")
+    is lower[i-1] r[i-1] + main[i] r[i] + upper[i] r[i+1], as the kind's
+    `diagonals` gives them.  Pinned rows are zero: they are held at their
+    initial values while stepping."""
+    if grid.n < 5:
+        raise GridTooSmall(f"stencils need at least 5 points, got {grid.n}")
+    return op.diagonals(grid)
 
 
 # A scan pass whose coefficients all lie below this changes no state value

@@ -54,10 +54,11 @@ def _theta_halves(op: OperatorSpec, stencil, dt: float):
     """(explicit, implicit) halves of one theta step, both along the last
     axis: explicit(r, terms) returns (I + (1-theta) dt A) r plus each of
     terms in turn, implicit(rhs) solves (I - theta dt A) y = rhs into a new
-    array.  Theta follows the operator: Crank-Nicolson (0.5) for the cable,
+    array.  Theta is the operator's: Crank-Nicolson (0.5) for the cable,
     backward Euler (1) for transport, whose explicit half is then r plus
     the terms: r itself, not a copy, when there are none."""
-    if not isinstance(op, operators.Cable):
+    implicit = operators.implicit_solver(stencil, op.theta * dt)
+    if op.theta == 1.0:
         def explicit(r, terms):
             if not terms:
                 return r
@@ -66,8 +67,8 @@ def _theta_halves(op: OperatorSpec, stencil, dt: float):
                 out += t
             return out
 
-        return explicit, operators.implicit_solver(stencil, dt)
-    lower, main, upper = (0.5 * dt * d for d in stencil)
+        return explicit, implicit
+    lower, main, upper = ((1.0 - op.theta) * dt * d for d in stencil)
     main += 1.0
 
     def explicit(r, terms):
@@ -78,7 +79,7 @@ def _theta_halves(op: OperatorSpec, stencil, dt: float):
             out += t
         return out
 
-    return explicit, operators.implicit_solver(stencil, 0.5 * dt)
+    return explicit, implicit
 
 
 def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
@@ -139,8 +140,8 @@ def solve_spde_modal(op: OperatorSpec, indices: Sequence, alpha, sigma: Sequence
 
     noise entering at the left endpoint.  alpha and sigma rows are amplitude
     vectors over the given indices.  Returns amplitudes (steps+1, len(indices))."""
-    indices = [operators._canonical_index(op, i) for i in indices]
-    gvals = np.array([operators.generator_eigenvalue(op, i) for i in indices])
+    indices = [op.canonical_index(i) for i in indices]
+    gvals = np.array([op.generator_eigenvalue(i) for i in indices])
     n_modes = len(indices)
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (n_modes,):
@@ -169,8 +170,7 @@ def modal_rows(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
                grid: Grid1D) -> Iterator[np.ndarray]:
     """Amplitude rows mapped onto grid samples of the eigenfunctions, one
     time at a time."""
-    phi = np.vstack([funalg.evaluate(operators.eigenfunction_qexp(op, i),
-                                     grid.points()) for i in indices])
+    phi = np.vstack([op.values(i, grid.points()) for i in indices])
     return (a @ phi for a in amps)
 
 

@@ -113,7 +113,7 @@ class ModalSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(
-            operators._canonical_index(self.op, i) for i in self.indices))
+            self.op.canonical_index(i) for i in self.indices))
 
     def axis(self) -> np.ndarray:
         return np.arange(len(self.indices), dtype=float)
@@ -749,12 +749,11 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
 def _off_domain(op: OperatorSpec, space: SpaceSpec,
                 samples: np.ndarray) -> tuple[int, str, float] | None:
     """Do the elements sampled as the rows of samples leave the domain of a
-    Dirichlet generator (Cable, TermStructure2) on a grid?  The (row,
+    Dirichlet generator (`op.dirichlet`) on a grid?  The (row,
     "left" | "right", ratio) of the largest end value relative to its
     row's max when that ratio exceeds 1e-10, else None (as for every other
     generator or space)."""
-    if not (isinstance(op, (operators.Cable, operators.TermStructure2))
-            and isinstance(space, GridSpace)):
+    if not (op.dirichlet and isinstance(space, GridSpace)):
         return None
     ends = (np.abs(samples[:, [0, -1]])
             / np.max(np.abs(samples), axis=1, keepdims=True))
@@ -799,27 +798,6 @@ def _shift_interp(vec: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     return np.interp(q, x, vec, right=0.0)
 
 
-def _modal_project_numeric(op: OperatorSpec, vec: np.ndarray, grid: Grid1D, indices):
-    """Sturm-Liouville quadrature projection onto catalog modes (cable and
-    term-structure families on their native intervals)."""
-    x = grid.points()
-    trap = trapezoid_weights(grid.n, grid.dx)
-    coefs = {}
-    if isinstance(op, operators.Cable):
-        for n in indices:
-            phi = np.sin(n * x)
-            coefs[n] = float(np.dot(trap * phi, vec) / (math.pi / 2.0))
-    elif isinstance(op, operators.TermStructure2):
-        sl_w = np.exp(2.0 * x / op.kappa)
-        for n in indices:
-            phi = funalg.evaluate(operators.eigenfunction_qexp(op, n), x)
-            coefs[n] = float(np.dot(trap * sl_w * phi, vec) / 0.5)
-    else:
-        raise MethodUnsupported(
-            f"no grid-based modal projection for {type(op).__name__}")
-    return coefs
-
-
 def _band_limited(real: Realization, h0, u0, u):
     """(u0, u, meta) with sampled data made symbolic for the closure route.
     On a modal space a sampled vector is already a coefficient vector.  On a
@@ -838,15 +816,18 @@ def _band_limited(real: Realization, h0, u0, u):
     if not isinstance(space, GridSpace) or not real.mode_indices:
         raise ConfigError("curve data known only as samples need `modes` "
                           "to project onto")
-    indices = real.mode_indices
-    modes = [operators.eigenfunction_qexp(real.op, n) for n in indices]
+    op, indices, x = real.op, real.mode_indices, space.grid.points()
+    modes = [op.eigenfunction(n) for n in indices]
+    # the Sturm-Liouville quadrature of each mode, by the kind's weight
+    sl_w = trapezoid_weights(space.grid.n, space.grid.dx) * op.sl_weight(x)
+    quadrature = [sl_w * op.values(n, x) for n in indices]
     scale = max(space_norm(space, space.sample(h0)), 1e-300)
     out, tails = [], []
     for f, what, bound in ((u0, "initial curve", scale),
                            (u, "drift remainder", max(1.0, scale))):
         if isinstance(f, np.ndarray):
-            coefs = _modal_project_numeric(real.op, f, space.grid, indices)
-            f_sym = _linear_combination(modes, [coefs[n] for n in indices])
+            f_sym = _linear_combination(modes, [
+                float(np.dot(row, f) / op.sl_norm) for row in quadrature])
             tail = space_norm(space, f - space.sample(f_sym))
             if tail > TRUNCATION_BOUND * bound:
                 raise TruncationTailTooLarge(

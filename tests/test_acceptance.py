@@ -69,7 +69,7 @@ def test_criterion_1_eigenvalue_catalogs():
         op = TermStructure2(kappa)
         for n in range(1, 11):
             lam = (1.0 + n * n * math.pi ** 2 * kappa ** 2) / (2.0 * kappa)
-            assert abs(operators.proof_eigenvalue(op, n) - lam) <= 1e-12
+            assert abs(op.proof_eigenvalue(n) - lam) <= 1e-12
 
     for p in range(0, 6):
         for q in range(1, 6):

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import os
 import types
-import typing
 
 import numpy as np
 import pytest
@@ -813,7 +812,7 @@ def test_readme_curve_methods_name_exactly_the_psi_method_labels():
     # the lead sentence of the curve-methods bullet names each label that
     # Realization.psi_method can take, and no other: a retired label fails
     labels = {rz.Realization.psi_method.fget(types.SimpleNamespace(op=op()))
-              for op in typing.get_args(operators.OperatorSpec)}
+              for op in operators.KINDS.values()}
     bullet, = [b for b in _readme_bullets("Numerical methods")
                if b.startswith("Curve methods")]
     lead = bullet.split(". ", 1)[0]

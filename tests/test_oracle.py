@@ -40,7 +40,7 @@ def _foliation(path, psi, V):
 def test_grid_solver_cable_second_order_decay():
     # Crank-Nicolson against the exact decaying eigenmode; halving dx and dt
     # together should cut the error by about four
-    g2 = operators.generator_eigenvalue(operators.Cable(), 2)
+    g2 = operators.Cable().generator_eigenvalue(2)
     errs = []
     for n_x, n_t in ((101, 50), (201, 100)):
         grid = Grid1D.from_interval(0.0, math.pi, n_x)
@@ -192,7 +192,7 @@ def test_modal_solver_exact_for_linear_ode():
                                    _zero_driver(dt, n_t))
     t = np.arange(n_t + 1) * dt
     for j, n in enumerate(indices):
-        g = operators.generator_eigenvalue(op, n)
+        g = op.generator_eigenvalue(n)
         exact = np.exp(g * t) * a0[j] + (np.exp(g * t) - 1.0) / g * alpha[j]
         assert np.max(np.abs(amps[:, j] - exact)) < 1e-13
 
@@ -213,7 +213,7 @@ def test_modal_solver_noise_recursion():
     amps = oracle.solve_spde_modal(op, [1, 2], None, sig_rows,
                                    np.zeros(2), inc)
     # replay the affine recursion directly
-    g = np.array([operators.generator_eigenvalue(op, n) for n in (1, 2)])
+    g = np.array([op.generator_eigenvalue(n) for n in (1, 2)])
     rho = np.exp(g * 0.02)
     a = np.zeros(2)
     for n in range(50):

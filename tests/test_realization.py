@@ -223,7 +223,7 @@ def test_solve_psi_spectral_closed_form():
     t_grid = np.linspace(0.0, 1.0, 51)
     psi = _psi(real, h0, t_grid)
     x = CABLE_SPACE.grid.points()
-    g3 = operators.generator_eigenvalue(Cable(), 3)
+    g3 = Cable().generator_eigenvalue(3)
     exact = 0.25 * np.exp(g3 * t_grid)[:, None] * np.sin(3 * x)[None, :]
     assert np.max(np.abs(psi - exact)) < 1e-10
 
@@ -234,7 +234,7 @@ def test_solve_psi_truncation_guard(tmp_path):
     t_grid = np.linspace(0.0, 1.0, 11)
     psi = _psi(real, funalg.parse_qexp("0.6*sin(1*x) + 0.25*sin(9*x)"), t_grid)
     x = CABLE_SPACE.grid.points()
-    g9 = operators.generator_eigenvalue(Cable(), 9)
+    g9 = Cable().generator_eigenvalue(9)
     exact = 0.25 * np.exp(g9 * t_grid)[:, None] * np.sin(9 * x)[None, :]
     assert np.max(np.abs(psi - exact)) < 1e-10
 
@@ -263,13 +263,43 @@ def test_sampled_curve_is_projected_onto_the_modes():
     x = CABLE_SPACE.grid.points()
     carrier = rz.carrier_coords(
         real, 0.6 * np.sin(x) + 0.25 * np.sin(3 * x), t_grid)
-    g3 = operators.generator_eigenvalue(Cable(), 3)
+    g3 = Cable().generator_eigenvalue(3)
     exact = 0.25 * np.exp(g3 * t_grid)[:, None] * np.sin(3 * x)[None, :]
     assert np.max(np.abs(np.array(list(carrier.rows())) - exact)) < 1e-10
     meta = carrier.meta
     assert meta["modes"] == 3 and meta["truncation_tail"] < 1e-12
     with pytest.raises(TruncationTailTooLarge):
         rz.carrier_coords(real, 0.6 * np.sin(x) + 0.25 * np.sin(9 * x), t_grid)
+
+    # term structure: its modes e^{-x/k} sin(n pi x) are orthogonal only
+    # under the weight e^{2x/k}, with norm 1/2, so the split of h0 along V
+    # leaves dust on modes 1 and 2 that must flow by e^{g_n t} as well
+    kappa = 1.0
+    op = operators.TermStructure2(kappa)
+    space = rz.GridSpace(Grid1D.from_interval(0.0, 1.0, 501))  # the bundled grid
+    x = space.grid.points()
+    phi = np.array([np.exp(-x / kappa) * np.sin(n * math.pi * x) for n in (1, 2, 3)])
+    g = np.array([(1.0 + n * n * math.pi ** 2 * kappa ** 2) / (2.0 * kappa)
+                  for n in (1, 2, 3)])
+    V = rz.Subspace.build([Q.trig("sin", n * math.pi, rate=-1.0 / kappa)
+                           for n in (1, 2)], space)
+    real = rz.build_realization(op, None, [], V, mode_indices=(1, 2, 3))
+    h0 = 0.6 * phi[0] + 0.25 * phi[2]
+    t_grid = np.linspace(0.0, 0.2, 11)
+    carrier = rz.carrier_coords(real, h0, t_grid)
+    assert carrier.meta["closure_dim"] == 3 and carrier.meta["modes"] == 3
+    assert carrier.meta["truncation_tail"] < 1e-12
+    rows = np.array(list(carrier.rows()))
+    # psi starts at u0, the part of h0 off V, which is a mode sum ...
+    assert np.max(np.abs(rows[0] + V.from_coords(carrier.v0) - h0)) < 1e-12
+    c0 = np.linalg.lstsq(phi.T, rows[0], rcond=None)[0]
+    assert abs(c0[2] - 0.25) < 1e-12
+    # ... and each mode coefficient then flows by its own exponential
+    exact = (np.exp(np.outer(t_grid, g)) * c0) @ phi
+    assert np.max(np.abs(rows - exact)) < 1e-10 * np.max(np.abs(exact))
+    with pytest.raises(TruncationTailTooLarge):
+        rz.carrier_coords(real, h0 + 0.25 * np.exp(-x / kappa)
+                          * np.sin(9 * math.pi * x), t_grid)
 
 
 def test_solve_psi_shift_exact_against_direct_evaluation():
