@@ -360,10 +360,8 @@ class StateScale:
 
 
 def _parse_state_scale(d: dict) -> StateScale:
-    kind = d.get("kind")
-    if kind not in ("affine", "sqrt_affine"):
-        raise ConfigError(f"unknown state_scale kind {kind!r}")
-    return StateScale(kind == "sqrt_affine", float(d.get("c0", 0.0)),
+    """The schema has checked the kind, affine or sqrt_affine."""
+    return StateScale(d["kind"] == "sqrt_affine", float(d.get("c0", 0.0)),
                       np.asarray(d.get("coeffs", []), dtype=float))
 
 

@@ -198,24 +198,10 @@ def comma_fields(values) -> str:
 
 
 @contextlib.contextmanager
-def _opened(file):
-    """`file` itself if it is an open text file, else the path opened."""
-    if isinstance(file, (str, os.PathLike)):
-        with open(file) as fh:
-            yield fh
-    else:
-        yield file
-
-
-@contextlib.contextmanager
 def _writer(file):
-    """A function writing bytes to `file`: the path opened in binary mode,
-    or an open text file, which is given the decoded ASCII.  A path opened
-    here is removed again when the with-block raises, so no partial table
-    is left behind; a caller's open file is left as it is."""
-    if not isinstance(file, (str, os.PathLike)):
-        yield lambda data: file.write(data.decode("ascii"))
-        return
+    """A function writing bytes to the path `file`, opened in binary mode.
+    The file is removed again when the with-block raises, so no partial
+    table is left behind."""
     fh = open(file, "wb")
     try:
         with fh:
@@ -261,7 +247,7 @@ def read_rows(file, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     header fields, the first column and the (rows, fields) block of the rest.
     Blank lines are skipped; a wrong header, a row whose length differs from
     the header's or a field that is not a number raise GridMismatch."""
-    with _opened(file) as fh:
+    with open(file) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != label:
             raise GridMismatch(f"file must start with a {label!r} header row")

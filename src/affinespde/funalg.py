@@ -41,9 +41,9 @@ class Term(NamedTuple):
     kind: str  # 'cos' or 'sin'
 
 
-def _snap_values(values: Iterable[float], tol: float = KEY_TOL) -> dict[float, float]:
+def _snap_values(values: Iterable[float]) -> dict[float, float]:
     """Map each value to a cluster representative; clusters are runs of
-    sorted values with consecutive gaps <= tol."""
+    sorted values with consecutive gaps <= KEY_TOL."""
     vals = sorted(set(values))
     out: dict[float, float] = {}
     if not vals:
@@ -51,7 +51,7 @@ def _snap_values(values: Iterable[float], tol: float = KEY_TOL) -> dict[float, f
     rep = vals[0]
     prev = vals[0]
     for v in vals:
-        if v - prev > tol:
+        if v - prev > KEY_TOL:
             rep = v
         out[v] = rep
         prev = v

@@ -30,11 +30,9 @@ from .grids import Grid1D
 
 
 def hjm_drift_wiener(sigma: Sequence[QExpFunction],
-                     vols: Sequence[float] | None = None) -> QExpFunction:
+                     vols: Sequence[float]) -> QExpFunction:
     """Closed-form drift sum_k vol_k^2 sigma^k (T sigma^k) for independent
-    Brownian components (vols default to 1)."""
-    if vols is None:
-        vols = [1.0] * len(sigma)
+    Brownian components of scales vols."""
     if len(vols) != len(sigma):
         raise DomainError(f"{len(sigma)} volatilities but {len(vols)} driver scales")
     total = QExpFunction()

@@ -376,9 +376,9 @@ def write_increments_csv(inc: IncrementMatrix, path) -> None:
     csvio.write_rows(path, header, t, inc.values)
 
 
-def read_increments_csv(path, seed: int = 0) -> IncrementMatrix:
+def read_increments_csv(path) -> IncrementMatrix:
     _names, t, values = csvio.read_rows(path, "t")
     if not len(t):
         raise GridMismatch("no increment rows, dt undefined")
     dt = t[0] if len(t) == 1 else float(t[1] - t[0])
-    return IncrementMatrix(dt=dt, values=values, seed=seed)
+    return IncrementMatrix(dt=dt, values=values)

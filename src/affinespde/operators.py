@@ -243,8 +243,7 @@ class Transport(Translation):
 
 class _Dirichlet1D(OperatorSpec):
     """A Sturm-Liouville generator on (0, length) with Dirichlet ends: modes
-    n >= 1 with quasi-exponential eigenfunctions phi_n, orthogonal under
-    sl_weight with norm length / 2 (w phi_n^2 = sin^2(n pi x / length))."""
+    n >= 1 with quasi-exponential eigenfunctions phi_n."""
 
     dirichlet = True
 
@@ -262,10 +261,6 @@ class _Dirichlet1D(OperatorSpec):
 
     def sample_points(self):
         return np.linspace(0.0, self.length, 9)
-
-    @property
-    def sl_norm(self) -> float:
-        return self.length / 2.0
 
 
 @dataclass(frozen=True)
@@ -288,9 +283,6 @@ class Cable(_Dirichlet1D):
     def apply_qexp(self, f):
         d2 = differentiate(differentiate(f))
         return (self.lambda_c ** 2 / self.tau) * d2 - (1.0 / self.tau) * f
-
-    def sl_weight(self, x):
-        return 1.0
 
     def diagonals(self, grid):
         """The central second difference, both ends pinned."""
@@ -320,9 +312,6 @@ class TermStructure2(_Dirichlet1D):
     def apply_qexp(self, f):
         d1 = differentiate(f)
         return (-0.5 * self.kappa) * differentiate(d1) - d1
-
-    def sl_weight(self, x):
-        return np.exp(2.0 * x / self.kappa)
 
     def diagonals(self, grid):
         raise UnstableConfig(
@@ -404,7 +393,8 @@ class HeatDisk(OperatorSpec):
 
     def catalog(self, count):
         """Refused once the count-th zero reaches j_{21,1}: bessel_zero stops at p = 20."""
-        modes = disk_indices(min(count + 1, 20), min(count + 1, 50))[:count]
+        # every zero below j_{21,1} ~ 26.49 has q <= 8, as j_{0,9} ~ 27.49
+        modes = disk_indices(min(count + 1, 20), min(count + 1, 8))[:count]
         if modes and bessel_zero(*modes[-1][:2]) >= _zero_scan(21, 1):
             raise DomainError(f"the first {count} disk modes reach order 21, "
                               "beyond bessel_zero's p <= 20")
@@ -481,7 +471,7 @@ class EigenExpansion:
     @classmethod
     def make(cls, op, items) -> "EigenExpansion":
         merged: dict = {}
-        for idx, c in dict(items).items() if isinstance(items, dict) else items:
+        for idx, c in items:
             idx = op.canonical_index(idx)
             merged[idx] = merged.get(idx, 0.0) + float(c)
         kept = tuple(sorted(
@@ -492,9 +482,6 @@ class EigenExpansion:
     @property
     def is_zero(self) -> bool:
         return not self.items
-
-    def coefficients(self) -> dict:
-        return dict(self.items)
 
     def __add__(self, other):
         if not isinstance(other, EigenExpansion) or other.op != self.op:

@@ -15,19 +15,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import csvio, funalg, levy, operators
+from . import csvio, levy, operators
 from .errors import GridMismatch, LinearSolveFailure
-from .funalg import QExpFunction
 from .grids import Grid1D
 from .operators import OperatorSpec
 from .realization import GridPath, long_dot
 
 
 def _normalize_field(f, grid: Grid1D):
-    """Drift/volatility input -> vector on the grid (or (k, n) block of k
-    rows) or callable on vectors."""
-    if isinstance(f, QExpFunction):
-        return funalg.evaluate(f, grid.points())
+    """Drift/volatility input, a vector on the grid (or a (k, n) block of k
+    rows) or a callable on vectors, checked against the grid."""
     if callable(f):
         return f
     arr = np.asarray(f, dtype=float)
@@ -105,7 +102,7 @@ def spde_grid_rows(op: OperatorSpec, grid: Grid1D, alpha, sigma: Sequence,
 
     h0_vec = _normalize_field(h0, grid)
     if callable(h0_vec):
-        raise GridMismatch("initial curve must be a function or vector")
+        raise GridMismatch("initial curve must be a vector, not a callable")
     alpha_f = None if alpha is None else _normalize_field(alpha, grid)
     sigma_f = [_normalize_field(s, grid) for s in sigma]
     if len(sigma_f) != increments.m:
@@ -212,7 +209,7 @@ def _square_norm(x: np.ndarray) -> float:
 
 def compare_coordinates(reference: Iterable[np.ndarray],
                         parts: Sequence[tuple[Iterable[np.ndarray], np.ndarray]],
-                        weights: np.ndarray | None = None,
+                        weights: np.ndarray,
                         sampled: Iterable[np.ndarray] | None = None,
                         leaf: bool = False) -> PathMetrics:
     """Sup over time of the weighted-L2 distance between a reference path,
@@ -240,7 +237,7 @@ def compare_coordinates(reference: Iterable[np.ndarray],
     K rows at once.  O(K n_x + n_t) memory is held."""
     S = np.vstack([np.asarray(s, dtype=float) for _c, s in parts])
     dim, n = S.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise GridMismatch(f"weight vector shape {w.shape} for {n} spatial "
                            f"nodes")
@@ -348,13 +345,13 @@ def write_grid_path(rows: Iterable[np.ndarray], file, t_grid: np.ndarray,
     csvio.write_rows(file, "x" + csvio.comma_fields(x_grid), t_grid, rows)
 
 
-def read_grid_path(file, seed: int = 0) -> GridPath:
+def read_grid_path(file) -> GridPath:
     axis, t_grid, values = csvio.read_rows(file, "x")
     try:
         x_grid = np.array([float(v) for v in axis])
     except ValueError as exc:
         raise GridMismatch(f"x row: {exc}") from None
-    return GridPath(t_grid, x_grid, values, seed)
+    return GridPath(t_grid, x_grid, values)
 
 
 def write_coordinate_csv(t_grid: np.ndarray, coords: np.ndarray, file) -> None:

@@ -388,14 +388,13 @@ class ClosureResult:
     dims: tuple[int, ...]
 
 
-def invariant_span(op: OperatorSpec, generators: Sequence,
-                   dim_cap: int = DIM_CAP) -> ClosureResult:
+def invariant_span(op: OperatorSpec, generators: Sequence) -> ClosureResult:
     """Smallest A-invariant span containing the generators: the closure
     sweep of a scenario's volatilities (config.volatility_closure); the
     carrier sweeps its curve data through the core, _closure_sweep, directly,
     so that what counts or times invariant_span (tests/test_one_sweep.py,
     perfbench's span) sees a command's volatility sweeps only."""
-    return _closure_sweep(op, generators, dim_cap)
+    return _closure_sweep(op, generators)
 
 
 def _certain_growth(kept: np.ndarray, mat: np.ndarray) -> np.ndarray | None:
@@ -432,12 +431,11 @@ def _certain_growth(kept: np.ndarray, mat: np.ndarray) -> np.ndarray | None:
 # an overflowing coefficient is refused by rank_and_pivots, which every span
 # the sweep returns passes through; a growth that skips it has finite rows
 @np.errstate(over="ignore", invalid="ignore")
-def _closure_sweep(op: OperatorSpec, generators: Sequence,
-                   dim_cap: int = DIM_CAP) -> ClosureResult:
+def _closure_sweep(op: OperatorSpec, generators: Sequence) -> ClosureResult:
     """Smallest A-invariant span containing the generators, as a Krylov
     sweep: span <- span + A(frontier), where the frontier holds the
     directions the previous iteration added (the generators at first), until
-    the dimension stabilizes or exceeds the cap.  Each iteration decides the
+    the dimension stabilizes or exceeds DIM_CAP.  Each iteration decides the
     rank of the current span plus the frontier images.
 
     A quasi-exponential span is swept as coefficient rows on the key table
@@ -479,7 +477,7 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
         if qexp:
             mat = np.vstack([current.coefficient_matrix, frontier @ g_mat])
             once = (_certain_growth(current.coefficient_matrix, mat)
-                    if n_ortho and current.dim < dim_cap else None)
+                    if n_ortho and current.dim < DIM_CAP else None)
             if once is None:
                 rank, piv = funalg.rank_and_pivots(mat)
                 combined = SpanBasis((), rank, mat[piv], keys)
@@ -492,7 +490,7 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence,
         if combined.dim == current.dim:
             return ClosureResult("quasi_exponential", _resynthesize(combined),
                                  iterations, tuple(dims))
-        if combined.dim > dim_cap:
+        if combined.dim > DIM_CAP:
             return ClosureResult("not_detected", combined, iterations, tuple(dims))
         if qexp:
             kept = current.coefficient_matrix[:n_ortho]
@@ -671,17 +669,18 @@ def _is_symbolic(f) -> bool:
 
 
 def build_realization(op: OperatorSpec, drift, vols: Sequence,
-                      V: Subspace, tol_project: float = TOL_PROJECT,
-                      mode_indices: Sequence | None = None) -> Realization:
+                      V: Subspace, mode_indices: Sequence | None = None
+                      ) -> Realization:
     """Run the realization checks and assemble the reduced model.
 
     `drift` is the constant drift element, symbolic or sampled on V.space,
     and None means zero drift.  Raises NotInvariant / SigmaEscapesV when
-    clause 1 / 3 fails; clause 2 holds for a constant drift by construction.
-    The clause report lands in .clauses.  On the Dirichlet generators
-    clause 1 also needs V inside the generator's domain: a basis element
-    that does not vanish at a grid end raises NotInvariant.  mode_indices
-    only serve to project sampled curve data (_band_limited)."""
+    clause 1 / 3 fails, by a residual above TOL_PROJECT; clause 2 holds for
+    a constant drift by construction.  The clause report lands in
+    .clauses.  On the Dirichlet generators clause 1 also needs V inside the
+    generator's domain: a basis element that does not vanish at a grid end
+    raises NotInvariant.  mode_indices only serve to project sampled curve
+    data (_band_limited)."""
     if V.dim and not all(_is_symbolic(b) for b in V.basis):
         raise DomainError("realization construction needs a symbolic basis")
 
@@ -689,7 +688,7 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     clauses: dict = {}
     if V.dim:
         inv = check_invariant(op, V.basis)
-        if inv.residual > tol_project:
+        if inv.residual > TOL_PROJECT:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside V "
                 f"(coordinate matrix residual {inv.residual:.3e})")
@@ -720,7 +719,7 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
             coords = V.coords(vec)
             scale = max(space_norm(V.space, vec), 1e-300)
             resid = space_norm(V.space, vec - V.from_coords(coords)) / scale
-        if resid > tol_project:
+        if resid > TOL_PROJECT:
             raise SigmaEscapesV(
                 f"volatility component {k} leaves V "
                 f"(relative residual {resid:.3e})")
@@ -801,11 +800,13 @@ def _shift_interp(vec: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
 def _band_limited(real: Realization, h0, u0, u):
     """(u0, u, meta) with sampled data made symbolic for the closure route.
     On a modal space a sampled vector is already a coefficient vector.  On a
-    grid space it is projected onto the catalog modes of mode_indices, and
+    grid space it is projected onto the catalog modes of mode_indices in
+    the space's inner product, by the Gram solve of V's coordinates, and
     the quasi-exponential sum of the projection replaces it (no
-    mode_indices: ConfigError, before any row); the weighted
-    norm of the tail that the projection drops must stay within
-    TRUNCATION_BOUND of the initial curve's norm (of 1 for the drift)."""
+    mode_indices: ConfigError, before any row); the weighted norm of the
+    tail that the projection drops, the least the modes allow, must stay
+    within TRUNCATION_BOUND of the initial curve's norm (of 1 for the
+    drift)."""
     space = real.V.space
     if isinstance(space, ModalSpace):
         u0, u = (EigenExpansion.make(real.op, zip(space.indices, f))
@@ -816,19 +817,17 @@ def _band_limited(real: Realization, h0, u0, u):
     if not isinstance(space, GridSpace) or not real.mode_indices:
         raise ConfigError("curve data known only as samples need `modes` "
                           "to project onto")
-    op, indices, x = real.op, real.mode_indices, space.grid.points()
-    modes = [op.eigenfunction(n) for n in indices]
-    # the Sturm-Liouville quadrature of each mode, by the kind's weight
-    sl_w = trapezoid_weights(space.grid.n, space.grid.dx) * op.sl_weight(x)
-    quadrature = [sl_w * op.values(n, x) for n in indices]
+    modes = Subspace.build(  # a mode listed twice spans nothing new
+        [real.op.eigenfunction(n) for n in dict.fromkeys(real.mode_indices)],
+        space)
     scale = max(space_norm(space, space.sample(h0)), 1e-300)
     out, tails = [], []
     for f, what, bound in ((u0, "initial curve", scale),
                            (u, "drift remainder", max(1.0, scale))):
         if isinstance(f, np.ndarray):
-            f_sym = _linear_combination(modes, [
-                float(np.dot(row, f) / op.sl_norm) for row in quadrature])
-            tail = space_norm(space, f - space.sample(f_sym))
+            c = modes.coords(f)
+            f_sym = _linear_combination(modes.basis, c)
+            tail = space_norm(space, f - modes.from_coords(c))
             if tail > TRUNCATION_BOUND * bound:
                 raise TruncationTailTooLarge(
                     f"{what} tail {tail:.3e} above bound "
@@ -836,7 +835,7 @@ def _band_limited(real: Realization, h0, u0, u):
             f = f_sym
             tails.append(tail)
         out.append(f)
-    return (*out, {"truncation_tail": float(max(tails)), "modes": len(indices)})
+    return (*out, {"truncation_tail": float(max(tails)), "modes": modes.dim})
 
 
 def _closure_rows(real: Realization, u0, u, t_grid: np.ndarray, dt: float):
@@ -1189,4 +1188,3 @@ class GridPath:
     t_grid: np.ndarray
     x_grid: np.ndarray
     values: np.ndarray
-    seed: int = 0

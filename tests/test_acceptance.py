@@ -113,7 +113,7 @@ def test_criterion_2_quasi_exponential_detection():
     for name in ("neg-gauss-taylor", "neg-rational-taylor"):
         raw = cfgmod.load_config(cfgmod.resolve_config_path(name))
         gen = funalg.parse_qexp(raw["volatility"][0]["qexp"])
-        out = rz.invariant_span(Translation(), [gen], dim_cap=50)
+        out = rz.invariant_span(Translation(), [gen])
         assert out.status == "not_detected"
 
     assert time.monotonic() - t0 < 10.0
@@ -226,7 +226,7 @@ def test_criterion_6_correction_restores_semi_invariance():
 
 
 def test_criterion_7_forward_curve_drift_identities():
-    drift = hjmm.hjm_drift_wiener([Q.exponential(-1.0)])
+    drift = hjmm.hjm_drift_wiener([Q.exponential(-1.0)], [1.0])
     got = {(t.power, t.rate, t.freq, t.kind): t.coef for t in drift.terms}
     assert set(got) == {(0, -1.0, 0.0, "cos"), (0, -2.0, 0.0, "cos")}
     assert abs(got[(0, -1.0, 0.0, "cos")] - 1.0) <= 1e-12

@@ -230,16 +230,16 @@ def test_drift_remainder_is_one_field():
 
 
 @pytest.mark.parametrize("tol_project, raises", [(1e-20, True), (1e-10, False)])
-def test_coordinate_matrix_residual_uses_tol_project(tol_project, raises):
+def test_coordinate_matrix_residual_uses_tol_project(tol_project, raises,
+                                                     monkeypatch):
+    monkeypatch.setattr(rz, "TOL_PROJECT", tol_project)
     # the hjmm-linear basis: its least-squares residual is rounding, ~2e-16
     space = rz.GridSpace(Grid1D.from_interval(0.0, 20.0, 201))
     V = rz.Subspace.build([funalg.parse_qexp("exp(-1*x)"),
                            funalg.parse_qexp("exp(-1*x) - exp(-2*x)")], space)
     if raises:
         with pytest.raises(NotInvariant, match="coordinate matrix residual"):
-            rz.build_realization(Translation(), None, [], V,
-                                 tol_project=tol_project)
+            rz.build_realization(Translation(), None, [], V)
     else:
-        real = rz.build_realization(Translation(), None, [], V,
-                                    tol_project=tol_project)
+        real = rz.build_realization(Translation(), None, [], V)
         assert real.clauses["invariant"]["residual"] <= tol_project

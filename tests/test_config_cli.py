@@ -16,7 +16,8 @@ from affinespde.errors import ConfigError
 
 BUNDLED = ["cable", "heat-disk", "hermite", "hjmm-levy", "hjmm-linear",
            "laguerre", "neg-gauss-taylor", "neg-rational-taylor",
-           "term-structure-2", "transport-1d", "transport-mortality-2d"]
+           "term-structure-2", "transport-1d", "transport-1d-state",
+           "transport-mortality-2d"]
 
 
 def _load(name):
@@ -379,6 +380,7 @@ PSI_METHODS = {
     "hermite": "spectral_truncation", "hjmm-levy": "shift_exact",
     "hjmm-linear": "shift_exact", "laguerre": "spectral_truncation",
     "term-structure-2": "spectral_truncation", "transport-1d": "shift_exact",
+    "transport-1d-state": "shift_exact",
     "transport-mortality-2d": "shift_exact",
 }
 
@@ -418,7 +420,7 @@ def test_cli_results_are_cwd_independent(tmp_path, monkeypatch):
 ORACLES = {"cable": "grid", "heat-disk": "modal", "hermite": "modal",
            "hjmm-levy": "grid", "hjmm-linear": "grid", "laguerre": "modal",
            "term-structure-2": "modal", "transport-1d": "grid",
-           "transport-mortality-2d": "ray_grid",
+           "transport-1d-state": "grid", "transport-mortality-2d": "ray_grid",
            # the negative controls named no oracle; verify refuses them at
            # the closure sweep
            "neg-gauss-taylor": "grid", "neg-rational-taylor": "grid"}

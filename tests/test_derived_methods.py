@@ -128,7 +128,11 @@ def test_sampled_curve_without_modes_is_a_config_error(tmp_path, capsys):
 
 def test_scheme_is_euler_exactly_for_a_state_scaled_volatility(tmp_path):
     for name in cfgmod.bundled_scenarios():
-        assert _runtime(_raw(name), tmp_path).scheme == "exp_exact", name
+        raw = _raw(name)
+        scaled = any("state_scale" in v for v in raw["volatility"])
+        assert _runtime(raw, tmp_path).scheme == (
+            "euler" if scaled else "exp_exact"), name
+    assert _runtime(_raw("transport-1d-state"), tmp_path).scheme == "euler"
     raw = _raw("cable")
     raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0,
                                            "coeffs": [0.1]}

@@ -12,7 +12,7 @@ from affinespde.grids import Grid1D
 
 
 def test_wiener_drift_exact_coefficients():
-    drift = hjmm.hjm_drift_wiener([Q.exponential(-1.0)])
+    drift = hjmm.hjm_drift_wiener([Q.exponential(-1.0)], [1.0])
     # e^{-x} * (1 - e^{-x}) = e^{-x} - e^{-2x}, exactly two terms
     got = {(t.power, t.rate, t.freq, t.kind): t.coef for t in drift.terms}
     assert got == {(0, -1.0, 0.0, "cos"): pytest.approx(1.0, abs=1e-15),
@@ -22,8 +22,8 @@ def test_wiener_drift_exact_coefficients():
 def test_wiener_drift_scales_and_adds_components():
     s1, s2 = Q.exponential(-1.0), Q.exponential(-0.5)
     combined = hjmm.hjm_drift_wiener([s1, s2], vols=[2.0, 3.0])
-    separate = (hjmm.hjm_drift_wiener([s1]) * 4.0
-                + hjmm.hjm_drift_wiener([s2]) * 9.0)
+    separate = (hjmm.hjm_drift_wiener([s1], [1.0]) * 4.0
+                + hjmm.hjm_drift_wiener([s2], [1.0]) * 9.0)
     assert funalg.allclose(combined, separate, tol=1e-13)
     with pytest.raises(DomainError):
         hjmm.hjm_drift_wiener([s1], vols=[1.0, 2.0])
@@ -35,7 +35,8 @@ def test_levy_grid_drift_reduces_to_wiener():
              funalg.parse_qexp("0.2*exp(-0.3*x)")]
     driver = levy.make_levy_spec([{"brownian_vol": 1.0}, {"brownian_vol": 1.0}])
     sampled = hjmm.hjm_drift_levy_grid(driver, sigma, grid)
-    closed = funalg.evaluate(hjmm.hjm_drift_wiener(sigma), grid.points())
+    closed = funalg.evaluate(hjmm.hjm_drift_wiener(sigma, [1.0, 1.0]),
+                             grid.points())
     assert np.max(np.abs(sampled - closed)) < 1e-10
 
 
@@ -164,7 +165,7 @@ def test_realization_subspace_contains_sigma_and_drift():
              funalg.parse_qexp("0.5*exp(-0.5*x)*cos(1*x)")]
     sub = hjmm.product_closure(
         rz.invariant_span(operators.Translation(), sigma).basis)
-    drift = hjmm.hjm_drift_wiener(sigma)
+    drift = hjmm.hjm_drift_wiener(sigma, [1.0, 1.0])
     for member in list(sigma) + [drift]:
         joint = rz.span_basis(list(sub.functions) + [member])
         assert joint.dim == sub.dim

@@ -85,9 +85,9 @@ def _scenario_sweeps(name):
     sweeps = []
     sweep = rz._closure_sweep
 
-    def recorded(op, generators, dim_cap=rz.DIM_CAP):
+    def recorded(op, generators):
         sweeps.append((op, list(generators)))
-        return sweep(op, generators, dim_cap)
+        return sweep(op, generators)
 
     rt = cfgmod.build_runtime(cfgmod.load_config(cfgmod.resolve_config_path(name)))
     with pytest.MonkeyPatch.context() as mp:

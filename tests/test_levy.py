@@ -205,7 +205,7 @@ def test_increment_csv_round_trip(tmp_path):
     inc = levy.sample_increments(tse_spec(), 0.25, 12, seed=19)
     path = os.path.join(tmp_path, "inc.csv")
     levy.write_increments_csv(inc, path)
-    back = levy.read_increments_csv(path, seed=inc.seed)
+    back = levy.read_increments_csv(path)
     assert math.isclose(back.dt, inc.dt, rel_tol=1e-15)
     assert np.array_equal(back.values, inc.values)
 

@@ -311,14 +311,20 @@ def test_eigen_csv_values_are_the_eigenfunctions_at_the_sample_points(tmp_path):
 
 def test_heat_disk_catalog_refuses_a_count_past_order_20():
     # bessel_zero stops at p = 20, and only 160 modes of orders p <= 20 lie
-    # below j_{21,1} ~ 26.49: counts above 160 would skip order 21
+    # below j_{21,1} ~ 26.49: counts above 160 would skip order 21.  The
+    # order is scipy's, sorted by brute force over p <= 20, q <= 50
+    zeros = {p: scipy.special.jn_zeros(p, 50) for p in range(22)}
     every = [(p, q, parity) for p in range(21) for q in range(1, 51)
              for parity in (("cos",) if p == 0 else ("cos", "sin"))]
-    every.sort(key=lambda i: (operators.bessel_zero(i[0], i[1]), i[2]))
+    every.sort(key=lambda i: (zeros[i[0]][i[1] - 1], i[2]))
+    operators.bessel_zero.cache_clear()
     pairs = operators.eigenpairs(HeatDisk(), 160)
+    # no zero below j_{21,1} has q > 8 (j_{0,9} ~ 27.49): the catalog
+    # computes the 21 x 8 zeros of q <= 8 at most
+    assert operators.bessel_zero.cache_info().currsize <= 168
     assert [p.index for p in pairs] == every[:160]
-    j21 = scipy.special.jn_zeros(21, 1)[0]
-    assert pairs[-1].eigenvalue < j21 < operators.bessel_zero(*every[160][:2])
+    p, q, _parity = every[160]
+    assert pairs[-1].eigenvalue < zeros[21][0] < zeros[p][q - 1]
     with pytest.raises(DomainError, match="order 21"):
         operators.eigenpairs(HeatDisk(), 161)
 

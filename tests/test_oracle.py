@@ -1,7 +1,6 @@
 """Reference solvers, comparison metrics, and path file formats."""
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -46,8 +45,7 @@ def test_grid_solver_cable_second_order_decay():
         grid = Grid1D.from_interval(0.0, math.pi, n_x)
         dt = 0.5 / n_t
         path = _grid_solution(operators.Cable(), grid, None, [],
-                              funalg.parse_qexp("sin(2*x)"),
-                              _zero_driver(dt, n_t))
+                              np.sin(2 * grid.points()), _zero_driver(dt, n_t))
         exact = np.exp(g2 * path.t_grid)[:, None] * np.sin(2 * grid.points())
         ref = GridPath(path.t_grid, grid.points(), exact)
         errs.append(
@@ -62,7 +60,7 @@ def test_grid_solver_translation_first_order_shift():
         grid = Grid1D.from_interval(0.0, 20.0, n_x)
         dt = 1.0 / n_t
         path = _grid_solution(operators.Translation(), grid, None, [],
-                              Q.exponential(-1.0), _zero_driver(dt, n_t))
+                              np.exp(-grid.points()), _zero_driver(dt, n_t))
         x = grid.points()
         exact = np.exp(-(x[None, :] + path.t_grid[:, None]))
         ref = GridPath(path.t_grid, x, exact)
@@ -283,43 +281,48 @@ def test_foliation_distance_separates_on_and_off_leaf():
     assert np.min(dist_off) > 0.05
 
 
-def test_grid_path_csv_round_trip():
+def _written(tmp_path, text):
+    """The path of a file holding text."""
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def test_grid_path_csv_round_trip(tmp_path):
     t = np.linspace(0.0, 1.0, 7)
     x = np.linspace(0.0, 3.0, 5)
     rng = np.random.default_rng(31)
-    path = GridPath(t, x, rng.standard_normal((7, 5)) * 1e-7, seed=31)
-    buf = io.StringIO()
-    oracle.write_grid_path(path.values, buf, path.t_grid, path.x_grid)
-    buf.seek(0)
-    back = oracle.read_grid_path(buf, seed=31)
+    path = GridPath(t, x, rng.standard_normal((7, 5)) * 1e-7)
+    file = str(tmp_path / "path.csv")
+    oracle.write_grid_path(path.values, file, path.t_grid, path.x_grid)
+    back = oracle.read_grid_path(file)
     assert np.array_equal(back.t_grid, path.t_grid)
     assert np.array_equal(back.x_grid, path.x_grid)
     assert np.array_equal(back.values, path.values)
 
 
-def test_coordinate_csv_round_trip():
+def test_coordinate_csv_round_trip(tmp_path):
     t = np.linspace(0.0, 0.5, 6)
     rng = np.random.default_rng(37)
     coords = rng.standard_normal((6, 3))
-    buf = io.StringIO()
-    oracle.write_coordinate_csv(t, coords, buf)
-    buf.seek(0)
-    t2, c2 = oracle.read_coordinate_csv(buf)
+    file = str(tmp_path / "Y.csv")
+    oracle.write_coordinate_csv(t, coords, file)
+    t2, c2 = oracle.read_coordinate_csv(file)
     assert np.array_equal(t2, t)
     assert np.array_equal(c2, coords)
 
 
-def test_header_only_path_files_read_as_empty_paths():
-    path = oracle.read_grid_path(io.StringIO("x,0,1\n"))
+def test_header_only_path_files_read_as_empty_paths(tmp_path):
+    path = oracle.read_grid_path(_written(tmp_path, "x,0,1\n"))
     assert path.t_grid.shape == (0,)
     assert path.values.shape == (0, 2)
     assert np.array_equal(path.x_grid, [0.0, 1.0])
-    t, coords = oracle.read_coordinate_csv(io.StringIO("t,Y_1\n"))
+    t, coords = oracle.read_coordinate_csv(_written(tmp_path, "t,Y_1\n"))
     assert t.shape == (0,)
     assert coords.shape == (0, 1)
 
 
-def test_malformed_path_files_raise_grid_mismatch():
+def test_malformed_path_files_raise_grid_mismatch(tmp_path):
     bad_grid = ["x,0,1\n0,1,2\n0.5,1\n",      # ragged row
                 "x,0,1\n0,1,oops\n",          # not a number
                 "x,0,zero\n0,1,2\n",          # axis not a number
@@ -327,18 +330,17 @@ def test_malformed_path_files_raise_grid_mismatch():
                 ""]                           # empty file
     for text in bad_grid:
         with pytest.raises(GridMismatch):
-            oracle.read_grid_path(io.StringIO(text))
+            oracle.read_grid_path(_written(tmp_path, text))
     for text in ["t,Y_1,Y_2\n0,1\n", "t,Y_1\n0,1,2\n", "x,Y_1\n0,1\n", ""]:
         with pytest.raises(GridMismatch):
-            oracle.read_coordinate_csv(io.StringIO(text))
+            oracle.read_coordinate_csv(_written(tmp_path, text))
 
 
-def test_zero_column_coordinate_csv_round_trip():
-    buf = io.StringIO()
-    oracle.write_coordinate_csv(np.array([0.0, 0.5]), np.zeros((2, 0)), buf)
-    assert buf.getvalue() == "t\n0\n0.5\n"
-    buf.seek(0)
-    t, coords = oracle.read_coordinate_csv(buf)
+def test_zero_column_coordinate_csv_round_trip(tmp_path):
+    file = tmp_path / "Y.csv"
+    oracle.write_coordinate_csv(np.array([0.0, 0.5]), np.zeros((2, 0)), str(file))
+    assert file.read_text() == "t\n0\n0.5\n"
+    t, coords = oracle.read_coordinate_csv(str(file))
     assert np.array_equal(t, [0.0, 0.5])
     assert coords.shape == (2, 0)
 

@@ -32,7 +32,7 @@ def _coords(real, h0, t_grid, inc):
     return np.array(list(rz.coordinate_rows(carrier, inc)))
 
 
-def test_invariant_span_dimensions():
+def test_invariant_span_dimensions(monkeypatch):
     one = rz.invariant_span(Translation(), [Q.exponential(-1.0)])
     assert one.status == "quasi_exponential" and one.basis.dim == 1
 
@@ -46,8 +46,8 @@ def test_invariant_span_dimensions():
     # dims grow monotonically while the sweep runs
     assert all(b >= a for a, b in zip(three.dims, three.dims[1:]))
 
-    capped = rz.invariant_span(Translation(), [funalg.parse_qexp("x^12")],
-                               dim_cap=10)
+    monkeypatch.setattr(rz, "DIM_CAP", 10)
+    capped = rz.invariant_span(Translation(), [funalg.parse_qexp("x^12")])
     assert capped.status == "not_detected"
     assert capped.basis.dim > 10
 
@@ -300,6 +300,31 @@ def test_sampled_curve_is_projected_onto_the_modes():
     with pytest.raises(TruncationTailTooLarge):
         rz.carrier_coords(real, h0 + 0.25 * np.exp(-x / kappa)
                           * np.sin(9 * math.pi * x), t_grid)
+
+
+def test_sampled_tail_is_the_least_squares_residual_of_the_modes():
+    # sampled data are projected onto the modes in the space's inner
+    # product, so the tail dropped is the least the modes allow: the
+    # weighted least-squares residual of h0 against them (V lies in their
+    # span, so splitting off V first leaves it unchanged)
+    kappa = 1.0
+    space = rz.GridSpace(Grid1D.from_interval(0.0, 1.0, 501))  # term-structure-2's grid
+    x = space.grid.points()
+    phi = np.array([np.exp(-x / kappa) * np.sin(n * math.pi * x) for n in (1, 2, 3)])
+    V = rz.Subspace.build([Q.trig("sin", n * math.pi, rate=-1.0 / kappa)
+                           for n in (1, 2)], space)
+    h0 = 0.6 * phi[0] + 0.25 * phi[2] + 1e-8 * np.sin(9 * math.pi * x)
+    sw = np.sqrt(space.weights())
+    c = np.linalg.lstsq((phi * sw).T, h0 * sw, rcond=None)[0]
+    residual = np.linalg.norm(sw * (h0 - c @ phi))
+    assert 5e-9 < residual < 1e-8
+    # a mode listed twice spans nothing new
+    for modes in ((1, 2, 3), (1, 3, 2, 3)):
+        real = rz.build_realization(operators.TermStructure2(kappa), None, [],
+                                    V, mode_indices=modes)
+        meta = rz.carrier_coords(real, h0, np.linspace(0.0, 0.2, 11)).meta
+        assert meta["modes"] == 3
+        assert abs(meta["truncation_tail"] - residual) <= 1e-9 * residual
 
 
 def test_solve_psi_shift_exact_against_direct_evaluation():

@@ -47,12 +47,12 @@ def state_scaled(kind, coeffs, **fields):
     return edit
 
 
-# bundled scenarios edited by state_scaled; in the whole-state ones psi is
-# far from orthogonal to V, so the scale's reading of V.coords(psi_n) counts
+# state-scaled scenarios: bundled ones, with no edit, and bundled scenarios
+# edited by state_scaled; in the whole-state ones psi is far from orthogonal
+# to V, so the scale's reading of V.coords(psi_n) counts
 STATE_SCALED = {
     "cable-state": ("cable", state_scaled("affine", [0.1])),
-    "transport-1d-state": ("transport-1d",
-                           state_scaled("sqrt_affine", [0.5, 0.5])),
+    "transport-1d-state": ("transport-1d-state", None),
     "transport-1d-whole-state": ("transport-1d", state_scaled(
         "affine", [1.0, 1.0],
         initial_curve={"qexp": "1.0*exp(-1.0*x) + 0.5*exp(-2.0*x)"})),
@@ -298,6 +298,23 @@ def test_simulate_paths_scales_at_the_whole_state(tmp_path):
         1e-13 * np.max(np.abs(paths))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_bundled_state_scaled_transport_passes_verify(tmp_path, seed):
+    # transport-1d with a sqrt_affine state scale: the semilinear case,
+    # certified against the grid oracle at two refinement levels
+    rt = _runtime("transport-1d-state")
+    assert rt.scheme == "euler"
+    assert cli.run_verify(rt, str(tmp_path), seed=seed, refine=2) == 0
+
+
+def test_bundled_state_scaled_transport_writes_ensemble_stats(tmp_path):
+    assert cli.main(["simulate", "--config", "transport-1d-state", "--paths",
+                     "3", "--out", str(tmp_path)]) == 0
+    head, t, stats = csvio.read_rows(str(tmp_path / "ensemble_stats.csv"), "t")
+    assert head == ["mean_1", "mean_2", "var_1", "var_2"]
+    assert len(t) == 501 and np.all(np.isfinite(stats))
+
+
 def test_run_simulate_holds_no_full_curve(tmp_path):
     # psi and r are (n_t+1) x n_x, 2.4 MB here (24 MB at the shipped
     # n_t = 1000, where tracemalloc makes the run take about 25 s); simulate
@@ -461,7 +478,8 @@ def test_forked_and_inline_writers_give_the_same_bytes(tmp_path, monkeypatch,
 @pytest.mark.parametrize("name, paths, per_block", [
     ("heat-disk", 3300, None),  # three shipped blocks, the last one ragged
     ("hjmm-levy", 13, 5),  # a jump driver, three blocks of five or fewer
-    ("cable-state", 13, 5)])  # euler steps, three blocks of five or fewer
+    ("cable-state", 13, 5),  # euler steps, three blocks of five or fewer
+    ("transport-1d-state", 13, 5)])  # the same, bundled with d = 2
 def test_forked_and_inline_ensembles_give_the_same_bytes(tmp_path, monkeypatch,
                                                          name, paths, per_block):
     rt = _runtime(name)

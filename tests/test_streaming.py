@@ -107,7 +107,7 @@ def _materialised_oracle(rt, real, inc):
     if kind == "grid":
         return GridPath(t_grid, rt.space.axis(), _collect(oracle.spde_grid_rows(
             rt.op, rt.space.grid, alpha, _sampled_sigma(rt, real.V),
-            rt.space.sample(rt.h0), inc)), inc.seed)
+            rt.space.sample(rt.h0), inc)))
     if kind == "ray_grid":
         n = rt.space.ray.size
         sigma = _sampled_sigma(rt, real.V)
@@ -119,7 +119,7 @@ def _materialised_oracle(rt, real, inc):
                 operators.Translation(), rt.space.ray.grid,
                 None if alpha is None else alpha[sl], [s[sl] for s in sigma],
                 h0[sl], inc)))
-        return GridPath(t_grid, rt.space.axis(), np.hstack(blocks), inc.seed)
+        return GridPath(t_grid, rt.space.axis(), np.hstack(blocks))
     assert kind == "modal"
     indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
                    else rt.modes)
@@ -132,10 +132,10 @@ def _materialised_oracle(rt, real, inc):
         cfgmod._exact_mode_amplitudes(rt, indices, rt.h0), inc)
     if isinstance(rt.space, rz.ModalSpace):
         cols = [indices.index(idx) for idx in rt.space.indices]
-        return GridPath(t_grid, rt.space.axis(), amps[:, cols], inc.seed)
+        return GridPath(t_grid, rt.space.axis(), amps[:, cols])
     return GridPath(t_grid, rt.space.axis(),
                     _collect(oracle.modal_rows(rt.op, indices, amps,
-                                               rt.space.grid)), inc.seed)
+                                               rt.space.grid)))
 
 
 @pytest.mark.parametrize("name, n_t, n_x, edit, refine", [
@@ -254,7 +254,8 @@ def test_compare_coordinates_passes_nan_to_the_sup_error():
     spans, coords, _term, states = _reduced_in_coordinates(
         rng, 6, 9, (2,), False)
     coords[0][3, 1] = np.nan
-    got = oracle.compare_coordinates(iter(states), [(iter(coords[0]), spans[0])])
+    got = oracle.compare_coordinates(iter(states), [(iter(coords[0]), spans[0])],
+                                     np.ones(9))
     assert np.isnan(got.sup_error) and np.isnan(got.per_time[3])
     assert np.isfinite(np.delete(got.per_time, 3)).all()
 
@@ -264,7 +265,7 @@ def test_compare_coordinates_refuses_mismatched_streams():
     spans, coords, term, states = _reduced_in_coordinates(
         rng, 6, 9, (2, 1), True)
 
-    def run(ref=states, cs=coords, sampled=term, weights=None):
+    def run(ref=states, cs=coords, sampled=term, weights=np.ones(9)):
         return oracle.compare_coordinates(
             iter(ref), [(iter(c), sp) for c, sp in zip(cs, spans)], weights,
             sampled=iter(sampled))

@@ -3,9 +3,13 @@ fail `verify --refine 2` (exit 5) against the independent reference solver.
 
 Each mutation first asserts that it changes the realization it is given,
 so a row cannot pass on a mutant that equals the original.  Left out for
-that reason: the drift V-coordinates of heat-disk, hermite and laguerre
-(all zero) and the drift remainder of laguerre, cable and
-term-structure-2 (none).  The state-scale mutant scales each state-dependent
+that reason: the drift V-coordinates of heat-disk, hermite, laguerre,
+transport-1d and transport-mortality-2d (all zero) and the drift remainder
+of laguerre, cable, term-structure-2, hjmm-linear, transport-1d and
+transport-mortality-2d (none).  Left out as a known survivor: the drift
+V-coordinates x 1.05 on hjmm-levy, which exits 0 at seed 3: the defect
+lies below the finest level's discretization error, and it even lowers
+every level's error.  The state-scale mutant scales each state-dependent
 volatility by 1.05; it runs on state-scaled transport scenarios, two of
 them with psi far from orthogonal to V, which pass verify because the reduced
 model reads a state scale at the whole state psi + Y . V.
@@ -51,7 +55,8 @@ def _state_scale(real):
         for v in real.vols))
 
 
-_MODELS = ["heat-disk", "hermite", "laguerre", "cable", "term-structure-2"]
+_MODELS = ["heat-disk", "hermite", "laguerre", "cable", "term-structure-2",
+           "hjmm-linear", "hjmm-levy", "transport-1d", "transport-mortality-2d"]
 # state-scaled euler models (test_simulate_streams.STATE_SCALED)
 _STATE_SCALED = ["transport-1d-state", "transport-1d-whole-state",
                  "transport-mortality-2d-whole-state"]
@@ -61,9 +66,9 @@ _STATE_SCALED = ["transport-1d-state", "transport-1d-whole-state",
     *[pytest.param(n, _volatility, id=f"{n}-volatility") for n in _MODELS],
     *[pytest.param(n, _generator, id=f"{n}-B") for n in _MODELS],
     *[pytest.param(n, _drift_coords, id=f"{n}-drift-coords")
-      for n in ("cable", "term-structure-2")],
+      for n in ("cable", "term-structure-2", "hjmm-linear")],
     *[pytest.param(n, _drift_remainder, id=f"{n}-drift-remainder")
-      for n in ("heat-disk", "hermite")],
+      for n in ("heat-disk", "hermite", "hjmm-levy")],
     *[pytest.param(n, _state_scale, id=f"{n}-state-scale")
       for n in _STATE_SCALED],
     *[pytest.param(n, m, id=f"{n}-{label}") for n in _STATE_SCALED[1:]
