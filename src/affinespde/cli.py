@@ -234,8 +234,7 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
     memory).  With ahead and two or more blocks of reference rows, a
     forked child computes block b + 1 of them while this process compares
     block b (`forked.ahead`), with the same bits.  Returns the level's
-    report, and at level 0 also the norm of h0 and the largest foliation
-    distance (else None, None)."""
+    record; level 0's also holds the largest foliation distance."""
     rt_l = rt.refined(2 ** lvl)
     real = cfgmod.build_scenario_realization(rt_l, v_basis)
     if mutate is not None:
@@ -269,10 +268,9 @@ def _verify_level(rt: cfgmod.Runtime, lvl: int,
         "relative": metrics.relative,
         "scale": metrics.scale,
     }
-    if lvl > 0:
-        return level, None, None
-    h0_norm = rz.space_norm(rt_l.space, rt_l.space.sample(rt_l.h0))
-    return level, h0_norm, float(metrics.foliation.max())
+    if lvl == 0:
+        level["foliation_distance_max"] = float(metrics.foliation.max())
+    return level
 
 
 def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
@@ -303,32 +301,15 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
         return _verify_level(rt, lvl, chain, v_basis, mutate, ahead)
 
     if refine == 0:
-        results = [level(0)]
+        levels = [level(0)]
     else:
         coarse, finest = forked.apart(
             lambda: [level(lvl) for lvl in range(refine)],
             lambda: level(refine, ahead=rt.oracle != "modal"))
-        results = coarse + [finest]
-    levels = [lv for lv, _norm, _fol in results]
-    _lv0, h0_norm, fol_max = results[0]
-
-    # a zero initial curve gives no scale of its own: the bound is then
-    # relative to the level-0 path scale
-    bound = rt.verify.bound_rel_h0 * (levels[0]["scale"] if h0_norm == 0
-                                      else h0_norm)
-    sup0 = levels[0]["sup_error"]
-    failures = [f"level {lvl['level']} sup_error {lvl['sup_error']} is not finite"
-                for lvl in levels if not math.isfinite(lvl["sup_error"])]
-    if sup0 > bound:
-        failures.append(f"sup_error {sup0:.6g} above bound {bound:.6g}")
-    for lvl in range(refine):
-        prev, nxt = levels[lvl], levels[lvl + 1]
-        floor = rt.verify.floor_rel * max(nxt["scale"], 1e-300)
-        if nxt["sup_error"] > max(rt.verify.ratio_bound * prev["sup_error"], floor):
-            failures.append(
-                f"refinement {lvl}->{lvl + 1} ratio "
-                f"{nxt['sup_error'] / max(prev['sup_error'], 1e-300):.3f} above "
-                f"{rt.verify.ratio_bound}")
+        levels = coarse + [finest]
+    fol_max = levels[0].pop("foliation_distance_max")
+    h0_norm = rz.space_norm(rt.space, rt.space.sample(rt.h0))
+    bound, failures = rt.verify.verdict(levels, h0_norm)
     report = {
         "scenario": rt.name,
         "oracle": rt.oracle,
@@ -345,12 +326,10 @@ def run_verify(rt: cfgmod.Runtime, out_dir: str, seed: int | None = None,
     if failures:
         print(f"{rt.name}: VERIFY FAILED - " + "; ".join(failures))
         return 5
-    if refine == 0:
-        print(f"{rt.name}: VERIFIED sup error {sup0:.3e} <= {bound:.3e}; "
-              f"bound only, --refine 0 gives no refinement evidence")
-        return 0
-    print(f"{rt.name}: VERIFIED sup error {sup0:.3e} <= {bound:.3e}, "
-          f"{refine} refinement level(s) pass")
+    evidence = (f", {refine} refinement level(s) pass" if refine else
+                "; bound only, --refine 0 gives no refinement evidence")
+    print(f"{rt.name}: VERIFIED sup error {levels[0]['sup_error']:.3e} <= "
+          f"{bound:.3e}{evidence}")
     return 0
 
 

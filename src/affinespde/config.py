@@ -428,6 +428,26 @@ class VerifySettings:
     ratio_bound: float = 0.7
     floor_rel: float = 1e-9
 
+    def verdict(self, levels: Sequence[dict], h0_norm: float) -> tuple[float, list]:
+        """(bound, failures) over the level records, coarsest first; no
+        failure is a pass.  NaN passes every comparison, so it fails apart."""
+        # a zero initial curve gives no scale of its own: the bound is then
+        # relative to the level-0 path scale
+        bound = self.bound_rel_h0 * (h0_norm or levels[0]["scale"])
+        sup0 = levels[0]["sup_error"]
+        failures = [f"level {lvl['level']} sup_error {lvl['sup_error']} is not finite"
+                    for lvl in levels if not math.isfinite(lvl["sup_error"])]
+        if sup0 > bound:
+            failures.append(f"sup_error {sup0:.6g} above bound {bound:.6g}")
+        for prev, nxt in zip(levels, levels[1:]):
+            floor = self.floor_rel * max(nxt["scale"], 1e-300)
+            if nxt["sup_error"] > max(self.ratio_bound * prev["sup_error"], floor):
+                failures.append(
+                    f"refinement {prev['level']}->{nxt['level']} ratio "
+                    f"{nxt['sup_error'] / max(prev['sup_error'], 1e-300):.3f} "
+                    f"above {self.ratio_bound}")
+        return bound, failures
+
 
 @dataclass(frozen=True)
 class Runtime:

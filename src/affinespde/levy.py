@@ -199,6 +199,9 @@ def make_levy_spec(components: Sequence[LevyComponent | dict]) -> LevySpec:
                 jump_law=law)
         if comp.brownian_vol < 0:
             raise ConfigError(f"component {i}: negative Brownian volatility")
+        if not math.isfinite(comp.brownian_vol * comp.brownian_vol):
+            raise ConfigError(f"component {i}: Brownian variance brownian_vol^2 "
+                              f"is not a finite float")
         if comp.jump_intensity < 0:
             raise ConfigError(f"component {i}: negative jump intensity")
         if comp.jump_intensity > 0 and comp.jump_law is None:

@@ -271,6 +271,13 @@ class Cable(_Dirichlet1D):
     length = math.pi
     bad_parameters = "cable parameters must be finite and positive"
 
+    def __post_init__(self):
+        super().__post_init__()
+        # A's coefficients; a python float product overflows to inf, not raises
+        if not math.isfinite(max(self.lambda_c * self.lambda_c, 1.0) / self.tau):
+            raise UnsupportedOperator("cable coefficients lambda_c^2 / tau and "
+                                      "1 / tau must be finite")
+
     def proof_eigenvalue(self, n):
         return float(n ** 2)
 

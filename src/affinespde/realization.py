@@ -46,6 +46,7 @@ from .errors import (
     NotInvariant,
     SigmaEscapesV,
     TruncationTailTooLarge,
+    UnstableConfig,
 )
 from .funalg import QExpFunction, SpanBasis
 from .grids import Grid1D, trapezoid_weights
@@ -517,8 +518,12 @@ def span_coords(basis: Sequence, targets: Sequence) -> tuple[np.ndarray, np.ndar
     mat, _keys = _coeff_matrix_generic(list(basis) + list(targets))
     b_mat, t_mat = mat[:len(basis)], mat[len(basis):]
     coords, *_ = np.linalg.lstsq(b_mat.T, t_mat.T, rcond=None)
-    rel = np.linalg.norm(b_mat.T @ coords - t_mat.T, axis=0) / np.maximum(
-        np.linalg.norm(t_mat, axis=1), 1e-300)
+    # each target and its residual scaled by one power of two, exactly, so
+    # that coefficients near the double range square without overflow; rel
+    # keeps its bits wherever no square underflows
+    exp = np.frexp(np.abs(t_mat).max(axis=1, initial=0.0))[1]
+    rel = np.linalg.norm(np.ldexp(b_mat.T @ coords - t_mat.T, -exp), axis=0) / \
+        np.maximum(np.linalg.norm(np.ldexp(t_mat, -exp[:, None]), axis=1), 1e-300)
     return coords, rel
 
 
@@ -817,9 +822,12 @@ def _band_limited(real: Realization, h0, u0, u):
     if not isinstance(space, GridSpace) or not real.mode_indices:
         raise ConfigError("curve data known only as samples need `modes` "
                           "to project onto")
-    modes = Subspace.build(  # a mode listed twice spans nothing new
-        [real.op.eigenfunction(n) for n in dict.fromkeys(real.mode_indices)],
-        space)
+    try:  # a mode listed twice spans nothing new
+        modes = Subspace.build([real.op.eigenfunction(n)
+                                for n in dict.fromkeys(real.mode_indices)], space)
+    except LinearSolveFailure as exc:
+        raise ConfigError(f"`modes` cannot be told apart on the {space.size}-point "
+                          f"grid: {exc}") from exc
     scale = max(space_norm(space, space.sample(h0)), 1e-300)
     out, tails = [], []
     for f, what, bound in ((u0, "initial curve", scale),
@@ -1000,6 +1008,10 @@ def _expm_with_integral(B: np.ndarray, dt: float):
     d = B.shape[0]
     if d == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
+    # a python float product: inf without numpy's overflow warning
+    if not math.isfinite(float(np.abs(B).max()) * float(dt)):
+        raise UnstableConfig(f"the exponent B dt of the exact step is not "
+                             f"finite (dt = {dt:.3g})")
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = B * dt
     aug[:d, d:] = np.eye(d) * dt

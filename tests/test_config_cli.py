@@ -373,6 +373,56 @@ def test_verify_refine_beyond_a_numpy_index_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_modes_the_grid_cannot_tell_apart_exit_2(tmp_path, capsys):
+    # 70 sine modes sampled at 64 points: their Gram matrix is singular
+    raw = copy.deepcopy(_load("cable"))
+    raw["space"]["n_x"] = 64
+    raw["initial_curve"] = {"csv": "h0.csv"}
+    raw["modes"] = list(range(1, 71))
+    x = np.linspace(0.0, np.pi, 64)
+    np.savetxt(tmp_path / "h0.csv", np.column_stack([x, 0.6 * np.sin(x)]),
+               delimiter=",")
+    cfg = tmp_path / "cable-modes.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "s")]) == 2
+    assert "`modes`" in capsys.readouterr().err
+
+
+def _set(*edits):
+    def edit(raw):
+        for where, value in edits:
+            node = raw
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, argv, code", [
+    # lambda_c ** 2 overflowed in Cable.apply_qexp
+    pytest.param("cable", _set((("operator", "lambda_c"), 1e300)), ["analyze"],
+                 2, id="cable-lambda_c-1e300"),
+    # dt B is not finite: the exact step's exponent
+    pytest.param("cable", _set((("operator", "tau"), 1e-300),
+                               (("time", "horizon"), 1e300)),
+                 ["simulate", "--paths", "2"], 4, id="cable-tau-1e-300-horizon-1e300"),
+    # brownian_vol ** 2 overflowed in levy.cumulant_gradient
+    pytest.param("hjmm-levy",
+                 _set((("driver", "components", 0, "brownian_vol"), 1e300)),
+                 ["analyze"], 2, id="hjmm-levy-brownian_vol-1e300"),
+])
+def test_overflowing_scenario_numbers_exit_with_a_code(tmp_path, capfd, name,
+                                                       edit, argv, code):
+    raw = copy.deepcopy(_load(name))
+    edit(raw)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "o")]) == code
+    assert "Traceback" not in capfd.readouterr().err
+
+
 # the curve method of each certified scenario, as the benchmark's reference
 # records it: a renamed method fails here before it fails the benchmark
 PSI_METHODS = {

@@ -1,5 +1,6 @@
 """How much `verify` catches: a reduced model with one part mutated must
-fail `verify --refine 2` (exit 5) against the independent reference solver.
+fail `verify --refine 2` (exit 5) against the independent reference solver,
+while each model the table mutates passes unmutated at the same seed.
 
 Each mutation first asserts that it changes the realization it is given,
 so a row cannot pass on a mutant that equals the original.  Left out for
@@ -78,3 +79,10 @@ def test_verify_fails_a_mutated_reduced_model(tmp_path, name, mutate):
     rt = _runtime(name)
     assert cli.run_verify(rt, str(tmp_path), seed=3, refine=2,
                           mutate=mutate) == 5
+
+
+@pytest.mark.parametrize("name", _MODELS + _STATE_SCALED)
+def test_verify_passes_each_model_unmutated(tmp_path, name):
+    # the control column: a verify that refused every model would pass the
+    # mutant table above
+    assert cli.run_verify(_runtime(name), str(tmp_path), seed=3, refine=2) == 0
