@@ -390,52 +390,74 @@ def _at_least(minimum: int, below: int | None = None):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True,
+                   help="scenario file or bundled scenario name")
+    p.add_argument("--out", default=None)
+
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
+    p.add_argument("--paths", type=_at_least(1), default=1)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
+    p.add_argument("--refine", type=_at_least(0), default=1,
+                   help="number of simultaneous halvings (default 1; 0 "
+                        "checks the absolute bound only)")
+
+
+def _eigen_arguments(p: argparse.ArgumentParser) -> None:
+    # a flag not given is absent, so run_eigen sees the flags given
+    p.argument_default = argparse.SUPPRESS
+    p.add_argument("--operator", required=True,
+                   choices=[name for name, kind in operators.KINDS.items()
+                            if not issubclass(kind, operators.Translation)])
+    p.add_argument("--count", type=_at_least(1))
+    p.add_argument("--tau", type=float)
+    p.add_argument("--lambda-c", dest="lambda_c", type=float)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--a", type=float)
+    p.add_argument("--d", type=int)
+    p.add_argument("--p-max", dest="p_max", type=_at_least(0, 21))
+    p.add_argument("--q-max", dest="q_max", type=_at_least(1, 51))
+    p.add_argument("--out", default=None)
+
+
+# each subcommand: its name, its help line and what adds its arguments
+_COMMANDS = (
+    ("analyze", "run the realization decision procedure", _analyze_arguments),
+    ("simulate", "solve the reduced model and write paths", _simulate_arguments),
+    ("verify", "compare against the independent solver", _verify_arguments),
+    ("eigen", "write an eigenvalue/eigenfunction catalog", _eigen_arguments),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of a command line whose first word is `command`.  Every
+    subcommand is listed, but when `command` names one only its own
+    arguments are added: that is all the line can parse."""
     parser = argparse.ArgumentParser(
         prog="affinespde",
         description="Finite-dimensional realizations of Levy-driven SPDEs: "
                     "analyze, simulate, verify, eigen catalogs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="run the realization decision procedure")
-    pa.add_argument("--config", required=True,
-                    help="scenario file or bundled scenario name")
-    pa.add_argument("--out", default=None)
-
-    ps = sub.add_parser("simulate", help="solve the reduced model and write paths")
-    ps.add_argument("--config", required=True)
-    ps.add_argument("--out", default=None)
-    ps.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
-    ps.add_argument("--paths", type=_at_least(1), default=1)
-
-    pv = sub.add_parser("verify", help="compare against the independent solver")
-    pv.add_argument("--config", required=True)
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=_at_least(0, levy.SEED_END), default=None)
-    pv.add_argument("--refine", type=_at_least(0), default=1,
-                    help="number of simultaneous halvings (default 1; 0 "
-                         "checks the absolute bound only)")
-
-    # a flag not given is absent, so run_eigen sees the flags given
-    pe = sub.add_parser("eigen", help="write an eigenvalue/eigenfunction catalog",
-                        argument_default=argparse.SUPPRESS)
-    pe.add_argument("--operator", required=True,
-                    choices=[name for name, kind in operators.KINDS.items()
-                             if not issubclass(kind, operators.Translation)])
-    pe.add_argument("--count", type=_at_least(1))
-    pe.add_argument("--tau", type=float)
-    pe.add_argument("--lambda-c", dest="lambda_c", type=float)
-    pe.add_argument("--kappa", type=float)
-    pe.add_argument("--a", type=float)
-    pe.add_argument("--d", type=int)
-    pe.add_argument("--p-max", dest="p_max", type=_at_least(0, 21))
-    pe.add_argument("--q-max", dest="q_max", type=_at_least(1, 51))
-    pe.add_argument("--out", default=None)
+    named = command in (name for name, _, _ in _COMMANDS)
+    for name, help_line, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if not named or name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "eigen":
             out = _out_dir(args.out, f"eigen-{args.operator}")

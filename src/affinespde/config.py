@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from importlib import resources
 from typing import ClassVar, Iterator, Sequence
 
@@ -26,6 +26,7 @@ from .errors import (
     MethodUnsupported,
     NotQuasiExponential,
     UnstableConfig,
+    frozen,
 )
 from .funalg import QExpFunction, parse_qexp
 from .grids import Grid1D
@@ -54,7 +55,7 @@ def _is_type(instance, name: str) -> bool:
             or instance.is_integer())
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     """One schema violation.  As in jsonschema, `path` is relative to the
     instance of the enclosing oneOf (or to the document), and a oneOf's
@@ -272,11 +273,11 @@ def resolve_config_path(ref: str) -> str:
     """A --config value is a file path or the name of a bundled scenario."""
     if os.path.exists(ref):
         return ref
-    bundled = bundled_scenarios()
-    if ref in bundled:
-        return bundled[ref]
+    entry = scenario_dir().joinpath(f"{ref}.json")
+    if os.path.basename(ref) == ref and entry.is_file():
+        return str(entry)
     raise ConfigError(f"no config file or bundled scenario named {ref!r} "
-                      f"(bundled: {', '.join(sorted(bundled))})")
+                      f"(bundled: {', '.join(sorted(bundled_scenarios()))})")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +345,7 @@ def parse_field(d: dict, op: OperatorSpec, kind: str, name: str):
     return RayBundle.make(parts)
 
 
-@dataclass(frozen=True)
+@frozen
 class StateScale:
     """The scale c0 + coeffs . y of a state-dependent volatility, or its
     square root floored at zero, in the leading coordinates y of the state:
@@ -418,7 +419,7 @@ def parse_space(d: dict, op: OperatorSpec) -> rz.SpaceSpec:
     return rz.ProfileRaySpace(profiles, axis)
 
 
-@dataclass(frozen=True)
+@frozen
 class VerifySettings:
     """The fixed pass rule of `verify`: the level-0 sup error within
     bound_rel_h0 x ||h0||, and each refinement's sup error within
@@ -449,7 +450,7 @@ class VerifySettings:
         return bound, failures
 
 
-@dataclass(frozen=True)
+@frozen
 class Runtime:
     """Parsed scenario, ready for the analyze/simulate/verify pipelines."""
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LinearSolveFailure
+from .errors import ConfigError, LinearSolveFailure, frozen
 
 KEY_TOL = 1e-12       # absolute tolerance for merging rate/frequency keys
 TOL_RANK = 1e-9       # relative singular value cutoff for span dimension
@@ -93,7 +92,7 @@ def _canonical(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class QExpFunction:
     """Canonical finite sum of quasi-exponential terms."""
 
@@ -290,7 +289,7 @@ def shift(f: QExpFunction, t: float) -> QExpFunction:
 # span computations
 
 
-@dataclass(frozen=True)
+@frozen
 class SpanBasis:
     """A linearly independent subset of the input functions together with
     their coefficient matrix over the merged term keys."""

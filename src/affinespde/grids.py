@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridTooSmall, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Grid1D:
     """Uniform grid x0, x0+dx, ..., x0+(n-1)*dx."""
 

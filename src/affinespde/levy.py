@@ -19,7 +19,7 @@ reproducible and no two seeds or components share draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 import numpy as np
@@ -35,12 +35,13 @@ from .errors import (
     InfiniteVariance,
     MomentExplosion,
     ZeroComponent,
+    frozen,
 )
 
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@frozen
 class AtomicJumps:
     """Finite discrete jump law: ((size, prob), ...)."""
 
@@ -78,7 +79,7 @@ class AtomicJumps:
         return gen.choice(sizes, size=n, p=probs) if n else np.zeros(0)
 
 
-@dataclass(frozen=True)
+@frozen
 class TwoSidedExponentialJumps:
     """Up-jump Exp(rate_up) with probability p_up, down-jump -Exp(rate_down)
     otherwise."""
@@ -140,8 +141,11 @@ class TwoSidedExponentialJumps:
 JumpLaw = AtomicJumps | TwoSidedExponentialJumps
 
 
-@dataclass(frozen=True)
+@frozen
 class LevyComponent:
+    """One scalar component: its Brownian volatility and its compound
+    Poisson jumps, at jump_intensity with sizes drawn from jump_law."""
+
     brownian_vol: float = 0.0
     jump_intensity: float = 0.0
     jump_law: JumpLaw | None = None
@@ -162,8 +166,10 @@ class LevyComponent:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class LevySpec:
+    """The driver: m independent components, one per noise coordinate."""
+
     components: tuple[LevyComponent, ...]
 
     @property
@@ -250,7 +256,7 @@ def cumulant_gradient(spec: LevySpec, z) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class IncrementMatrix:
     """One path of driver increments: values[n, k] = X^k_{t_{n+1}} - X^k_{t_n}."""
 

@@ -12,11 +12,11 @@ Catalog (state space, generator A, boundary):
   Laguerre           -sum_i (x_i d_i^2 + (1 - x_i) d_i) on (0, inf)^d
   TermStructure2     -(kappa/2) d^2/dx^2 - d/dx, Dirichlet on (0, 1)
 
-Each kind is a dataclass whose fields are its parameters and whose methods
-are the one place for its facts (see OperatorSpec).  A mode has two
-eigenvalues: `proof_eigenvalue`, the classical Sturm-Liouville value of the
-separated problem (n^2 for the cable's u'' + lambda u = 0), and
-`generator_eigenvalue`, the factor A applies to the eigenfunction
+Each kind is a record (errors.frozen) whose fields are its parameters and
+whose methods are the one place for its facts (see OperatorSpec).  A mode
+has two eigenvalues: `proof_eigenvalue`, the classical Sturm-Liouville
+value of the separated problem (n^2 for the cable's u'' + lambda u = 0),
+and `generator_eigenvalue`, the factor A applies to the eigenfunction
 (-(lambda_c^2 n^2 + 1)/tau on sin(n x)).
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -37,6 +37,7 @@ from .errors import (
     GridTooSmall,
     UnstableConfig,
     UnsupportedOperator,
+    frozen,
 )
 from .funalg import QExpFunction, differentiate, evaluate
 from .grids import Grid1D
@@ -221,8 +222,10 @@ class OperatorSpec:
                                   f"use the spectral route")
 
 
-@dataclass(frozen=True)
+@frozen
 class Translation(OperatorSpec):
+    """The shift generator d/dx on curves over the half line [0, inf)."""
+
     def apply_qexp(self, f):
         return differentiate(f)
 
@@ -235,7 +238,7 @@ class Translation(OperatorSpec):
         return np.zeros(n - 1), main, np.full(n - 1, 1.0 / dx)
 
 
-@dataclass(frozen=True)
+@frozen
 class Transport(Translation):
     """The unit-speed transport <v, grad>, v = 1: on the half line and on
     each ray it is Translation's d/dx, with its own name in reports."""
@@ -263,8 +266,11 @@ class _Dirichlet1D(OperatorSpec):
         return np.linspace(0.0, self.length, 9)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cable(_Dirichlet1D):
+    """(lambda_c^2 d^2/dx^2 - 1)/tau on (0, pi): time constant tau, length
+    constant lambda_c."""
+
     tau: float = 1.0
     lambda_c: float = 1.0
     theta = 0.5  # Crank-Nicolson
@@ -301,8 +307,10 @@ class Cable(_Dirichlet1D):
         return lower, main, upper
 
 
-@dataclass(frozen=True)
+@frozen
 class TermStructure2(_Dirichlet1D):
+    """-(kappa/2) d^2/dx^2 - d/dx on (0, 1), stepped by its modes only."""
+
     kappa: float = 1.0
     modal_oracle = True
     length = 1.0
@@ -366,22 +374,28 @@ class _Ladder(OperatorSpec):
         return np.tile(np.linspace(*self.sample_range, 9)[:, None], (1, self.d))
 
 
-@dataclass(frozen=True)
+@frozen
 class Hermite(_Ladder):
+    """-Laplacian/2 + <x, grad> on R^d, Hermite polynomial modes."""
+
     d: int = 1
     polynomial = staticmethod(hermite_value)
     sample_range = (-2.0, 2.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class Laguerre(_Ladder):
+    """-sum_i (x_i d_i^2 + (1 - x_i) d_i) on (0, inf)^d, Laguerre modes."""
+
     d: int = 1
     polynomial = staticmethod(laguerre_value)
     sample_range = (0.0, 4.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class HeatDisk(OperatorSpec):
+    """a times the Dirichlet Laplacian on the unit disk, Bessel modes."""
+
     a: float = 1.0
     bad_parameters = "diffusivity must be finite and positive"
 
@@ -431,7 +445,7 @@ KINDS = {"translation": Translation, "transport": Transport, "cable": Cable,
 # function representations beyond plain QExpFunction
 
 
-@dataclass(frozen=True)
+@frozen
 class RayBundle:
     """Function on the transport wedge written as sum_i profile_i (x) ray_i(t)
     along characteristics: value at boundary point + t * v is
@@ -468,7 +482,7 @@ class RayBundle:
         return self + other * (-1.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class EigenExpansion:
     """Finite combination of catalog eigenfunctions, stored as coefficients."""
 
@@ -510,8 +524,10 @@ class EigenExpansion:
 # eigen data
 
 
-@dataclass(frozen=True)
+@frozen
 class EigenPair:
+    """A catalog mode: its index, Sturm-Liouville and generator eigenvalues."""
+
     index: object
     eigenvalue: float
     generator_eigenvalue: float

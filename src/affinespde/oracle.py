@@ -10,13 +10,12 @@ evidence that the reduced model reproduces the weak solution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import csvio, levy, operators
-from .errors import GridMismatch, LinearSolveFailure
+from .errors import GridMismatch, LinearSolveFailure, frozen
 from .grids import Grid1D
 from .operators import OperatorSpec
 from .realization import GridPath, long_dot
@@ -175,8 +174,11 @@ def modal_rows(op: OperatorSpec, indices: Sequence, amps: np.ndarray,
 # comparison metrics
 
 
-@dataclass(frozen=True)
+@frozen
 class PathMetrics:
+    """The distance between two paths: sup over time, that sup over the
+    path scale, the per-time distances and the largest magnitude."""
+
     sup_error: float
     relative: float
     per_time: np.ndarray

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .errors import (
     SigmaEscapesV,
     TruncationTailTooLarge,
     UnstableConfig,
+    frozen,
 )
 from .funalg import QExpFunction, SpanBasis
 from .grids import Grid1D, trapezoid_weights
@@ -63,7 +64,7 @@ TRUNCATION_BOUND = 1e-6
 # state space descriptors: everything reduces to weighted vectors
 
 
-@dataclass(frozen=True)
+@frozen
 class GridSpace:
     """Weighted-L2 truncated grid: <f, g> = sum_i trap_i w(x_i) f_i g_i."""
 
@@ -103,7 +104,7 @@ class GridSpace:
         return arr
 
 
-@dataclass(frozen=True)
+@frozen
 class ModalSpace:
     """Coefficient space over a fixed tuple of catalog eigen-indices.  The
     eigenfunctions are declared orthonormal, a legitimate working inner
@@ -144,7 +145,7 @@ class ModalSpace:
         return arr
 
 
-@dataclass(frozen=True)
+@frozen
 class ProfileRaySpace:
     """Product space for the wedge transport: boundary profiles (opaque
     orthonormal labels) times a weighted ray grid.  Vectors are profile-major
@@ -211,7 +212,7 @@ def space_norm(space: SpaceSpec, vec: np.ndarray) -> float:
 # subspaces and projections
 
 
-@dataclass(frozen=True)
+@frozen
 class Subspace:
     """Finite-dimensional subspace with sampled basis and Gram matrix."""
 
@@ -379,8 +380,11 @@ def _key_closure(op: OperatorSpec, keys: tuple) -> tuple[tuple, np.ndarray]:
     return tuple(keys), g
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureResult:
+    """A closure sweep's outcome: its status, the span reached, the
+    iterations taken and the span dimension after each."""
+
     status: str  # "quasi_exponential" or "not_detected"
     # a quasi-exponential not_detected basis holds its coefficient rows and
     # no functions: nothing is built on a span past the cap
@@ -527,8 +531,11 @@ def span_coords(basis: Sequence, targets: Sequence) -> tuple[np.ndarray, np.ndar
     return coords, rel
 
 
-@dataclass(frozen=True)
+@frozen
 class InvarianceCheck:
+    """check_invariant's certificate: the verdict, the span dimension, the
+    worst basis index, its residual and the coordinates of A on the span."""
+
     ok: bool
     dim: int
     offender: int
@@ -556,7 +563,7 @@ def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
 # volatility specifications
 
 
-@dataclass(frozen=True)
+@frozen
 class StateVol:
     """sigma^k(h) = scale(coordinates of P_V h) * base with base in V.  The
     scale takes a (d,) state to a scalar and a (d, P) block of states, one
@@ -570,7 +577,7 @@ class StateVol:
 # semi-invariance correction
 
 
-@dataclass(frozen=True)
+@frozen
 class CorrectionOperator:
     """T = -P_U A P_V stored in factored low-rank form T = left @ right."""
 
@@ -617,7 +624,7 @@ def semiinvariant_correction(op: OperatorSpec, V: Subspace) -> CorrectionOperato
 # realizations
 
 
-@dataclass(frozen=True)
+@frozen
 class VolCoord:
     """A volatility's V-coordinates; scale_fn is None when it is constant."""
 
@@ -625,7 +632,7 @@ class VolCoord:
     scale_fn: Callable[[np.ndarray], float | np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class DriftSplit:
     """The drift split by the complement: v_coords, a (d,) array, are its
     V-coordinates and remainder its complement part, symbolic when the drift
@@ -637,8 +644,11 @@ class DriftSplit:
     remainder: object = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Realization:
+    """The reduced model: the generator, the span V, A on V as B, the
+    volatility and drift coordinates, and the certified clauses."""
+
     op: OperatorSpec
     V: Subspace
     B: np.ndarray
@@ -907,7 +917,7 @@ def _shifted_samples(space: SpaceSpec, u0_vec, u_vec, t_grid: np.ndarray,
     return rows
 
 
-@dataclass(frozen=True)
+@frozen
 class Carrier:
     """What a reduced path is built from: the realization, the uniform time
     grid, v0 = Y_0 and the carrier curve psi(t_n) = coords[n] @ samples +
@@ -1191,7 +1201,7 @@ def ensemble_moments(carrier: Carrier, spec: levy.LevySpec,
 # sampled paths
 
 
-@dataclass(frozen=True)
+@frozen
 class GridPath:
     """Sampled path: values[n] are the state samples at t_grid[n] over the
     axis labels in x_grid (grid points, mode ordinals, or profile x ray

@@ -50,6 +50,62 @@ def test_resolve_config_path_errors_list_bundled_names():
     assert "cable" in str(err.value)
 
 
+def test_a_bundled_name_is_a_file_name_in_the_scenario_directory(tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bundled = cfgmod.bundled_scenarios()
+    assert {name: cfgmod.resolve_config_path(name) for name in BUNDLED} == bundled
+    # a name that reaches a bundled file only as a path is not a name
+    for ref in ("../scenarios/cable", "scenarios/cable", "cable.json", ""):
+        with pytest.raises(ConfigError, match=f"bundled: {', '.join(BUNDLED)}"):
+            cfgmod.resolve_config_path(ref)
+
+
+# each subcommand's command line with every option it takes
+FULL_ARGV = {
+    "analyze": ["--config", "cable", "--out", "o"],
+    "simulate": ["--config", "cable", "--out", "o", "--seed", "3", "--paths", "2"],
+    "verify": ["--config", "cable", "--out", "o", "--seed", "3", "--refine", "2"],
+    "eigen": ["--operator", "cable", "--count", "3", "--tau", "2", "--lambda-c",
+              "1.5", "--kappa", "1", "--a", "1", "--d", "2", "--p-max", "3",
+              "--q-max", "4", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_ARGV))
+def test_the_parser_of_one_subcommand_parses_as_the_full_one(command, capsys):
+    every, one = cli._build_parser(), cli._build_parser(command)
+    # every option, then the required one alone (the others at their defaults)
+    for argv in ([command, *FULL_ARGV[command]], [command, *FULL_ARGV[command][:2]]):
+        assert vars(one.parse_args(argv)) == vars(every.parse_args(argv))
+    helps = []
+    for parser in (every, one):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert all(arg in helps[1] for arg in FULL_ARGV[command] if arg.startswith("--"))
+    # the other subcommands are listed but take no option
+    for other in set(FULL_ARGV) - {command}:
+        with pytest.raises(SystemExit):
+            one.parse_args([other, *FULL_ARGV[other]])
+    capsys.readouterr()
+
+
+def test_the_top_level_help_and_an_unknown_command_list_every_subcommand(capsys):
+    helps = {cli._build_parser(first).format_help()
+             for first in (None, "--help", "analyze", "eigen", "bogus")}
+    assert len(helps) == 1
+    top = helps.pop()
+    assert all(name in top and line in top for name, line, _ in cli._COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(f"'{name}'" in err for name, _, _ in cli._COMMANDS)
+
+
 def test_schema_rejections():
     raw = _load("cable")
     for mutate in [
