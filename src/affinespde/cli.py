@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import csvio, forked, funalg, levy, operators, oracle, realization as rz
+from . import csvio, forked, levy, operators, oracle, realization as rz
 from .errors import (
     AffineSpdeError,
     ConfigError,
@@ -27,8 +27,6 @@ from .errors import (
     SigmaEscapesV,
     UnsupportedOperator,
 )
-from .funalg import QExpFunction
-from .operators import EigenExpansion
 
 _CLAUSE_ERRORS = (NotQuasiExponential, NotInvariant, SigmaEscapesV)
 
@@ -47,18 +45,6 @@ def _load_runtime(ref: str) -> cfgmod.Runtime:
     path = cfgmod.resolve_config_path(ref)
     raw = cfgmod.load_config(path)
     return cfgmod.build_runtime(raw, base_dir=os.path.dirname(path) or ".")
-
-
-def _serialize_field(f) -> dict:
-    """A basis field in the scenario file's form: build_realization refuses
-    a basis that is not symbolic, so the last kind is a ray bundle."""
-    if isinstance(f, QExpFunction):
-        return {"qexp": funalg.serialize(f)}
-    if isinstance(f, EigenExpansion):
-        return {"modal": [[list(np.atleast_1d(i).tolist())
-                           if isinstance(i, tuple) else i, c]
-                          for i, c in f.items]}
-    return {"rays": [[lbl, funalg.serialize(fn)] for lbl, fn in f.parts]}
 
 
 def _finite_or_null(value):
@@ -85,7 +71,7 @@ def _realization_keys(real: rz.Realization) -> dict:
     """The keys that analysis.json and realization.json both report."""
     return {
         "dim_V": real.dim,
-        "basis": [_serialize_field(b) for b in real.V.basis],
+        "basis": [cfgmod.field_form(b) for b in real.V.basis],
         "B": real.B.tolist(),
         "sigma_coords": [v.coords.tolist() for v in real.vols],
         "psi_method": real.psi_method,

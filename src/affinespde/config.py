@@ -28,7 +28,7 @@ from .errors import (
     UnstableConfig,
     frozen,
 )
-from .funalg import QExpFunction, parse_qexp
+from .funalg import QExpFunction, parse_qexp, serialize
 from .grids import Grid1D
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
@@ -314,19 +314,15 @@ def _parse_index(op: OperatorSpec, raw):
         raise ConfigError(f"mode index {raw!r}: {exc}") from exc
 
 
-# the one field form each space kind samples (see its `sample`)
-_SPACE_FORMS = {"grid": "qexp", "modal": "modal", "profile_ray": "rays"}
-
-
-def parse_field(d: dict, op: OperatorSpec, kind: str, name: str):
+def parse_field(d: dict, op: OperatorSpec, space: rz.SpaceSpec, name: str):
     """One function-valued entry: {"qexp": text} | {"modal": [[idx, c], ...]}
-    | {"rays": [[label, text], ...]}, in the form a `kind` space samples;
-    `name` names the entry when it is refused."""
+    | {"rays": [[label, text], ...]}, in the form `space` samples; `name`
+    names the entry when it is refused.  `field_form` writes it back."""
     forms = [k for k in ("qexp", "modal", "rays") if k in d]
     if len(forms) != 1:
         raise ConfigError(f"field needs exactly one of qexp/modal/rays, got {d}")
-    if forms[0] != _SPACE_FORMS[kind]:
-        raise ConfigError(f"{name}: a {kind} space samples {_SPACE_FORMS[kind]} "
+    if forms[0] != space.form:
+        raise ConfigError(f"{name}: a {space.kind} space samples {space.form} "
                           f"fields, not {forms[0]}")
     if "qexp" in d:
         try:
@@ -343,6 +339,19 @@ def parse_field(d: dict, op: OperatorSpec, kind: str, name: str):
         except Exception as exc:
             raise ConfigError(f"bad ray text {text!r}: {exc}") from exc
     return RayBundle.make(parts)
+
+
+def field_form(f) -> dict:
+    """A symbolic field in the scenario file's form, which `parse_field`
+    reads back: build_realization refuses a basis that is not symbolic, so
+    the last kind is a ray bundle."""
+    if isinstance(f, QExpFunction):
+        return {"qexp": serialize(f)}
+    if isinstance(f, EigenExpansion):
+        return {"modal": [[list(np.atleast_1d(i).tolist())
+                           if isinstance(i, tuple) else i, c]
+                          for i, c in f.items]}
+    return {"rays": [[lbl, serialize(fn)] for lbl, fn in f.parts]}
 
 
 @frozen
@@ -367,10 +376,10 @@ def _parse_state_scale(d: dict) -> StateScale:
 
 
 def parse_volatility(entries: Sequence[dict], op: OperatorSpec,
-                     kind: str) -> list:
+                     space: rz.SpaceSpec) -> list:
     out = []
     for k, d in enumerate(entries):
-        base = parse_field(d, op, kind, f"volatility entry {k}")
+        base = parse_field(d, op, space, f"volatility entry {k}")
         if "state_scale" in d:
             out.append(rz.StateVol(base, _parse_state_scale(d["state_scale"])))
         else:
@@ -472,12 +481,10 @@ class Runtime:
 
     @property
     def oracle(self) -> str:
-        """The reference solver of `verify`, fixed by the space and the
-        generator; term-structure grid stepping is ill-posed."""
-        if isinstance(self.space, rz.ProfileRaySpace):
-            return "ray_grid"
-        return ("modal" if isinstance(self.space, rz.ModalSpace)
-                or self.op.modal_oracle else "grid")
+        """The reference solver of `verify`: the space's own, but modal on a
+        grid for a generator whose grid stepping is ill-posed."""
+        modal = self.space.oracle == "grid" and self.op.modal_oracle
+        return "modal" if modal else self.space.oracle
 
     @property
     def scheme(self) -> str:
@@ -493,18 +500,11 @@ class Runtime:
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_t + 1)
 
-    @property
-    def grid_axis(self) -> rz.GridSpace | None:
-        """The grid the state is sampled along: a profile-ray space's ray
-        grid, a grid space itself, None for a modal space."""
-        if isinstance(self.space, rz.ProfileRaySpace):
-            return self.space.ray
-        return self.space if isinstance(self.space, rz.GridSpace) else None
-
     def check_refine(self, refine: int) -> None:
         """Refuse `verify --refine` K when the finest level, refined(2^K),
         would not fit a numpy index; builds no level."""
-        cells = 0 if self.grid_axis is None else self.grid_axis.grid.n - 1
+        axis = self.space.grid_axis
+        cells = 0 if axis is None else axis.grid.n - 1
         limit = np.iinfo(np.intp).max  # n * 2^K <= limit exactly when n <= limit >> K
         if self.n_t > limit >> refine or cells > (limit - 1) >> refine:
             raise ConfigError(
@@ -515,23 +515,19 @@ class Runtime:
         """A refinement level of `verify`: factor times the time steps and,
         along a grid axis, (n_x - 1) * factor + 1 points on the same
         interval."""
-        space, h0, axis = self.space, self.h0, self.grid_axis
+        space, h0, axis = self.space, self.h0, self.space.grid_axis
         if axis is not None and factor > 1:
-            g = axis.grid
-            fine = rz.GridSpace(Grid1D.from_interval(
-                g.x0, g.x_max, (g.n - 1) * factor + 1), axis.weight)
+            space = space.refined(factor)
             if isinstance(h0, np.ndarray):
                 # a sampled curve is the piecewise-linear interpolant of its
                 # nodes, so every level starts from one function
-                x, x_fine = g.points(), fine.grid.points()
+                x, x_fine = axis.axis(), space.grid_axis.axis()
                 h0 = np.concatenate([np.interp(x_fine, x, block) for block
-                                     in space.sample(h0).reshape(-1, g.n)])
-            space = fine if axis is space else rz.ProfileRaySpace(space.profiles, fine)
+                                     in self.space.sample(h0).reshape(-1, axis.size)])
         return replace(self, space=space, n_t=self.n_t * factor, h0=h0)
 
 
-def _parse_h0(d: dict, op: OperatorSpec, kind: str, space: rz.SpaceSpec,
-              base_dir: str):
+def _parse_h0(d: dict, op: OperatorSpec, space: rz.SpaceSpec, base_dir: str):
     if "csv" in d:
         if len(d) > 1:
             raise ConfigError(f"initial curve needs exactly one of "
@@ -550,19 +546,18 @@ def _parse_h0(d: dict, op: OperatorSpec, kind: str, space: rz.SpaceSpec,
             raise ConfigError(f"initial curve file {path}: the x column is not "
                               f"the space's {len(axis)} points")
         return data[:, 1]
-    return parse_field(d, op, kind, "initial_curve")
+    return parse_field(d, op, space, "initial_curve")
 
 
 def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     validate_config(raw)
-    kind = raw["space"]["kind"]  # one of _SPACE_FORMS, by the schema
     op = parse_operator(raw["operator"])
+    space = parse_space(raw["space"], op)  # it fixes the form of every field
     driver = parse_driver(raw.get("driver"))
-    sigma = parse_volatility(raw.get("volatility", []), op, kind)
+    sigma = parse_volatility(raw.get("volatility", []), op, space)
     if len(sigma) != driver.m:
         raise ConfigError(f"{len(sigma)} volatility entries but the driver "
                           f"has {driver.m} components")
-    space = parse_space(raw["space"], op)
 
     drift_raw = raw.get("drift", {"mode": "zero"})
     drift_mode = drift_raw["mode"]  # a mode the schema names
@@ -571,7 +566,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     if drift_mode == "constant":
         if not drift_fields:
             raise ConfigError("constant drift needs a function entry")
-        drift_element = parse_field(drift_raw, op, kind, "drift")
+        drift_element = parse_field(drift_raw, op, space, "drift")
     elif drift_fields:
         raise ConfigError(f"drift: a {drift_mode} drift takes no "
                           f"{drift_fields[0]}")
@@ -583,13 +578,13 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
             raise ConfigError("closed-form forward-curve drift needs "
                               "quasi-exponential volatility entries")
     elif drift_mode == "hjm_levy":
-        if not isinstance(space, rz.GridSpace):
+        if space.kind != "grid":
             raise ConfigError("sampled forward-curve drift needs a grid space")
         if not all(isinstance(s, QExpFunction) for s in sigma):
             raise ConfigError("sampled forward-curve drift needs "
                               "quasi-exponential volatility entries")
 
-    h0 = _parse_h0(raw["initial_curve"], op, kind, space, base_dir)
+    h0 = _parse_h0(raw["initial_curve"], op, space, base_dir)
 
     sub_raw = raw.get("subspace", {"mode": "volatility_invariant_span"})
     sub_mode = sub_raw["mode"]  # a mode the schema names
@@ -597,7 +592,7 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     if sub_mode == "explicit":
         if "basis" not in sub_raw:
             raise ConfigError("explicit subspace needs a basis list")
-        sub_basis = tuple(parse_field(b, op, kind, f"subspace basis entry {k}")
+        sub_basis = tuple(parse_field(b, op, space, f"subspace basis entry {k}")
                           for k, b in enumerate(sub_raw["basis"]))
     elif "basis" in sub_raw:
         raise ConfigError(f"subspace: a {sub_mode} subspace takes no basis")
@@ -673,7 +668,7 @@ def assemble_drift(rt: Runtime):
 def _exact_mode_amplitudes(rt: Runtime, indices, f) -> np.ndarray:
     """Amplitudes of f over the oracle's modes, exact or refused: numeric
     projection dust would be amplified by growing spectra."""
-    if isinstance(rt.space, rz.ModalSpace):  # the oracle's modes are its own
+    if rt.space.kind == "modal":  # the oracle's modes are its own
         return rt.space.sample(f)
     if isinstance(f, QExpFunction):
         coords, rel = rz.span_coords(
@@ -694,8 +689,8 @@ def reference_rows(rt: Runtime, V: rz.Subspace,
     volatility.  Set-up checks raise here, before the first row."""
     drift = assemble_drift(rt)
     if rt.oracle == "modal":
-        indices = list(rt.space.indices if isinstance(rt.space, rz.ModalSpace)
-                       else rt.modes)
+        own = rt.space.kind == "modal"  # else a grid space's `modes`
+        indices = list(rt.space.indices if own else rt.modes)
         if not indices:
             raise ConfigError("modal oracle needs modes")
         gmax = max(abs(rt.op.generator_eigenvalue(i)) for i in indices)
@@ -711,12 +706,12 @@ def reference_rows(rt: Runtime, V: rz.Subspace,
         sig_rows = [_exact_mode_amplitudes(rt, indices, s) for s in rt.sigma]
         amps = oracle.solve_spde_modal(rt.op, indices, alpha_vec, sig_rows,
                                        a0, inc)
-        if isinstance(rt.space, rz.ModalSpace):
+        if own:
             return iter(amps)
         return oracle.modal_rows(rt.op, indices, amps, rt.space.grid)
     # grid and ray_grid: one theta scheme on the axis grid, where a grid
     # state is one vector and a ray state one row per profile
-    axis = rt.grid_axis
+    axis = rt.space.grid_axis
     shape = (-1, axis.size) if rt.oracle == "ray_grid" else (axis.size,)
 
     def sampled(f):

@@ -274,6 +274,8 @@ class IncrementMatrix:
 
 
 SEED_END = 2 ** 64  # seeds are the integers in [0, SEED_END)
+# the largest rate Generator.poisson draws at (numpy's POISSON_LAM_MAX)
+POISSON_RATE_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _stream_key(seed: int, component: int) -> int:
@@ -334,8 +336,15 @@ def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
     `out` when given (C-contiguous float), so each path's draws of one
     component fill a contiguous row in place.  A Brownian-only component
     draws every path's normals first and scales the whole block once.  The
-    seeds are range-checked once per call."""
+    seeds and each component's jump rate per step are checked once per
+    call, before any draw."""
     _check_steps(dt, n_steps)
+    for k, comp in enumerate(spec.components):
+        if comp.jump_law is not None and not comp.jump_intensity * dt <= POISSON_RATE_MAX:
+            raise ConfigError(
+                f"driver component {k}: jump_intensity x dt = "
+                f"{comp.jump_intensity * dt:.3g} jumps per step is more than "
+                f"numpy can draw ({POISSON_RATE_MAX:.3g})")
     shape = (spec.m, len(seeds), n_steps)
     if out is None:
         out = np.empty(shape)

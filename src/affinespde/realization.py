@@ -61,7 +61,9 @@ TRUNCATION_BOUND = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# state space descriptors: everything reduces to weighted vectors
+# state space descriptors: everything reduces to weighted vectors.  Each kind
+# answers its scenario name, the field form it samples, verify's reference
+# solver on it and the grid space its state lies along (None when modal)
 
 
 @frozen
@@ -70,6 +72,14 @@ class GridSpace:
 
     grid: Grid1D
     weight: QExpFunction | None = None
+    kind, form, oracle = "grid", "qexp", "grid"
+    grid_axis = property(lambda self: self)
+
+    def refined(self, factor: int) -> GridSpace:
+        """(n - 1) * factor + 1 points on the same interval and weight."""
+        g = self.grid
+        return GridSpace(Grid1D.from_interval(g.x0, g.x_max, (g.n - 1) * factor + 1),
+                         self.weight)
 
     def axis(self) -> np.ndarray:
         return self.grid.points()
@@ -112,6 +122,7 @@ class ModalSpace:
 
     op: OperatorSpec
     indices: tuple
+    kind, form, oracle, grid_axis = "modal", "modal", "modal", None
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(
@@ -153,6 +164,12 @@ class ProfileRaySpace:
 
     profiles: tuple[str, ...]
     ray: GridSpace
+    kind, form, oracle = "profile_ray", "rays", "ray_grid"
+    grid_axis = property(lambda self: self.ray)
+
+    def refined(self, factor: int) -> ProfileRaySpace:
+        """The same profiles on the refined ray."""
+        return ProfileRaySpace(self.profiles, self.ray.refined(factor))
 
     def axis(self) -> np.ndarray:
         return np.arange(len(self.profiles) * self.ray.size, dtype=float)
@@ -204,8 +221,13 @@ def long_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def space_norm(space: SpaceSpec, vec: np.ndarray) -> float:
+    """The weighted norm of vec, computed on vec scaled by one power of two,
+    exactly, so that values near the double range square without overflow;
+    it keeps its bits wherever no square underflows."""
+    exp = np.frexp(np.max(np.abs(vec), initial=0.0))[1]
+    vec = np.ldexp(vec, -exp)
     w = space.weights()
-    return float(math.sqrt(max(long_dot(w * vec, vec), 0.0)))
+    return math.ldexp(math.sqrt(max(long_dot(w * vec, vec), 0.0)), int(exp))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +251,10 @@ class Subspace:
         else:
             samples = np.zeros((0, space.size))
         w = space.weights()
-        gram = (samples * w) @ samples.T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            gram = (samples * w) @ samples.T
+        if not np.all(np.isfinite(gram)):
+            raise LinearSolveFailure("Gram matrix of the basis of V overflows")
         if basis:
             eig = np.linalg.eigvalsh(gram)
             if eig[0] <= 1e-10 * max(eig[-1], 1e-300):

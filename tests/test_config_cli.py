@@ -467,6 +467,23 @@ def _set(*edits):
     pytest.param("hjmm-levy",
                  _set((("driver", "components", 0, "brownian_vol"), 1e300)),
                  ["analyze"], 2, id="hjmm-levy-brownian_vol-1e300"),
+    # jump_intensity x dt beyond the largest rate numpy's poisson draws at
+    pytest.param("transport-1d", _set((("time", "horizon"), 1e300)),
+                 ["simulate", "--paths", "2"], 2, id="transport-1d-horizon-1e300"),
+    # the sampled drift's squares overflowed in space_norm: certified, with
+    # its complement part kept, and then refused at the jump rate
+    pytest.param("hjmm-levy",
+                 _set((("driver", "components", 0, "jump_intensity"), 1e300)),
+                 ["analyze"], 0, id="hjmm-levy-jump_intensity-1e300-analyze"),
+    pytest.param("hjmm-levy",
+                 _set((("driver", "components", 0, "jump_intensity"), 1e300)),
+                 ["simulate", "--paths", "2"], 2,
+                 id="hjmm-levy-jump_intensity-1e300-simulate"),
+    # the Gram matrix of V overflowed in Subspace.build
+    pytest.param("heat-disk",
+                 _set((("volatility", 0, "modal"),
+                       [[[0, 1, "cos"], -1e300], [[1, 1, "cos"], 1e300]])),
+                 ["analyze"], 4, id="heat-disk-amplitudes-1e300"),
 ])
 def test_overflowing_scenario_numbers_exit_with_a_code(tmp_path, capfd, name,
                                                        edit, argv, code):
@@ -489,6 +506,28 @@ PSI_METHODS = {
     "transport-1d-state": "shift_exact",
     "transport-mortality-2d": "shift_exact",
 }
+
+
+def test_a_drift_whose_squares_overflow_keeps_its_complement_part():
+    # its norm once read inf, so that every remainder passed as negligible
+    # against 1e-12 x inf; the remainder is 0.57 of the drift's norm here,
+    # as at the scenario's own rate
+    raw = _load("hjmm-levy")
+    raw["driver"]["components"][0]["jump_intensity"] = 1e300
+    rt = cfgmod.build_runtime(raw)
+    drift = cfgmod.build_scenario_realization(rt).drift
+    norm = rz.space_norm(rt.space, rt.space.sample(cfgmod.assemble_drift(rt)))
+    remainder = rz.space_norm(rt.space, rt.space.sample(drift.remainder))
+    assert 0.5 * norm < remainder < norm < 1e299
+
+
+@pytest.mark.parametrize("name", sorted(PSI_METHODS))
+def test_a_basis_field_reads_back_from_its_written_form(name):
+    # the form analysis.json and realization.json write, through JSON
+    rt = cfgmod.build_runtime(_load(name))
+    for k, b in enumerate(cfgmod.build_scenario_realization(rt).V.basis):
+        form = json.loads(json.dumps(cfgmod.field_form(b)))
+        assert cfgmod.parse_field(form, rt.op, rt.space, f"basis {k}") == b
 
 
 @pytest.mark.parametrize("name", sorted(PSI_METHODS))
@@ -523,19 +562,31 @@ def test_cli_results_are_cwd_independent(tmp_path, monkeypatch):
     assert stats[0] == stats[1]
 
 
-ORACLES = {"cable": "grid", "heat-disk": "modal", "hermite": "modal",
-           "hjmm-levy": "grid", "hjmm-linear": "grid", "laguerre": "modal",
-           "term-structure-2": "modal", "transport-1d": "grid",
-           "transport-1d-state": "grid", "transport-mortality-2d": "ray_grid",
-           # the negative controls named no oracle; verify refuses them at
-           # the closure sweep
-           "neg-gauss-taylor": "grid", "neg-rational-taylor": "grid"}
+# verify's oracle on each bundled scenario, its space's kind, the field form
+# that space samples and the grid its state lies along: the space itself, its
+# ray, or none
+GRID, MODAL = ("grid", "qexp", "self"), ("modal", "modal", None)
+SPACES = {"cable": ("grid", *GRID), "heat-disk": ("modal", *MODAL),
+          "hermite": ("modal", *MODAL), "hjmm-levy": ("grid", *GRID),
+          "hjmm-linear": ("grid", *GRID), "laguerre": ("modal", *MODAL),
+          # a generator whose grid stepping is ill-posed takes the modal oracle
+          "term-structure-2": ("modal", *GRID), "transport-1d": ("grid", *GRID),
+          "transport-1d-state": ("grid", *GRID),
+          "transport-mortality-2d": ("ray_grid", "profile_ray", "rays", "ray"),
+          # the negative controls named no oracle; verify refuses them at
+          # the closure sweep
+          "neg-gauss-taylor": ("grid", *GRID),
+          "neg-rational-taylor": ("grid", *GRID)}
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_space_fixes_the_oracle_and_the_bounds_are_constants(name):
     rt = cfgmod.build_runtime(_load(name))
-    assert rt.oracle == ORACLES[name]
+    oracle_, kind, form, axis = SPACES[name]
+    assert (rt.oracle, rt.space.kind, rt.space.form) == (oracle_, kind, form)
+    assert kind == _load(name)["space"]["kind"]
+    assert rt.space.grid_axis is {"self": rt.space, None: None,
+                                  "ray": getattr(rt.space, "ray", None)}[axis]
     assert (rt.verify.bound_rel_h0, rt.verify.ratio_bound,
             rt.verify.floor_rel) == (0.02, 0.7, 1e-9)
 

@@ -1,7 +1,9 @@
 """Realization layer: invariance, the three clauses, psi, and simulation."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -431,3 +433,44 @@ def test_state_vol_needs_euler():
                                     [9, 10])
     assert mean.shape == var.shape == (21, 1)
     assert np.all(np.isfinite(mean)) and np.all(var[1:] > 0.0)
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_space_norm_scales_by_a_power_of_two_exactly(k):
+    # values near either end of the double range: their squares overflow
+    # or underflow unless the norm scales them first
+    h = np.random.default_rng(5).standard_normal(HALF_LINE.size)
+    w = HALF_LINE.weights()
+    norm = rz.space_norm(HALF_LINE, h)
+    assert norm == math.sqrt(rz.long_dot(w * h, h))
+    assert rz.space_norm(HALF_LINE, np.ldexp(h, k)) == math.ldexp(norm, k)
+
+
+def test_subspace_refuses_a_gram_matrix_that_overflows():
+    space = rz.ModalSpace(Cable(), (1, 2))
+    big = operators.EigenExpansion.make(Cable(), [(1, 1e300), (2, -1e300)])
+    with pytest.raises(LinearSolveFailure, match="overflows"):
+        rz.Subspace.build([big], space)
+
+
+def test_no_module_but_realization_tests_a_concrete_space_kind():
+    # each space kind answers its kind, field form, oracle, grid axis and
+    # refinement itself, in realization.py
+    concrete = {"GridSpace", "ModalSpace", "ProfileRaySpace"}
+    offenders = []
+    for path in sorted(pathlib.Path(rz.__file__).parent.glob("*.py")):
+        if path.name == "realization.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")):
+                continue
+            named = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            if named & concrete:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+    # and the table and the axis the scenario layer held are gone
+    assert not hasattr(cfgmod, "_SPACE_FORMS")
+    assert not hasattr(cfgmod.Runtime, "grid_axis")
