@@ -73,7 +73,7 @@ def _realization_keys(real: rz.Realization) -> dict:
         "dim_V": real.dim,
         "basis": [cfgmod.field_form(b) for b in real.V.basis],
         "B": real.B.tolist(),
-        "sigma_coords": [v.coords.tolist() for v in real.vols],
+        "sigma_coords": real.S.tolist(),
         "psi_method": real.psi_method,
         "correction_norm": rz.semiinvariant_correction(real.op, real.V).operator_norm(),
         "clauses": real.clauses,
@@ -115,7 +115,7 @@ def run_analyze(rt: cfgmod.Runtime, out_dir: str) -> int:
     report.update(
         _realization_keys(real),
         status="certified",
-        state_dependent=[v.scale_fn is not None for v in real.vols],
+        state_dependent=[f is not None for f in real.scales],
         drift_mode=rt.drift_mode,
         exit_code=0,
     )

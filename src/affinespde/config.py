@@ -376,15 +376,13 @@ def _parse_state_scale(d: dict) -> StateScale:
 
 
 def parse_volatility(entries: Sequence[dict], op: OperatorSpec,
-                     space: rz.SpaceSpec) -> list:
-    out = []
-    for k, d in enumerate(entries):
-        base = parse_field(d, op, space, f"volatility entry {k}")
-        if "state_scale" in d:
-            out.append(rz.StateVol(base, _parse_state_scale(d["state_scale"])))
-        else:
-            out.append(base)
-    return out
+                     space: rz.SpaceSpec) -> list[rz.StateVol]:
+    """One StateVol per entry, additive (scale_fn None) without a
+    state_scale."""
+    return [rz.StateVol(parse_field(d, op, space, f"volatility entry {k}"),
+                        _parse_state_scale(d["state_scale"])
+                        if "state_scale" in d else None)
+            for k, d in enumerate(entries)]
 
 
 # the fields each space kind takes besides `kind`: (required, optional)
@@ -410,7 +408,7 @@ def parse_space(d: dict, op: OperatorSpec) -> rz.SpaceSpec:
             raise ConfigError("modal space indices repeat")
         return rz.ModalSpace(op, idx)
     try:
-        grid = Grid1D.from_interval(d.get("x_min", 0.0), d["x_max"], d["n_x"])
+        grid = Grid1D.from_interval(d.get("x_min", 0.0), d["x_max"], int(d["n_x"]))
     except Exception as exc:
         raise ConfigError(f"space: {exc}") from exc
     weight = None
@@ -466,7 +464,7 @@ class Runtime:
     name: str
     op: OperatorSpec
     driver: levy.LevySpec
-    sigma: list
+    sigma: list[rz.StateVol]
     drift_mode: str               # zero | constant | hjm_wiener | hjm_levy
     drift_element: object         # parsed function for constant mode
     h0: object
@@ -490,7 +488,7 @@ class Runtime:
     def scheme(self) -> str:
         """The coordinate scheme the reduced model runs: euler exactly when
         some volatility scales with the state, else the exact affine step."""
-        return ("euler" if any(isinstance(s, rz.StateVol) for s in self.sigma)
+        return ("euler" if any(s.scale_fn is not None for s in self.sigma)
                 else "exp_exact")
 
     @property
@@ -570,19 +568,21 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
     elif drift_fields:
         raise ConfigError(f"drift: a {drift_mode} drift takes no "
                           f"{drift_fields[0]}")
-    elif drift_mode == "hjm_wiener":
-        if any(c.jump_intensity for c in driver.components):
+    elif drift_mode in ("hjm_wiener", "hjm_levy"):
+        closed = drift_mode == "hjm_wiener"
+        if closed and any(c.jump_intensity for c in driver.components):
             raise ConfigError("closed-form forward-curve drift needs a "
                               "pure-Brownian driver")
-        if not all(isinstance(s, QExpFunction) for s in sigma):
-            raise ConfigError("closed-form forward-curve drift needs "
-                              "quasi-exponential volatility entries")
-    elif drift_mode == "hjm_levy":
-        if space.kind != "grid":
+        if not closed and space.kind != "grid":
             raise ConfigError("sampled forward-curve drift needs a grid space")
-        if not all(isinstance(s, QExpFunction) for s in sigma):
-            raise ConfigError("sampled forward-curve drift needs "
-                              "quasi-exponential volatility entries")
+        for k, s in enumerate(sigma):
+            if s.scale_fn is not None:
+                raise ConfigError(f"volatility entry {k}: a {drift_mode} drift "
+                                  f"takes additive volatility, not a state_scale")
+        if not all(isinstance(s.base, QExpFunction) for s in sigma):
+            raise ConfigError(f"{'closed-form' if closed else 'sampled'} "
+                              f"forward-curve drift needs quasi-exponential "
+                              f"volatility entries")
 
     h0 = _parse_h0(raw["initial_curve"], op, space, base_dir)
 
@@ -612,19 +612,12 @@ def build_runtime(raw: dict, base_dir: str = ".") -> Runtime:
 # subspace and drift assembly (shared by the pipelines)
 
 
-def _sigma_bases(rt: Runtime) -> list:
-    out = []
-    for s in rt.sigma:
-        out.append(s.base if isinstance(s, rz.StateVol) else s)
-    return out
-
-
 def volatility_closure(rt: Runtime) -> rz.ClosureResult:
     """The one closure sweep of a command: the smallest invariant span of
     the volatilities under the generator the build uses, d/dx for
     hjm_product_closure and the scenario's operator otherwise.  The span is
     symbolic, so every refinement level of a command can share it."""
-    bases = _sigma_bases(rt)
+    bases = [s.base for s in rt.sigma]
     if not bases:
         raise ConfigError("subspace detection needs at least one volatility entry")
     op = rt.op
@@ -658,9 +651,9 @@ def assemble_drift(rt: Runtime):
     drift, or the sampled one on the scenario's own grid."""
     if rt.drift_mode == "hjm_wiener":
         vols = [c.brownian_vol for c in rt.driver.components]
-        return hjmm.hjm_drift_wiener(_sigma_bases(rt), vols)
+        return hjmm.hjm_drift_wiener([s.base for s in rt.sigma], vols)
     if rt.drift_mode == "hjm_levy":
-        return hjmm.hjm_drift_levy_grid(rt.driver, _sigma_bases(rt),
+        return hjmm.hjm_drift_levy_grid(rt.driver, [s.base for s in rt.sigma],
                                         rt.space.grid)
     return rt.drift_element
 
@@ -701,9 +694,9 @@ def reference_rows(rt: Runtime, V: rz.Subspace,
         a0 = _exact_mode_amplitudes(rt, indices, rt.h0)
         alpha_vec = (None if drift is None
                      else _exact_mode_amplitudes(rt, indices, drift))
-        if any(isinstance(s, rz.StateVol) for s in rt.sigma):
+        if any(s.scale_fn is not None for s in rt.sigma):
             raise MethodUnsupported("modal oracle needs additive volatility")
-        sig_rows = [_exact_mode_amplitudes(rt, indices, s) for s in rt.sigma]
+        sig_rows = [_exact_mode_amplitudes(rt, indices, s.base) for s in rt.sigma]
         amps = oracle.solve_spde_modal(rt.op, indices, alpha_vec, sig_rows,
                                        a0, inc)
         if own:
@@ -718,10 +711,8 @@ def reference_rows(rt: Runtime, V: rz.Subspace,
         return rt.space.sample(f).reshape(shape)
 
     def vol(s):
-        if not isinstance(s, rz.StateVol):
-            return sampled(s)
         base, scale = sampled(s.base), s.scale_fn
-        return lambda r: scale(V.coords(r.ravel())) * base
+        return base if scale is None else lambda r: scale(V.coords(r.ravel())) * base
 
     rows = oracle.spde_grid_rows(rt.op, axis.grid,
                                  None if drift is None else sampled(drift),
@@ -737,7 +728,7 @@ def build_scenario_realization(rt: Runtime, basis: tuple | None = None
         basis = assemble_basis(rt)
     V = rz.Subspace.build(basis, rt.space)
     for k, s in enumerate(rt.sigma):
-        if isinstance(s, rz.StateVol) and len(s.scale_fn.coeffs) > V.dim:
+        if s.scale_fn is not None and len(s.scale_fn.coeffs) > V.dim:
             raise ConfigError(
                 f"volatility entry {k}: state_scale.coeffs has "
                 f"{len(s.scale_fn.coeffs)} entries but dim V is {V.dim}")

@@ -262,7 +262,6 @@ class IncrementMatrix:
 
     dt: float
     values: np.ndarray = field(repr=False)
-    seed: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -320,7 +319,7 @@ def sample_increments(spec: LevySpec, dt: float, n_steps: int, seed: int) -> Inc
     """Exact compensated increments over n_steps steps of length dt: the
     one-seed ensemble."""
     values = sample_increment_ensemble(spec, dt, n_steps, [seed])[0].copy()
-    return IncrementMatrix(dt=dt, values=values, seed=int(seed))
+    return IncrementMatrix(dt=dt, values=values)
 
 
 def sample_increment_ensemble(spec: LevySpec, dt: float, n_steps: int,
@@ -385,7 +384,7 @@ def aggregate_increments(inc: IncrementMatrix, factor: int) -> IncrementMatrix:
         raise GridMismatch(
             f"cannot aggregate {inc.n_steps} steps by factor {factor}")
     coarse = inc.values.reshape(-1, factor, inc.m).sum(axis=1)
-    return IncrementMatrix(dt=inc.dt * factor, values=coarse, seed=inc.seed)
+    return IncrementMatrix(dt=inc.dt * factor, values=coarse)
 
 
 def write_increments_csv(inc: IncrementMatrix, path) -> None:

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import csvio, levy, operators
 from .errors import GridMismatch, LinearSolveFailure, frozen
-from .grids import Grid1D
+from .grids import Grid1D, long_dot
 from .operators import OperatorSpec
-from .realization import GridPath, long_dot
 
 
 def _normalize_field(f, grid: Grid1D):
@@ -345,6 +344,17 @@ def write_grid_path(rows: Iterable[np.ndarray], file, t_grid: np.ndarray,
     """First row carries the spatial axis x_grid, each later row
     `t,value_1..` for one state of rows, written as it is produced."""
     csvio.write_rows(file, "x" + csvio.comma_fields(x_grid), t_grid, rows)
+
+
+@frozen
+class GridPath:
+    """Sampled path: values[n] are the state samples at t_grid[n] over the
+    axis labels in x_grid (grid points, mode ordinals, or profile x ray
+    flattened positions)."""
+
+    t_grid: np.ndarray
+    x_grid: np.ndarray
+    values: np.ndarray
 
 
 def read_grid_path(file) -> GridPath:

@@ -50,7 +50,7 @@ from .errors import (
     frozen,
 )
 from .funalg import QExpFunction, SpanBasis
-from .grids import Grid1D, trapezoid_weights
+from .grids import Grid1D, long_dot, trapezoid_weights
 from .operators import EigenExpansion, OperatorSpec, RayBundle
 
 DIM_CAP = 50
@@ -199,25 +199,6 @@ class ProfileRaySpace:
 
 
 SpaceSpec = GridSpace | ModalSpace | ProfileRaySpace
-
-
-# OpenBLAS spreads a dot product of more than 10000 values over its
-# threads, whose hand-off costs more than the product at these sizes (three
-# times the time at n_x = 10002 on two cores, and more in a forked process,
-# whose threads wait for a free core): longer vectors are dotted in pieces
-# of at most DOT_PIECE values
-DOT_PIECE = 8192
-
-
-def long_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """np.dot of two vectors, bit for bit up to DOT_PIECE values, else the
-    sum of the dots of their pieces of DOT_PIECE values in order."""
-    if len(a) <= DOT_PIECE:
-        return np.dot(a, b)
-    total = 0
-    for i in range(0, len(a), DOT_PIECE):
-        total += np.dot(a[i:i + DOT_PIECE], b[i:i + DOT_PIECE])
-    return total
 
 
 def space_norm(space: SpaceSpec, vec: np.ndarray) -> float:
@@ -407,14 +388,13 @@ def _key_closure(op: OperatorSpec, keys: tuple) -> tuple[tuple, np.ndarray]:
 
 @frozen
 class ClosureResult:
-    """A closure sweep's outcome: its status, the span reached, the
-    iterations taken and the span dimension after each."""
+    """A closure sweep's outcome: its status, the span reached and the span
+    dimension before the first iteration and after each."""
 
     status: str  # "quasi_exponential" or "not_detected"
     # a quasi-exponential not_detected basis holds its coefficient rows and
     # no functions: nothing is built on a span past the cap
     basis: SpanBasis
-    iterations: int
     dims: tuple[int, ...]
 
 
@@ -501,9 +481,7 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence) -> ClosureResult:
     n_ortho = 0  # leading rows of current that are orthonormal
     frontier = current.coefficient_matrix if qexp else current.functions
     dims = [current.dim]
-    iterations = 0
     while True:
-        iterations += 1
         if qexp:
             mat = np.vstack([current.coefficient_matrix, frontier @ g_mat])
             once = (_certain_growth(current.coefficient_matrix, mat)
@@ -519,9 +497,9 @@ def _closure_sweep(op: OperatorSpec, generators: Sequence) -> ClosureResult:
         dims.append(combined.dim)
         if combined.dim == current.dim:
             return ClosureResult("quasi_exponential", _resynthesize(combined),
-                                 iterations, tuple(dims))
+                                 tuple(dims))
         if combined.dim > DIM_CAP:
-            return ClosureResult("not_detected", combined, iterations, tuple(dims))
+            return ClosureResult("not_detected", combined, tuple(dims))
         if qexp:
             kept = current.coefficient_matrix[:n_ortho]
             if once is None:
@@ -590,12 +568,13 @@ def check_invariant(op: OperatorSpec, basis: Sequence) -> InvarianceCheck:
 
 @frozen
 class StateVol:
-    """sigma^k(h) = scale(coordinates of P_V h) * base with base in V.  The
-    scale takes a (d,) state to a scalar and a (d, P) block of states, one
-    column per path, to a (P,) row."""
+    """sigma^k(h) = scale(coordinates of P_V h) * base with base in V, and
+    sigma^k = base, additive, when scale_fn is None.  The scale takes a (d,)
+    state to a scalar and a (d, P) block of states, one column per path, to
+    a (P,) row."""
 
     base: object
-    scale_fn: Callable[[np.ndarray], float | np.ndarray]
+    scale_fn: Callable[[np.ndarray], float | np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +629,6 @@ def semiinvariant_correction(op: OperatorSpec, V: Subspace) -> CorrectionOperato
 
 
 @frozen
-class VolCoord:
-    """A volatility's V-coordinates; scale_fn is None when it is constant."""
-
-    coords: np.ndarray
-    scale_fn: Callable[[np.ndarray], float | np.ndarray] | None = None
-
-
-@frozen
 class DriftSplit:
     """The drift split by the complement: v_coords, a (d,) array, are its
     V-coordinates and remainder its complement part, symbolic when the drift
@@ -671,13 +642,16 @@ class DriftSplit:
 
 @frozen
 class Realization:
-    """The reduced model: the generator, the span V, A on V as B, the
-    volatility and drift coordinates, and the certified clauses."""
+    """The reduced model dY = (B Y + a) dt + sum_k s_k(Y) S_k dX^k: the
+    generator, the span V, A on V as B, the (m, d) volatility coordinates S
+    (row k those of volatility k), the m state scales s_k (None where
+    additive), the drift split and the certified clauses."""
 
     op: OperatorSpec
     V: Subspace
     B: np.ndarray
-    vols: tuple[VolCoord, ...]
+    S: np.ndarray
+    scales: tuple
     drift: DriftSplit
     mode_indices: tuple | None = None
     clauses: dict = field(default_factory=dict)
@@ -714,7 +688,8 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     """Run the realization checks and assemble the reduced model.
 
     `drift` is the constant drift element, symbolic or sampled on V.space,
-    and None means zero drift.  Raises NotInvariant / SigmaEscapesV when
+    and None means zero drift.  Each of `vols` is a StateVol or a bare
+    field, which is additive.  Raises NotInvariant / SigmaEscapesV when
     clause 1 / 3 fails, by a residual above TOL_PROJECT; clause 2 holds for
     a constant drift by construction.  The clause report lands in
     .clauses.  On the Dirichlet generators clause 1 also needs V inside the
@@ -728,7 +703,7 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
     clauses: dict = {}
     if V.dim:
         inv = check_invariant(op, V.basis)
-        if inv.residual > TOL_PROJECT:
+        if not inv.ok:
             raise NotInvariant(
                 f"A maps basis element {inv.offender} outside V "
                 f"(coordinate matrix residual {inv.residual:.3e})")
@@ -745,12 +720,9 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
         clauses["invariant"] = {"ok": True, "dim": 0, "residual": 0.0}
 
     # clause 3: volatility ranges inside V
-    vol_coords = []
-    for k, vol in enumerate(vols):
-        scale_fn = None
-        target = vol
-        if isinstance(vol, StateVol):
-            scale_fn, target = vol.scale_fn, vol.base
+    vols = [v if isinstance(v, StateVol) else StateVol(v) for v in vols]
+    rows = []
+    for k, target in enumerate(v.base for v in vols):
         if _is_symbolic(target) and V.dim:
             coords, resid = span_coords(V.basis, [target])
             coords, resid = coords[:, 0], resid[0]
@@ -763,8 +735,8 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
             raise SigmaEscapesV(
                 f"volatility component {k} leaves V "
                 f"(relative residual {resid:.3e})")
-        vol_coords.append(VolCoord(np.asarray(coords, dtype=float), scale_fn))
-    clauses["volatility_in_V"] = {"ok": True, "components": len(vol_coords)}
+        rows.append(coords)
+    clauses["volatility_in_V"] = {"ok": True, "components": len(rows)}
 
     # clause 2: a constant drift's complement part is the same on every
     # fiber; split it by the complement, dropping a negligible remainder
@@ -780,7 +752,8 @@ def build_realization(op: OperatorSpec, drift, vols: Sequence,
         split = DriftSplit("constant", coords, u)
 
     return Realization(op=op, V=V, B=np.ascontiguousarray(B),
-                       vols=tuple(vol_coords), drift=split,
+                       S=np.array(rows, dtype=float).reshape(len(rows), V.dim),
+                       scales=tuple(v.scale_fn for v in vols), drift=split,
                        mode_indices=tuple(mode_indices) if mode_indices else None,
                        clauses=clauses)
 
@@ -1065,12 +1038,9 @@ def _coordinate_step(carrier: Carrier, dt: float):
     carrier's times P, V.coords of W's rows, plus V.coords of its sampled
     rows.  A constant volatility's scale is 1."""
     real = carrier.real
-    sig = (np.vstack([v.coords for v in real.vols])
-           if real.vols else np.zeros((0, real.dim)))
-    fns = [v.scale_fn for v in real.vols]
-    if all(f is None for f in fns):
+    if all(f is None for f in real.scales):
         e_mat, j_mat = _expm_with_integral(real.B, dt)
-        return e_mat, j_mat @ real.drift.v_coords, sig, None
+        return e_mat, j_mat @ real.drift.v_coords, real.S, None
     psi_v = carrier.coords @ np.reshape(
         [real.V.coords(w) for w in carrier.samples], (-1, real.dim))
     if carrier.sampled is not None:
@@ -1078,13 +1048,13 @@ def _coordinate_step(carrier: Carrier, dt: float):
 
     def scales(y, n):
         at = (y.T + psi_v[n]).T
-        out = np.ones((len(fns), *y.shape[1:]))
-        for k, f in enumerate(fns):
+        out = np.ones((len(real.scales), *y.shape[1:]))
+        for k, f in enumerate(real.scales):
             if f is not None:
                 out[k] = f(at)
         return out
 
-    return (np.eye(real.dim) + dt * real.B, dt * real.drift.v_coords, sig,
+    return (np.eye(real.dim) + dt * real.B, dt * real.drift.v_coords, real.S,
             scales)
 
 
@@ -1112,9 +1082,9 @@ def _affine_rows(y: np.ndarray, step, increments: Iterable[np.ndarray | None]):
 
 
 def _check_driver(real: Realization, m: int) -> None:
-    if len(real.vols) != m:
+    if len(real.S) != m:
         raise GridMismatch(
-            f"{len(real.vols)} volatility components vs {m} driver columns")
+            f"{len(real.S)} volatility components vs {m} driver columns")
 
 
 def coordinate_rows(carrier: Carrier,
@@ -1220,18 +1190,3 @@ def ensemble_moments(carrier: Carrier, spec: levy.LevySpec,
                     total[at] = block_sum
             count += size
     return total / count, m2 / max(count - 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# sampled paths
-
-
-@frozen
-class GridPath:
-    """Sampled path: values[n] are the state samples at t_grid[n] over the
-    axis labels in x_grid (grid points, mode ordinals, or profile x ray
-    flattened positions)."""
-
-    t_grid: np.ndarray
-    x_grid: np.ndarray
-    values: np.ndarray

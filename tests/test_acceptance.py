@@ -120,8 +120,9 @@ def test_criterion_2_quasi_exponential_detection():
 
 
 def _perturbed_vols(name, rt):
-    """The scenario volatility plus one element outside the certified V."""
-    sig = list(rt.sigma)
+    """The scenario volatility plus one element outside the certified V, as
+    bare fields: every scenario here is additive."""
+    sig = [s.base for s in rt.sigma]
     if name in ("hjmm-linear", "hjmm-levy", "transport-1d"):
         sig[0] = sig[0] + funalg.parse_qexp("0.05*exp(-3.7*x)")
     elif name == "cable":
@@ -267,7 +268,7 @@ def test_criterion_8_reduced_model_moments():
     real = rz.build_realization(Translation(), None, [Q.exponential(-1.0)],
                                 V)
     assert np.allclose(real.B, [[-1.0]], atol=1e-12)
-    assert np.allclose(real.vols[0].coords, [1.0], atol=1e-12)
+    assert np.allclose(real.S, [[1.0]], atol=1e-12)
 
     n_t, dt, n_paths = 1000, 1e-3, 10_000
     t_grid = np.linspace(0.0, 1.0, n_t + 1)

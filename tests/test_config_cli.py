@@ -4,10 +4,13 @@ import copy
 import dataclasses
 import json
 import os
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affinespde import cli, funalg, levy, operators, oracle
 from affinespde import config as cfgmod
@@ -258,9 +261,7 @@ def test_a_non_finite_verify_error_fails_and_is_written_as_null(tmp_path, capsys
     # nan > bound is False: without the finite check NaN errors pass both
     # the bound and the ratio test
     def nan_vols(real):
-        return dataclasses.replace(real, vols=tuple(
-            dataclasses.replace(v, coords=np.full_like(v.coords, np.nan))
-            for v in real.vols))
+        return dataclasses.replace(real, S=np.full_like(real.S, np.nan))
 
     rt = cli._load_runtime("heat-disk")
     assert cli.run_verify(rt, str(tmp_path), seed=0, refine=1,
@@ -484,6 +485,19 @@ def _set(*edits):
                  _set((("volatility", 0, "modal"),
                        [[[0, 1, "cos"], -1e300], [[1, 1, "cos"], 1e300]])),
                  ["analyze"], 4, id="heat-disk-amplitudes-1e300"),
+    # a size beyond a numpy index: the grid's weights and the time grid
+    # raised ValueError (Maximum allowed size exceeded)
+    pytest.param("cable", _set((("space", "n_x"), 1e300)), ["analyze"], 2,
+                 id="cable-n_x-1e300"),
+    pytest.param("hjmm-levy", _set((("time", "n_t"), 1e300)),
+                 ["simulate", "--paths", "2"], 2, id="hjmm-levy-n_t-1e300"),
+    # n * n of a mode index overflowed a float in the modal oracle's bound
+    pytest.param("term-structure-2", _set((("modes", 0), 1e300)),
+                 ["verify", "--refine", "1"], 2, id="term-structure-2-modes-1e300"),
+    # an integral float is an integer to the schema, and the grid took it
+    # as a float (TypeError in np.full)
+    pytest.param("cable", _set((("space", "n_x"), 315.0)), ["analyze"], 0,
+                 id="cable-n_x-315.0"),
 ])
 def test_overflowing_scenario_numbers_exit_with_a_code(tmp_path, capfd, name,
                                                        edit, argv, code):
@@ -494,6 +508,59 @@ def test_overflowing_scenario_numbers_exit_with_a_code(tmp_path, capfd, name,
     assert cli.main([argv[0], "--config", str(cfg), *argv[1:],
                      "--out", str(tmp_path / "o")]) == code
     assert "Traceback" not in capfd.readouterr().err
+
+
+def _numeric_leaves(node, path=()):
+    """(path, value) of every number in a scenario, in document order."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,), value
+        else:
+            yield from _numeric_leaves(value, path + (key,))
+
+
+def _replacements(path, value):
+    """What a fuzzed leaf may become, integer leaves included.  A grid or a
+    time grid a thousand times as fine is valid work of minutes and
+    gigabytes, which no command caps, so the sizes do not grow."""
+    grow = [] if path[-1] in ("n_x", "n_t") else [1e3 * value]
+    return [0, 1e300, -1e300, 1e-300, 1e-9, -value, *grow, 1e-3 * value]
+
+
+@st.composite
+def _mutated_scenario(draw):
+    name = draw(st.sampled_from(BUNDLED))
+    raw = copy.deepcopy(_load(name))
+    leaves = list(_numeric_leaves(raw))
+    picks = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2,
+                          unique_by=lambda leaf: leaf[0]))
+    _set(*((path, draw(st.sampled_from(_replacements(path, value))))
+           for path, value in picks))(raw)
+    return name, raw
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_scenario())
+def test_a_mutated_scenario_exits_with_a_documented_code(capfd, case):
+    # one or two numbers of a bundled scenario replaced, then analyze,
+    # simulate and verify until the first refusal: each command ends in a
+    # documented exit code, never in a traceback (a warning is one here)
+    name, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, f"{name}.json")
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        for argv in (["analyze"], ["simulate", "--paths", "2"],
+                     ["verify", "--refine", "1"]):
+            code = cli.main([argv[0], "--config", cfg, *argv[1:],
+                             "--out", os.path.join(tmp, argv[0])])
+            assert code in (0, 2, 3, 4, 5)
+            assert "Traceback" not in capfd.readouterr().err
+            if code:
+                break
 
 
 # the curve method of each certified scenario, as the benchmark's reference
@@ -913,6 +980,25 @@ def test_a_field_the_scenario_would_ignore_exits_2(tmp_path, capsys, name,
     out = tmp_path / "out"
     assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, mode", [("hjmm-linear", "hjm_wiener"),
+                                        ("hjmm-levy", "hjm_levy")])
+def test_an_hjm_drift_refuses_a_state_scale_by_name(tmp_path, capsys, name,
+                                                     mode):
+    # the entry is quasi-exponential: the state scale is what the
+    # forward-curve drift cannot take
+    raw = copy.deepcopy(_load(name))
+    assert raw["drift"]["mode"] == mode and "qexp" in raw["volatility"][0]
+    raw["volatility"][0]["state_scale"] = {"kind": "affine", "c0": 1.0}
+    cfg = tmp_path / "scaled.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: volatility entry 0: a {mode} drift takes additive "
+        f"volatility, not a state_scale\n")
     assert not out.exists()
 
 

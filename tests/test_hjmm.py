@@ -87,7 +87,7 @@ def test_levy_grid_drift_equals_the_point_by_point_drift_on_hjmm_levy(level):
     # the grids of verify --refine 2 on the bundled hjmm-levy scenario
     rt = cfgmod.build_runtime(cfgmod.load_config(
         cfgmod.resolve_config_path("hjmm-levy"))).refined(2 ** level)
-    grid, sigma = rt.space.grid, cfgmod._sigma_bases(rt)
+    grid, sigma = rt.space.grid, [s.base for s in rt.sigma]
     fast = hjmm.hjm_drift_levy_grid(rt.driver, sigma, grid)
     slow = _drift_point_by_point(rt.driver, sigma, grid)
     assert fast.tobytes() == slow.tobytes()

@@ -103,7 +103,7 @@ def _scenario_sweeps(name):
 def _assert_bits_of_svd_sweep(op, generators):
     status, dims, basis = _svd_sweep(op, generators)
     out = rz._closure_sweep(op, generators)
-    assert (out.status, out.dims, out.iterations) == (status, dims, len(dims) - 1)
+    assert (out.status, out.dims) == (status, dims)
     assert out.basis.keys == basis.keys
     got, want = out.basis.coefficient_matrix, basis.coefficient_matrix
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

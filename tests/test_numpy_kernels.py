@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from affinespde import cli, funalg
+from affinespde import cli, funalg, grids
 from affinespde import realization as rz
 
 
@@ -79,16 +79,16 @@ def test_expm_with_integral_of_a_diagonal_matrix():
     np.testing.assert_allclose(j_mat, np.diag(integral), rtol=1e-14, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 1000, rz.DOT_PIECE, rz.DOT_PIECE + 1, 20001])
+@pytest.mark.parametrize("n", [1, 1000, grids.DOT_PIECE, grids.DOT_PIECE + 1, 20001])
 def test_long_dot_is_np_dot_up_to_one_piece(n):
     # bit for bit up to DOT_PIECE values; longer vectors sum their pieces'
     # dots in order, which OpenBLAS then never hands to its threads
     a, b = np.random.default_rng(n).standard_normal((2, n))
-    got = rz.long_dot(a, b)
-    if n <= rz.DOT_PIECE:
+    got = grids.long_dot(a, b)
+    if n <= grids.DOT_PIECE:
         assert got.tobytes() == np.dot(a, b).tobytes()
     else:
-        pieces = [np.dot(a[i:i + rz.DOT_PIECE], b[i:i + rz.DOT_PIECE])
-                  for i in range(0, n, rz.DOT_PIECE)]
+        pieces = [np.dot(a[i:i + grids.DOT_PIECE], b[i:i + grids.DOT_PIECE])
+                  for i in range(0, n, grids.DOT_PIECE)]
         assert got == sum(pieces)
         assert abs(got - np.dot(a, b)) <= 1e-12 * np.dot(abs(a), abs(b))

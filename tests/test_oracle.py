@@ -1,9 +1,11 @@
 """Reference solvers, comparison metrics, and path file formats."""
 
+import ast
 import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,7 +22,7 @@ from test_streaming import compare_streams
 
 
 def _zero_driver(dt, n_steps):
-    return levy.IncrementMatrix(dt, np.zeros((n_steps, 0)), seed=0)
+    return levy.IncrementMatrix(dt, np.zeros((n_steps, 0)))
 
 
 def _grid_solution(op, grid, alpha, sigma, h0, inc):
@@ -129,7 +131,7 @@ def test_a_block_solve_equals_one_solve_per_row(op, theta_dt):
     assert got.flags.c_contiguous
     assert got.tobytes() == np.vstack([solve(b) for b in block]).tobytes()
     sigma = np.random.default_rng(30).standard_normal((4, grid.n))
-    inc = levy.IncrementMatrix(0.01, np.full((5, 1), 0.3), seed=0)
+    inc = levy.IncrementMatrix(0.01, np.full((5, 1), 0.3))
     rows = oracle.spde_grid_rows(op, grid, None, [sigma], block, inc)
     alone = [list(oracle.spde_grid_rows(op, grid, None, [s], b, inc))
              for s, b in zip(sigma, block)]
@@ -147,7 +149,7 @@ def test_grid_stepping_holds_exactly_the_pinned_rows(op, pins):
     # cable, the far-field end of transport
     grid = Grid1D.from_interval(0.0, 3.0, 101)
     h0 = funalg.evaluate(Q.exponential(-1.0), grid.points())
-    inc = levy.IncrementMatrix(0.01, np.full((3, 1), 0.5), seed=0)
+    inc = levy.IncrementMatrix(0.01, np.full((3, 1), 0.5))
     last = _grid_solution(op, grid, None, [np.ones(grid.n)], h0, inc).values[-1]
     assert tuple(np.flatnonzero(last == h0)) == pins
 
@@ -401,6 +403,19 @@ def test_modal_amplitudes_on_a_grid_are_exact_or_refused():
 
     assert np.array_equal(amp(rt.h0), [0.4, 0.0, 0.05])
     assert np.array_equal(amp(config.assemble_drift(rt)), [0.0, 0.1, 0.0])
-    assert np.array_equal(amp(rt.sigma[0]), [0.15, 0.0, 0.0])
+    assert np.array_equal(amp(rt.sigma[0].base), [0.15, 0.0, 0.0])
     with pytest.raises(UnstableConfig, match="band-limited"):
         amp(funalg.parse_qexp("0.6*sin(1*x) + 0.25*cos(3*x)"))
+
+
+def test_the_reference_solver_imports_nothing_from_the_reduced_model():
+    # the oracle is independent evidence only while it shares no code with
+    # the realization it checks
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported
+                if name.split(".")[-1] == "realization"}

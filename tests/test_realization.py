@@ -364,7 +364,7 @@ def test_exp_exact_matches_affine_closed_form():
     real = _ou_realization()
     t_grid = np.linspace(0.0, 2.0, 201)
     dt = t_grid[1] - t_grid[0]
-    zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)), seed=0)
+    zeros = levy.IncrementMatrix(dt, np.zeros((200, 1)))
     coords = _coords(real, Q.exponential(-1.0), t_grid, zeros)
     a = 0.3
     exact = np.exp(-t_grid) * 1.0 + a * (1.0 - np.exp(-t_grid))
@@ -379,7 +379,7 @@ def test_euler_first_order_toward_exact_update():
     for n_t in (100, 200):
         t_grid = np.linspace(0.0, 1.0, n_t + 1)
         dt = t_grid[1] - t_grid[0]
-        zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)), seed=0)
+        zeros = levy.IncrementMatrix(dt, np.zeros((n_t, 1)))
         eu = _coords(euler, Q.exponential(-1.0), t_grid, zeros)
         ex = _coords(real, Q.exponential(-1.0), t_grid, zeros)
         errs.append(np.max(np.abs(eu - ex)))
@@ -391,13 +391,13 @@ def test_simulate_coordinates_grid_mismatches():
                                 np.linspace(0.0, 1.0, 11))
     with pytest.raises(GridMismatch):
         rz.coordinate_rows(carrier,
-                           levy.IncrementMatrix(0.1, np.zeros((7, 1)), 0))
+                           levy.IncrementMatrix(0.1, np.zeros((7, 1))))
     with pytest.raises(GridMismatch):
         rz.coordinate_rows(carrier,
-                           levy.IncrementMatrix(0.2, np.zeros((10, 1)), 0))
+                           levy.IncrementMatrix(0.2, np.zeros((10, 1))))
     with pytest.raises(GridMismatch):
         rz.coordinate_rows(carrier,
-                           levy.IncrementMatrix(0.1, np.zeros((10, 2)), 0))
+                           levy.IncrementMatrix(0.1, np.zeros((10, 2))))
 
 
 def test_ensemble_matches_per_seed_paths():
@@ -474,3 +474,28 @@ def test_no_module_but_realization_tests_a_concrete_space_kind():
     # and the table and the axis the scenario layer held are gone
     assert not hasattr(cfgmod, "_SPACE_FORMS")
     assert not hasattr(cfgmod.Runtime, "grid_axis")
+
+
+def test_one_volatility_record_from_scenario_to_step():
+    # every scenario volatility is a StateVol (scale_fn None when additive),
+    # and the realization holds their (m, d) coordinates S and m scales
+    assert not hasattr(rz, "VolCoord") and not hasattr(cfgmod, "_sigma_bases")
+    for name in ("transport-1d-state", "heat-disk", "transport-mortality-2d"):
+        rt = cli._load_runtime(name)
+        assert rt.sigma and all(type(s) is rz.StateVol for s in rt.sigma)
+        real = cfgmod.build_scenario_realization(rt)
+        assert real.S.shape == (len(rt.sigma), real.dim)
+        assert all(f is s.scale_fn
+                   for f, s in zip(real.scales, rt.sigma, strict=True))
+    assert rt.scheme == "exp_exact" and cli._load_runtime(
+        "transport-1d-state").scheme == "euler"
+    # and config tells no volatility kind apart by its type
+    offenders = []
+    for node in ast.walk(ast.parse(pathlib.Path(cfgmod.__file__).read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and "StateVol" in {n.attr if isinstance(n, ast.Attribute) else n.id
+                                   for arg in node.args[1:] for n in ast.walk(arg)
+                                   if isinstance(n, (ast.Attribute, ast.Name))}):
+            offenders.append(node.lineno)
+    assert not offenders

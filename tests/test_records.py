@@ -35,7 +35,7 @@ FIELDS = {
     "TwoSidedExponentialJumps": ("p_up", "rate_up", "rate_down"),
     "LevyComponent": ("brownian_vol", "jump_intensity", "jump_law"),
     "LevySpec": ("components",),
-    "IncrementMatrix": ("dt", "values", "seed"),
+    "IncrementMatrix": ("dt", "values"),
     "Translation": (),
     "Transport": (),
     "Cable": ("tau", "lambda_c"),
@@ -51,13 +51,13 @@ FIELDS = {
     "ModalSpace": ("op", "indices"),
     "ProfileRaySpace": ("profiles", "ray"),
     "Subspace": ("basis", "space", "samples", "gram"),
-    "ClosureResult": ("status", "basis", "iterations", "dims"),
+    "ClosureResult": ("status", "basis", "dims"),
     "InvarianceCheck": ("ok", "dim", "offender", "residual", "coords"),
     "StateVol": ("base", "scale_fn"),
     "CorrectionOperator": ("left", "right", "space"),
-    "VolCoord": ("coords", "scale_fn"),
     "DriftSplit": ("kind", "v_coords", "remainder"),
-    "Realization": ("op", "V", "B", "vols", "drift", "mode_indices", "clauses"),
+    "Realization": ("op", "V", "B", "S", "scales", "drift", "mode_indices",
+                    "clauses"),
     "Carrier": ("real", "t_grid", "v0", "coords", "samples", "sampled", "meta"),
     "GridPath": ("t_grid", "x_grid", "values"),
 }
@@ -151,8 +151,8 @@ def test_records_of_different_classes_are_unequal():
 
 
 def test_repr_leaves_out_fields_marked_repr_false():
-    record = RECORDS["IncrementMatrix"](0.5, [[1.0]], 7)
-    assert repr(record) == "IncrementMatrix(dt=0.5, seed=7)"
+    record = RECORDS["IncrementMatrix"](0.5, [[1.0]])
+    assert repr(record) == "IncrementMatrix(dt=0.5)"
 
 
 def test_a_repr_the_class_defines_is_kept():
@@ -162,7 +162,7 @@ def test_a_repr_the_class_defines_is_kept():
 
 
 def test_a_default_factory_gives_each_record_its_own_value():
-    first, second = (Realization(*"op V B vols drift".split()) for _ in range(2))
+    first, second = (Realization(*"op V B S scales drift".split()) for _ in range(2))
     assert first.clauses == second.clauses == {}
     assert first.clauses is not second.clauses
     assert first.mode_indices is None

@@ -101,11 +101,10 @@ def test_exp_exact_rows_equal_per_path_recursion(name):
     # reference: the per-path recursion y <- E y + J a + dX S
     e_mat, j_mat = rz._expm_with_integral(real.B, rt.dt)
     a = real.drift.v_coords
-    sig = np.vstack([v.coords for v in real.vols])
     y = v0.copy()
     expect = [y]
     for dx in inc.values:
-        y = e_mat @ y + j_mat @ a + dx @ sig
+        y = e_mat @ y + j_mat @ a + dx @ real.S
         expect.append(y)
     assert np.array_equal(got, np.array(expect))
 
@@ -121,9 +120,9 @@ def _euler_loop_rows(carrier, dt, inc):
         at = y + real.V.coords(psi)
         a = real.B @ y + real.drift.v_coords
         noise = np.zeros(real.dim)
-        for k, vol in enumerate(real.vols):
-            scale = 1.0 if vol.scale_fn is None else vol.scale_fn(at)
-            noise += scale * vol.coords * dx[k]
+        for k, (scale_fn, row) in enumerate(zip(real.scales, real.S)):
+            scale = 1.0 if scale_fn is None else scale_fn(at)
+            noise += scale * row * dx[k]
         y = y + dt * a + noise
         yield y
 

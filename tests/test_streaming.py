@@ -90,11 +90,9 @@ def _sampled_sigma(rt, V):
     as a function of the whole sampled state."""
     out = []
     for s in rt.sigma:
-        if isinstance(s, rz.StateVol):
-            out.append(lambda r, base=rt.space.sample(s.base),
-                       scale=s.scale_fn: scale(V.coords(r)) * base)
-        else:
-            out.append(rt.space.sample(s))
+        base = rt.space.sample(s.base)
+        out.append(base if s.scale_fn is None else
+                   lambda r, base=base, scale=s.scale_fn: scale(V.coords(r)) * base)
     return out
 
 
@@ -128,7 +126,7 @@ def _materialised_oracle(rt, real, inc):
         alpha = cfgmod._exact_mode_amplitudes(rt, indices, rt.drift_element)
     amps = oracle.solve_spde_modal(
         rt.op, indices, alpha,
-        [cfgmod._exact_mode_amplitudes(rt, indices, s) for s in rt.sigma],
+        [cfgmod._exact_mode_amplitudes(rt, indices, s.base) for s in rt.sigma],
         cfgmod._exact_mode_amplitudes(rt, indices, rt.h0), inc)
     if isinstance(rt.space, rz.ModalSpace):
         cols = [indices.index(idx) for idx in rt.space.indices]

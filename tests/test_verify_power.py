@@ -26,9 +26,8 @@ from test_simulate_streams import _runtime
 
 
 def _volatility(real):
-    assert any(np.any(v.coords) for v in real.vols)
-    return dataclasses.replace(real, vols=tuple(
-        dataclasses.replace(v, coords=1.05 * v.coords) for v in real.vols))
+    assert np.any(real.S)
+    return dataclasses.replace(real, S=1.05 * real.S)
 
 
 def _generator(real):
@@ -49,11 +48,9 @@ def _drift_remainder(real):
 
 
 def _state_scale(real):
-    assert any(v.scale_fn is not None for v in real.vols)
-    return dataclasses.replace(real, vols=tuple(
-        v if v.scale_fn is None else dataclasses.replace(
-            v, scale_fn=lambda y, f=v.scale_fn: 1.05 * f(y))
-        for v in real.vols))
+    assert any(f is not None for f in real.scales)
+    return dataclasses.replace(real, scales=tuple(
+        f if f is None else lambda y, f=f: 1.05 * f(y) for f in real.scales))
 
 
 _MODELS = ["heat-disk", "hermite", "laguerre", "cable", "term-structure-2",
